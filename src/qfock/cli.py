@@ -25,6 +25,7 @@ import numpy as np
 import scipy
 import yaml
 
+from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .linalg import gram_inner, max_abs, to_float
@@ -302,7 +303,8 @@ def _package_version() -> str:
     try:
         return metadata.version("qfock")
     except metadata.PackageNotFoundError:
-        return "unknown"
+        # a source checkout run with PYTHONPATH=src has no installed metadata
+        return __version__
 
 
 def _parser() -> argparse.ArgumentParser:

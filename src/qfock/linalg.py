@@ -4,8 +4,12 @@ All norms and adjoints in this package are taken against explicit Gram
 matrices (the level inner products are not orthonormal in the coordinate
 basis).  Norms go through generalized eigenproblems rather than through a
 Cholesky change of basis, so conditioning choices never leak into tests.
-Helpers accept float/complex arrays and, where meaningful, object arrays
-with exact Fraction entries.
+The one exception is the amplified-norm scan in the multipliers layer,
+which whitens its realization stack by the Cholesky factor of the full
+Gram form once per space; ``op_norm`` stays its test oracle (LAPACK's
+generalized solver factors the Gram form the same way).  Helpers accept
+float/complex arrays and, where meaningful, object arrays with exact
+Fraction entries.
 """
 
 from __future__ import annotations

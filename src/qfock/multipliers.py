@@ -14,18 +14,26 @@ Wick words, measures the ratio of realized operator norms before and after
 the map, and keeps the best witness.  Estimates are non-decreasing in the
 amplification size because the previous witness embeds with an unchanged
 ratio.
+
+Realization runs on a stack of all D basis-word operators, whitened by the
+Cholesky factor of the full Gram form and built once per space: a size-s
+witness is realized by one (s^2 x D) by (D x D^2) product, and its deformed
+norm is a plain spectral norm.  The stack costs 16 D^3 bytes, so the scan
+refuses spaces whose stack exceeds a fixed budget (D <= 256).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BuildError
-from .linalg import block_diag, gram_inner, kron_power, max_abs, op_norm, to_float
-from .wick import WickWord, from_vector, span_operator
+from .linalg import block_diag, gram_inner, hermitize, kron_power, max_abs, op_norm, to_float
+from .wick import WickWord, basis_word_operator, from_vector
 
 __all__ = [
     "MAX_AMPLIFICATION",
@@ -46,6 +54,9 @@ __all__ = [
 ]
 
 MAX_AMPLIFICATION = 4
+
+# the whitened realization stack holds 16 D^3 bytes: 256 MiB allows D <= 256
+_STACK_BUDGET_BYTES = 256 * 2**20
 
 _INTERTWINE_TIMES = (0.7, 1.3)
 
@@ -313,28 +324,57 @@ def net_majorant(beyond: int, t: float, constant: float = 1.0) -> float:
 # -- amplified norm estimation -----------------------------------------------
 
 
-def _block_realize(fock, witness: np.ndarray) -> np.ndarray:
-    """Realize a matrix of span coordinates as one operator matrix."""
-    size = witness.shape[0]
+def _whitened_stack(fock) -> np.ndarray:
+    """Basis-word operators in an orthonormal frame of the full Gram form.
+
+    Entry i is L^H R_i L^-H, where R_i realizes the i-th basis word in full
+    coordinate order and full_gram = L L^H.  A realized span element then
+    has its deformed operator norm as the plain spectral norm of its
+    whitened form.  Built once per space and memoized beside the
+    basis-word cache; it holds 16 D^3 bytes, capped by a fixed budget.
+    """
+    hit = fock.__dict__.get("_whitened_stack")
+    if hit is not None:
+        return hit
     d = fock.total_dim
-    big = np.zeros((size * d, size * d), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            seg = witness[a, b]
-            if np.any(seg != 0):
-                big[a * d : (a + 1) * d, b * d : (b + 1) * d] = to_float(
-                    span_operator(fock, seg)
-                )
-    return big
+    if 16 * d**3 > _STACK_BUDGET_BYTES:
+        raise BuildError(
+            f"amplified-norm scan needs a realization stack of 16*{d}^3 = "
+            f"{16 * d**3} bytes, over the budget of {_STACK_BUDGET_BYTES} "
+            "bytes; lower the cutoff or the dimension"
+        )
+    lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
+    left = lower.conj().T
+    right = scipy.linalg.solve_triangular(lower, np.eye(d), lower=True).conj().T
+    words = itertools.chain.from_iterable(
+        fock.basis_words(n) for n in range(fock.n_max + 1)
+    )
+    stack = np.empty((d, d, d), dtype=complex)
+    for i, word in enumerate(words):
+        stack[i] = left.dot(to_float(basis_word_operator(fock, word))).dot(right)
+    stack.flags.writeable = False
+    fock.__dict__["_whitened_stack"] = stack
+    return stack
 
 
-def _ratio(fock, matrix, witness, gram) -> float:
-    denominator = op_norm(_block_realize(fock, witness), gram, gram)
+def _realized_norm(stack: np.ndarray, witness: np.ndarray) -> float:
+    """Deformed operator norm of the block operator realizing a witness.
+
+    Block (a, b) realizes the span coordinates witness[a, b]; in the
+    whitened frame the norm is the top singular value.
+    """
+    size, _, d = witness.shape
+    blocks = witness.reshape(size * size, d).dot(stack.reshape(d, d * d))
+    big = blocks.reshape(size, size, d, d).transpose(0, 2, 1, 3)
+    return float(np.linalg.norm(big.reshape(size * d, size * d), 2))
+
+
+def _ratio(stack, matrix, witness) -> float:
+    denominator = _realized_norm(stack, witness)
     if denominator < 1e-9:
         return 0.0
     mapped = np.einsum("ij,abj->abi", matrix, witness)
-    numerator = op_norm(_block_realize(fock, mapped), gram, gram)
-    return numerator / denominator
+    return _realized_norm(stack, mapped) / denominator
 
 
 def amplified_norm_scan(
@@ -360,12 +400,12 @@ def amplified_norm_scan(
     matrix = to_float(np.asarray(matrix))
     if matrix.shape != (fock.total_dim,) * 2:
         raise BuildError("norm estimation expects a full coordinate matrix")
+    stack = _whitened_stack(fock)
     rng = np.random.default_rng(seed)
     d = fock.total_dim
     estimates = []
     carried = None
     for size in range(1, max_amplification + 1):
-        gram = np.kron(np.eye(size), to_float(fock.full_gram))
         candidates = []
         unit = np.zeros((size, size, d), dtype=complex)
         for a in range(size):
@@ -383,7 +423,7 @@ def amplified_norm_scan(
         best_value = -math.inf
         best_witness = None
         for candidate in candidates:
-            value = _ratio(fock, matrix, candidate, gram)
+            value = _ratio(stack, matrix, candidate)
             if value > best_value:
                 best_value, best_witness = value, candidate
         step = 0.5
@@ -392,7 +432,7 @@ def amplified_norm_scan(
                 rng.standard_normal((size, size, d))
                 + 1j * rng.standard_normal((size, size, d))
             )
-            value = _ratio(fock, matrix, trial, gram)
+            value = _ratio(stack, matrix, trial)
             if value > best_value:
                 best_value, best_witness = value, trial
             else:

@@ -16,7 +16,8 @@ whose compositions stay inside.
 
 Basis-word operators are cached per space; arbitrary arguments are realized
 as linear combinations of cached basis words, and that path is the single
-canonical realization used by the multiplier layer.
+canonical realization.  The multiplier layer's norm scan stacks the same
+cached basis words and combines them in one matrix product.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from importlib import metadata
 
 import pytest
 import yaml
 
+import qfock
 from qfock.cli import main
 
 MINIMAL = {"space": {"q": [[0.3]], "blocks": ["fixed"]}}
@@ -77,6 +79,19 @@ def test_validate_reports_the_size_budget_with_the_requested_cutoff(tmp_path, ca
     assert main(["validate", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "4^6 = 4096" in err
+
+
+def test_oversized_multipliers_run_fails_the_stack_budget(tmp_path, capsys):
+    # dim 6, n_max 4: total dimension 1555, a 60 GB realization stack
+    entries = [[0.3 if i == j else 0.0 for j in range(6)] for i in range(6)]
+    raw = {"space": {"q": entries, "blocks": ["fixed"] * 6}, "fock": {"n_max": 4}}
+    path = write_config(tmp_path, raw)
+    out_dir = tmp_path / "report"
+    assert main(["run", "multipliers", "--config", path, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:")
+    assert "16*1555^3 = 60160462000 bytes, over the budget" in err
+    assert not (out_dir / "multipliers.csv").exists()
 
 
 def test_yaml_parse_errors_exit_with_code_one(tmp_path, capsys):
@@ -152,6 +167,20 @@ def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):
     assert first["seed"] == 20240817
     assert second["seed"] == 7
     assert first["config_hash"] != second["config_hash"]
+
+
+def test_manifest_names_the_source_version_without_installed_metadata(
+    tmp_path, capsys, monkeypatch
+):
+    def not_installed(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", not_installed)
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert manifest["versions"]["qfock"] == qfock.__version__
 
 
 def tight_modular_config(tmp_path):

@@ -14,6 +14,8 @@ from qfock.multipliers import (
     MAX_AMPLIFICATION,
     ContractionFamily,
     RadialSymbol,
+    _realized_norm,
+    _whitened_stack,
     amplified_norm_estimate,
     amplified_norm_scan,
     check_quantizable,
@@ -340,6 +342,45 @@ def test_amplified_estimate_identity_map(small_fock):
     scan = amplified_norm_scan(small_fock, np.eye(small_fock.total_dim), 3)
     for value in scan:
         assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def _block_realize(fock, witness):
+    """Oracle realization: block (a, b) is the span operator of witness[a, b]."""
+    size = witness.shape[0]
+    d = fock.total_dim
+    big = np.zeros((size * d, size * d), dtype=complex)
+    for a in range(size):
+        for b in range(size):
+            big[a * d : (a + 1) * d, b * d : (b + 1) * d] = to_float(
+                span_operator(fock, witness[a, b])
+            )
+    return big
+
+
+@pytest.mark.parametrize("space", ["small_fock", "fock3", "exact"])
+def test_whitened_norm_matches_the_pencil_oracle(space, exact2, rng, request):
+    if space == "exact":
+        fock = TruncatedFock(exact2, n_max=2)
+    else:
+        fock = request.getfixturevalue(space)
+    stack = _whitened_stack(fock)
+    d = fock.total_dim
+    for size in (1, 2, 3):
+        gram = np.kron(np.eye(size), to_float(fock.full_gram))
+        for _ in range(3):
+            witness = rng.standard_normal((size, size, d)) + 1j * rng.standard_normal(
+                (size, size, d)
+            )
+            oracle = op_norm(_block_realize(fock, witness), gram, gram)
+            assert abs(_realized_norm(stack, witness) - oracle) <= 1e-12 * oracle
+
+
+def test_amplified_scan_keeps_the_pencil_route_values(small_fock):
+    f1 = radial_matrix(small_fock, RadialSymbol.kronecker(1))
+    # seed-7 scan as computed through generalized eigh on the block pencils
+    pencil = [1.4938356252387424, 1.5448869966155065, 1.5530510353353753]
+    scan = amplified_norm_scan(small_fock, f1, 3, seed=7)
+    assert scan == pytest.approx(pencil, rel=1e-12, abs=0)
 
 
 def test_amplified_estimate_monotone_and_reproducible(small_fock):
