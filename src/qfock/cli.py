@@ -359,10 +359,13 @@ def _do_run(args) -> int:
     fock = config.fock()
     names = EXPERIMENT_ORDER if args.experiment == "all" else (args.experiment,)
     written = {}
+    seconds = {}
     for name in names:
+        begun = time.perf_counter()
         columns, rows, summary = EXPERIMENTS[name](
             config, fock, _experiment_rng(config, name), args.tolerance_scale
         )
+        seconds[name] = round(time.perf_counter() - begun, 6)
         summary = list(summary) + [("config_hash", digest)]
         path = os.path.join(config.output_dir, f"{name}.csv")
         _write_report(path, columns, rows, summary)
@@ -371,6 +374,7 @@ def _do_run(args) -> int:
 
     manifest = {
         "config_hash": digest,
+        "experiment_seconds": seconds,
         "seed": config.seed,
         "tolerance_scale": args.tolerance_scale,
         "reports": written,

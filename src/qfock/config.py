@@ -29,14 +29,12 @@ from .ultra import MAX_AUX_DIM, MAX_UM_LENGTH
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_TOLERANCES",
-    "SIZE_BUDGET",
     "RunConfig",
     "config_hash",
     "load_config",
     "normalize_config",
 ]
 
-SIZE_BUDGET = 4096
 DEFAULT_SEED = 20240817
 
 DEFAULT_TOLERANCES = {
@@ -483,12 +481,7 @@ def normalize_config(raw) -> RunConfig:
         # the budget message quotes the requested cutoff, even when that
         # cutoff already violates the level cap on its own
         top_words = dim**requested_n
-        if top_words >= SIZE_BUDGET:
-            violations.append(
-                f"size budget: {dim}^{requested_n} = {top_words} top-level words"
-                f" reaches the cap {SIZE_BUDGET}"
-            )
-        elif top_words > MAX_LEVEL_DIM:
+        if top_words > MAX_LEVEL_DIM:
             violations.append(
                 f"size budget: {dim}^{requested_n} = {top_words} top-level words"
                 f" beyond the per-level cap {MAX_LEVEL_DIM}"

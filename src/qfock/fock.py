@@ -35,6 +35,7 @@ from .combinatorics import (
 from .errors import BuildError, CutoffError
 from .linalg import (
     block_diag,
+    exceeds_floor,
     gram_inner,
     identity_matrix,
     kron_power,
@@ -240,10 +241,18 @@ class TruncatedFock:
             g = to_float(self.gram_levels[n])
             if max_abs(g - g.conj().T) > 1e-10 * max(1.0, max_abs(g)):
                 problems.append("level %d Gram is not Hermitian" % n)
-            elif self.min_p_eigenvalue(n) <= _POSITIVITY_FLOOR:
+            elif not self._positive_beyond_floor(n):
                 problems.append("level %d symmetrizer lost strict positivity" % n)
         if problems:
             raise BuildError(problems)
+
+    def _positive_beyond_floor(self, n: int) -> bool:
+        """min_p_eigenvalue(n) > floor, decided by one Cholesky factorization."""
+        return exceeds_floor(
+            self.gram_levels[n],
+            kron_power(to_float(self.setup.u_gram), n),
+            _POSITIVITY_FLOOR,
+        )
 
     # -- creation / annihilation ----------------------------------------------
 
@@ -263,8 +272,11 @@ class TruncatedFock:
 
         Each position k contributes <xi, w_k>_U times the product of the
         weights q_{block(w_k), block(w_j)} over j < k, on the word with
-        position k deleted.  Level 0 maps to the empty level: the vacuum
-        is annihilated.
+        position k deleted.  The whole level is handled one position at a
+        time through the digit table: words whose k-th leg pairs to zero
+        are skipped, the deleted-position index is computed arithmetically,
+        and contributions are added in increasing k.  Level 0 maps to the
+        empty level: the vacuum is annihilated.
         """
         if not 0 <= n <= self.n_max:
             raise CutoffError("no level %d in this truncation" % n)
@@ -273,18 +285,19 @@ class TruncatedFock:
             return self._zeros((0, 1))
         pairings = np.conj(xi).dot(self.setup.u_gram)  # <xi, e_a>_U by a
         ent = self.setup.deformation.entries
-        bl = self.setup.block_of
+        labels = self._block_arr
+        digits = self._digits(n)
         out = self._zeros((self.level_dim(n - 1), self.level_dim(n)))
-        for idx in range(self.level_dim(n)):
-            word = self.index_word(idx, n)
-            for k in range(n):
-                weight = pairings[word[k]]
-                if weight == 0:
-                    continue
-                for j in range(k):
-                    weight = weight * ent[bl[word[k]], bl[word[j]]]
-                target = self.word_index(word[:k] + word[k + 1 :])
-                out[target, idx] += weight
+        for k in range(n):
+            cols = np.flatnonzero(pairings[digits[k]] != 0)
+            removed = digits[k, cols]
+            weight = pairings[removed]
+            for j in range(k):
+                weight = weight * ent[labels[removed], labels[digits[j, cols]]]
+            low = self.dim ** (n - 1 - k)
+            # keep the digits before k, drop digit k, keep the digits after
+            target = cols // (low * self.dim) * low + cols % low
+            out[target, cols] += weight
         return out
 
     # -- splitting maps ---------------------------------------------------------

@@ -4,12 +4,14 @@ All norms and adjoints in this package are taken against explicit Gram
 matrices (the level inner products are not orthonormal in the coordinate
 basis).  Norms go through generalized eigenproblems rather than through a
 Cholesky change of basis, so conditioning choices never leak into tests.
-The one exception is the amplified-norm scan in the multipliers layer,
-which whitens its realization stack by the Cholesky factor of the full
-Gram form once per space; ``op_norm`` stays its test oracle (LAPACK's
-generalized solver factors the Gram form the same way).  Helpers accept
-float/complex arrays and, where meaningful, object arrays with exact
-Fraction entries.
+Two places use Cholesky instead, each keeping its eigenproblem as the
+test oracle: the amplified-norm scan in the multipliers layer whitens its
+realization stack by the Cholesky factor of the full Gram form once per
+space (``op_norm`` is the oracle; LAPACK's generalized solver factors the
+Gram form the same way), and ``exceeds_floor`` answers the build-time
+positivity question with one factorization (``min_gen_eig`` is the
+oracle).  Helpers accept float/complex arrays and, where meaningful,
+object arrays with exact Fraction entries.
 """
 
 from __future__ import annotations
@@ -87,6 +89,21 @@ def min_gen_eig(m: np.ndarray, gram: np.ndarray) -> float:
     b = hermitize(to_float(gram))
     vals = scipy.linalg.eigh(a, b, eigvals_only=True)
     return float(vals[0])
+
+
+def exceeds_floor(m: np.ndarray, gram: np.ndarray, floor: float) -> bool:
+    """Whether ``min_gen_eig(m, gram) > floor``, decided by Cholesky.
+
+    With ``gram`` positive definite, the smallest generalized eigenvalue
+    exceeds ``floor`` exactly when m - floor * gram is positive definite,
+    that is when its Cholesky factorization succeeds.
+    """
+    shifted = hermitize(to_float(m)) - floor * hermitize(to_float(gram))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def op_norm(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> float:

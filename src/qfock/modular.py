@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CutoffError
 from .linalg import block_diag, kron_power
-from .wick import WickWord, from_vector, vacuum_expectation
+from .wick import WickWord, from_vector
 
 __all__ = [
     "ModularData",
@@ -138,10 +138,13 @@ def modular_flow(fock, z, word: WickWord) -> WickWord:
 def kms_residual(fock, x: WickWord, y: WickWord) -> float:
     """Exchange-identity residual |phi(x y) - phi(y sigma_{-i}(x))|.
 
-    Exact (up to roundoff) whenever both words have level <= n_max/2, since
-    no vacuum-to-vacuum path then leaves the cutoff.
+    Both state values are read by applying the right factor to the vacuum
+    and then the left factor to that vector, so no operator product is
+    formed.  Exact (up to roundoff) whenever both words have level <=
+    n_max/2, since no vacuum-to-vacuum path then leaves the cutoff.
     """
     flowed = modular_flow(fock, -1j, x)
-    lhs = vacuum_expectation(fock, x.operator.dot(y.operator))
-    rhs = vacuum_expectation(fock, y.operator.dot(flowed.operator))
+    vacuum = fock.vacuum()
+    lhs = fock.full_inner(vacuum, x.operator.dot(y.vacuum_image()))
+    rhs = fock.full_inner(vacuum, y.operator.dot(flowed.vacuum_image()))
     return abs(complex(lhs - rhs))

@@ -3,10 +3,12 @@
 The combinatorial route sums over pair partitions: each partition nu
 contributes its crossing coefficient g_nu times the product of deformed
 inner products of the paired vectors.  Odd-length words vanish.  The matrix
-route multiplies the realized field operators and reads off the vacuum
-component.  The pairing route is the production evaluator; the matrix route
-is the oracle, and ``checked_moment`` compares the two, raising a loud
-error carrying a replay record whenever they disagree beyond tolerance.
+route applies the realized field operators to the vacuum vector one at a
+time, right to left, and takes the deformed inner product of the result
+with the vacuum, so a word of length l costs l matrix-vector products.
+The pairing route is the production evaluator; the matrix route is the
+oracle, and ``checked_moment`` compares the two, raising a loud error
+carrying a replay record whenever they disagree beyond tolerance.
 
 Word vectors are real and supported inside a single block each, so the
 field operator of every letter is self-adjoint and no conjugation marks are
@@ -23,8 +25,8 @@ import numpy as np
 
 from .combinatorics import g_coefficient, pair_partitions
 from .errors import BuildError, CutoffError, InvariantError
-from .linalg import identity_matrix, to_float
-from .wick import leg_label, vacuum_expectation, wick_operator
+from .linalg import to_float
+from .wick import leg_label, wick_operator
 
 __all__ = [
     "MAX_COMBINATORIAL_LENGTH",
@@ -105,21 +107,23 @@ def moment_pairings(spec: MomentSpec, deformation, setup):
 
 
 def moment_matrix(spec: MomentSpec, fock):
-    """Oracle value: multiply the realized field operators, read the vacuum
-    component of the product applied to the vacuum.
+    """Oracle value: apply the realized field operators to the vacuum,
+    last letter first, and pair the resulting vector with the vacuum.
 
     Exact whenever l <= 2*n_max: a nonzero vacuum-to-vacuum path climbs at
-    most l/2 levels, so the cutoff never clips a contributing term.
+    most l/2 levels, so the cutoff never clips a contributing term.  In
+    exact mode every product stays in Fractions.
     """
     if spec.l > 2 * fock.n_max:
         raise CutoffError(
             f"word length {spec.l} needs cutoff >= {-(-spec.l // 2)}, "
             f"have {fock.n_max}"
         )
-    prod = identity_matrix(fock.total_dim, fock.exact)
-    for v, label in zip(spec.vectors, spec.labels):
-        prod = prod.dot(wick_operator(fock, [v], (label,)).operator)
-    return vacuum_expectation(fock, prod)
+    vacuum = fock.vacuum()
+    vec = vacuum
+    for v, label in zip(spec.vectors[::-1], spec.labels[::-1]):
+        vec = wick_operator(fock, [v], (label,)).operator.dot(vec)
+    return fock.full_inner(vacuum, vec)
 
 
 def _serialize(spec: MomentSpec, deformation) -> dict:

@@ -383,9 +383,9 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
     full_scale = s1 * s2 * s3
     sec33: dict = {}
     sec32: dict = {}
-    sec30: dict = {}
     sec23: dict = {}
-    sec03: dict = {}
+    # the two non-hatted values are distinct, so no term reaches a vacuum
+    # sector on either factor
     for i, hat in ((2, 1), (3, 2)):
         rest = [p for p in range(3) if p != hat]
         for others in itertools.permutations(range(m), 2):
@@ -403,22 +403,13 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
             y2 = second.word_index(pair)
             key32 = (x3, y2)
             sec32[key32] = sec32.get(key32, 0.0) + kappa2 * pair_scale
-            if pair[0] == pair[1]:
-                key30 = (x3, 0)
-                sec30[key30] = sec30.get(key30, 0.0) + kappa2 * pair_scale
             kappa3 = 1.0 if i == 2 else shape_entry(k[2], k[1])
             x2 = first.word_index(pair)
             key23 = (x2, y3)
             sec23[key23] = sec23.get(key23, 0.0) + kappa3 * full_scale
-            if pair[0] == pair[1]:
-                key03 = (0, y3)
-                sec03[key03] = sec03.get(key03, 0.0) + kappa3 * full_scale
-    one = np.eye(1)
     total = (
         _sector_norm_sq(sec33, first.gram(3), second.gram(3))
         + _sector_norm_sq(sec32, first.gram(3), second.gram(2))
-        + _sector_norm_sq(sec30, first.gram(3), one)
         + _sector_norm_sq(sec23, first.gram(2), second.gram(3))
-        + _sector_norm_sq(sec03, one, second.gram(3))
     )
     return math.sqrt(max(total, 0.0)) / m ** 1.5

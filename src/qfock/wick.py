@@ -92,8 +92,9 @@ def _assemble(fock, legs, labels) -> np.ndarray:
         raise CutoffError(
             "argument level %d beyond cutoff %d" % (n, fock.n_max)
         )
+    legs = [fock._check_vector(leg) for leg in legs]
     out = fock._zeros((fock.total_dim, fock.total_dim))
-    conj_legs = [np.conj(np.asarray(leg)) for leg in legs]
+    conj_legs = [np.conj(leg) for leg in legs]
     ent = fock.setup.deformation.entries
     for k in range(n + 1):
         for left, right in index_splittings(n, k):
@@ -109,8 +110,11 @@ def _assemble(fock, legs, labels) -> np.ndarray:
                     cur = step if cur is None else step.dot(cur)
                     lvl -= 1
                 for i in reversed(left):
-                    step = fock.creation(legs[i], lvl)
-                    cur = step if cur is None else step.dot(cur)
+                    if cur is None:
+                        cur = fock.creation(legs[i], lvl)
+                    else:
+                        # prepending a leg to every column of the chain
+                        cur = np.kron(legs[i].reshape(fock.dim, 1), cur)
                     lvl += 1
                 if cur is None:
                     cur = identity_matrix(fock.level_dim(m), fock.exact)

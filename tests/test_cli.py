@@ -130,6 +130,7 @@ def test_run_moments_reports_both_evaluation_routes(tmp_path, capsys):
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["reports"] == {"moments": "moments.csv"}
+    assert list(manifest["experiment_seconds"]) == ["moments"]
     assert manifest["seed"] == 20240817
 
 
@@ -143,6 +144,12 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
         left = (tmp_path / "a" / f"{name}.csv").read_bytes()
         right = (tmp_path / "b" / f"{name}.csv").read_bytes()
         assert left == right
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    names = ["fock", "modular", "moments", "multipliers", "ultra"]
+    assert sorted(manifest["reports"]) == names
+    assert sorted(manifest["experiment_seconds"]) == names
+    seconds = manifest["experiment_seconds"].values()
+    assert all(0 <= value <= manifest["wall_time_seconds"] for value in seconds)
 
 
 def test_single_experiment_matches_the_combined_run(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
-from qfock.fock import TruncatedFock
+from qfock.fock import _POSITIVITY_FLOOR, TruncatedFock
 from qfock.hilbert import build_space
 from qfock.linalg import kron_power, max_abs, op_norm, to_float
 
@@ -209,6 +209,52 @@ def test_positivity_over_random_configs():
             assert fock.min_p_eigenvalue(n) > 0, f"trial {trial} level {n}"
 
 
+class _UncheckedFock(TruncatedFock):
+    """Truncation built without the positivity gate, to inspect both sides."""
+
+    def _check_build(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "q, blocks",
+    [
+        (-0.9999, [("fixed", 0)]),  # level 4 at 2e-8, just above the floor
+        (-0.99995, [("fixed", 0)]),  # level 4 at 5e-9, below it
+        (-0.999, [("rotation", 0, 2.0)]),  # level 3 at 2e-6, level 4 at 4e-9
+        (-0.99999, [("fixed", 0), ("fixed", 1)]),  # level 4 at 1e-10
+        (Q_MIXED[0][1], [("rotation", 0, 2.0), ("fixed", 0)]),
+    ],
+)
+def test_cholesky_verdict_matches_the_eigenvalue_oracle(q, blocks):
+    n_blocks = 1 + max(b[1] for b in blocks)
+    entries = [[q] * n_blocks for _ in range(n_blocks)]
+    fock = _UncheckedFock(build_space(entries, blocks), 4)
+    verdicts = []
+    for n in range(fock.n_max + 1):
+        oracle = fock.min_p_eigenvalue(n) > _POSITIVITY_FLOOR
+        assert fock._positive_beyond_floor(n) == oracle, f"level {n}"
+        verdicts.append(oracle)
+    assert verdicts[:3] == [True, True, True]
+
+
+def test_cholesky_verdict_lands_on_both_sides_of_the_floor():
+    above = _UncheckedFock(build_space([[-0.9999]], [("fixed", 0)]), 4)
+    below = _UncheckedFock(build_space([[-0.99995]], [("fixed", 0)]), 4)
+    assert 1 < above.min_p_eigenvalue(4) / _POSITIVITY_FLOOR < 4
+    assert 0.25 < below.min_p_eigenvalue(4) / _POSITIVITY_FLOOR < 1
+    assert above._positive_beyond_floor(4)
+    assert not below._positive_beyond_floor(4)
+
+
+def test_build_refuses_a_level_form_below_the_floor():
+    TruncatedFock(build_space([[-0.9999]], [("fixed", 0)]), 4)
+    with pytest.raises(BuildError, match="level 4 symmetrizer lost strict positivity"):
+        TruncatedFock(build_space([[-0.99995]], [("fixed", 0)]), 4)
+    with pytest.raises(BuildError, match="level 3 symmetrizer lost strict positivity"):
+        TruncatedFock(build_space([[-0.99995]], [("rotation", 0, 2.0)]), 3)
+
+
 def test_gram_is_hermitian_and_positive(fock_mixed):
     for n in range(fock_mixed.n_max + 1):
         g = to_float(fock_mixed.gram(n))
@@ -392,6 +438,50 @@ def test_vacuum_and_embedding(fock_mixed, rng):
     assert np.allclose(fock_mixed.extract(emb, 2), v)
     direct = np.conj(v) @ to_float(fock_mixed.gram(2)) @ v
     assert fock_mixed.full_inner(emb, emb) == pytest.approx(direct)
+
+
+def annihilation_by_words(fock, xi, n):
+    """Per-word loop form of the annihilation formula: the oracle."""
+    pairings = np.conj(xi).dot(fock.setup.u_gram)
+    ent = fock.setup.deformation.entries
+    bl = fock.setup.block_of
+    out = fock._zeros((fock.level_dim(n - 1), fock.level_dim(n)))
+    for idx in range(fock.level_dim(n)):
+        word = fock.index_word(idx, n)
+        for k in range(n):
+            weight = pairings[word[k]]
+            if weight == 0:
+                continue
+            for j in range(k):
+                weight = weight * ent[bl[word[k]], bl[word[j]]]
+            target = fock.word_index(word[:k] + word[k + 1 :])
+            out[target, idx] += weight
+    return out
+
+
+@pytest.mark.parametrize(
+    "space, n_max", [("mixed5", 3), ("trivial2", 5), ("exact2", 4)]
+)
+def test_annihilation_matches_the_per_word_loop(space, n_max, request):
+    setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, n_max)
+    vectors = [setup.basis_vector(a) for a in range(setup.dim)]
+    if setup.exact:
+        vectors.append(np.array([Fraction(2, 3), Fraction(-1, 5)], dtype=object))
+    else:
+        rng = np.random.default_rng(3)
+        vectors.append(random_complex(rng, setup.dim))
+        vectors.append(np.arange(setup.dim) - 1.0)  # one zero pairing
+    for xi in vectors:
+        for n in range(1, n_max + 1):
+            fast = fock.annihilation(xi, n)
+            slow = annihilation_by_words(fock, xi, n)
+            assert fast.dtype == slow.dtype
+            if setup.exact:
+                assert np.array_equal(fast, slow)
+                assert all(isinstance(x, Fraction) for x in fast.flat)
+            else:
+                assert fast.tobytes() == slow.tobytes(), f"level {n}"
 
 
 def test_build_validation():

@@ -9,6 +9,7 @@ from qfock.combinatorics import pair_partitions
 from qfock.errors import BuildError, CutoffError, InvariantError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
+from qfock.linalg import identity_matrix
 from qfock.moments import (
     MomentSpec,
     checked_moment,
@@ -18,6 +19,7 @@ from qfock.moments import (
     random_spec,
     spec_hash,
 )
+from qfock.wick import vacuum_expectation, wick_operator
 
 
 def make_fock(entries, blocks, n_max, exact=False):
@@ -143,6 +145,39 @@ def test_dual_path_on_random_specs(rng):
         pairing = moment_pairings(spec, setup.deformation, setup)
         matrix = moment_matrix(spec, fock)
         assert abs(pairing - matrix) <= 1e-9 * (1 + abs(pairing))
+
+
+def moment_by_dense_product(spec, fock):
+    """Vacuum entry of the full product W_1 ... W_l: the dense oracle."""
+    prod = identity_matrix(fock.total_dim, fock.exact)
+    for v, label in zip(spec.vectors, spec.labels):
+        prod = prod.dot(wick_operator(fock, [v], (label,)).operator)
+    return vacuum_expectation(fock, prod)
+
+
+def test_vacuum_propagation_matches_the_dense_product(rotation_space, rng):
+    for l in (0, 1, 2, 3, 4, 5, 6):
+        for _ in range(3):
+            spec = random_spec(rotation_space.setup, rng, l)
+            dense = moment_by_dense_product(spec, rotation_space)
+            value = moment_matrix(spec, rotation_space)
+            assert abs(value - dense) <= 1e-12 * (1 + abs(dense))
+
+
+def test_vacuum_propagation_matches_the_dense_product_exactly():
+    entries = [[F(1, 3), F(1, 7)], [F(1, 7), F(2, 5)]]
+    fock = make_fock(entries, [("fixed", 0), ("fixed", 1)], 3, exact=True)
+    words = [(0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 1)]
+    for word in words:
+        spec = MomentSpec.build(fock.setup, [fock.setup.basis_vector(i) for i in word])
+        value = moment_matrix(spec, fock)
+        assert isinstance(value, F)
+        assert value == moment_by_dense_product(spec, fock)
+        assert value == moment_pairings(spec, fock.setup.deformation, fock.setup)
+    half = np.array([F(1, 2), F(0)], dtype=object)
+    third = np.array([F(0), F(-1, 3)], dtype=object)
+    spec = MomentSpec.build(fock.setup, [half, third, third, half])
+    assert moment_matrix(spec, fock) == moment_by_dense_product(spec, fock)
 
 
 def test_conjugate_symmetry_under_reversal(rotation_space, rng):
