@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from importlib import metadata
@@ -39,7 +40,7 @@ from .multipliers import (
     net_pointwise_defect,
 )
 from .ultra import convergence_experiment
-from .wick import from_vector
+from .wick import cache_footprint, from_vector
 
 __all__ = ["main"]
 
@@ -210,9 +211,7 @@ def _run_modular(config, fock, rng, scale):
     for t in params["times"]:
         word = _random_word(fock, rng, 1)
         flowed = modular_flow(fock, t, word)
-        u = modular.fock_unitary(-t)
-        u_inv = modular.fock_unitary(t)
-        conj = u.dot(to_float(word.operator)).dot(u_inv)
+        conj = modular.unitary_conjugate(-t, word.operator)
         push("flow", t, float(max_abs(flowed.operator - conj)), "modular_flow")
 
     columns = ["check", "parameter", "residual"]
@@ -307,6 +306,14 @@ def _package_version() -> str:
         return __version__
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kibibytes, macOS bytes
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    return round(peak / scale, 3)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfock",
@@ -372,9 +379,11 @@ def _do_run(args) -> int:
         written[name] = os.path.basename(path)
         print(f"wrote {path}")
 
+    entries, held = cache_footprint(fock)
     manifest = {
         "config_hash": digest,
         "experiment_seconds": seconds,
+        "peak_rss_mb": _peak_rss_mb(),
         "seed": config.seed,
         "tolerance_scale": args.tolerance_scale,
         "reports": written,
@@ -385,6 +394,7 @@ def _do_run(args) -> int:
             "scipy": scipy.__version__,
         },
         "wall_time_seconds": round(time.perf_counter() - started, 6),
+        "wick_cache": {"entries": entries, "bytes": held},
     }
     path = os.path.join(config.output_dir, "manifest.json")
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

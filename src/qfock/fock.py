@@ -18,6 +18,7 @@ inside the cutoff.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,9 +103,13 @@ class TruncatedFock:
         self.p_matrices = tuple(self._assemble_p(n) for n in range(n_max + 1))
         self.gram_levels = tuple(self._level_gram(n) for n in range(n_max + 1))
         self._check_build()
-        g2 = to_float(kron_power(self.setup.u_gram, 2))
-        self.t_norm = op_norm(to_float(self.t_matrix), g2, g2)
         self.full_gram = block_diag(self.gram_levels)
+
+    @functools.cached_property
+    def t_norm(self) -> float:
+        """Norm of the flip operator on level 2 in the deformed geometry."""
+        g2 = to_float(kron_power(self.setup.u_gram, 2))
+        return op_norm(to_float(self.t_matrix), g2, g2)
 
     # -- word bookkeeping ----------------------------------------------------
 

@@ -27,7 +27,9 @@ from .linalg import hermitize, identity_matrix, max_abs, to_float
 
 MAX_DIM = 8
 
-_BUILD_CHECK_TIMES = (0.7, 1.3)
+# sampled group times for the unitarity check here and the commutation
+# check of one-particle maps in the multipliers layer
+GROUP_CHECK_TIMES = (0.7, 1.3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +313,7 @@ def _check_assembly(setup: HilbertSetup) -> None:
         problems.append("conjugation does not invert the generator")
     if max_abs(g.real - np.eye(setup.dim)) > 1e-12:
         problems.append("real part of the deformed Gram is not the identity")
-    for t in _BUILD_CHECK_TIMES:
+    for t in GROUP_CHECK_TIMES:
         u = setup.u_matrix(t)
         if max_abs(u.conj().T.dot(g).dot(u) - g) > 1e-11:
             problems.append("group is not unitary for the deformed Gram")

@@ -12,12 +12,15 @@ Gram form the same way), and ``exceeds_floor`` answers the build-time
 positivity question with one factorization (``min_gen_eig`` is the
 oracle).  Helpers accept float/complex arrays and, where meaningful,
 object arrays with exact Fraction entries.
+
+``scipy.linalg`` is imported inside the two generalized eigensolvers
+only: importing it costs a few tenths of a second, and building a space,
+realizing Wick words, moments and the modular checks never need it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -85,6 +88,8 @@ def gram_inner(u: np.ndarray, v: np.ndarray, gram: np.ndarray):
 
 def min_gen_eig(m: np.ndarray, gram: np.ndarray) -> float:
     """Smallest eigenvalue of ``m`` seen as an operator in the ``gram`` geometry."""
+    import scipy.linalg
+
     a = hermitize(to_float(m))
     b = hermitize(to_float(gram))
     vals = scipy.linalg.eigh(a, b, eigvals_only=True)
@@ -109,6 +114,8 @@ def exceeds_floor(m: np.ndarray, gram: np.ndarray, floor: float) -> bool:
 def op_norm(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> float:
     """Operator norm of ``x`` between Gram geometries, via the pencil
     (x* G_out x, G_in)."""
+    import scipy.linalg
+
     xf = to_float(x)
     a = hermitize(xf.conj().T.dot(to_float(gram_out)).dot(xf))
     b = hermitize(to_float(gram_in))
@@ -125,7 +132,16 @@ def g_adjoint(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> np.nd
 
 
 def block_diag(blocks) -> np.ndarray:
-    return scipy.linalg.block_diag(*blocks)
+    """Block-diagonal matrix of the 2-D blocks in order, zeros elsewhere,
+    in the promoted dtype of the blocks (object zeros are the integer 0)."""
+    blocks = [np.atleast_2d(b) for b in blocks]
+    shape = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros(shape, dtype=np.result_type(*(b.dtype for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def max_abs(m) -> float:

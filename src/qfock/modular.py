@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CutoffError
-from .linalg import block_diag, kron_power
+from .linalg import block_diag, kron_power, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -49,8 +49,8 @@ class ModularData:
     """Per-level modular matrices of the vacuum state.
 
     Every method returns a matrix acting on one level's coordinates, except
-    the ``*_full`` variants, which assemble the block-diagonal action on the
-    whole truncated space.
+    the ``*_full`` variants, ``fock_unitary`` and ``unitary_conjugate``,
+    which act on the whole truncated space.
     """
 
     fock: object
@@ -118,6 +118,28 @@ class ModularData:
         return block_diag(
             [self.unitary_level(t, n) for n in range(self.fock.n_max + 1)]
         )
+
+    def unitary_conjugate(self, t: float, operator) -> np.ndarray:
+        """U(t) X U(-t) for a full-space matrix X, one level block at a time.
+
+        The quantized group element is block diagonal, so block (r, c) of
+        the product is U_r(t) X_rc U_c(-t) and zero blocks of X stay zero;
+        the dense product with ``fock_unitary`` is the same map.
+        """
+        fock = self.fock
+        x = to_float(np.asarray(operator))
+        out = np.zeros(x.shape, dtype=complex)
+        levels = range(fock.n_max + 1)
+        left = [self.unitary_level(t, n) for n in levels]
+        right = [self.unitary_level(-t, n) for n in levels]
+        for r in levels:
+            rows = fock.level_slice(r)
+            for c in levels:
+                cols = fock.level_slice(c)
+                block = x[rows, cols]
+                if np.any(block):
+                    out[rows, cols] = left[r].dot(block).dot(right[c])
+        return out
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:

@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BuildError
+from .hilbert import GROUP_CHECK_TIMES
 from .linalg import block_diag, gram_inner, hermitize, kron_power, max_abs, op_norm, to_float
 from .wick import WickWord, basis_word_operator, from_vector
 
@@ -57,9 +57,6 @@ MAX_AMPLIFICATION = 4
 
 # the whitened realization stack holds 16 D^3 bytes: 256 MiB allows D <= 256
 _STACK_BUDGET_BYTES = 256 * 2**20
-
-_INTERTWINE_TIMES = (0.7, 1.3)
-
 
 # -- radial symbols ----------------------------------------------------------
 
@@ -152,7 +149,7 @@ def check_quantizable(setup, matrix, tolerance: float = 1e-10) -> None:
                     f"entry ({i}, {j}) couples blocks "
                     f"{setup.block_of[i]} and {setup.block_of[j]}"
                 )
-    for t in _INTERTWINE_TIMES:
+    for t in GROUP_CHECK_TIMES:
         u = setup.u_matrix(t)
         if max_abs(matrix.dot(u) - u.dot(matrix)) > tolerance:
             violations.append(f"one-particle map fails to commute with the group at t={t}")
@@ -333,6 +330,8 @@ def _whitened_stack(fock) -> np.ndarray:
     whitened form.  Built once per space and memoized beside the
     basis-word cache; it holds 16 D^3 bytes, capped by a fixed budget.
     """
+    import scipy.linalg
+
     hit = fock.__dict__.get("_whitened_stack")
     if hit is not None:
         return hit

@@ -263,11 +263,15 @@ class ConvergenceReport:
     aux_dims: tuple
     values: tuple
     target: object
-    slope: object
 
     def errors(self) -> tuple:
         t = complex(self.target)
         return tuple(abs(complex(v) - t) for v in self.values)
+
+    @property
+    def slope(self):
+        """Fitted log-log slope of the errors; None below two usable points."""
+        return fitted_slope(self.aux_dims, self.errors())
 
     def rows(self) -> list:
         t = complex(self.target)
@@ -314,11 +318,7 @@ def convergence_experiment(setup, vectors, q, q_tilde, m_list, labels=None) -> C
         values.append(um_moment_enumerate(spec, setup))
     word = MomentSpec.build(setup, vectors, labels)
     target = moment_pairings(word, effective_deformation(setup, q, q_tilde), setup)
-    report = ConvergenceReport(
-        tuple(m_list), tuple(values), target, None
-    )
-    slope = fitted_slope(m_list, report.errors())
-    return ConvergenceReport(tuple(m_list), tuple(values), target, slope)
+    return ConvergenceReport(tuple(m_list), tuple(values), target)
 
 
 # -- recursion remainder ------------------------------------------------------

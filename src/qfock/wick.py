@@ -14,10 +14,14 @@ are compressions to the truncated space: a summand whose image would leave
 the cutoff is dropped, so identities are only asserted on source levels
 whose compositions stay inside.
 
-Basis-word operators are cached per space; arbitrary arguments are realized
-as linear combinations of cached basis words, and that path is the single
-canonical realization.  The multiplier layer's norm scan stacks the same
-cached basis words and combines them in one matrix product.
+Basis-word operators are cached per space as their nonzero entries only (a
+read-only flat index array into the D x D operator and a value array): a
+basis word touches at most a few thousand of the D^2 entries.  Arbitrary
+arguments are realized as linear combinations of cached basis words by one
+scatter of the scaled entries, in word order, into a single output; that
+path is the single canonical realization.  ``basis_word_operator`` hands
+out a fresh dense copy of one cached word, which the multiplier layer's
+norm scan stacks and combines in one matrix product.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .linalg import g_adjoint, identity_matrix, max_abs, to_float
 __all__ = [
     "WickWord",
     "basis_word_operator",
+    "cache_footprint",
     "field",
     "from_vector",
     "leg_label",
@@ -85,17 +90,22 @@ def leg_label(setup, v) -> int:
     return labels.pop()
 
 
-def _assemble(fock, legs, labels) -> np.ndarray:
-    """Splitting-formula operator for the given legs, as a full matrix."""
+def _assemble_blocks(fock, legs, labels) -> list:
+    """Splitting-formula operator for the given legs, as level blocks.
+
+    Returns (row level, column level, block) triples, one per block the
+    formula reaches; every other block of the full operator is zero.
+    Splittings are added into each block in the order of the formula.
+    """
     n = len(legs)
     if n > fock.n_max:
         raise CutoffError(
             "argument level %d beyond cutoff %d" % (n, fock.n_max)
         )
     legs = [fock._check_vector(leg) for leg in legs]
-    out = fock._zeros((fock.total_dim, fock.total_dim))
     conj_legs = [np.conj(leg) for leg in legs]
     ent = fock.setup.deformation.entries
+    blocks = {}
     for k in range(n + 1):
         for left, right in index_splittings(n, k):
             coeff = f_coefficient(left, right, labels, ent)
@@ -118,9 +128,20 @@ def _assemble(fock, legs, labels) -> np.ndarray:
                     lvl += 1
                 if cur is None:
                     cur = identity_matrix(fock.level_dim(m), fock.exact)
-                rows = fock.level_slice(out_level)
-                cols = fock.level_slice(m)
-                out[rows, cols] += coeff * cur
+                key = (out_level, m)
+                if key not in blocks:
+                    blocks[key] = fock._zeros(
+                        (fock.level_dim(out_level), fock.level_dim(m))
+                    )
+                blocks[key] += coeff * cur
+    return [(rows, cols, block) for (rows, cols), block in blocks.items()]
+
+
+def _assemble(fock, legs, labels) -> np.ndarray:
+    """Splitting-formula operator for the given legs, as a full matrix."""
+    out = fock._zeros((fock.total_dim, fock.total_dim))
+    for rows, cols, block in _assemble_blocks(fock, legs, labels):
+        out[fock.level_slice(rows), fock.level_slice(cols)] = block
     return out
 
 
@@ -147,33 +168,66 @@ def wick_operator(fock, legs, labels=None) -> WickWord:
     return WickWord(fock, len(legs), _tensor_argument(fock, legs), labels, operator)
 
 
-def basis_word_operator(fock, word) -> np.ndarray:
-    """Cached full-space operator of the Wick word with argument e_word."""
-    word = tuple(word)
+def _word_entries(fock, word) -> tuple:
+    """Cached nonzero entries of the basis word e_word's operator.
+
+    A pair (flat index into the row-major D x D operator, values), both
+    read-only, built from the level blocks without a D x D scratch matrix.
+    """
     cache = fock.__dict__.setdefault("_wick_cache", {})
     hit = cache.get(word)
     if hit is not None:
         return hit
+    d = fock.total_dim
     legs = [fock.setup.basis_vector(a) for a in word]
-    mat = _assemble(fock, legs, fock.labels_of(word))
-    cache[word] = mat
-    return mat
+    index, values = [], []
+    for rows, cols, block in _assemble_blocks(fock, legs, fock.labels_of(word)):
+        r, c = np.nonzero(block)
+        index.append((r + fock.level_offset(rows)) * d + c + fock.level_offset(cols))
+        values.append(block[r, c])
+    entry = (np.concatenate(index), np.concatenate(values))
+    for arr in entry:
+        arr.flags.writeable = False
+    cache[word] = entry
+    return entry
+
+
+def cache_footprint(fock) -> tuple:
+    """(cached basis words, bytes held by their entry arrays)."""
+    cache = fock.__dict__.get("_wick_cache", {})
+    held = sum(arr.nbytes for entry in cache.values() for arr in entry)
+    return len(cache), held
+
+
+def basis_word_operator(fock, word) -> np.ndarray:
+    """Full-space operator of the Wick word with argument e_word, as a fresh
+    dense matrix densified from the cached entries."""
+    index, values = _word_entries(fock, tuple(word))
+    out = fock._zeros((fock.total_dim, fock.total_dim))
+    out.reshape(-1)[index] = values
+    return out
 
 
 def from_vector(fock, vec, n: int) -> WickWord:
     """Wick word of an arbitrary level-n argument, by basis-word linearity.
 
     This is the canonical realization path: every multiplier acts on the
-    argument coordinates and comes back through here.
+    argument coordinates and comes back through here.  The entries of the
+    basis words with nonzero coordinates are scaled and scattered into one
+    output in word order, so every entry sums its terms in the order of a
+    word-by-word sum of dense matrices.
     """
     vec = np.asarray(vec)
     if vec.shape != (fock.level_dim(n),):
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
     operator = fock._zeros((fock.total_dim, fock.total_dim))
-    for idx in range(fock.level_dim(n)):
-        if vec[idx] == 0:
-            continue
-        operator += vec[idx] * basis_word_operator(fock, fock.index_word(idx, n))
+    index, values = [], []
+    for idx in np.flatnonzero(vec):
+        where, entries = _word_entries(fock, fock.index_word(int(idx), n))
+        index.append(where)
+        values.append(vec[idx] * entries)
+    if index:
+        np.add.at(operator.reshape(-1), np.concatenate(index), np.concatenate(values))
     return WickWord(fock, n, vec.copy(), None, operator)
 
 

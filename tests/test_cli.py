@@ -1,6 +1,7 @@
 """Command line driver: exit codes, report files, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import metadata
@@ -160,6 +161,14 @@ def test_single_experiment_matches_the_combined_run(tmp_path, capsys):
     combined = (tmp_path / "all" / "modular.csv").read_bytes()
     alone = (tmp_path / "one" / "modular.csv").read_bytes()
     assert combined == alone
+    for label in ("all", "one"):
+        manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] > 0
+        cache = manifest["wick_cache"]
+        assert cache["entries"] > 0
+        # 16-byte values and 8-byte indices of a few entries per word, far
+        # below one dense 40 x 40 complex matrix per word
+        assert 0 < cache["bytes"] < cache["entries"] * 16 * 40**2
 
 
 def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):
@@ -255,3 +264,21 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("valid")
+
+
+def test_building_a_space_leaves_scipy_linalg_unimported():
+    source = os.path.dirname(os.path.dirname(qfock.__file__))
+    code = (
+        "import sys, qfock.cli\n"
+        "from qfock.fock import TruncatedFock\n"
+        "from qfock.hilbert import build_space\n"
+        "setup = build_space([[0.3, -0.2], [-0.2, 0.55]], "
+        "[('rotation', 0, 2.0), ('fixed', 1)])\n"
+        "TruncatedFock(setup, 3)\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": source}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

@@ -19,7 +19,7 @@ from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import _POSITIVITY_FLOOR, TruncatedFock
 from qfock.hilbert import build_space
-from qfock.linalg import kron_power, max_abs, op_norm, to_float
+from qfock.linalg import block_diag, kron_power, max_abs, op_norm, to_float
 
 from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, random_complex
 
@@ -502,3 +502,17 @@ def test_level_bound_errors(fock_mixed):
         fock_mixed.r_star(2, 2)
     with pytest.raises(CutoffError):
         fock_mixed.annihilation(fock_mixed.setup.basis_vector(0), 4)
+
+
+def test_block_diag_places_blocks_like_scipy():
+    import scipy.linalg
+
+    real = np.arange(6.0).reshape(2, 3)
+    cplx = np.array([[1 + 2j]])
+    exact = np.array([[Fraction(1, 3), Fraction(2)]], dtype=object)
+    for blocks in ([np.eye(1), real, cplx], [real], [exact, np.eye(2, dtype=object)]):
+        ours = block_diag(blocks)
+        theirs = scipy.linalg.block_diag(*blocks)
+        assert ours.dtype == theirs.dtype
+        assert ours.shape == theirs.shape
+        assert all(a == b and type(a) is type(b) for a, b in zip(ours.flat, theirs.flat))

@@ -275,3 +275,19 @@ def test_exact_mode_modular_data(exact_modular):
 def test_level_guard(modular4):
     with pytest.raises(CutoffError):
         modular4.delta_power(1.0, 7)
+
+
+def test_blockwise_conjugation_matches_the_dense_unitary_product(fock4, modular4, rng):
+    for t in (0.3, -1.0, 2.5):
+        u = modular4.fock_unitary(t)
+        u_inv = modular4.fock_unitary(-t)
+        for n in (1, 2):
+            word = random_word(fock4, rng, n)
+            dense = u.dot(to_float(word.operator)).dot(u_inv)
+            blockwise = modular4.unitary_conjugate(t, word.operator)
+            assert max_abs(blockwise - dense) <= 1e-12
+            # the CLI's flow residual, against the dense route
+            flowed = modular_flow(fock4, -t, word).operator
+            fast = max_abs(flowed - blockwise)
+            assert abs(fast - max_abs(flowed - dense)) <= 1e-12
+            assert fast <= 1e-10

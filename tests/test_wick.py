@@ -1,8 +1,9 @@
 """Wick operators: splitting formula, fields, recursion, compression.
 
 Oracles: full-space ladder matrices assembled by hand from the fock layer,
-term-by-term hand expansions for small levels, and a taller truncation of
-the same space for the compression semantics.
+term-by-term hand expansions for small levels, a taller truncation of the
+same space for the compression semantics, and the word-by-word sum of dense
+basis-word matrices for the scatter realization.
 """
 
 import itertools
@@ -17,7 +18,10 @@ from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space
 from qfock.linalg import max_abs, op_norm, to_float
 from qfock.wick import (
+    _assemble,
+    _word_entries,
     basis_word_operator,
+    cache_footprint,
     field,
     from_vector,
     leg_label,
@@ -273,3 +277,66 @@ def test_exact_wick_entries(fock_exact):
 def test_leg_label_helper(fock_mixed):
     assert leg_label(fock_mixed.setup, [1.0, 2.0, 0.0]) == 0
     assert leg_label(fock_mixed.setup, [0, 0, 3.0]) == 1
+
+
+# -- sparse basis-word cache -------------------------------------------------------------
+
+def dense_word(fock, word):
+    """Splitting-formula operator of one basis word, as a full matrix."""
+    legs = [fock.setup.basis_vector(a) for a in word]
+    return _assemble(fock, legs, fock.labels_of(word))
+
+
+def dense_from_vector(fock, vec, n):
+    """Oracle: add one dense basis-word matrix per nonzero coordinate."""
+    operator = fock._zeros((fock.total_dim, fock.total_dim))
+    for idx in range(fock.level_dim(n)):
+        if vec[idx] == 0:
+            continue
+        operator += vec[idx] * dense_word(fock, fock.index_word(idx, n))
+    return operator
+
+
+def test_from_vector_matches_the_dense_word_sum(fock_mixed, rng):
+    for n in range(fock_mixed.n_max + 1):
+        full = random_complex(rng, fock_mixed.level_dim(n))
+        sparse = full.copy()
+        sparse[::2] = 0
+        for vec in (full, sparse, full.real.copy()):
+            fast = from_vector(fock_mixed, vec, n).operator
+            assert fast.tobytes() == dense_from_vector(fock_mixed, vec, n).tobytes()
+
+
+def test_from_vector_matches_the_dense_word_sum_exactly(fock_exact):
+    for n in range(fock_exact.n_max + 1):
+        size = fock_exact.level_dim(n)
+        vec = np.array([Fraction(i % 5 - 2, 3) for i in range(size)], dtype=object)
+        fast = from_vector(fock_exact, vec, n).operator
+        assert fast.dtype == object
+        assert np.all(fast == dense_from_vector(fock_exact, vec, n))
+
+
+def test_basis_word_operator_matches_the_dense_assembly(fock_mixed, fock_exact):
+    for word in [(), (2,), (0, 1), (1, 2, 0), (2, 2, 1, 0)]:
+        fast = basis_word_operator(fock_mixed, word)
+        assert fast.tobytes() == dense_word(fock_mixed, word).tobytes()
+    for word in [(), (1,), (0, 1, 1)]:
+        fast = basis_word_operator(fock_exact, word)
+        assert np.all(fast == dense_word(fock_exact, word))
+    # a fresh matrix each time: writing to one leaves the cache intact
+    first = basis_word_operator(fock_mixed, (0, 1))
+    first[:] = 0
+    assert np.any(basis_word_operator(fock_mixed, (0, 1)))
+
+
+def test_cached_entries_are_read_only_and_sparse(fock_mixed):
+    index, values = _word_entries(fock_mixed, (1, 2))
+    with pytest.raises(ValueError):
+        index[0] = 0
+    with pytest.raises(ValueError):
+        values[0] = 0
+    entries, held = cache_footprint(fock_mixed)
+    cache = fock_mixed.__dict__["_wick_cache"]
+    assert entries == len(cache)
+    assert held == sum(arr.nbytes for pair in cache.values() for arr in pair)
+    assert held < entries * 16 * fock_mixed.total_dim**2 / 10
