@@ -31,7 +31,7 @@ from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .linalg import gram_inner, max_abs, to_float
 from .modular import ModularData, kms_residual, modular_flow
-from .moments import MomentSpec, moment_matrix, moment_pairings
+from .moments import MomentSpec, checked_moment
 from .multipliers import (
     ContractionFamily,
     amplified_norm_estimate,
@@ -83,6 +83,12 @@ def _experiment_rng(config: RunConfig, name: str) -> np.random.Generator:
     return np.random.default_rng([config.seed, EXPERIMENT_ORDER.index(name)])
 
 
+def _invariant(config, name: str, **fields) -> InvariantError:
+    """Invariant failure whose replay names the space and cutoff of the run."""
+    replay = {"space": config.data["space"], "n_max": config.n_max, **fields}
+    return InvariantError(name, replay=replay)
+
+
 def _random_word(fock, rng, level: int):
     dim = fock.level_dim(level)
     coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -101,14 +107,8 @@ def _run_fock(config, fock, rng, scale):
             tj = to_float(fock.t_amplified(i + 1, n))
             braid = max(braid, float(max_abs(ti.dot(tj).dot(ti) - tj.dot(ti).dot(tj))))
         if eig < POSITIVITY_FLOOR:
-            raise InvariantError(
-                "level deformation positivity",
-                replay={
-                    "space": config.data["space"],
-                    "n_max": config.n_max,
-                    "level": n,
-                    "min_eigenvalue": eig,
-                },
+            raise _invariant(
+                config, "level deformation positivity", level=n, min_eigenvalue=eig
             )
         floor_eig = min(floor_eig, eig)
         worst_braid = max(worst_braid, braid)
@@ -134,21 +134,10 @@ def _run_moments(config, fock, rng, scale):
         vectors = [np.asarray(v) for v in word["vectors"]]
         labels = tuple(word["labels"]) if "labels" in word else None
         spec = MomentSpec.build(setup, vectors, labels)
-        pairing = complex(moment_pairings(spec, setup.deformation, setup))
-        matrix = complex(moment_matrix(spec, fock))
-        diff = abs(pairing - matrix)
-        if diff > tol:
-            raise InvariantError(
-                "moment dual-path agreement",
-                replay={
-                    "space": config.data["space"],
-                    "n_max": config.n_max,
-                    "word": word,
-                    "difference": diff,
-                    "tolerance": tol,
-                },
-            )
-        worst = max(worst, diff)
+        pairing, matrix, gap = checked_moment(
+            spec, fock, tol, space=config.data["space"], word=word
+        )
+        worst = max(worst, gap)
         rows.append(
             {
                 "word": i,
@@ -157,7 +146,7 @@ def _run_moments(config, fock, rng, scale):
                 "pairing_im": pairing.imag,
                 "matrix_re": matrix.real,
                 "matrix_im": matrix.imag,
-                "abs_diff": diff,
+                "abs_diff": gap,
             }
         )
     columns = [
@@ -181,17 +170,14 @@ def _run_modular(config, fock, rng, scale):
     def push(check, parameter, residual, tol_key):
         tol = config.tolerance(tol_key, scale)
         if residual > tol:
-            raise InvariantError(
+            raise _invariant(
+                config,
                 f"modular {check} identity",
-                replay={
-                    "space": config.data["space"],
-                    "n_max": config.n_max,
-                    "seed": config.seed,
-                    "check": check,
-                    "parameter": parameter,
-                    "residual": residual,
-                    "tolerance": tol,
-                },
+                seed=config.seed,
+                check=check,
+                parameter=parameter,
+                residual=residual,
+                tolerance=tol,
             )
         worst[check] = max(worst.get(check, 0.0), residual)
         rows.append({"check": check, "parameter": parameter, "residual": residual})
@@ -242,15 +228,7 @@ def _run_multipliers(config, fock, rng, scale):
         )
         defect = float(net_pointwise_defect(element, word, surrogate=max(1.0, estimate)))
         if defect < -floor:
-            raise InvariantError(
-                "net defect nonnegativity",
-                replay={
-                    "space": config.data["space"],
-                    "n_max": config.n_max,
-                    "step": j,
-                    "defect": defect,
-                },
-            )
+            raise _invariant(config, "net defect nonnegativity", step=j, defect=defect)
         last = {"estimate": estimate, "defect": defect}
         rows.append(
             {

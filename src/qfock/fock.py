@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,7 +102,7 @@ class TruncatedFock:
         self.p_matrices = tuple(self._assemble_p(n) for n in range(n_max + 1))
         self.gram_levels = tuple(self._level_gram(n) for n in range(n_max + 1))
         self._check_build()
-        self.full_gram = block_diag(self.gram_levels)
+        self.full_gram = self.level_diag(lambda n: self.gram_levels[n])
 
     @functools.cached_property
     def t_norm(self) -> float:
@@ -126,6 +125,10 @@ class TruncatedFock:
     def level_slice(self, n: int) -> slice:
         off = self.level_offset(n)
         return slice(off, off + self.level_dim(n))
+
+    def level_diag(self, block) -> np.ndarray:
+        """Full-space matrix with ``block(n)`` on level n's diagonal block."""
+        return block_diag([block(n) for n in range(self.n_max + 1)])
 
     def word_index(self, word) -> int:
         idx = 0
@@ -349,6 +352,3 @@ class TruncatedFock:
     def full_inner(self, u, v):
         """Deformed inner product on the whole truncated space."""
         return gram_inner(u, v, self.full_gram)
-
-    def full_norm(self, v) -> float:
-        return math.sqrt(abs(self.full_inner(v, v)))

@@ -43,25 +43,6 @@ def identity_matrix(n: int, exact: bool = False) -> np.ndarray:
     return out
 
 
-def kron_apply(op, vec: np.ndarray, dim: int, legs: int) -> np.ndarray:
-    """Apply ``op`` to every tensor leg of a level vector.
-
-    ``vec`` has length dim**legs.  ``op`` is either a scalar (treated as
-    scalar times identity, applied as scalar**legs in one multiplication)
-    or a (dim, dim) matrix.
-    """
-    if np.isscalar(op):
-        return op**legs * vec
-    if legs == 0:
-        return vec.copy()
-    w = vec.reshape((dim,) * legs)
-    # each tensordot contracts the last leg and moves it to the front, so
-    # after `legs` rounds every leg is transformed and the order is restored
-    for _ in range(legs):
-        w = np.tensordot(op, w, axes=([1], [legs - 1]))
-    return w.reshape(-1)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
@@ -71,14 +52,6 @@ def to_float(m: np.ndarray) -> np.ndarray:
     if m.dtype == object:
         return np.asarray(m, dtype=complex)
     return m
-
-
-def gram_norm(vec: np.ndarray, gram: np.ndarray) -> float:
-    """Norm of a coordinate vector in the geometry defined by ``gram``."""
-    v = to_float(np.asarray(vec))
-    g = to_float(gram)
-    val = np.real(np.conj(v).dot(g).dot(v))
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def gram_inner(u: np.ndarray, v: np.ndarray, gram: np.ndarray):

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CutoffError
-from .linalg import block_diag, kron_power, to_float
+from .linalg import kron_power, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -49,8 +49,8 @@ class ModularData:
     """Per-level modular matrices of the vacuum state.
 
     Every method returns a matrix acting on one level's coordinates, except
-    the ``*_full`` variants, ``fock_unitary`` and ``unitary_conjugate``,
-    which act on the whole truncated space.
+    ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
+    on the whole truncated space.
     """
 
     fock: object
@@ -78,11 +78,6 @@ class ModularData:
         """
         self._guard(n)
         return kron_power(self.fock.setup.a_power(-z), n)
-
-    def delta_full(self, z) -> np.ndarray:
-        return block_diag(
-            [self.delta_power(z, n) for n in range(self.fock.n_max + 1)]
-        )
 
     def s_apply(self, v, n: int) -> np.ndarray:
         """Closing map on a level-n coordinate vector: conjugate the
@@ -115,9 +110,7 @@ class ModularData:
 
     def fock_unitary(self, t: float) -> np.ndarray:
         """Quantized group element on the whole truncated space."""
-        return block_diag(
-            [self.unitary_level(t, n) for n in range(self.fock.n_max + 1)]
-        )
+        return self.fock.level_diag(lambda n: self.unitary_level(t, n))
 
     def unitary_conjugate(self, t: float, operator) -> np.ndarray:
         """U(t) X U(-t) for a full-space matrix X, one level block at a time.

@@ -7,8 +7,10 @@ route applies the realized field operators to the vacuum vector one at a
 time, right to left, and takes the deformed inner product of the result
 with the vacuum, so a word of length l costs l matrix-vector products.
 The pairing route is the production evaluator; the matrix route is the
-oracle, and ``checked_moment`` compares the two, raising a loud error
-carrying a replay record whenever they disagree beyond tolerance.
+oracle.  ``checked_moment`` is the one comparison of the two, used by the
+library and the command line alike: it returns both values and their
+absolute gap, and raises a loud error carrying a replay record whenever
+the gap exceeds an absolute tolerance.
 
 Word vectors are real and supported inside a single block each, so the
 field operator of every letter is self-adjoint and no conjugation marks are
@@ -17,7 +19,6 @@ needed in the pairing products.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +35,41 @@ __all__ = [
     "checked_moment",
     "moment_matrix",
     "moment_pairings",
-    "moment_row",
     "random_spec",
-    "spec_hash",
+    "validate_word",
 ]
 
 MAX_COMBINATORIAL_LENGTH = 8
+
+
+def validate_word(setup, vectors, labels, cap: int, cap_name: str, violations=()):
+    """Vectors and labels of a word of real single-block vectors.
+
+    Collects shape, realness and length-cap violations after any already
+    found by the caller and raises them together as one BuildError; labels
+    default to the block of each vector's support.
+    """
+    violations = list(violations)
+    vecs = []
+    for pos, raw in enumerate(vectors):
+        v = np.asarray(raw)
+        if v.shape != (setup.dim,):
+            violations.append(f"vector {pos} has shape {v.shape}, expected ({setup.dim},)")
+            continue
+        if np.any(np.imag(to_float(v)) != 0):
+            violations.append(f"vector {pos} must be real")
+        vecs.append(v)
+    if len(vecs) > cap:
+        violations.append(f"word length {len(vecs)} beyond the {cap_name} cap {cap}")
+    if violations:
+        raise BuildError(violations)
+    if labels is None:
+        labels = tuple(leg_label(setup, v) for v in vecs)
+    else:
+        labels = tuple(labels)
+        if len(labels) != len(vecs):
+            raise BuildError("label word and vector word differ in length")
+    return tuple(vecs), labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,32 +81,9 @@ class MomentSpec:
 
     @classmethod
     def build(cls, setup, vectors, labels=None) -> "MomentSpec":
-        vecs = []
-        violations = []
-        for pos, raw in enumerate(vectors):
-            v = np.asarray(raw)
-            if v.shape != (setup.dim,):
-                violations.append(
-                    f"vector {pos} has shape {v.shape}, expected ({setup.dim},)"
-                )
-                continue
-            if np.any(np.imag(to_float(v)) != 0):
-                violations.append(f"vector {pos} must be real")
-            vecs.append(v)
-        if len(vecs) > MAX_COMBINATORIAL_LENGTH:
-            violations.append(
-                f"word length {len(vecs)} beyond the pairing cap "
-                f"{MAX_COMBINATORIAL_LENGTH}"
-            )
-        if violations:
-            raise BuildError(violations)
-        if labels is None:
-            labels = tuple(leg_label(setup, v) for v in vecs)
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(vecs):
-                raise BuildError("label word and vector word differ in length")
-        return cls(tuple(vecs), labels)
+        return cls(
+            *validate_word(setup, vectors, labels, MAX_COMBINATORIAL_LENGTH, "pairing")
+        )
 
     @property
     def l(self) -> int:
@@ -134,37 +141,28 @@ def _serialize(spec: MomentSpec, deformation) -> dict:
     }
 
 
-def checked_moment(spec: MomentSpec, fock, tolerance: float = 1e-9):
-    """Pairing value, cross-checked against the matrix oracle.
+def checked_moment(spec: MomentSpec, fock, tolerance: float = 1e-9, **context):
+    """Both routes' values and their absolute gap, as (pairing, matrix, gap).
 
-    Raises InvariantError with a serialized replay record when the two
-    routes differ by more than tolerance*(1 + |value|).
+    Raises InvariantError with a serialized replay record, extended by the
+    caller's ``context``, when the gap exceeds ``tolerance``.
     """
     setup = fock.setup
-    pairing = moment_pairings(spec, setup.deformation, setup)
-    matrix = moment_matrix(spec, fock)
-    gap = abs(complex(pairing - matrix))
-    if gap > tolerance * (1 + abs(complex(pairing))):
+    pairing = complex(moment_pairings(spec, setup.deformation, setup))
+    matrix = complex(moment_matrix(spec, fock))
+    gap = abs(pairing - matrix)
+    if gap > tolerance:
         replay = _serialize(spec, setup.deformation)
         replay.update(
-            {
-                "pairing": repr(pairing),
-                "matrix": repr(matrix),
-                "gap": gap,
-                "n_max": fock.n_max,
-            }
+            context,
+            pairing=repr(pairing),
+            matrix=repr(matrix),
+            gap=gap,
+            tolerance=tolerance,
+            n_max=fock.n_max,
         )
-        raise InvariantError("moment dual-path disagreement", replay)
-    return pairing
-
-
-def spec_hash(spec: MomentSpec) -> str:
-    """Stable 12-hex digest identifying the word in reports."""
-    parts = [repr(spec.labels)]
-    for v in spec.vectors:
-        parts.append(",".join(repr(x) for x in v))
-    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
-    return digest[:12]
+        raise InvariantError("moment dual-path agreement", replay)
+    return pairing, matrix, gap
 
 
 def random_spec(setup, rng, l: int) -> MomentSpec:
@@ -184,18 +182,3 @@ def random_spec(setup, rng, l: int) -> MomentSpec:
         vectors.append(v)
     return MomentSpec.build(setup, vectors)
 
-
-def moment_row(spec: MomentSpec, fock) -> dict:
-    """One report row: digest, length, both values, absolute gap."""
-    setup = fock.setup
-    pairing = complex(moment_pairings(spec, setup.deformation, setup))
-    matrix = complex(moment_matrix(spec, fock))
-    return {
-        "spec": spec_hash(spec),
-        "l": spec.l,
-        "pairing_re": pairing.real,
-        "pairing_im": pairing.imag,
-        "matrix_re": matrix.real,
-        "matrix_im": matrix.imag,
-        "abs_delta": abs(pairing - matrix),
-    }

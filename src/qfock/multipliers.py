@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BuildError
 from .hilbert import GROUP_CHECK_TIMES
-from .linalg import block_diag, gram_inner, hermitize, kron_power, max_abs, op_norm, to_float
+from .linalg import gram_inner, hermitize, kron_power, max_abs, op_norm, to_float
 from .wick import WickWord, basis_word_operator, from_vector
 
 __all__ = [
@@ -109,10 +109,7 @@ def radial_apply(symbol: RadialSymbol, word: WickWord) -> WickWord:
 
 def radial_matrix(fock, symbol: RadialSymbol) -> np.ndarray:
     """Action of the symbol on argument coordinates, as a full matrix."""
-    blocks = []
-    for n in range(fock.n_max + 1):
-        blocks.append(symbol.at(n) * np.eye(fock.level_dim(n)))
-    return block_diag(blocks)
+    return fock.level_diag(lambda n: symbol.at(n) * np.eye(fock.level_dim(n)))
 
 
 # -- second quantization -----------------------------------------------------
@@ -176,14 +173,22 @@ def second_quantize_matrix(fock, matrix) -> np.ndarray:
     """Quantized map on argument coordinates, as a full matrix."""
     matrix = np.asarray(matrix)
     check_quantizable(fock.setup, matrix)
+    return _legwise_matrix(fock, matrix, fock.n_max)
+
+
+def _legwise_matrix(fock, matrix, length_cut: int) -> np.ndarray:
+    """Full matrix of the legwise power of a one-particle map on lengths up
+    to ``length_cut`` and zero above; a scalar map s gives s**n exactly."""
     scalar = _as_scalar(matrix)
-    blocks = []
-    for n in range(fock.n_max + 1):
+
+    def block(n):
+        if n > length_cut:
+            return np.zeros((fock.level_dim(n),) * 2)
         if scalar is not None:
-            blocks.append(scalar**n * np.eye(fock.level_dim(n)))
-        else:
-            blocks.append(kron_power(matrix, n))
-    return block_diag(blocks)
+            return scalar**n * np.eye(fock.level_dim(n))
+        return kron_power(matrix, n)
+
+    return fock.level_diag(block)
 
 
 # -- finite-rank contractions ------------------------------------------------
@@ -243,17 +248,7 @@ class NetElement:
 
     def argument_matrix(self) -> np.ndarray:
         """Full coordinate action, for norm estimation and reports."""
-        one = self.contraction()
-        scalar = _as_scalar(one)
-        blocks = []
-        for n in range(self.fock.n_max + 1):
-            if n > self.length_cut:
-                blocks.append(np.zeros((self.fock.level_dim(n),) * 2))
-            elif scalar is not None:
-                blocks.append(scalar**n * np.eye(self.fock.level_dim(n)))
-            else:
-                blocks.append(kron_power(one, n))
-        return block_diag(blocks)
+        return _legwise_matrix(self.fock, self.contraction(), self.length_cut)
 
 
 def net_element(fock, family: ContractionFamily, length_cut: int, time: float, index: int) -> NetElement:

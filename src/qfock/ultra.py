@@ -39,8 +39,7 @@ from .errors import BuildError
 from .fock import TruncatedFock
 from .hilbert import DeformationMatrix, build_space
 from .linalg import to_float
-from .moments import MomentSpec, moment_pairings
-from .wick import leg_label
+from .moments import MomentSpec, moment_pairings, validate_word
 
 __all__ = [
     "MAX_AUX_DIM",
@@ -98,28 +97,10 @@ class UmSpec:
                 violations.append("shape deformation entries must have modulus < 1")
             else:
                 q_tilde = arr
-        vecs = []
-        for pos, raw in enumerate(vectors):
-            v = np.asarray(raw)
-            if v.shape != (setup.dim,):
-                violations.append(f"vector {pos} has shape {v.shape}, expected ({setup.dim},)")
-                continue
-            if np.any(np.imag(to_float(v)) != 0):
-                violations.append(f"vector {pos} must be real")
-            vecs.append(v)
-        if len(vecs) > MAX_UM_LENGTH:
-            violations.append(
-                f"word length {len(vecs)} beyond the averaged-moment cap {MAX_UM_LENGTH}"
-            )
-        if violations:
-            raise BuildError(violations)
-        if labels is None:
-            labels = tuple(leg_label(setup, v) for v in vecs)
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(vecs):
-                raise BuildError("label word and vector word differ in length")
-        return cls(int(m), tuple(vecs), labels, q, q_tilde)
+        vecs, labels = validate_word(
+            setup, vectors, labels, MAX_UM_LENGTH, "averaged-moment", violations
+        )
+        return cls(int(m), vecs, labels, q, q_tilde)
 
     @property
     def l(self) -> int:

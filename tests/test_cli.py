@@ -219,6 +219,27 @@ def test_invariant_violations_exit_with_replay_data(tmp_path, capsys):
     assert "seed" in replay and "space" in replay
 
 
+def test_moment_disagreement_exits_with_replay_data(tmp_path, capsys, monkeypatch):
+    import qfock.moments
+
+    oracle = qfock.moments.moment_matrix
+    monkeypatch.setattr(
+        qfock.moments, "moment_matrix", lambda spec, fock: oracle(spec, fock) + 1
+    )
+    path = write_config(tmp_path, UNIFORM_MOMENTS)
+    code = main(["run", "moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: moment dual-path agreement" in err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    assert replay["space"]["q"] == [[0.3]]
+    assert replay["word"] == {"vectors": [[1.0], [1.0]]}
+    assert replay["gap"] == pytest.approx(1.0)
+    assert replay["tolerance"] == 1e-9
+    assert not (tmp_path / "out" / "moments.csv").exists()
+
+
 def test_tolerance_scale_recovers_a_tight_run(tmp_path, capsys):
     path = tight_modular_config(tmp_path)
     code = main(

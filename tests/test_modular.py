@@ -8,7 +8,7 @@ import pytest
 from qfock.errors import CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
-from qfock.linalg import gram_inner, max_abs, to_float
+from qfock.linalg import block_diag, gram_inner, max_abs, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
 from qfock.wick import WickWord, field, from_vector, vacuum_expectation, wick_operator
 
@@ -165,6 +165,17 @@ def test_fock_unitary_fixes_vacuum_and_gram(fock4, modular4):
         g = to_float(fock4.full_gram)
         assert max_abs(np.conj(u).T.dot(g).dot(u) - g) <= 1e-11
     assert max_abs(modular4.fock_unitary(0.0) - np.eye(fock4.total_dim)) == 0
+
+
+def test_fock_unitary_matches_the_per_level_loop(modular4, exact_modular):
+    for modular in (modular4, exact_modular):
+        for t in (0.0, 0.3, -1.7):
+            oracle = block_diag(
+                [modular.unitary_level(t, n) for n in range(modular.fock.n_max + 1)]
+            )
+            ours = modular.fock_unitary(t)
+            assert ours.dtype == oracle.dtype
+            assert np.array_equal(ours, oracle)
 
 
 def test_fock_unitary_intertwines_fields(fock4, modular4, rng):

@@ -8,12 +8,13 @@ import pytest
 from qfock.errors import BuildError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space
-from qfock.linalg import gram_inner, kron_power, max_abs, min_gen_eig, op_norm, to_float
+from qfock.linalg import block_diag, gram_inner, kron_power, max_abs, min_gen_eig, op_norm, to_float
 from qfock.modular import ModularData
 from qfock.multipliers import (
     MAX_AMPLIFICATION,
     ContractionFamily,
     RadialSymbol,
+    _as_scalar,
     _realized_norm,
     _whitened_stack,
     amplified_norm_estimate,
@@ -296,6 +297,69 @@ def test_argument_matrix_matches_apply(fock3, family3, rng):
         w = from_vector(fock3, seg, level)
         image = element.apply(w)
         assert max_abs(mapped[fock3.level_slice(level)] - image.argument) <= 1e-12
+
+
+# per-level assembly loops as written before the shared level-diagonal helper
+def radial_matrix_by_levels(fock, symbol):
+    blocks = []
+    for n in range(fock.n_max + 1):
+        blocks.append(symbol.at(n) * np.eye(fock.level_dim(n)))
+    return block_diag(blocks)
+
+
+def second_quantize_matrix_by_levels(fock, matrix):
+    scalar = _as_scalar(matrix)
+    blocks = []
+    for n in range(fock.n_max + 1):
+        if scalar is not None:
+            blocks.append(scalar**n * np.eye(fock.level_dim(n)))
+        else:
+            blocks.append(kron_power(matrix, n))
+    return block_diag(blocks)
+
+
+def argument_matrix_by_levels(element):
+    one = element.contraction()
+    scalar = _as_scalar(one)
+    blocks = []
+    for n in range(element.fock.n_max + 1):
+        if n > element.length_cut:
+            blocks.append(np.zeros((element.fock.level_dim(n),) * 2))
+        elif scalar is not None:
+            blocks.append(scalar**n * np.eye(element.fock.level_dim(n)))
+        else:
+            blocks.append(kron_power(one, n))
+    return block_diag(blocks)
+
+
+def assert_same_array(ours, oracle):
+    assert ours.dtype == oracle.dtype
+    assert np.array_equal(ours, oracle)
+
+
+def test_level_matrices_match_the_per_level_loops(fock3, family3):
+    symbols = [
+        RadialSymbol.kronecker(1),
+        RadialSymbol.cutoff(2),
+        RadialSymbol.constant(0.3),
+        RadialSymbol((1.0, 0.5), 0.25j),
+    ]
+    for symbol in symbols:
+        assert_same_array(
+            radial_matrix(fock3, symbol), radial_matrix_by_levels(fock3, symbol)
+        )
+    for one in (commuting_contraction(), 0.5 * np.eye(3), np.eye(3)):
+        assert_same_array(
+            second_quantize_matrix(fock3, one),
+            second_quantize_matrix_by_levels(fock3, one),
+        )
+    # the scalar member the command line uses and a non-scalar member
+    for index in (family3.size - 1, 1):
+        for length_cut in range(fock3.n_max + 1):
+            element = net_element(fock3, family3, length_cut, 0.4, index)
+            assert_same_array(
+                element.argument_matrix(), argument_matrix_by_levels(element)
+            )
 
 
 def test_tail_series_closed_form():
