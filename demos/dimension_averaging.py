@@ -48,7 +48,7 @@ def main():
         print("  %4d %16.10f %16.3e" % (row["m"], row["value_re"], row["abs_error"]))
     print("  fitted log-log slope: %.6f (first-order decay)" % report.slope)
 
-    print("\nmatrix-shaped second deformation (entries vary per label):")
+    print("\nmatrix-shaped second deformation (entries vary per auxiliary index):")
     two = build_space([[0.4, 0.1], [0.1, -0.2]], [("fixed", 0), ("fixed", 1)])
     shape = np.array([[0.5, 0.2], [0.2, -0.3]])
     vectors = [two.basis_vector(0), two.basis_vector(0), two.basis_vector(1), two.basis_vector(1)]

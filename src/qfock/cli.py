@@ -29,6 +29,7 @@ import yaml
 from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
+from .fock import POSITIVITY_FLOOR
 from .linalg import gram_inner, max_abs, to_float
 from .modular import ModularData, kms_residual, modular_flow
 from .moments import MomentSpec, checked_moment
@@ -45,10 +46,6 @@ from .wick import cache_footprint, from_vector
 __all__ = ["main"]
 
 EXPERIMENT_ORDER = ("fock", "moments", "modular", "multipliers", "ultra")
-
-# floor for the level deformation spectrum, matching the documented
-# positivity tolerance of the truncated model
-POSITIVITY_FLOOR = -1e-8
 
 
 def _fmt(value) -> str:
@@ -68,7 +65,9 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_report(path: str, columns, rows, summary) -> None:
+def _write_report(path: str, rows, summary) -> None:
+    # every experiment emits at least one row, and all rows share its keys
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
@@ -106,7 +105,7 @@ def _run_fock(config, fock, rng, scale):
             ti = to_float(fock.t_amplified(i, n))
             tj = to_float(fock.t_amplified(i + 1, n))
             braid = max(braid, float(max_abs(ti.dot(tj).dot(ti) - tj.dot(ti).dot(tj))))
-        if eig < POSITIVITY_FLOOR:
+        if not eig > POSITIVITY_FLOOR:
             raise _invariant(
                 config, "level deformation positivity", level=n, min_eigenvalue=eig
             )
@@ -120,9 +119,8 @@ def _run_fock(config, fock, rng, scale):
                 "braid_residual": braid,
             }
         )
-    columns = ["level", "dim", "min_p_eigenvalue", "braid_residual"]
     summary = [("min_p_eigenvalue", floor_eig), ("max_braid_residual", worst_braid)]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_moments(config, fock, rng, scale):
@@ -131,9 +129,7 @@ def _run_moments(config, fock, rng, scale):
     rows = []
     worst = 0.0
     for i, word in enumerate(config.experiment("moments")["words"]):
-        vectors = [np.asarray(v) for v in word["vectors"]]
-        labels = tuple(word["labels"]) if "labels" in word else None
-        spec = MomentSpec.build(setup, vectors, labels)
+        spec = MomentSpec.build(setup, [np.asarray(v) for v in word["vectors"]])
         pairing, matrix, gap = checked_moment(
             spec, fock, tol, space=config.data["space"], word=word
         )
@@ -149,16 +145,7 @@ def _run_moments(config, fock, rng, scale):
                 "abs_diff": gap,
             }
         )
-    columns = [
-        "word",
-        "length",
-        "pairing_re",
-        "pairing_im",
-        "matrix_re",
-        "matrix_im",
-        "abs_diff",
-    ]
-    return columns, rows, [("max_abs_diff", worst)]
+    return rows, [("max_abs_diff", worst)]
 
 
 def _run_modular(config, fock, rng, scale):
@@ -200,9 +187,8 @@ def _run_modular(config, fock, rng, scale):
         conj = modular.unitary_conjugate(-t, word.operator)
         push("flow", t, float(max_abs(flowed.operator - conj)), "modular_flow")
 
-    columns = ["check", "parameter", "residual"]
     summary = [(f"max_{check}_residual", value) for check, value in sorted(worst.items())]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_multipliers(config, fock, rng, scale):
@@ -242,18 +228,8 @@ def _run_multipliers(config, fock, rng, scale):
                 "majorant": net_majorant(fock.n_max, t),
             }
         )
-    columns = [
-        "step",
-        "time",
-        "length_cut",
-        "rank_index",
-        "amplification",
-        "estimate",
-        "defect",
-        "majorant",
-    ]
     summary = [("final_defect", last["defect"]), ("final_estimate", last["estimate"])]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_ultra(config, fock, rng, scale):
@@ -262,9 +238,8 @@ def _run_ultra(config, fock, rng, scale):
     report = convergence_experiment(
         setup, params["vectors"], params["q"], params["q_tilde"], params["m_list"]
     )
-    columns = ["m", "value_re", "value_im", "target_re", "target_im", "abs_error"]
     slope = report.slope if report.slope is not None else float("nan")
-    return columns, report.rows(), [("slope", slope)]
+    return report.rows(), [("slope", slope)]
 
 
 EXPERIMENTS = {
@@ -327,7 +302,7 @@ def _do_validate(args) -> int:
 
 def _do_run(args) -> int:
     config = load_config(args.config)
-    if args.tolerance_scale is not None and not args.tolerance_scale > 0:
+    if not args.tolerance_scale > 0:
         raise ConfigError(f"tolerance scale must be positive, got {args.tolerance_scale}")
     data = dict(config.data)
     if args.seed is not None:
@@ -347,13 +322,13 @@ def _do_run(args) -> int:
     seconds = {}
     for name in names:
         begun = time.perf_counter()
-        columns, rows, summary = EXPERIMENTS[name](
+        rows, summary = EXPERIMENTS[name](
             config, fock, _experiment_rng(config, name), args.tolerance_scale
         )
         seconds[name] = round(time.perf_counter() - begun, 6)
         summary = list(summary) + [("config_hash", digest)]
         path = os.path.join(config.output_dir, f"{name}.csv")
-        _write_report(path, columns, rows, summary)
+        _write_report(path, rows, summary)
         written[name] = os.path.basename(path)
         print(f"wrote {path}")
 

@@ -75,10 +75,6 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.data["output_dir"]
 
-    @property
-    def dim(self) -> int:
-        return sum(2 if b["kind"] == "rotation" else 1 for b in self.data["space"]["blocks"])
-
     def tolerance(self, key: str, scale: float = 1.0) -> float:
         return self.data["tolerances"][key] * scale
 
@@ -132,6 +128,29 @@ def load_config(path: str) -> RunConfig:
     return normalize_config(raw)
 
 
+def _section(raw, field, keys, violations, optional=False):
+    """The mapping ``raw`` with every key outside ``keys`` reported, or None
+    when it is not a mapping; an optional section may be absent (None)."""
+    if raw is None and optional:
+        return {}
+    if not isinstance(raw, dict):
+        violations.append(f"{field}: must be a mapping")
+        return None
+    violations.extend(f"{field}.{key}: unknown key" for key in raw if key not in keys)
+    return raw
+
+
+def _int_field(raw, field, key, default, violations, high=None):
+    """Integer ``raw[key]`` in [1, high] (no upper end without ``high``),
+    ``default`` when absent or reported."""
+    value = raw.get(key, default)
+    if _is_int(value) and 1 <= value and (high is None or value <= high):
+        return int(value)
+    need = "a positive integer" if high is None else f"an integer in [1, {high}]"
+    violations.append(f"{field}.{key}: need {need}")
+    return default
+
+
 def _block_spans(blocks) -> list:
     spans, start = [], 0
     for block in blocks:
@@ -145,12 +164,9 @@ def _normalize_space(raw, violations):
     if raw is None:
         violations.append("space: section is required")
         return None
-    if not isinstance(raw, dict):
-        violations.append("space: must be a mapping")
+    raw = _section(raw, "space", {"blocks", "q", "split_scale"}, violations)
+    if raw is None:
         return None
-    for key in raw:
-        if key not in {"blocks", "q", "split_scale"}:
-            violations.append(f"space.{key}: unknown key")
 
     blocks_raw = raw.get("blocks")
     blocks = []
@@ -169,9 +185,7 @@ def _normalize_space(raw, violations):
                 f"space.blocks[{pos}].kind: expected 'fixed' or 'rotation', got {kind!r}"
             )
             continue
-        for key in entry:
-            if key not in {"kind", "label", "lam"}:
-                violations.append(f"space.blocks[{pos}].{key}: unknown key")
+        _section(entry, f"space.blocks[{pos}]", {"kind", "label", "lam"}, violations)
         label = entry.get("label", pos)
         if not (_is_int(label) and label >= 0):
             violations.append(f"space.blocks[{pos}].label: must be a nonnegative integer")
@@ -257,14 +271,10 @@ def _basis_vector(dim: int) -> list:
     return [1.0] + [0.0] * (dim - 1)
 
 
-def _normalize_moments(raw, dim, spans, n_labels, n_max, violations):
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        violations.append("experiments.moments: must be a mapping")
+def _normalize_moments(raw, dim, spans, n_max, violations):
+    raw = _section(raw, "experiments.moments", {"words"}, violations, optional=True)
+    if raw is None:
         return {"words": []}
-    for key in raw:
-        if key != "words":
-            violations.append(f"experiments.moments.{key}: unknown key")
     length_cap = min(MAX_COMBINATORIAL_LENGTH, 2 * n_max)
     words_raw = raw.get("words")
     if words_raw is None:
@@ -279,12 +289,9 @@ def _normalize_moments(raw, dim, spans, n_labels, n_max, violations):
     words = []
     for i, word in enumerate(words_raw):
         field = f"experiments.moments.words[{i}]"
-        if not isinstance(word, dict):
-            violations.append(f"{field}: must be a mapping")
+        word = _section(word, field, {"vectors"}, violations)
+        if word is None:
             continue
-        for key in word:
-            if key not in {"vectors", "labels"}:
-                violations.append(f"{field}.{key}: unknown key")
         vectors = _normalize_vectors(f"{field}.vectors", word.get("vectors"), dim, spans, violations)
         if len(vectors) > MAX_COMBINATORIAL_LENGTH:
             violations.append(
@@ -296,87 +303,47 @@ def _normalize_moments(raw, dim, spans, n_labels, n_max, violations):
                 f"{field}: word length {len(vectors)} needs level {(len(vectors) + 1) // 2},"
                 f" beyond cutoff n_max = {n_max}"
             )
-        entry = {"vectors": vectors}
-        labels = word.get("labels")
-        if labels is not None:
-            if not (
-                isinstance(labels, list)
-                and len(labels) == len(vectors)
-                and all(_is_int(x) and 0 <= x < n_labels for x in labels)
-            ):
-                violations.append(
-                    f"{field}.labels: need {len(vectors)} block labels in [0, {n_labels})"
-                )
-            else:
-                entry["labels"] = [int(x) for x in labels]
-        words.append(entry)
+        words.append({"vectors": vectors})
     return {"words": words}
 
 
 def _normalize_modular(raw, violations):
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        violations.append("experiments.modular: must be a mapping")
-        return {"times": [0.3, 1.0], "pairs": 5}
-    for key in raw:
-        if key not in {"times", "pairs"}:
-            violations.append(f"experiments.modular.{key}: unknown key")
-    times = raw.get("times", [0.3, 1.0])
+    field = "experiments.modular"
+    out = {"times": [0.3, 1.0], "pairs": 5}
+    raw = _section(raw, field, out, violations, optional=True)
+    if raw is None:
+        return out
+    times = raw.get("times", out["times"])
     if not (isinstance(times, list) and times and all(_is_real(t) for t in times)):
-        violations.append("experiments.modular.times: need a nonempty list of real times")
-        times = [0.3, 1.0]
-    pairs = raw.get("pairs", 5)
-    if not (_is_int(pairs) and pairs >= 1):
-        violations.append("experiments.modular.pairs: need a positive integer")
-        pairs = 5
-    return {"times": [float(t) for t in times], "pairs": int(pairs)}
+        violations.append(f"{field}.times: need a nonempty list of real times")
+    else:
+        out["times"] = [float(t) for t in times]
+    out["pairs"] = _int_field(raw, field, "pairs", out["pairs"], violations)
+    return out
 
 
 def _normalize_multipliers(raw, n_max, violations):
-    raw = {} if raw is None else raw
+    field = "experiments.multipliers"
     out = {"steps": 20, "amplification": 2, "word_level": 1}
-    if not isinstance(raw, dict):
-        violations.append("experiments.multipliers: must be a mapping")
+    raw = _section(raw, field, out, violations, optional=True)
+    if raw is None:
         return out
-    for key in raw:
-        if key not in out:
-            violations.append(f"experiments.multipliers.{key}: unknown key")
-    steps = raw.get("steps", out["steps"])
-    if not (_is_int(steps) and steps >= 1):
-        violations.append("experiments.multipliers.steps: need a positive integer")
-    else:
-        out["steps"] = int(steps)
-    amp = raw.get("amplification", out["amplification"])
-    if not (_is_int(amp) and 1 <= amp <= MAX_AMPLIFICATION):
-        violations.append(
-            f"experiments.multipliers.amplification: need an integer in [1, {MAX_AMPLIFICATION}]"
-        )
-    else:
-        out["amplification"] = int(amp)
-    level = raw.get("word_level", out["word_level"])
-    if not (_is_int(level) and 1 <= level <= n_max):
-        violations.append(
-            f"experiments.multipliers.word_level: need an integer in [1, {n_max}]"
-        )
-    else:
-        out["word_level"] = int(level)
+    highs = {"steps": None, "amplification": MAX_AMPLIFICATION, "word_level": n_max}
+    for key, high in highs.items():
+        out[key] = _int_field(raw, field, key, out[key], violations, high)
     return out
 
 
 def _normalize_ultra(raw, dim, spans, n_labels, violations):
-    raw = {} if raw is None else raw
     out = {
         "q": 0.5,
         "q_tilde": 0.6,
         "m_list": list(range(2, MAX_AUX_DIM + 1)),
         "vectors": [_basis_vector(dim) for _ in range(4)],
     }
-    if not isinstance(raw, dict):
-        violations.append("experiments.ultra: must be a mapping")
+    raw = _section(raw, "experiments.ultra", out, violations, optional=True)
+    if raw is None:
         return out
-    for key in raw:
-        if key not in out:
-            violations.append(f"experiments.ultra.{key}: unknown key")
     q = raw.get("q", out["q"])
     if not (_is_real(q) and 0 < q < 1):
         violations.append("experiments.ultra.q: need a real number in (0, 1)")
@@ -456,15 +423,9 @@ def normalize_config(raw) -> RunConfig:
     dim = spans[-1][1] if spans else 0
     n_labels = max((b["label"] for b in blocks), default=-1) + 1
 
-    fock_raw = raw.get("fock", {})
-    n_max = 3
-    requested_n = n_max
-    if not isinstance(fock_raw, dict):
-        violations.append("fock: must be a mapping")
-    else:
-        for key in fock_raw:
-            if key != "n_max":
-                violations.append(f"fock.{key}: unknown key")
+    fock_raw = _section(raw.get("fock", {}), "fock", {"n_max"}, violations)
+    n_max = requested_n = 3
+    if fock_raw is not None:
         n_raw = fock_raw.get("n_max", 3)
         if not (_is_int(n_raw) and n_raw >= 1):
             violations.append("fock.n_max: need a positive integer")
@@ -524,9 +485,7 @@ def normalize_config(raw) -> RunConfig:
                 f"experiments.{key}: unknown experiment; known: {sorted(_EXPERIMENT_KEYS)}"
             )
     experiments = {
-        "moments": _normalize_moments(
-            exp_raw.get("moments"), dim, spans, n_labels, n_max, violations
-        ),
+        "moments": _normalize_moments(exp_raw.get("moments"), dim, spans, n_max, violations),
         "modular": _normalize_modular(exp_raw.get("modular"), violations),
         "multipliers": _normalize_multipliers(exp_raw.get("multipliers"), n_max, violations),
         "ultra": _normalize_ultra(exp_raw.get("ultra"), dim, spans, n_labels, violations),

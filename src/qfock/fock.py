@@ -48,7 +48,8 @@ from .linalg import (
 MAX_LEVEL = 5
 MAX_LEVEL_DIM = 2048
 
-_POSITIVITY_FLOOR = 1e-8
+# every level symmetrizer must keep its smallest eigenvalue above this floor
+POSITIVITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ class TruncatedFock:
         return exceeds_floor(
             self.gram_levels[n],
             kron_power(to_float(self.setup.u_gram), n),
-            _POSITIVITY_FLOOR,
+            POSITIVITY_FLOOR,
         )
 
     # -- creation / annihilation ----------------------------------------------

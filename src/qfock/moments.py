@@ -136,8 +136,8 @@ def moment_matrix(spec: MomentSpec, fock):
 def _serialize(spec: MomentSpec, deformation) -> dict:
     return {
         "labels": list(spec.labels),
-        "vectors": [[repr(x) for x in v] for v in spec.vectors],
-        "deformation": [[repr(x) for x in row] for row in deformation.entries],
+        "vectors": [[str(x) for x in v] for v in spec.vectors],
+        "deformation": [[str(x) for x in row] for row in deformation.entries],
     }
 
 

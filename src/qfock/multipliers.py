@@ -58,6 +58,10 @@ MAX_AMPLIFICATION = 4
 # the whitened realization stack holds 16 D^3 bytes: 256 MiB allows D <= 256
 _STACK_BUDGET_BYTES = 256 * 2**20
 
+# random starts and refinement trials per amplification size in the scan
+_SCAN_STARTS = 5
+_SCAN_REFINE = 30
+
 # -- radial symbols ----------------------------------------------------------
 
 
@@ -162,6 +166,11 @@ def second_quantize(fock, matrix, word: WickWord) -> WickWord:
     """
     matrix = np.asarray(matrix)
     check_quantizable(fock.setup, matrix)
+    return _quantize(fock, matrix, word)
+
+
+def _quantize(fock, matrix, word: WickWord) -> WickWord:
+    """second_quantize for a matrix its caller has already checked."""
     scalar = _as_scalar(matrix)
     if scalar is not None:
         return word.scaled(scalar ** word.level)
@@ -244,7 +253,8 @@ class NetElement:
     def apply(self, word: WickWord) -> WickWord:
         if word.level > self.length_cut:
             return word.scaled(0.0)
-        return second_quantize(self.fock, self.contraction(), word)
+        # net_element checked the contraction
+        return _quantize(self.fock, self.contraction(), word)
 
     def argument_matrix(self) -> np.ndarray:
         """Full coordinate action, for norm estimation and reports."""
@@ -265,17 +275,10 @@ def net_element(fock, family: ContractionFamily, length_cut: int, time: float, i
     return NetElement(fock, family, length_cut, float(time), index)
 
 
-def net_pointwise_defect(element: NetElement, word: WickWord, surrogate=None) -> float:
-    """Deformed-norm distance between the normalized image and the word.
-
-    The normalization is the computed amplified-norm surrogate
-    max(1, estimate at amplification 2) unless one is supplied.
-    """
+def net_pointwise_defect(element: NetElement, word: WickWord, surrogate: float) -> float:
+    """Deformed-norm distance between the image divided by ``surrogate``, a
+    computed amplified-norm surrogate such as max(1, estimate), and the word."""
     fock = element.fock
-    if surrogate is None:
-        surrogate = max(
-            1.0, amplified_norm_estimate(fock, element.argument_matrix(), 2)
-        )
     image = element.apply(word)
     diff = image.argument / surrogate - word.argument
     gram = to_float(fock.gram(word.level))
@@ -376,8 +379,6 @@ def amplified_norm_scan(
     matrix,
     max_amplification: int,
     seed: int = 20240817,
-    starts: int = 5,
-    refine: int = 30,
 ) -> list:
     """Lower-bound estimates of the amplified norms, sizes 1..max.
 
@@ -409,7 +410,7 @@ def amplified_norm_scan(
             grown = np.zeros((size, size, d), dtype=complex)
             grown[: size - 1, : size - 1] = carried
             candidates.append(grown)
-        for _ in range(starts):
+        for _ in range(_SCAN_STARTS):
             candidates.append(
                 rng.standard_normal((size, size, d))
                 + 1j * rng.standard_normal((size, size, d))
@@ -421,7 +422,7 @@ def amplified_norm_scan(
             if value > best_value:
                 best_value, best_witness = value, candidate
         step = 0.5
-        for _ in range(refine):
+        for _ in range(_SCAN_REFINE):
             trial = best_witness + step * (
                 rng.standard_normal((size, size, d))
                 + 1j * rng.standard_normal((size, size, d))
@@ -438,7 +439,7 @@ def amplified_norm_scan(
     return estimates
 
 
-def amplified_norm_estimate(fock, matrix, amplification: int, seed: int = 20240817, **kwargs) -> float:
+def amplified_norm_estimate(fock, matrix, amplification: int, seed: int = 20240817) -> float:
     """Largest lower-bound estimate over amplification sizes up to the given
     one; see amplified_norm_scan for the search."""
-    return amplified_norm_scan(fock, matrix, amplification, seed, **kwargs)[-1]
+    return amplified_norm_scan(fock, matrix, amplification, seed)[-1]

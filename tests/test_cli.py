@@ -95,6 +95,26 @@ def test_oversized_multipliers_run_fails_the_stack_budget(tmp_path, capsys):
     assert not (out_dir / "multipliers.csv").exists()
 
 
+def test_validate_rejects_a_moment_word_labels_key(tmp_path, capsys):
+    # a word's labels are read off its vectors' blocks, never configured
+    word = {"vectors": [[1.0], [1.0]], "labels": [0, 0]}
+    raw = {**MINIMAL, "experiments": {"moments": {"words": [word]}}}
+    path = write_config(tmp_path, raw)
+    assert main(["validate", "--config", path]) == 1
+    assert "experiments.moments.words[0].labels: unknown key" in capsys.readouterr().err
+
+
+def test_nonpositive_tolerance_scale_exits_with_code_one(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", "fock", "--config", path, "--out", str(out_dir), "--tolerance-scale", "0"]
+    )
+    assert code == 1
+    assert "tolerance scale must be positive, got 0.0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_yaml_parse_errors_exit_with_code_one(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("space:\n  q: [[0.3]\n")
@@ -151,6 +171,22 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert sorted(manifest["experiment_seconds"]) == names
     seconds = manifest["experiment_seconds"].values()
     assert all(0 <= value <= manifest["wall_time_seconds"] for value in seconds)
+
+
+def test_run_all_reports_carry_their_documented_headers(tmp_path, capsys):
+    path = write_config(tmp_path, MIXED)
+    assert main(["run", "all", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    headers = {
+        "fock": "level,dim,min_p_eigenvalue,braid_residual",
+        "moments": "word,length,pairing_re,pairing_im,matrix_re,matrix_im,abs_diff",
+        "modular": "check,parameter,residual",
+        "multipliers": "step,time,length_cut,rank_index,amplification,estimate,defect,majorant",
+        "ultra": "m,value_re,value_im,target_re,target_im,abs_error",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == header, name
 
 
 def test_single_experiment_matches_the_combined_run(tmp_path, capsys):
@@ -238,6 +274,41 @@ def test_moment_disagreement_exits_with_replay_data(tmp_path, capsys, monkeypatc
     assert replay["gap"] == pytest.approx(1.0)
     assert replay["tolerance"] == 1e-9
     assert not (tmp_path / "out" / "moments.csv").exists()
+
+
+def test_moment_replay_values_read_back_as_numbers(tmp_path, capsys, monkeypatch):
+    import qfock.moments
+
+    oracle = qfock.moments.moment_matrix
+    monkeypatch.setattr(
+        qfock.moments, "moment_matrix", lambda spec, fock: oracle(spec, fock) + 1
+    )
+    path = write_config(tmp_path, MIXED)
+    assert main(["run", "moments", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    deformation = [[float(x) for x in row] for row in replay["deformation"]]
+    assert deformation == MIXED["space"]["q"]
+
+
+def test_each_net_step_checks_its_contraction_once(tmp_path, capsys, monkeypatch):
+    import qfock.multipliers
+
+    calls = []
+    check = qfock.multipliers.check_quantizable
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(qfock.multipliers, "check_quantizable", counted)
+    # the minimal configuration runs the default 20 net steps
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "minimal.yaml")
+    out = str(tmp_path / "out")
+    assert main(["run", "multipliers", "--config", path, "--out", out]) == 0
+    capsys.readouterr()
+    assert len(calls) == 20
 
 
 def test_tolerance_scale_recovers_a_tight_run(tmp_path, capsys):

@@ -19,7 +19,6 @@ def test_minimal_config_normalizes_with_defaults():
     config = normalize_config(minimal_raw())
     assert config.seed == DEFAULT_SEED
     assert config.n_max == 3
-    assert config.dim == 1
     assert config.data["space"]["blocks"][0]["kind"] == "fixed"
     assert set(config.data["experiments"]) == {
         "moments",
@@ -128,3 +127,123 @@ def test_tolerance_scale_multiplies():
     assert config.tolerance("moments", 10.0) == pytest.approx(
         10.0 * config.tolerance("moments")
     )
+
+
+def experiments(**sections):
+    return {**minimal_raw(), "experiments": sections}
+
+
+_EMPTY_SPACE_WORDS = [
+    f"experiments.moments.words[{w}].vectors[{v}]: need a real vector of length 0"
+    for w, length in ((0, 2), (1, 4))
+    for v in range(length)
+]
+
+# each invalid tree with its complete violation list, in reporting order
+INVALID_CONFIGS = {
+    "space-missing": ({}, ["space: section is required", *_EMPTY_SPACE_WORDS]),
+    "space-not-mapping": (
+        {"space": [[0.3]]},
+        ["space: must be a mapping", *_EMPTY_SPACE_WORDS],
+    ),
+    "space-unknown-key": (
+        {"space": {**minimal_raw()["space"], "lam": 2.0}},
+        ["space.lam: unknown key"],
+    ),
+    "block-unknown-key": (
+        {"space": {"q": [[0.3]], "blocks": [{"kind": "fixed", "colour": 1}]}},
+        ["space.blocks[0].colour: unknown key"],
+    ),
+    "fock-not-mapping": ({**minimal_raw(), "fock": 3}, ["fock: must be a mapping"]),
+    "fock-null": ({**minimal_raw(), "fock": None}, ["fock: must be a mapping"]),
+    "fock-unknown-key": (
+        {**minimal_raw(), "fock": {"n_max": 2, "cutoff": 2}},
+        ["fock.cutoff: unknown key"],
+    ),
+    "experiments-not-mapping": (
+        {**minimal_raw(), "experiments": ["moments"]},
+        ["experiments: must be a mapping"],
+    ),
+    "experiments-unknown": (
+        experiments(averaging={}),
+        [
+            "experiments.averaging: unknown experiment;"
+            " known: ['modular', 'moments', 'multipliers', 'ultra']"
+        ],
+    ),
+    "moments-not-mapping": (
+        experiments(moments=[[1.0], [1.0]]),
+        ["experiments.moments: must be a mapping"],
+    ),
+    "moments-unknown-key": (
+        experiments(moments={"length": 2}),
+        ["experiments.moments.length: unknown key"],
+    ),
+    "word-not-mapping": (
+        experiments(moments={"words": [[[1.0], [1.0]]]}),
+        ["experiments.moments.words[0]: must be a mapping"],
+    ),
+    "word-unknown-key": (
+        experiments(moments={"words": [{"vectors": [[1.0], [1.0]], "weight": 1}]}),
+        ["experiments.moments.words[0].weight: unknown key"],
+    ),
+    "modular-not-mapping": (
+        experiments(modular="fast"),
+        ["experiments.modular: must be a mapping"],
+    ),
+    "modular-unknown-key-and-empty-times": (
+        experiments(modular={"times": [], "pair": 3}),
+        [
+            "experiments.modular.pair: unknown key",
+            "experiments.modular.times: need a nonempty list of real times",
+        ],
+    ),
+    "modular-bad-times-and-pairs": (
+        experiments(modular={"times": ["soon"], "pairs": 0}),
+        [
+            "experiments.modular.times: need a nonempty list of real times",
+            "experiments.modular.pairs: need a positive integer",
+        ],
+    ),
+    "multipliers-not-mapping": (
+        experiments(multipliers=5),
+        ["experiments.multipliers: must be a mapping"],
+    ),
+    "multipliers-unknown-key": (
+        experiments(multipliers={"step": 3}),
+        ["experiments.multipliers.step: unknown key"],
+    ),
+    "multipliers-out-of-range": (
+        experiments(multipliers={"steps": 0, "amplification": 5, "word_level": 4}),
+        [
+            "experiments.multipliers.steps: need a positive integer",
+            "experiments.multipliers.amplification: need an integer in [1, 4]",
+            "experiments.multipliers.word_level: need an integer in [1, 3]",
+        ],
+    ),
+    "multipliers-not-integers": (
+        experiments(multipliers={"steps": True, "amplification": 0, "word_level": 0}),
+        [
+            "experiments.multipliers.steps: need a positive integer",
+            "experiments.multipliers.amplification: need an integer in [1, 4]",
+            "experiments.multipliers.word_level: need an integer in [1, 3]",
+        ],
+    ),
+    "ultra-not-mapping": (experiments(ultra=0.5), ["experiments.ultra: must be a mapping"]),
+    "ultra-unknown-key": (
+        experiments(ultra={"m": [2, 3]}),
+        ["experiments.ultra.m: unknown key"],
+    ),
+    "tolerances-not-mapping": (
+        {**minimal_raw(), "tolerances": 1e-9},
+        ["tolerances: must be a mapping"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CONFIGS))
+def test_invalid_configs_report_exactly_their_violations(name):
+    raw, expected = INVALID_CONFIGS[name]
+    with pytest.raises(ConfigError) as excinfo:
+        normalize_config(raw)
+    assert list(excinfo.value.violations) == expected

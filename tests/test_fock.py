@@ -17,7 +17,7 @@ import pytest
 
 from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
-from qfock.fock import _POSITIVITY_FLOOR, TruncatedFock
+from qfock.fock import POSITIVITY_FLOOR, TruncatedFock
 from qfock.hilbert import build_space
 from qfock.linalg import block_diag, kron_power, max_abs, op_norm, to_float
 
@@ -232,7 +232,7 @@ def test_cholesky_verdict_matches_the_eigenvalue_oracle(q, blocks):
     fock = _UncheckedFock(build_space(entries, blocks), 4)
     verdicts = []
     for n in range(fock.n_max + 1):
-        oracle = fock.min_p_eigenvalue(n) > _POSITIVITY_FLOOR
+        oracle = fock.min_p_eigenvalue(n) > POSITIVITY_FLOOR
         assert fock._positive_beyond_floor(n) == oracle, f"level {n}"
         verdicts.append(oracle)
     assert verdicts[:3] == [True, True, True]
@@ -241,8 +241,8 @@ def test_cholesky_verdict_matches_the_eigenvalue_oracle(q, blocks):
 def test_cholesky_verdict_lands_on_both_sides_of_the_floor():
     above = _UncheckedFock(build_space([[-0.9999]], [("fixed", 0)]), 4)
     below = _UncheckedFock(build_space([[-0.99995]], [("fixed", 0)]), 4)
-    assert 1 < above.min_p_eigenvalue(4) / _POSITIVITY_FLOOR < 4
-    assert 0.25 < below.min_p_eigenvalue(4) / _POSITIVITY_FLOOR < 1
+    assert 1 < above.min_p_eigenvalue(4) / POSITIVITY_FLOOR < 4
+    assert 0.25 < below.min_p_eigenvalue(4) / POSITIVITY_FLOOR < 1
     assert above._positive_beyond_floor(4)
     assert not below._positive_beyond_floor(4)
 

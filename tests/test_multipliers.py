@@ -269,7 +269,8 @@ def test_net_surrogate_path_stays_close(fock3, family3):
     xi = np.zeros(3)
     xi[2] = 1.0 / math.sqrt(to_float(fock3.setup.u_gram)[2, 2].real)
     w = wick_operator(fock3, [xi])
-    defect = net_pointwise_defect(element, w)
+    surrogate = max(1.0, amplified_norm_estimate(fock3, element.argument_matrix(), 2))
+    defect = net_pointwise_defect(element, w, surrogate=surrogate)
     assert defect == pytest.approx(1.0 - math.exp(-t), abs=1e-6)
     assert defect < 0.05
 
