@@ -8,6 +8,10 @@ trailing summary block of key,value lines introduced by a '# summary'
 marker; every summary carries the configuration hash.  Files appear via
 write-then-rename, so a failed run never leaves a partial report.
 
+Every command first runs numpy's OpenBLAS on one thread, whatever
+``OPENBLAS_NUM_THREADS`` says, and a run's manifest records the thread
+count read back (null on other BLAS builds).
+
 Exit codes: 0 success, 1 configuration or precondition failure, 2 invariant
 or assertion failure, 3 I/O failure.
 """
@@ -30,7 +34,7 @@ from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import POSITIVITY_FLOOR
-from .linalg import gram_inner, max_abs, to_float
+from .linalg import gram_inner, max_abs, pin_blas_threads, to_float
 from .modular import ModularData, kms_residual, modular_flow
 from .moments import MomentSpec, checked_moment
 from .multipliers import (
@@ -102,9 +106,7 @@ def _run_fock(config, fock, rng, scale):
         eig = float(fock.min_p_eigenvalue(n))
         braid = 0.0
         for i in range(n - 2):
-            ti = to_float(fock.t_amplified(i, n))
-            tj = to_float(fock.t_amplified(i + 1, n))
-            braid = max(braid, float(max_abs(ti.dot(tj).dot(ti) - tj.dot(ti).dot(tj))))
+            braid = max(braid, float(max_abs(fock.braid_defect(i, n))))
         if not eig > POSITIVITY_FLOOR:
             raise _invariant(
                 config, "level deformation positivity", level=n, min_eigenvalue=eig
@@ -300,7 +302,7 @@ def _do_validate(args) -> int:
     return 0
 
 
-def _do_run(args) -> int:
+def _do_run(args, blas_threads) -> int:
     config = load_config(args.config)
     if not args.tolerance_scale > 0:
         raise ConfigError(f"tolerance scale must be positive, got {args.tolerance_scale}")
@@ -334,6 +336,7 @@ def _do_run(args) -> int:
 
     entries, held = cache_footprint(fock)
     manifest = {
+        "blas_threads": blas_threads,
         "config_hash": digest,
         "experiment_seconds": seconds,
         "peak_rss_mb": _peak_rss_mb(),
@@ -356,11 +359,12 @@ def _do_run(args) -> int:
 
 
 def main(argv=None) -> int:
+    blas_threads = pin_blas_threads()
     args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             return _do_validate(args)
-        return _do_run(args)
+        return _do_run(args, blas_threads)
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
         for item in err.violations:

@@ -59,6 +59,16 @@ class _Monomial:
     perm: np.ndarray
     coeff: np.ndarray
 
+    @classmethod
+    def of(cls, m: np.ndarray) -> "_Monomial":
+        """Read (row, value) per column off a matrix with at most one
+        nonzero per column."""
+        rows = np.abs(m).argmax(axis=0)
+        values = m[rows, np.arange(m.shape[1])]
+        if np.count_nonzero(m) != np.count_nonzero(values):
+            raise ValueError("a column holds more than one nonzero entry")
+        return cls(rows, values)
+
     def after(self, other: "_Monomial") -> "_Monomial":
         """Composition self o other (other acts first)."""
         return _Monomial(
@@ -216,6 +226,19 @@ class TruncatedFock:
         out = kron_power(eye, i)
         out = np.kron(out, self.t_matrix)
         return np.kron(out, kron_power(eye, n - i - 2))
+
+    def braid_defect(self, i: int, n: int) -> np.ndarray:
+        """T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} on level n, in floats.
+
+        The flips are read off their Kronecker-assembled matrices and the
+        triple products composed as index maps, so each entry is the same
+        product of three flip entries that a dense product computes.  A
+        dense product accumulates onto +0, and adding 0.0 does the same
+        here, so signed zeros agree with it too.
+        """
+        ti, tj = (_Monomial.of(to_float(self.t_amplified(k, n))) for k in (i, i + 1))
+        lhs = ti.after(tj).after(ti).matrix(False) + 0.0
+        return lhs - (tj.after(ti).after(tj).matrix(False) + 0.0)
 
     def _assemble_p(self, n: int) -> np.ndarray:
         out = self._zeros((self.dim**n, self.dim**n))

@@ -2,25 +2,59 @@
 
 All norms and adjoints in this package are taken against explicit Gram
 matrices (the level inner products are not orthonormal in the coordinate
-basis).  Norms go through generalized eigenproblems rather than through a
-Cholesky change of basis, so conditioning choices never leak into tests.
-Two places use Cholesky instead, each keeping its eigenproblem as the
-test oracle: the amplified-norm scan in the multipliers layer whitens its
-realization stack by the Cholesky factor of the full Gram form once per
-space (``op_norm`` is the oracle; LAPACK's generalized solver factors the
-Gram form the same way), and ``exceeds_floor`` answers the build-time
+basis).  Norms and spectral floors are generalized eigenvalues of a
+Hermitian pencil (a, b), and every such pencil is reduced in numpy the way
+LAPACK's ``hegv`` reduces it: with b = L L^H, the eigenvalues are those of
+L^-1 a L^-H.  ``scipy.linalg.eigh`` stays in the tests as the oracle.  Two
+places use the Cholesky factor directly, each keeping its eigenproblem as
+the test oracle: the amplified-norm scan in the multipliers layer whitens
+its realization stack by the factor of the full Gram form once per space
+(``op_norm`` is the oracle), and ``exceeds_floor`` answers the build-time
 positivity question with one factorization (``min_gen_eig`` is the
 oracle).  Helpers accept float/complex arrays and, where meaningful,
 object arrays with exact Fraction entries.
 
-``scipy.linalg`` is imported inside the two generalized eigensolvers
-only: importing it costs a few tenths of a second, and building a space,
-realizing Wick words, moments and the modular checks never need it.
+numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
+runs its OpenBLAS on one thread: the matrices here have at most a few
+hundred rows, where a thread pool costs more than it saves.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
+# the copies bundled with numpy 2 (64-bit, then 32-bit integers), the one
+# bundled with numpy 1, then an unsuffixed system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def pin_blas_threads() -> int | None:
+    """Run numpy's OpenBLAS on one thread; return the count read back.
+
+    The thread controls are looked up through numpy's linalg extension,
+    whose symbol search covers the OpenBLAS it links.  Builds on another
+    BLAS (MKL, Accelerate) expose none of them: nothing is changed and
+    None is returned.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads(1)
+        return get_threads()
+    return None
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -59,14 +93,22 @@ def gram_inner(u: np.ndarray, v: np.ndarray, gram: np.ndarray):
     return np.conj(u).dot(gram).dot(v)
 
 
+def _gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian pencil (a, b), b positive
+    definite: with b = L L^H, those of L^-1 a L^-H.
+
+    Raises ``np.linalg.LinAlgError`` when b is not positive definite.
+    """
+    lower = np.linalg.cholesky(b)
+    half = np.linalg.solve(lower, a)
+    return np.linalg.eigvalsh(hermitize(np.linalg.solve(lower, half.conj().T)))
+
+
 def min_gen_eig(m: np.ndarray, gram: np.ndarray) -> float:
     """Smallest eigenvalue of ``m`` seen as an operator in the ``gram`` geometry."""
-    import scipy.linalg
-
     a = hermitize(to_float(m))
     b = hermitize(to_float(gram))
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(vals[0])
+    return float(_gen_eigvals(a, b)[0])
 
 
 def exceeds_floor(m: np.ndarray, gram: np.ndarray, floor: float) -> bool:
@@ -87,12 +129,10 @@ def exceeds_floor(m: np.ndarray, gram: np.ndarray, floor: float) -> bool:
 def op_norm(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> float:
     """Operator norm of ``x`` between Gram geometries, via the pencil
     (x* G_out x, G_in)."""
-    import scipy.linalg
-
     xf = to_float(x)
     a = hermitize(xf.conj().T.dot(to_float(gram_out)).dot(xf))
     b = hermitize(to_float(gram_in))
-    vals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    vals = _gen_eigvals(a, b)
     return float(np.sqrt(max(vals[-1], 0.0)))
 
 

@@ -328,8 +328,6 @@ def _whitened_stack(fock) -> np.ndarray:
     whitened form.  Built once per space and memoized beside the
     basis-word cache; it holds 16 D^3 bytes, capped by a fixed budget.
     """
-    import scipy.linalg
-
     hit = fock.__dict__.get("_whitened_stack")
     if hit is not None:
         return hit
@@ -342,7 +340,7 @@ def _whitened_stack(fock) -> np.ndarray:
         )
     lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
     left = lower.conj().T
-    right = scipy.linalg.solve_triangular(lower, np.eye(d), lower=True).conj().T
+    right = np.linalg.solve(lower, np.eye(d)).conj().T
     words = itertools.chain.from_iterable(
         fock.basis_words(n) for n in range(fock.n_max + 1)
     )

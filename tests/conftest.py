@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from qfock.hilbert import build_space
+from qfock.linalg import pin_blas_threads
+
+# the suite runs numpy's OpenBLAS on one thread, as the CLI does
+pin_blas_threads()
 
 Q_TRIVIAL = [[0.4, 0.1], [0.1, -0.3]]
 Q_MIXED = [[0.3, -0.2], [-0.2, 0.55]]

@@ -358,19 +358,71 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert result.stdout.startswith("valid")
 
 
-def test_building_a_space_leaves_scipy_linalg_unimported():
+def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     source = os.path.dirname(os.path.dirname(qfock.__file__))
-    code = (
+    config = os.path.join(os.path.dirname(source), "configs", "minimal.yaml")
+    unimported = "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    build = (
         "import sys, qfock.cli\n"
         "from qfock.fock import TruncatedFock\n"
         "from qfock.hilbert import build_space\n"
         "setup = build_space([[0.3, -0.2], [-0.2, 0.55]], "
         "[('rotation', 0, 2.0), ('fixed', 1)])\n"
         "TruncatedFock(setup, 3)\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+    run_all = (
+        "import sys, qfock.cli\n"
+        f"argv = ['run', 'all', '--config', {config!r}, '--out', {str(tmp_path)!r}]\n"
+        "assert qfock.cli.main(argv) == 0\n"
     )
     env = {**os.environ, "PYTHONPATH": source}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
+    for code in (build, run_all):
+        result = subprocess.run(
+            [sys.executable, "-c", code + unimported],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+
+
+# dim 5, n_max 4: the level-4 smallest P eigenvalue is a 625-row pencil
+FIVE_FIXED = {
+    "space": {
+        "q": [
+            [-0.3354, 0.5893, -0.4582, 0.4291, -0.485],
+            [0.5893, 0.3961, 0.2642, 0.1683, -0.0653],
+            [-0.4582, 0.2642, -0.1975, -0.3633, -0.112],
+            [0.4291, 0.1683, -0.3633, -0.0144, -0.2366],
+            [-0.485, -0.0653, -0.112, -0.2366, -0.2339],
+        ],
+        "blocks": ["fixed"] * 5,
+    },
+    "fock": {"n_max": 4},
+}
+
+
+def test_fock_report_ignores_the_openblas_thread_variable(tmp_path):
+    path = write_config(tmp_path, FIVE_FIXED)
+    source = os.path.dirname(os.path.dirname(qfock.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "qfock", "run", "fock", "--config", path, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append((out / "fock.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_manifest_records_the_pinned_blas_thread_count(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    # numpy's wheels bundle OpenBLAS, whose thread count the pin reads back
+    assert manifest["blas_threads"] == 1

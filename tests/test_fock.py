@@ -17,7 +17,7 @@ import pytest
 
 from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
-from qfock.fock import POSITIVITY_FLOOR, TruncatedFock
+from qfock.fock import POSITIVITY_FLOOR, TruncatedFock, _Monomial
 from qfock.hilbert import build_space
 from qfock.linalg import block_diag, kron_power, max_abs, op_norm, to_float
 
@@ -88,6 +88,25 @@ def test_braid_relation_float(fock_mixed):
     t01 = to_float(fock_mixed.t_amplified(0, 3))
     t12 = to_float(fock_mixed.t_amplified(1, 3))
     assert max_abs(t01 @ t12 @ t01 - t12 @ t01 @ t12) < 1e-13
+
+
+@pytest.mark.parametrize("space", ["trivial2", "mixed5"])
+def test_braid_defect_matches_the_dense_triple_products(space, request):
+    fock = TruncatedFock(request.getfixturevalue(space), 4)
+    for n in range(3, fock.n_max + 1):
+        for i in range(n - 2):
+            ti = to_float(fock.t_amplified(i, n))
+            tj = to_float(fock.t_amplified(i + 1, n))
+            dense = ti.dot(tj).dot(ti) - tj.dot(ti).dot(tj)
+            assert fock.braid_defect(i, n).tobytes() == dense.tobytes()
+
+
+def test_monomial_reading_refuses_a_column_with_two_nonzeros():
+    flip = np.array([[0.0, 0.5], [0.5, 0.0]])
+    read = _Monomial.of(flip)
+    assert read.perm.tolist() == [1, 0] and read.coeff.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError):
+        _Monomial.of(flip + np.eye(2))
 
 
 def test_braid_relation_exact(fock_exact):
