@@ -25,10 +25,11 @@ from qfock import (
     second_quantize,
     tail_series,
 )
-from qfock.linalg import gram_inner, max_abs
+from qfock.linalg import gram_inner, max_abs, pin_blas_threads
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     setup = build_space([[0.3, -0.2], [-0.2, 0.55]], [("rotation", 0, 2.0), ("fixed", 1)])
     fock = TruncatedFock(setup, n_max=3)
     rng = np.random.default_rng(11)

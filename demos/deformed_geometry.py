@@ -10,10 +10,11 @@ from fractions import Fraction as F
 import numpy as np
 
 from qfock import DeformationMatrix, TruncatedFock, build_space
-from qfock.linalg import max_abs, to_float
+from qfock.linalg import max_abs, pin_blas_threads, to_float
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     entries = [[0.3, -0.2], [-0.2, 0.55]]
     setup = build_space(entries, [("rotation", 0, 2.0), ("fixed", 1)])
     print("mixed space: rotation block (lam = 2) + fixed line")

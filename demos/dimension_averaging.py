@@ -23,9 +23,11 @@ from qfock import (
     um_moment_closedform,
     um_moment_enumerate,
 )
+from qfock.linalg import pin_blas_threads
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     unit = build_space(DeformationMatrix.build([[F(1, 3)]]), [("fixed", 0)], exact=True)
     ones = [unit.basis_vector(0)] * 4
     q, qt = F(1, 2), F(3, 5)

@@ -13,6 +13,7 @@ import yaml
 
 from qfock import config_hash, normalize_config
 from qfock.cli import main as qfock_main
+from qfock.linalg import pin_blas_threads
 
 CONFIG = {
     "space": {
@@ -30,6 +31,7 @@ CONFIG = {
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     config = normalize_config(CONFIG)
     print("configuration hash (output directory excluded):", config_hash(config)[:16], "...")
 

@@ -8,11 +8,12 @@ identity pins which factor the imaginary-time flow attaches to.
 import numpy as np
 
 from qfock import ModularData, TruncatedFock, build_space, from_vector, kms_residual, modular_flow
-from qfock.linalg import max_abs, to_float
+from qfock.linalg import max_abs, pin_blas_threads, to_float
 from qfock.wick import vacuum_expectation, wick_operator
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     lam = 2.0
     setup = build_space([[0.3, -0.2], [-0.2, 0.55]], [("rotation", 0, lam), ("fixed", 1)])
     fock = TruncatedFock(setup, n_max=4)

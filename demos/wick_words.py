@@ -19,11 +19,12 @@ from qfock import (
     moment_matrix,
     moment_pairings,
 )
-from qfock.linalg import max_abs
+from qfock.linalg import max_abs, pin_blas_threads
 from qfock.wick import wick_recursion_residual
 
 
 def main():
+    pin_blas_threads()  # one BLAS thread, as the CLI runs: same digits anywhere
     setup = build_space([[0.3, -0.2], [-0.2, 0.55]], [("rotation", 0, 2.0), ("fixed", 1)])
     fock = TruncatedFock(setup, n_max=3)
     rng = np.random.default_rng(7)

@@ -423,7 +423,7 @@ def normalize_config(raw) -> RunConfig:
     dim = spans[-1][1] if spans else 0
     n_labels = max((b["label"] for b in blocks), default=-1) + 1
 
-    fock_raw = _section(raw.get("fock", {}), "fock", {"n_max"}, violations)
+    fock_raw = _section(raw.get("fock"), "fock", {"n_max"}, violations, optional=True)
     n_max = requested_n = 3
     if fock_raw is not None:
         n_raw = fock_raw.get("n_max", 3)
@@ -459,7 +459,9 @@ def normalize_config(raw) -> RunConfig:
         output_dir = "reports"
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    tol_raw = raw.get("tolerances", {})
+    tol_raw = raw.get("tolerances")
+    if tol_raw is None:
+        tol_raw = {}
     if not isinstance(tol_raw, dict):
         violations.append("tolerances: must be a mapping")
     else:

@@ -162,10 +162,8 @@ class TruncatedFock:
 
     def _digits(self, n: int) -> np.ndarray:
         """(n, dim**n) array: digit at each position of every word index."""
-        idx = np.arange(self.dim**n)
-        return np.array(
-            [(idx // self.dim ** (n - 1 - pos)) % self.dim for pos in range(n)]
-        )
+        strides = self.dim ** np.arange(n - 1, -1, -1)
+        return np.arange(self.dim**n) // strides[:, None] % self.dim
 
     def _zeros(self, shape) -> np.ndarray:
         if self.exact:
@@ -300,37 +298,51 @@ class TruncatedFock:
         return np.kron(xi.reshape(self.dim, 1), eye)
 
     def annihilation(self, xi, n: int) -> np.ndarray:
-        """Deformed removal of one leg, level n -> n - 1.
-
-        Each position k contributes <xi, w_k>_U times the product of the
-        weights q_{block(w_k), block(w_j)} over j < k, on the word with
-        position k deleted.  The whole level is handled one position at a
-        time through the digit table: words whose k-th leg pairs to zero
-        are skipped, the deleted-position index is computed arithmetically,
-        and contributions are added in increasing k.  Level 0 maps to the
-        empty level: the vacuum is annihilated.
-        """
+        """Deformed removal of one leg, level n -> n - 1: the dense matrix
+        of ``annihilation_step`` on every level-n word.  Level 0 maps to the
+        empty level: the vacuum is annihilated."""
         if not 0 <= n <= self.n_max:
             raise CutoffError("no level %d in this truncation" % n)
         xi = self._check_vector(xi)
         if n == 0:
             return self._zeros((0, 1))
+        cols = np.arange(self.level_dim(n))
+        term, target, weight = self.annihilation_step(xi, n, cols)
+        out = self._zeros((self.level_dim(n - 1), self.level_dim(n)))
+        np.add.at(out, (target, cols[term]), weight)
+        return out
+
+    def annihilation_step(self, xi, n: int, rows) -> tuple:
+        """Deformed removal of one leg from the level-n words ``rows``, n >= 1.
+
+        Returns (term, target, weight): word ``rows[term]`` goes to the
+        level-(n - 1) word ``target`` with ``weight``.  Position k of a word
+        contributes <xi, w_k>_U times the product of the weights
+        q_{block(w_k), block(w_j)} over j < k, on the word with position k
+        deleted.  Terms whose k-th leg pairs to zero are skipped, the
+        deleted-position index is computed arithmetically, and terms are
+        listed in increasing k, so summing them in order adds each word's
+        contributions in the order of the formula.
+        """
+        xi = self._check_vector(xi)
         pairings = np.conj(xi).dot(self.setup.u_gram)  # <xi, e_a>_U by a
         ent = self.setup.deformation.entries
         labels = self._block_arr
-        digits = self._digits(n)
-        out = self._zeros((self.level_dim(n - 1), self.level_dim(n)))
+        digits = self._digits(n)[:, rows]
+        terms, targets, weights = [], [], []
         for k in range(n):
-            cols = np.flatnonzero(pairings[digits[k]] != 0)
-            removed = digits[k, cols]
+            keep = np.flatnonzero(pairings[digits[k]] != 0)
+            removed = digits[k, keep]
             weight = pairings[removed]
             for j in range(k):
-                weight = weight * ent[labels[removed], labels[digits[j, cols]]]
+                weight = weight * ent[labels[removed], labels[digits[j, keep]]]
             low = self.dim ** (n - 1 - k)
             # keep the digits before k, drop digit k, keep the digits after
-            target = cols // (low * self.dim) * low + cols % low
-            out[target, cols] += weight
-        return out
+            word = rows[keep]
+            terms.append(keep)
+            targets.append(word // (low * self.dim) * low + word % low)
+            weights.append(weight)
+        return np.concatenate(terms), np.concatenate(targets), np.concatenate(weights)
 
     # -- splitting maps ---------------------------------------------------------
 

@@ -59,15 +59,19 @@ class ModularData:
         if not 0 <= n <= self.fock.n_max:
             raise CutoffError(f"level {n} outside cutoff {self.fock.n_max}")
 
+    def _reversed_index(self, n: int) -> np.ndarray:
+        """Index of the reversal of every level-n word: the digit at
+        position k moves to position n - 1 - k."""
+        return (self.fock.dim ** np.arange(n)).dot(self.fock._digits(n))
+
     def reversal(self, n: int) -> np.ndarray:
         """Permutation matrix sending each basis word to its reversal."""
         self._guard(n)
         fock = self.fock
-        out = fock._zeros((fock.level_dim(n), fock.level_dim(n)))
+        size = fock.level_dim(n)
+        out = fock._zeros((size, size))
         one = Fraction(1) if fock.exact else 1.0
-        for idx in range(fock.level_dim(n)):
-            rev = fock.word_index(fock.index_word(idx, n)[::-1])
-            out[rev, idx] = one
+        out[self._reversed_index(n), np.arange(size)] = one
         return out
 
     def delta_power(self, z, n: int) -> np.ndarray:
@@ -90,7 +94,9 @@ class ModularData:
         the legwise -1/2 power of the generator."""
         self._guard(n)
         half = kron_power(self.fock.setup.a_power(-0.5), n)
-        return self.reversal(n).dot(half)
+        # the reversal permutes rows; it is an involution, so row w of the
+        # product is row reverse(w) of half
+        return half[self._reversed_index(n)]
 
     def j_apply(self, v, n: int) -> np.ndarray:
         return self.j_matrix(n).dot(np.conj(np.asarray(v)))

@@ -14,10 +14,15 @@ are compressions to the truncated space: a summand whose image would leave
 the cutoff is dropped, so identities are only asserted on source levels
 whose compositions stay inside.
 
-Basis-word operators are cached per space as their nonzero entries only (a
-read-only flat index array into the D x D operator and a value array): a
-basis word touches at most a few thousand of the D^2 entries.  Arbitrary
-arguments are realized as linear combinations of cached basis words by one
+The formula is evaluated directly on (row, column, value) entries, never
+on dense level blocks: each source level starts from its identity entries,
+annihilation legs map row words through the fock layer's annihilation
+step, creation legs prepend letters, and the terms of all splittings are
+summed once, position by position, in the order of the formula.  A basis
+word touches at most a few thousand of the D^2 entries, and basis-word
+operators are cached per space as exactly those (a read-only flat index
+array into the D x D operator and a value array).  Arbitrary arguments
+are realized as linear combinations of cached basis words by one
 scatter of the scaled entries, in word order, into a single output; that
 path is the single canonical realization.  ``basis_word_operator`` hands
 out a fresh dense copy of one cached word, which the multiplier layer's
@@ -32,7 +37,7 @@ import numpy as np
 
 from .combinatorics import f_coefficient, index_splittings
 from .errors import BuildError, CutoffError
-from .linalg import g_adjoint, identity_matrix, max_abs, to_float
+from .linalg import g_adjoint, max_abs, to_float
 
 __all__ = [
     "WickWord",
@@ -90,12 +95,17 @@ def leg_label(setup, v) -> int:
     return labels.pop()
 
 
-def _assemble_blocks(fock, legs, labels) -> list:
-    """Splitting-formula operator for the given legs, as level blocks.
+def _assemble_entries(fock, legs, labels) -> tuple:
+    """Splitting-formula operator for the given legs, as its nonzero entries.
 
-    Returns (row level, column level, block) triples, one per block the
-    formula reaches; every other block of the full operator is zero.
-    Splittings are added into each block in the order of the formula.
+    Returns (flat index into the row-major D x D operator, values), sorted
+    by index.  Each source level m starts from the identity entries of
+    level m.  An annihilation leg maps every entry's row word through
+    ``TruncatedFock.annihilation_step``; a creation leg prepends each letter
+    b with xi[b] != 0, moving the row to row + b d^level and scaling the
+    value by xi[b].  The terms of all splittings are combined once, each
+    position summing its terms in the order of the formula, and exact zeros
+    are dropped.
     """
     n = len(legs)
     if n > fock.n_max:
@@ -103,9 +113,9 @@ def _assemble_blocks(fock, legs, labels) -> list:
             "argument level %d beyond cutoff %d" % (n, fock.n_max)
         )
     legs = [fock._check_vector(leg) for leg in legs]
-    conj_legs = [np.conj(leg) for leg in legs]
     ent = fock.setup.deformation.entries
-    blocks = {}
+    size = fock.total_dim
+    index, values = [], []
     for k in range(n + 1):
         for left, right in index_splittings(n, k):
             coeff = f_coefficient(left, right, labels, ent)
@@ -113,35 +123,40 @@ def _assemble_blocks(fock, legs, labels) -> list:
                 out_level = m - k + (n - k)
                 if out_level > fock.n_max:
                     continue  # compressed away with the cutoff
-                cur = None
+                # identity entries of level m: row word, column word, value
+                cols = rows = np.arange(fock.level_dim(m))
+                vals = fock._zeros(len(cols)) + 1
                 lvl = m
                 for j in reversed(right):
-                    step = fock.annihilation(conj_legs[j], lvl)
-                    cur = step if cur is None else step.dot(cur)
+                    term, rows, weight = fock.annihilation_step(
+                        np.conj(legs[j]), lvl, rows
+                    )
+                    cols, vals = cols[term], vals[term] * weight
                     lvl -= 1
                 for i in reversed(left):
-                    if cur is None:
-                        cur = fock.creation(legs[i], lvl)
-                    else:
-                        # prepending a leg to every column of the chain
-                        cur = np.kron(legs[i].reshape(fock.dim, 1), cur)
+                    letters = np.flatnonzero(legs[i])
+                    rows = (letters[:, None] * fock.level_dim(lvl) + rows).ravel()
+                    vals = (legs[i][letters][:, None] * vals).ravel()
+                    cols = np.tile(cols, len(letters))
                     lvl += 1
-                if cur is None:
-                    cur = identity_matrix(fock.level_dim(m), fock.exact)
-                key = (out_level, m)
-                if key not in blocks:
-                    blocks[key] = fock._zeros(
-                        (fock.level_dim(out_level), fock.level_dim(m))
-                    )
-                blocks[key] += coeff * cur
-    return [(rows, cols, block) for (rows, cols), block in blocks.items()]
+                index.append(
+                    (rows + fock.level_offset(out_level)) * size
+                    + cols
+                    + fock.level_offset(m)
+                )
+                values.append(coeff * vals)
+    where, inverse = np.unique(np.concatenate(index), return_inverse=True)
+    summed = fock._zeros(len(where))
+    np.add.at(summed, inverse, np.concatenate(values))
+    keep = summed != 0
+    return where[keep], summed[keep]
 
 
-def _assemble(fock, legs, labels) -> np.ndarray:
-    """Splitting-formula operator for the given legs, as a full matrix."""
+def _densify(fock, entries) -> np.ndarray:
+    """Fresh D x D matrix holding the given (flat index, values) entries."""
+    index, values = entries
     out = fock._zeros((fock.total_dim, fock.total_dim))
-    for rows, cols, block in _assemble_blocks(fock, legs, labels):
-        out[fock.level_slice(rows), fock.level_slice(cols)] = block
+    out.reshape(-1)[index] = values
     return out
 
 
@@ -164,7 +179,7 @@ def wick_operator(fock, legs, labels=None) -> WickWord:
         labels = tuple(leg_label(fock.setup, leg) for leg in legs)
     else:
         labels = tuple(labels)
-    operator = _assemble(fock, legs, labels)
+    operator = _densify(fock, _assemble_entries(fock, legs, labels))
     return WickWord(fock, len(legs), _tensor_argument(fock, legs), labels, operator)
 
 
@@ -172,20 +187,15 @@ def _word_entries(fock, word) -> tuple:
     """Cached nonzero entries of the basis word e_word's operator.
 
     A pair (flat index into the row-major D x D operator, values), both
-    read-only, built from the level blocks without a D x D scratch matrix.
+    read-only, assembled on entries by ``_assemble_entries``: no level
+    block or D x D scratch matrix is ever formed.
     """
     cache = fock.__dict__.setdefault("_wick_cache", {})
     hit = cache.get(word)
     if hit is not None:
         return hit
-    d = fock.total_dim
     legs = [fock.setup.basis_vector(a) for a in word]
-    index, values = [], []
-    for rows, cols, block in _assemble_blocks(fock, legs, fock.labels_of(word)):
-        r, c = np.nonzero(block)
-        index.append((r + fock.level_offset(rows)) * d + c + fock.level_offset(cols))
-        values.append(block[r, c])
-    entry = (np.concatenate(index), np.concatenate(values))
+    entry = _assemble_entries(fock, legs, fock.labels_of(word))
     for arr in entry:
         arr.flags.writeable = False
     cache[word] = entry
@@ -202,10 +212,7 @@ def cache_footprint(fock) -> tuple:
 def basis_word_operator(fock, word) -> np.ndarray:
     """Full-space operator of the Wick word with argument e_word, as a fresh
     dense matrix densified from the cached entries."""
-    index, values = _word_entries(fock, tuple(word))
-    out = fock._zeros((fock.total_dim, fock.total_dim))
-    out.reshape(-1)[index] = values
-    return out
+    return _densify(fock, _word_entries(fock, tuple(word)))
 
 
 def from_vector(fock, vec, n: int) -> WickWord:

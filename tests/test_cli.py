@@ -361,7 +361,11 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
 def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     source = os.path.dirname(os.path.dirname(qfock.__file__))
     config = os.path.join(os.path.dirname(source), "configs", "minimal.yaml")
-    unimported = "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    # neither scipy's LAPACK nor its sparse package is on the run path
+    unimported = (
+        "for name in ('scipy.linalg', 'scipy.sparse'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
+    )
     build = (
         "import sys, qfock.cli\n"
         "from qfock.fock import TruncatedFock\n"

@@ -478,12 +478,26 @@ def annihilation_by_words(fock, xi, n):
     return out
 
 
-@pytest.mark.parametrize(
-    "space, n_max", [("mixed5", 3), ("trivial2", 5), ("exact2", 4)]
-)
-def test_annihilation_matches_the_per_word_loop(space, n_max, request):
-    setup = request.getfixturevalue(space)
-    fock = TruncatedFock(setup, n_max)
+def annihilation_by_positions(fock, xi, n):
+    """Per-position loop over the whole digit table, added into a dense
+    block one position at a time: the oracle for the entry step."""
+    pairings = np.conj(xi).dot(fock.setup.u_gram)
+    ent = fock.setup.deformation.entries
+    labels = np.array(fock.setup.block_of)
+    digits = fock._digits(n)
+    out = fock._zeros((fock.level_dim(n - 1), fock.level_dim(n)))
+    for k in range(n):
+        cols = np.flatnonzero(pairings[digits[k]] != 0)
+        removed = digits[k, cols]
+        weight = pairings[removed]
+        for j in range(k):
+            weight = weight * ent[labels[removed], labels[digits[j, cols]]]
+        low = fock.dim ** (n - 1 - k)
+        out[cols // (low * fock.dim) * low + cols % low, cols] += weight
+    return out
+
+
+def annihilation_vectors(setup):
     vectors = [setup.basis_vector(a) for a in range(setup.dim)]
     if setup.exact:
         vectors.append(np.array([Fraction(2, 3), Fraction(-1, 5)], dtype=object))
@@ -491,7 +505,28 @@ def test_annihilation_matches_the_per_word_loop(space, n_max, request):
         rng = np.random.default_rng(3)
         vectors.append(random_complex(rng, setup.dim))
         vectors.append(np.arange(setup.dim) - 1.0)  # one zero pairing
-    for xi in vectors:
+    return vectors
+
+
+ANNIHILATION_SPACES = [("mixed5", 3), ("trivial2", 5), ("exact2", 4)]
+
+
+@pytest.mark.parametrize("space, n_max", ANNIHILATION_SPACES)
+def test_annihilation_matches_the_per_position_loop(space, n_max, request):
+    setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, n_max)
+    for xi in annihilation_vectors(setup):
+        for n in range(1, n_max + 1):
+            fast = fock.annihilation(xi, n)
+            assert fast.dtype == (object if setup.exact else complex)
+            assert np.array_equal(fast, annihilation_by_positions(fock, xi, n))
+
+
+@pytest.mark.parametrize("space, n_max", ANNIHILATION_SPACES)
+def test_annihilation_matches_the_per_word_loop(space, n_max, request):
+    setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, n_max)
+    for xi in annihilation_vectors(setup):
         for n in range(1, n_max + 1):
             fast = fock.annihilation(xi, n)
             slow = annihilation_by_words(fock, xi, n)

@@ -8,7 +8,7 @@ import pytest
 from qfock.errors import CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
-from qfock.linalg import block_diag, gram_inner, max_abs, to_float
+from qfock.linalg import block_diag, gram_inner, kron_power, max_abs, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
 from qfock.wick import WickWord, field, from_vector, vacuum_expectation, wick_operator
 
@@ -121,6 +121,17 @@ def test_tomita_decomposition(fock4, modular4):
         lhs = to_float(modular4.reversal(n))
         rhs = modular4.j_matrix(n).dot(np.conj(modular4.delta_power(0.5, n)))
         assert max_abs(lhs - rhs) <= 1e-11
+
+
+def test_j_matrix_is_the_dense_reversal_product(fock4, modular4, exact_modular):
+    # the row permutation equals the dense product with the permutation
+    # matrix entry for entry (up to the sign of zeros)
+    for md in (modular4, exact_modular):
+        setup = md.fock.setup
+        for n in range(md.fock.n_max + 1):
+            half = kron_power(setup.a_power(-0.5), n)
+            dense = md.reversal(n).dot(half)
+            assert np.array_equal(md.j_matrix(n), dense)
 
 
 def test_j_is_an_antiunitary_involution(fock4, modular4, rng):

@@ -2,23 +2,24 @@
 
 Oracles: full-space ladder matrices assembled by hand from the fock layer,
 term-by-term hand expansions for small levels, a taller truncation of the
-same space for the compression semantics, and the word-by-word sum of dense
-basis-word matrices for the scatter realization.
+same space for the compression semantics, the splitting formula assembled
+on dense level blocks from the dense ladder matrices for the entry
+assembly, and the word-by-word sum of dense basis-word matrices for the
+scatter realization.
 """
 
-import itertools
-import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qfock.combinatorics import f_coefficient, index_splittings
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space
-from qfock.linalg import max_abs, op_norm, to_float
+from qfock.linalg import identity_matrix, max_abs, op_norm, to_float
 from qfock.wick import (
-    _assemble,
     _word_entries,
     basis_word_operator,
     cache_footprint,
@@ -281,19 +282,114 @@ def test_leg_label_helper(fock_mixed):
 
 # -- sparse basis-word cache -------------------------------------------------------------
 
+def dense_assembly(fock, legs, labels):
+    """Oracle: the splitting formula on dense level blocks.
+
+    Annihilation chains are dense products of the ladder matrices, creation
+    legs are prepended by Kronecker products, and every splitting is added
+    into its (row level, column level) block in the order of the formula.
+    """
+    n = len(legs)
+    conj_legs = [np.conj(leg) for leg in legs]
+    ent = fock.setup.deformation.entries
+    out = fock._zeros((fock.total_dim, fock.total_dim))
+    for k in range(n + 1):
+        for left, right in index_splittings(n, k):
+            coeff = f_coefficient(left, right, labels, ent)
+            for m in range(k, fock.n_max + 1):
+                out_level = m - k + (n - k)
+                if out_level > fock.n_max:
+                    continue  # compressed away with the cutoff
+                cur = None
+                lvl = m
+                for j in reversed(right):
+                    step = fock.annihilation(conj_legs[j], lvl)
+                    cur = step if cur is None else step.dot(cur)
+                    lvl -= 1
+                for i in reversed(left):
+                    if cur is None:
+                        cur = fock.creation(legs[i], lvl)
+                    else:
+                        cur = np.kron(legs[i].reshape(fock.dim, 1), cur)
+                    lvl += 1
+                if cur is None:
+                    cur = identity_matrix(fock.level_dim(m), fock.exact)
+                out[fock.level_slice(out_level), fock.level_slice(m)] += coeff * cur
+    return out
+
+
 def dense_word(fock, word):
-    """Splitting-formula operator of one basis word, as a full matrix."""
+    """Splitting-formula operator of one basis word, on dense level blocks."""
     legs = [fock.setup.basis_vector(a) for a in word]
-    return _assemble(fock, legs, fock.labels_of(word))
+    return dense_assembly(fock, legs, fock.labels_of(word))
+
+
+def assert_matches_dense(fast, dense, exact):
+    """``==`` on exact spaces; on float spaces the same nonzero positions and
+    entries within 1e-15 of the largest (the dense route sums chain products
+    in BLAS order, the entries in formula order)."""
+    if exact:
+        assert np.all(fast == dense)
+        return
+    assert np.array_equal(fast != 0, dense != 0)
+    assert max_abs(fast - dense) <= 1e-15 * max_abs(dense)
+
+
+@pytest.fixture(scope="module")
+def fock_trivial():
+    return TruncatedFock(build_space(Q_TRIVIAL, [("fixed", 0), ("fixed", 1)]), 4)
+
+
+@pytest.fixture(scope="module")
+def fock_rotation():
+    setup = build_space(
+        Q_MIXED, [("rotation", 0, 2.0), ("fixed", 1), ("rotation", 1, 1.5)]
+    )
+    return TruncatedFock(setup, 3)
+
+
+@pytest.fixture(scope="module")
+def fock_commuting():
+    # q = 0 across the blocks: splittings that cross them weigh exactly 0
+    setup = build_space([[0.4, 0.0], [0.0, -0.3]], [("fixed", 0), ("fixed", 1)])
+    return TruncatedFock(setup, 4)
+
+
+@pytest.mark.parametrize(
+    "space",
+    ["fock_trivial", "fock_commuting", "fock_mixed", "fock_rotation", "fock_exact"],
+)
+def test_every_basis_word_matches_the_dense_assembly(space, request):
+    fock = request.getfixturevalue(space)
+    for n in range(fock.n_max + 1):
+        for word in fock.basis_words(n):
+            index, values = _word_entries(fock, word)
+            assert np.all(np.diff(index) > 0) and np.all(values != 0)
+            fast = basis_word_operator(fock, word)
+            assert fast.dtype == (object if fock.exact else complex)
+            assert_matches_dense(fast, dense_word(fock, word), fock.exact)
+
+
+def test_simple_tensor_matches_the_dense_assembly(fock_rotation, rng):
+    # legs spread over two letters of one block: creations prepend both
+    legs = []
+    for start in (0, 2, 3):
+        leg = np.zeros(fock_rotation.dim, dtype=complex)
+        leg[start : start + 2] = random_complex(rng, 2)
+        legs.append(leg)
+    labels = (0, 1, 1)
+    fast = wick_operator(fock_rotation, legs, labels).operator
+    assert_matches_dense(fast, dense_assembly(fock_rotation, legs, labels), False)
 
 
 def dense_from_vector(fock, vec, n):
-    """Oracle: add one dense basis-word matrix per nonzero coordinate."""
+    """Oracle: add one densified cached basis-word matrix per nonzero
+    coordinate."""
     operator = fock._zeros((fock.total_dim, fock.total_dim))
     for idx in range(fock.level_dim(n)):
         if vec[idx] == 0:
             continue
-        operator += vec[idx] * dense_word(fock, fock.index_word(idx, n))
+        operator += vec[idx] * basis_word_operator(fock, fock.index_word(idx, n))
     return operator
 
 
@@ -319,7 +415,7 @@ def test_from_vector_matches_the_dense_word_sum_exactly(fock_exact):
 def test_basis_word_operator_matches_the_dense_assembly(fock_mixed, fock_exact):
     for word in [(), (2,), (0, 1), (1, 2, 0), (2, 2, 1, 0)]:
         fast = basis_word_operator(fock_mixed, word)
-        assert fast.tobytes() == dense_word(fock_mixed, word).tobytes()
+        assert_matches_dense(fast, dense_word(fock_mixed, word), False)
     for word in [(), (1,), (0, 1, 1)]:
         fast = basis_word_operator(fock_exact, word)
         assert np.all(fast == dense_word(fock_exact, word))
@@ -327,6 +423,19 @@ def test_basis_word_operator_matches_the_dense_assembly(fock_mixed, fock_exact):
     first = basis_word_operator(fock_mixed, (0, 1))
     first[:] = 0
     assert np.any(basis_word_operator(fock_mixed, (0, 1)))
+
+
+def test_building_word_entries_stays_small(mixed5):
+    # D = 781: one dense level block of the top level alone is 6.25 MB
+    fock = TruncatedFock(mixed5, 4)
+    for word in [(0,), (2, 4), (1, 0, 3)]:
+        tracemalloc.start()
+        try:
+            _word_entries(fock, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"word {word}: peak {peak} B"
 
 
 def test_cached_entries_are_read_only_and_sparse(fock_mixed):
