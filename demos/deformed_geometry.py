@@ -34,7 +34,7 @@ def main():
 
     print("\nlevel-form positivity (the geometry stays non-degenerate):")
     for n in range(5):
-        print("  level %d: min generalized eigenvalue %.6f" % (n, fock.min_p_eigenvalue(n)))
+        print("  level %d: min eigenvalue of P(n) %.6f" % (n, fock.min_p_eigenvalue(n)))
 
     exact = build_space(
         DeformationMatrix.build([[F(1, 3), F(1, 7)], [F(1, 7), F(2, 5)]]),

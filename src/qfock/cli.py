@@ -338,7 +338,9 @@ def _do_run(args, blas_threads) -> int:
     manifest = {
         "blas_threads": blas_threads,
         "config_hash": digest,
+        "cpu_count": os.cpu_count(),
         "experiment_seconds": seconds,
+        "fock_build_seconds": fock.build_seconds,
         "peak_rss_mb": _peak_rss_mb(),
         "seed": config.seed,
         "tolerance_scale": args.tolerance_scale,

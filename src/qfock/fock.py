@@ -11,6 +11,14 @@ pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
 and P(n) assembly costs one vector pass per permutation.
 
+Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
+too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
+commutes with every pi(sigma), and the level pencil (G_U^(n) P(n), G_U^(n))
+has the spectrum of P(n).  P(n) is block-diagonal over letter multisets
+(the S_n-orbits of words, at most n! words each), so the build takes each
+level's smallest eigenvalue from those small blocks and factorizes no
+level-sized matrix; ``linalg.min_gen_eig`` on the pencil is the tests' oracle.
+
 Creation beyond the level cutoff raises CutoffError rather than silently
 truncating; identities are only ever asserted on compositions that stay
 inside the cutoff.
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,12 +44,10 @@ from .combinatorics import (
 from .errors import BuildError, CutoffError
 from .linalg import (
     block_diag,
-    exceeds_floor,
     gram_inner,
     identity_matrix,
     kron_power,
     max_abs,
-    min_gen_eig,
     op_norm,
     to_float,
 )
@@ -108,12 +115,24 @@ class TruncatedFock:
         self.exact = setup.exact
         self._block_arr = np.array(setup.block_of, dtype=int)
 
+        levels = range(n_max + 1)
+        marks = [time.perf_counter()]
         self.t_matrix = self._flip(2, 0).matrix(self.exact)
-        self._pi_tables = [self._pi_table(n) for n in range(n_max + 1)]
-        self.p_matrices = tuple(self._assemble_p(n) for n in range(n_max + 1))
-        self.gram_levels = tuple(self._level_gram(n) for n in range(n_max + 1))
-        self._check_build()
+        self._pi_tables = [self._pi_table(n) for n in levels]
+        marks.append(time.perf_counter())
+        self.p_matrices = tuple(self._assemble_p(n) for n in levels)
+        marks.append(time.perf_counter())
+        self.gram_levels = tuple(self._level_gram(n) for n in levels)
         self.full_gram = self.level_diag(lambda n: self.gram_levels[n])
+        marks.append(time.perf_counter())
+        self._p_minima = tuple(self._orbit_min_eigenvalue(n) for n in levels)
+        self._check_build()
+        marks.append(time.perf_counter())
+        # wall seconds per build phase, for the run manifest
+        phases = ("pi_tables", "symmetrizers", "gram", "positivity")
+        self.build_seconds = {
+            phase: round(b - a, 6) for phase, a, b in zip(phases, marks, marks[1:])
+        }
 
     @functools.cached_property
     def t_norm(self) -> float:
@@ -211,8 +230,7 @@ class TruncatedFock:
 
     def pi_of(self, perm, n: int) -> np.ndarray:
         """Matrix of pi(sigma) on level n."""
-        if n > self.n_max:
-            raise CutoffError("level %d beyond cutoff %d" % (n, self.n_max))
+        self._check_level(n)
         perm = tuple(perm)
         if len(perm) != n:
             raise BuildError("permutation of %d letters expected" % n)
@@ -247,23 +265,36 @@ class TruncatedFock:
         return out
 
     def p_matrix(self, n: int) -> np.ndarray:
-        if n > self.n_max:
-            raise CutoffError("level %d beyond cutoff %d" % (n, self.n_max))
-        return self.p_matrices[n]
+        return self.p_matrices[self._check_level(n)]
 
     def gram(self, n: int) -> np.ndarray:
-        if n > self.n_max:
-            raise CutoffError("level %d beyond cutoff %d" % (n, self.n_max))
-        return self.gram_levels[n]
+        return self.gram_levels[self._check_level(n)]
 
     def _level_gram(self, n: int) -> np.ndarray:
         return kron_power(self.setup.u_gram, n).dot(self.p_matrices[n])
 
     def min_p_eigenvalue(self, n: int) -> float:
-        """Smallest eigenvalue of P(n) in the undeformed-power geometry."""
-        return min_gen_eig(
-            self.gram_levels[n], kron_power(to_float(self.setup.u_gram), n)
-        )
+        """Smallest eigenvalue of P(n), equal to that of the pencil
+        (G_n, G_U^(n)); computed once at build, in floats in exact mode."""
+        return self._p_minima[self._check_level(n)]
+
+    def _orbit_min_eigenvalue(self, n: int) -> float:
+        """Smallest eigenvalue of P(n): one stacked ``eigvalsh`` per size of
+        orbit block (the words spelling one multiset of letters), in floats."""
+        orbits = {}
+        for letters in itertools.combinations_with_replacement(range(self.dim), n):
+            words = sorted({self.word_index(w) for w in itertools.permutations(letters)})
+            orbits.setdefault(len(words), []).append(words)
+        smallest = np.inf
+        for rows in map(np.array, orbits.values()):
+            blocks = to_float(self.p_matrices[n][rows[:, :, None], rows[:, None, :]])
+            smallest = min(smallest, np.linalg.eigvalsh(blocks.real).min())
+        return float(smallest)
+
+    def _check_level(self, n: int) -> int:
+        if not 0 <= n <= self.n_max:
+            raise CutoffError("no level %d within the cutoff %d" % (n, self.n_max))
+        return n
 
     def _check_build(self) -> None:
         problems = []
@@ -271,18 +302,10 @@ class TruncatedFock:
             g = to_float(self.gram_levels[n])
             if max_abs(g - g.conj().T) > 1e-10 * max(1.0, max_abs(g)):
                 problems.append("level %d Gram is not Hermitian" % n)
-            elif not self._positive_beyond_floor(n):
+            elif not self._p_minima[n] > POSITIVITY_FLOOR:
                 problems.append("level %d symmetrizer lost strict positivity" % n)
         if problems:
             raise BuildError(problems)
-
-    def _positive_beyond_floor(self, n: int) -> bool:
-        """min_p_eigenvalue(n) > floor, decided by one Cholesky factorization."""
-        return exceeds_floor(
-            self.gram_levels[n],
-            kron_power(to_float(self.setup.u_gram), n),
-            POSITIVITY_FLOOR,
-        )
 
     # -- creation / annihilation ----------------------------------------------
 
@@ -301,8 +324,7 @@ class TruncatedFock:
         """Deformed removal of one leg, level n -> n - 1: the dense matrix
         of ``annihilation_step`` on every level-n word.  Level 0 maps to the
         empty level: the vacuum is annihilated."""
-        if not 0 <= n <= self.n_max:
-            raise CutoffError("no level %d in this truncation" % n)
+        self._check_level(n)
         xi = self._check_vector(xi)
         if n == 0:
             return self._zeros((0, 1))

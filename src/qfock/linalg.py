@@ -5,14 +5,15 @@ matrices (the level inner products are not orthonormal in the coordinate
 basis).  Norms and spectral floors are generalized eigenvalues of a
 Hermitian pencil (a, b), and every such pencil is reduced in numpy the way
 LAPACK's ``hegv`` reduces it: with b = L L^H, the eigenvalues are those of
-L^-1 a L^-H.  ``scipy.linalg.eigh`` stays in the tests as the oracle.  Two
-places use the Cholesky factor directly, each keeping its eigenproblem as
-the test oracle: the amplified-norm scan in the multipliers layer whitens
-its realization stack by the factor of the full Gram form once per space
-(``op_norm`` is the oracle), and ``exceeds_floor`` answers the build-time
-positivity question with one factorization (``min_gen_eig`` is the
-oracle).  Helpers accept float/complex arrays and, where meaningful,
-object arrays with exact Fraction entries.
+L^-1 a L^-H.  ``scipy.linalg.eigh`` stays in the tests as the oracle.  The
+amplified-norm scan in the multipliers layer uses the Cholesky factor
+directly: it whitens its realization stack by the factor of the full Gram
+form once per space (``op_norm`` is the oracle).  The build-time positivity
+check needs no pencil at all: the level pencil (G_U^(n) P(n), G_U^(n)) has
+the spectrum of P(n), which the fock layer reads off P(n)'s small orbit
+blocks; ``min_gen_eig`` on the level-sized pencil stays in the tests as its
+oracle.  Helpers accept float/complex arrays and, where meaningful, object
+arrays with exact Fraction entries.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -109,21 +110,6 @@ def min_gen_eig(m: np.ndarray, gram: np.ndarray) -> float:
     a = hermitize(to_float(m))
     b = hermitize(to_float(gram))
     return float(_gen_eigvals(a, b)[0])
-
-
-def exceeds_floor(m: np.ndarray, gram: np.ndarray, floor: float) -> bool:
-    """Whether ``min_gen_eig(m, gram) > floor``, decided by Cholesky.
-
-    With ``gram`` positive definite, the smallest generalized eigenvalue
-    exceeds ``floor`` exactly when m - floor * gram is positive definite,
-    that is when its Cholesky factorization succeeds.
-    """
-    shifted = hermitize(to_float(m)) - floor * hermitize(to_float(gram))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def op_norm(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> float:

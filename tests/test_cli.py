@@ -430,3 +430,14 @@ def test_manifest_records_the_pinned_blas_thread_count(tmp_path, capsys):
     manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
     # numpy's wheels bundle OpenBLAS, whose thread count the pin reads back
     assert manifest["blas_threads"] == 1
+
+
+def test_manifest_times_the_fock_build_phases(tmp_path, capsys):
+    path = write_config(tmp_path, MIXED)
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    phases = manifest["fock_build_seconds"]
+    assert sorted(phases) == ["gram", "pi_tables", "positivity", "symmetrizers"]
+    assert all(value >= 0 for value in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_seconds"]
+    assert manifest["cpu_count"] == os.cpu_count()

@@ -19,7 +19,7 @@ from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import POSITIVITY_FLOOR, TruncatedFock, _Monomial
 from qfock.hilbert import build_space
-from qfock.linalg import block_diag, kron_power, max_abs, op_norm, to_float
+from qfock.linalg import block_diag, kron_power, max_abs, min_gen_eig, op_norm, to_float
 
 from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, random_complex
 
@@ -235,6 +235,15 @@ class _UncheckedFock(TruncatedFock):
         pass
 
 
+def build_verdict(fock):
+    """Levels the build's positivity gate refuses, read off its BuildError."""
+    try:
+        TruncatedFock._check_build(fock)
+    except BuildError as err:
+        return [int(problem.split()[1]) for problem in err.violations]
+    return []
+
+
 @pytest.mark.parametrize(
     "q, blocks",
     [
@@ -245,16 +254,19 @@ class _UncheckedFock(TruncatedFock):
         (Q_MIXED[0][1], [("rotation", 0, 2.0), ("fixed", 0)]),
     ],
 )
-def test_cholesky_verdict_matches_the_eigenvalue_oracle(q, blocks):
+def test_positivity_verdict_and_minimum_match_the_pencil_oracle(q, blocks):
     n_blocks = 1 + max(b[1] for b in blocks)
     entries = [[q] * n_blocks for _ in range(n_blocks)]
-    fock = _UncheckedFock(build_space(entries, blocks), 4)
-    verdicts = []
+    setup = build_space(entries, blocks)
+    fock = _UncheckedFock(setup, 4)
+    refused = []
     for n in range(fock.n_max + 1):
-        oracle = fock.min_p_eigenvalue(n) > POSITIVITY_FLOOR
-        assert fock._positive_beyond_floor(n) == oracle, f"level {n}"
-        verdicts.append(oracle)
-    assert verdicts[:3] == [True, True, True]
+        pencil = min_gen_eig(fock.gram(n), kron_power(to_float(setup.u_gram), n))
+        assert abs(fock.min_p_eigenvalue(n) - pencil) <= 1e-15, f"level {n}"
+        if not pencil > POSITIVITY_FLOOR:
+            refused.append(n)
+    assert build_verdict(fock) == refused
+    assert refused == [] or refused[0] > 2
 
 
 def test_cholesky_verdict_lands_on_both_sides_of_the_floor():
@@ -262,8 +274,8 @@ def test_cholesky_verdict_lands_on_both_sides_of_the_floor():
     below = _UncheckedFock(build_space([[-0.99995]], [("fixed", 0)]), 4)
     assert 1 < above.min_p_eigenvalue(4) / POSITIVITY_FLOOR < 4
     assert 0.25 < below.min_p_eigenvalue(4) / POSITIVITY_FLOOR < 1
-    assert above._positive_beyond_floor(4)
-    assert not below._positive_beyond_floor(4)
+    assert build_verdict(above) == []
+    assert build_verdict(below) == [4]
 
 
 def test_build_refuses_a_level_form_below_the_floor():
@@ -272,6 +284,42 @@ def test_build_refuses_a_level_form_below_the_floor():
         TruncatedFock(build_space([[-0.99995]], [("fixed", 0)]), 4)
     with pytest.raises(BuildError, match="level 3 symmetrizer lost strict positivity"):
         TruncatedFock(build_space([[-0.99995]], [("rotation", 0, 2.0)]), 3)
+
+
+@pytest.mark.parametrize("space", ["trivial2", "mixed5", "exact2"])
+def test_p_is_real_symmetric_and_commutes_with_the_gram_power(space, request):
+    # the two facts that give the pencil (G_U^(n) P(n), G_U^(n)) the
+    # spectrum of P(n), and so let the build read it off P(n) alone
+    setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, 3)
+    for n in range(fock.n_max + 1):
+        p = fock.p_matrix(n)
+        base = kron_power(setup.u_gram, n)
+        if setup.exact:
+            assert np.array_equal(p, p.T), f"level {n}"
+            assert np.array_equal(base.dot(p), p.dot(base)), f"level {n}"
+        else:
+            assert not p.imag.any(), f"level {n}"
+            assert max_abs(p - p.T) <= 1e-15, f"level {n}"
+            assert max_abs(base.dot(p) - p.dot(base)) <= 1e-15, f"level {n}"
+
+
+def test_orbit_route_factorizes_nothing_level_sized(mixed5, monkeypatch):
+    # dim 5, n_max 4: 625 words at the top level, orbit blocks of <= 4! rows
+    shapes = []
+    for name in ("cholesky", "solve", "eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def recording(*args, _original=original, **kwargs):
+            shapes.extend(np.shape(a) for a in args if np.ndim(a) >= 2)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    fock = TruncatedFock(mixed5, 4)
+    minima = [fock.min_p_eigenvalue(n) for n in range(fock.n_max + 1)]
+    assert all(value > POSITIVITY_FLOOR for value in minima)
+    assert shapes, "the eigensolver was never called"
+    assert max(shape[-1] for shape in shapes) <= math.factorial(4)
 
 
 def test_gram_is_hermitian_and_positive(fock_mixed):
@@ -547,6 +595,15 @@ def test_build_validation():
     wide = build_space([[0.2]], [("fixed", 0)] * 8)
     with pytest.raises(BuildError, match="cap"):
         TruncatedFock(wide, 4)
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+def test_levels_outside_the_truncation_raise(fock_mixed, n):
+    for read in (fock_mixed.p_matrix, fock_mixed.gram, fock_mixed.min_p_eigenvalue):
+        with pytest.raises(CutoffError, match="no level %d" % n):
+            read(n)
+    with pytest.raises(CutoffError, match="no level %d" % n):
+        fock_mixed.pi_of(range(max(n, 0)), n)
 
 
 def test_level_bound_errors(fock_mixed):

@@ -2,7 +2,8 @@
 
 ``min_gen_eig`` and ``op_norm`` reduce each Hermitian pencil by a Cholesky
 factor in numpy; ``scipy.linalg.eigh`` solves the same pencils here as the
-oracle.
+oracle.  Both pencil routes are in turn the oracle of the level positivity
+minimum, which the fock layer reads off P(n)'s orbit blocks.
 """
 
 import numpy as np
@@ -42,8 +43,12 @@ def test_min_gen_eig_matches_the_pencil_oracle_at_every_level(space, request):
         gram = fock.gram(n)
         base = kron_power(to_float(setup.u_gram), n)
         oracle = pencil_oracle(gram, base)[0]
-        assert abs(min_gen_eig(gram, base) - oracle) <= 1e-12 * abs(oracle)
-        assert fock.min_p_eigenvalue(n) == min_gen_eig(gram, base)
+        pencil = min_gen_eig(gram, base)
+        assert abs(pencil - oracle) <= 1e-12 * abs(oracle)
+        # the orbit-block route of the build agrees with both pencil routes
+        orbit = fock.min_p_eigenvalue(n)
+        assert abs(orbit - pencil) <= 1e-12 * abs(pencil), f"level {n}"
+        assert abs(orbit - oracle) <= 1e-12 * abs(oracle), f"level {n}"
 
 
 @pytest.mark.parametrize("space", ["trivial2", "mixed5", "exact2"])
