@@ -1,16 +1,18 @@
 """Command-line surface: configuration checks, experiment runs, reports.
 
-Every run is deterministic for a fixed (configuration, seed) pair: each
-experiment draws from its own seeded generator, so the report bodies of a
-combined run match the bodies of individual runs exactly.  Reports are CSV
-with a header row, fixed column order, 15-significant-digit numbers, and a
+Every run is deterministic for a fixed (configuration, seed) pair: the one
+experiment that draws (modular) seeds its own generator from the seed and
+its place in the experiment order, so the report bodies of a combined run
+match the bodies of individual runs exactly.  Reports are CSV with a
+header row, fixed column order, 15-significant-digit numbers, and a
 trailing summary block of key,value lines introduced by a '# summary'
 marker; every summary carries the configuration hash.  Files appear via
 write-then-rename, so a failed run never leaves a partial report.
 
 Every command first runs numpy's OpenBLAS on one thread, whatever
 ``OPENBLAS_NUM_THREADS`` says, and a run's manifest records the thread
-count read back (null on other BLAS builds).
+count read back and OpenBLAS's build configuration (both null on other
+BLAS builds).
 
 Exit codes: 0 success, 1 configuration or precondition failure, 2 invariant
 or assertion failure, 3 I/O failure.
@@ -24,17 +26,15 @@ import os
 import resource
 import sys
 import time
-from importlib import metadata
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import POSITIVITY_FLOOR
-from .linalg import gram_inner, max_abs, pin_blas_threads, to_float
+from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads, to_float
 from .modular import ModularData, kms_residual, modular_flow
 from .moments import MomentSpec, checked_moment
 from .multipliers import (
@@ -81,11 +81,6 @@ def _write_report(path: str, rows, summary) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _experiment_rng(config: RunConfig, name: str) -> np.random.Generator:
-    # one stream per experiment, independent of which subset runs
-    return np.random.default_rng([config.seed, EXPERIMENT_ORDER.index(name)])
-
-
 def _invariant(config, name: str, **fields) -> InvariantError:
     """Invariant failure whose replay names the space and cutoff of the run."""
     replay = {"space": config.data["space"], "n_max": config.n_max, **fields}
@@ -98,7 +93,7 @@ def _random_word(fock, rng, level: int):
     return from_vector(fock, coords, level)
 
 
-def _run_fock(config, fock, rng, scale):
+def _run_fock(config, fock, scale):
     rows = []
     worst_braid = 0.0
     floor_eig = float("inf")
@@ -125,7 +120,7 @@ def _run_fock(config, fock, rng, scale):
     return rows, summary
 
 
-def _run_moments(config, fock, rng, scale):
+def _run_moments(config, fock, scale):
     setup = fock.setup
     tol = config.tolerance("moments", scale)
     rows = []
@@ -150,7 +145,9 @@ def _run_moments(config, fock, rng, scale):
     return rows, [("max_abs_diff", worst)]
 
 
-def _run_modular(config, fock, rng, scale):
+def _run_modular(config, fock, scale):
+    # built here, so a run without modular never imports numpy.random
+    rng = np.random.default_rng([config.seed, EXPERIMENT_ORDER.index("modular")])
     modular = ModularData(fock)
     params = config.experiment("modular")
     rows = []
@@ -173,7 +170,7 @@ def _run_modular(config, fock, rng, scale):
 
     for n in range(fock.n_max + 1):
         lhs = to_float(modular.reversal(n))
-        rhs = modular.j_matrix(n).dot(np.conj(modular.delta_power(0.5, n)))
+        rhs = modular.j_apply(modular.delta_power(0.5, n), n)
         push("decomposition", n, float(max_abs(lhs - rhs)), "modular_decomposition")
 
     kms_cap = fock.n_max // 2
@@ -193,7 +190,7 @@ def _run_modular(config, fock, rng, scale):
     return rows, summary
 
 
-def _run_multipliers(config, fock, rng, scale):
+def _run_multipliers(config, fock, scale):
     setup = fock.setup
     params = config.experiment("multipliers")
     family = ContractionFamily(setup)
@@ -234,7 +231,7 @@ def _run_multipliers(config, fock, rng, scale):
     return rows, summary
 
 
-def _run_ultra(config, fock, rng, scale):
+def _run_ultra(config, fock, scale):
     setup = fock.setup
     params = config.experiment("ultra")
     report = convergence_experiment(
@@ -251,14 +248,6 @@ EXPERIMENTS = {
     "multipliers": _run_multipliers,
     "ultra": _run_ultra,
 }
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("qfock")
-    except metadata.PackageNotFoundError:
-        # a source checkout run with PYTHONPATH=src has no installed metadata
-        return __version__
 
 
 def _peak_rss_mb() -> float:
@@ -324,9 +313,7 @@ def _do_run(args, blas_threads) -> int:
     seconds = {}
     for name in names:
         begun = time.perf_counter()
-        rows, summary = EXPERIMENTS[name](
-            config, fock, _experiment_rng(config, name), args.tolerance_scale
-        )
+        rows, summary = EXPERIMENTS[name](config, fock, args.tolerance_scale)
         seconds[name] = round(time.perf_counter() - begun, 6)
         summary = list(summary) + [("config_hash", digest)]
         path = os.path.join(config.output_dir, f"{name}.csv")
@@ -336,6 +323,7 @@ def _do_run(args, blas_threads) -> int:
 
     entries, held = cache_footprint(fock)
     manifest = {
+        "blas_config": blas_config(),
         "blas_threads": blas_threads,
         "config_hash": digest,
         "cpu_count": os.cpu_count(),
@@ -347,9 +335,8 @@ def _do_run(args, blas_threads) -> int:
         "reports": written,
         "versions": {
             "python": ".".join(str(x) for x in sys.version_info[:3]),
-            "qfock": _package_version(),
+            "qfock": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_seconds": round(time.perf_counter() - started, 6),
         "wick_cache": {"entries": entries, "bytes": held},

@@ -5,11 +5,14 @@ lexicographic order.  The deformation enters through the flip operator
 T(e_a (x) e_b) = q_{block(a), block(b)} e_b (x) e_a, its amplifications T_i,
 the quasi-multiplicative representation pi of the symmetric groups, and the
 level symmetrizers P(n) = sum over pi(sigma).  The deformed level inner
-product is represented by the Gram matrix (G_U tensor power) P(n).
+product is represented by the Gram matrix (G_U tensor power) P(n), with
+G_U applied to P(n) leg by leg (``linalg.legwise``), not as a dense power.
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
-and P(n) assembly costs one vector pass per permutation.
+and P(n) assembly costs one vector pass per permutation.  The braid check
+composes the amplified flips I^(i) (x) T (x) I^(n-i-2) the same way, read
+off the monomial of T; their Kronecker assembly is the tests' oracle.
 
 Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
 too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
@@ -47,6 +50,7 @@ from .linalg import (
     gram_inner,
     identity_matrix,
     kron_power,
+    legwise,
     max_abs,
     op_norm,
     to_float,
@@ -123,7 +127,6 @@ class TruncatedFock:
         self.p_matrices = tuple(self._assemble_p(n) for n in levels)
         marks.append(time.perf_counter())
         self.gram_levels = tuple(self._level_gram(n) for n in levels)
-        self.full_gram = self.level_diag(lambda n: self.gram_levels[n])
         marks.append(time.perf_counter())
         self._p_minima = tuple(self._orbit_min_eigenvalue(n) for n in levels)
         self._check_build()
@@ -133,6 +136,12 @@ class TruncatedFock:
         self.build_seconds = {
             phase: round(b - a, 6) for phase, a, b in zip(phases, marks, marks[1:])
         }
+
+    @functools.cached_property
+    def full_gram(self) -> np.ndarray:
+        """Deformed Gram form of the whole truncated space, assembled on
+        first use: the level checks of a build never read it."""
+        return self.level_diag(lambda n: self.gram_levels[n])
 
     @functools.cached_property
     def t_norm(self) -> float:
@@ -237,24 +246,41 @@ class TruncatedFock:
         return self._pi_tables[n][perm].matrix(self.exact)
 
     def t_amplified(self, i: int, n: int) -> np.ndarray:
-        """T_i on level n by Kronecker assembly (independent of _flip)."""
+        """T_i on level n by Kronecker assembly (independent of _flip): the
+        dense oracle of ``_amplified_flip``."""
         eye = identity_matrix(self.dim, self.exact)
         out = kron_power(eye, i)
         out = np.kron(out, self.t_matrix)
         return np.kron(out, kron_power(eye, n - i - 2))
 
+    def _amplified_flip(self, i: int, n: int) -> _Monomial:
+        """T_i on level n, I^(i) (x) T (x) I^(n-i-2), as an index map: the
+        monomial of ``t_matrix`` acts on the pair of letters at positions
+        i, i+1 of every word (independent of _flip), in floats."""
+        flip = _Monomial.of(to_float(self.t_matrix))
+        pairs, low = self.dim**2, self.dim ** (n - i - 2)
+        words = np.arange(self.dim**n)
+        pair = words // low % pairs
+        rest = words - pair * low
+        return _Monomial(rest + flip.perm[pair] * low, flip.coeff[pair])
+
     def braid_defect(self, i: int, n: int) -> np.ndarray:
         """T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} on level n, in floats.
 
-        The flips are read off their Kronecker-assembled matrices and the
-        triple products composed as index maps, so each entry is the same
-        product of three flip entries that a dense product computes.  A
-        dense product accumulates onto +0, and adding 0.0 does the same
-        here, so signed zeros agree with it too.
+        The flips and the triple products are composed as index maps, so
+        each entry is the same product of three flip entries that a dense
+        product of the Kronecker-assembled flips computes.  A dense product
+        accumulates onto +0, and the left product is added onto +0 here, so
+        signed zeros agree with it too; both products land in one matrix.
         """
-        ti, tj = (_Monomial.of(to_float(self.t_amplified(k, n))) for k in (i, i + 1))
-        lhs = ti.after(tj).after(ti).matrix(False) + 0.0
-        return lhs - (tj.after(ti).after(tj).matrix(False) + 0.0)
+        ti, tj = self._amplified_flip(i, n), self._amplified_flip(i + 1, n)
+        lhs, rhs = ti.after(tj).after(ti), tj.after(ti).after(tj)
+        cols = np.arange(self.dim**n)
+        out = np.zeros((cols.size, cols.size), dtype=complex)
+        # one entry per column in each product: no index repeats
+        out[lhs.perm, cols] += lhs.coeff
+        out[rhs.perm, cols] -= rhs.coeff
+        return out
 
     def _assemble_p(self, n: int) -> np.ndarray:
         out = self._zeros((self.dim**n, self.dim**n))
@@ -271,7 +297,7 @@ class TruncatedFock:
         return self.gram_levels[self._check_level(n)]
 
     def _level_gram(self, n: int) -> np.ndarray:
-        return kron_power(self.setup.u_gram, n).dot(self.p_matrices[n])
+        return legwise(self.setup.u_gram, n, self.p_matrices[n])
 
     def min_p_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n), equal to that of the pencil

@@ -15,9 +15,15 @@ blocks; ``min_gen_eig`` on the level-sized pencil stays in the tests as its
 oracle.  Helpers accept float/complex arrays and, where meaningful, object
 arrays with exact Fraction entries.
 
+Every one-particle map acts on a level leg by leg, so ``legwise`` applies
+its n-th tensor power as n batched (d x d) products instead of forming the
+d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
+a dense matrix is the output, and is ``legwise``'s oracle in the tests.
+
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
 hundred rows, where a thread pool costs more than it saves.
+``blas_config`` reads the build string of that OpenBLAS for the manifest.
 """
 
 from __future__ import annotations
@@ -35,17 +41,28 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# the build-configuration string of the same flavours, in the same order
+_OPENBLAS_CONFIG_SYMBOLS = (
+    "scipy_openblas_get_config64_",
+    "scipy_openblas_get_config",
+    "openblas_get_config64_",
+    "openblas_get_config",
+)
+
+
+def _numpy_blas() -> ctypes.CDLL:
+    # numpy's linalg extension: its symbol search covers the OpenBLAS it links
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 def pin_blas_threads() -> int | None:
     """Run numpy's OpenBLAS on one thread; return the count read back.
 
-    The thread controls are looked up through numpy's linalg extension,
-    whose symbol search covers the OpenBLAS it links.  Builds on another
-    BLAS (MKL, Accelerate) expose none of them: nothing is changed and
-    None is returned.
+    The thread controls are looked up through numpy's linalg extension.
+    Builds on another BLAS (MKL, Accelerate) expose none of them: nothing
+    is changed and None is returned.
     """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = _numpy_blas()
     for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
         try:
             set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
@@ -58,12 +75,44 @@ def pin_blas_threads() -> int | None:
     return None
 
 
+def blas_config() -> str | None:
+    """Build configuration of numpy's OpenBLAS (version, kernel, integer
+    width), looked up as ``pin_blas_threads`` looks up its controls; None
+    on builds with another BLAS."""
+    lib = _numpy_blas()
+    for name in _OPENBLAS_CONFIG_SYMBOLS:
+        get_config = getattr(lib, name, None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            return get_config().decode()
+    return None
+
+
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of ``m``; n = 0 gives the 1x1 identity."""
     out = np.eye(1, dtype=m.dtype)
     for _ in range(n):
         out = np.kron(out, m)
     return out
+
+
+def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
+    """The product of ``kron_power(m, n)`` with ``x``, without forming the power.
+
+    The rows of ``x`` are indexed by words of n letters; ``m`` (d x d) acts
+    on every leg.  Leg k is one batched product: with the rows split as
+    (letters before k, letter k, letters after k and the columns of x),
+    each of the d^k slices is a (d x d) by (d x rest) product, written in
+    place of the letter it consumed, so no transpose is needed.  Exact on
+    Fraction arrays.
+    """
+    x = np.asarray(x)
+    if n == 0:
+        return x.astype(np.result_type(m.dtype, x.dtype))
+    d, out = m.shape[1], x
+    for k in range(n):
+        out = np.matmul(m, out.reshape(d**k, d, -1))
+    return out.reshape(x.shape)
 
 
 def identity_matrix(n: int, exact: bool = False) -> np.ndarray:

@@ -6,7 +6,11 @@ leg order; its polar decomposition is explicit.  The positive part is the
 tensor power of the inverse group generator, and the antiunitary part is
 leg reversal composed with the -1/2 generator power.  All three are built
 here per level and double-checked against each other by the test suite
-rather than assumed.
+rather than assumed.  Where a tensor power only acts on something (J on a
+level matrix, the flow on a word argument, conjugation of a level block by
+the group on its rows and, through the transpose, its columns) it is
+applied leg by leg with ``linalg.legwise``; the dense powers stay as the
+matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -34,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CutoffError
-from .linalg import kron_power, to_float
+from .linalg import kron_power, legwise, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -99,7 +103,11 @@ class ModularData:
         return half[self._reversed_index(n)]
 
     def j_apply(self, v, n: int) -> np.ndarray:
-        return self.j_matrix(n).dot(np.conj(np.asarray(v)))
+        """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
+        matrix), leg by leg, then the rows reversed."""
+        self._guard(n)
+        half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
+        return half[self._reversed_index(n)]
 
     def s_full_apply(self, v) -> np.ndarray:
         fock = self.fock
@@ -123,21 +131,22 @@ class ModularData:
 
         The quantized group element is block diagonal, so block (r, c) of
         the product is U_r(t) X_rc U_c(-t) and zero blocks of X stay zero;
-        the dense product with ``fock_unitary`` is the same map.
+        the dense product with ``fock_unitary`` is the same map.  The group
+        acts leg by leg: on the rows of a block, and on its columns through
+        the transpose, since (U^(c))^T = (U^T)^(c).
         """
         fock = self.fock
         x = to_float(np.asarray(operator))
         out = np.zeros(x.shape, dtype=complex)
+        left, right = fock.setup.u_matrix(t), fock.setup.u_matrix(-t).T
         levels = range(fock.n_max + 1)
-        left = [self.unitary_level(t, n) for n in levels]
-        right = [self.unitary_level(-t, n) for n in levels]
         for r in levels:
             rows = fock.level_slice(r)
             for c in levels:
                 cols = fock.level_slice(c)
                 block = x[rows, cols]
                 if np.any(block):
-                    out[rows, cols] = left[r].dot(block).dot(right[c])
+                    out[rows, cols] = legwise(right, c, legwise(left, r, block).T).T
         return out
 
 
@@ -152,8 +161,8 @@ def modular_flow(fock, z, word: WickWord) -> WickWord:
     n = word.level
     if n == 0:
         return word
-    mat = kron_power(fock.setup.a_power(-1j * z), n)
-    return from_vector(fock, mat.dot(word.argument), n)
+    argument = legwise(fock.setup.a_power(-1j * z), n, word.argument)
+    return from_vector(fock, argument, n)
 
 
 def kms_residual(fock, x: WickWord, y: WickWord) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BuildError
 from .hilbert import GROUP_CHECK_TIMES
-from .linalg import gram_inner, hermitize, kron_power, max_abs, op_norm, to_float
+from .linalg import gram_inner, hermitize, kron_power, legwise, max_abs, op_norm, to_float
 from .wick import WickWord, basis_word_operator, from_vector
 
 __all__ = [
@@ -174,8 +174,7 @@ def _quantize(fock, matrix, word: WickWord) -> WickWord:
     scalar = _as_scalar(matrix)
     if scalar is not None:
         return word.scaled(scalar ** word.level)
-    new_argument = kron_power(matrix, word.level).dot(word.argument)
-    return from_vector(fock, new_argument, word.level)
+    return from_vector(fock, legwise(matrix, word.level, word.argument), word.level)
 
 
 def second_quantize_matrix(fock, matrix) -> np.ndarray:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from importlib import metadata
 
 import pytest
 import yaml
@@ -221,18 +220,15 @@ def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):
     assert first["config_hash"] != second["config_hash"]
 
 
-def test_manifest_names_the_source_version_without_installed_metadata(
-    tmp_path, capsys, monkeypatch
-):
-    def not_installed(name):
-        raise metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(metadata, "version", not_installed)
+def test_manifest_names_the_source_version_without_installed_metadata(tmp_path, capsys):
+    # the version is the package's own string: no metadata lookup, and no
+    # scipy version, since a run does not load scipy
     path = write_config(tmp_path, MINIMAL)
     assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
     assert manifest["versions"]["qfock"] == qfock.__version__
+    assert "scipy" not in manifest["versions"]
 
 
 def tight_modular_config(tmp_path):
@@ -361,11 +357,16 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
 def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     source = os.path.dirname(os.path.dirname(qfock.__file__))
     config = os.path.join(os.path.dirname(source), "configs", "minimal.yaml")
-    # neither scipy's LAPACK nor its sparse package is on the run path
-    unimported = (
-        "for name in ('scipy.linalg', 'scipy.sparse'):\n"
-        "    assert name not in sys.modules, name + ' was imported'\n"
-    )
+
+    def unimported(*names):
+        return (
+            f"for name in {names!r}:\n"
+            "    assert name not in sys.modules, name + ' was imported'\n"
+        )
+
+    # no scipy and no package metadata on the run path; numpy.random only
+    # where an experiment draws
+    run_path = unimported("scipy", "scipy.linalg", "scipy.sparse", "importlib.metadata")
     build = (
         "import sys, qfock.cli\n"
         "from qfock.fock import TruncatedFock\n"
@@ -374,15 +375,24 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
         "[('rotation', 0, 2.0), ('fixed', 1)])\n"
         "TruncatedFock(setup, 3)\n"
     )
-    run_all = (
-        "import sys, qfock.cli\n"
-        f"argv = ['run', 'all', '--config', {config!r}, '--out', {str(tmp_path)!r}]\n"
-        "assert qfock.cli.main(argv) == 0\n"
-    )
+
+    def run(experiment):
+        return (
+            "import sys, qfock.cli\n"
+            f"argv = ['run', {experiment!r}, '--config', {config!r}, '--out', {str(tmp_path)!r}]\n"
+            "assert qfock.cli.main(argv) == 0\n"
+        )
+
+    checks = [
+        build + run_path,
+        run("all") + run_path,
+        run("fock") + run_path + unimported("numpy.random"),
+        run("moments") + run_path + unimported("numpy.random"),
+    ]
     env = {**os.environ, "PYTHONPATH": source}
-    for code in (build, run_all):
+    for code in checks:
         result = subprocess.run(
-            [sys.executable, "-c", code + unimported],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env=env,
@@ -430,6 +440,8 @@ def test_manifest_records_the_pinned_blas_thread_count(tmp_path, capsys):
     manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
     # numpy's wheels bundle OpenBLAS, whose thread count the pin reads back
     assert manifest["blas_threads"] == 1
+    # and whose build configuration names the library
+    assert manifest["blas_config"].startswith("OpenBLAS")
 
 
 def test_manifest_times_the_fock_build_phases(tmp_path, capsys):

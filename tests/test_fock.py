@@ -627,3 +627,26 @@ def test_block_diag_places_blocks_like_scipy():
         assert ours.dtype == theirs.dtype
         assert ours.shape == theirs.shape
         assert all(a == b and type(a) is type(b) for a, b in zip(ours.flat, theirs.flat))
+
+
+@pytest.mark.parametrize("space", ["mixed5", "exact2"])
+def test_level_grams_match_the_dense_tensor_power_product(space, request):
+    setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, 4)
+    for n in range(fock.n_max + 1):
+        dense = kron_power(setup.u_gram, n).dot(fock.p_matrix(n))
+        if fock.exact:
+            assert np.array_equal(fock.gram(n), dense)
+        else:
+            assert max_abs(fock.gram(n) - dense) <= 1e-14 * max_abs(dense)
+
+
+@pytest.mark.parametrize("space", ["mixed5", "exact2"])
+def test_index_map_flips_match_the_kronecker_assembled_flips(space, request):
+    fock = TruncatedFock(request.getfixturevalue(space), 4)
+    for n in range(2, fock.n_max + 1):
+        for i in range(n - 1):
+            fast = fock._amplified_flip(i, n)
+            dense = _Monomial.of(to_float(fock.t_amplified(i, n)))
+            assert np.array_equal(fast.perm, dense.perm)
+            assert np.array_equal(fast.coeff, dense.coeff)

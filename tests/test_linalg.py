@@ -4,17 +4,24 @@
 factor in numpy; ``scipy.linalg.eigh`` solves the same pencils here as the
 oracle.  Both pencil routes are in turn the oracle of the level positivity
 minimum, which the fock layer reads off P(n)'s orbit blocks.
+
+``legwise`` applies a tensor power leg by leg; the dense product with
+``kron_power`` is its oracle.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import qfock.linalg
-from qfock.fock import TruncatedFock
+from qfock.fock import MAX_LEVEL, TruncatedFock
 from qfock.linalg import (
+    blas_config,
     hermitize,
     kron_power,
+    legwise,
     min_gen_eig,
     op_norm,
     pin_blas_threads,
@@ -84,3 +91,34 @@ def test_pinning_without_openblas_thread_controls_changes_nothing(monkeypatch):
     missing = (("no_such_set_num_threads", "no_such_get_num_threads"),)
     monkeypatch.setattr(qfock.linalg, "_OPENBLAS_THREAD_SYMBOLS", missing)
     assert pin_blas_threads() is None
+
+
+def test_blas_config_without_openblas_is_none(monkeypatch):
+    monkeypatch.setattr(qfock.linalg, "_OPENBLAS_CONFIG_SYMBOLS", ("no_such_get_config",))
+    assert blas_config() is None
+
+
+@pytest.mark.parametrize("n", range(MAX_LEVEL + 1))
+def test_legwise_matches_the_dense_tensor_power_product(n, rng):
+    d = 3
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 0.1  # not normal
+    for shape in ((d**n,), (d**n, 7), (d**n, d**n)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = kron_power(m, n).dot(x)
+        got = legwise(m, n, x)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", range(MAX_LEVEL + 1))
+def test_legwise_is_exact_on_fractions(n):
+    m = np.array([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(1)]], dtype=object)
+    x = np.array(
+        [[Fraction(i * j - 3, i + 2) for j in range(3)] for i in range(2**n)], dtype=object
+    )
+    for rhs in (x[:, 0], x):
+        got = legwise(m, n, rhs)
+        assert got.shape == rhs.shape
+        assert all(type(v) is Fraction for v in got.flat)
+        assert np.array_equal(got, kron_power(m, n).dot(rhs))

@@ -114,13 +114,19 @@ def test_delta_imaginary_powers_are_gram_unitary(fock4, modular4):
             assert max_abs(np.conj(m).T.dot(g).dot(m) - g) <= 1e-11
 
 
-def test_tomita_decomposition(fock4, modular4):
+def test_tomita_decomposition(fock4, modular4, exact_modular):
     # closing map = conjugation composed with positive part: linear parts
     # must satisfy reversal = j_matrix . conj(delta^{1/2}) on every level
     for n in range(fock4.n_max + 1):
         lhs = to_float(modular4.reversal(n))
         rhs = modular4.j_matrix(n).dot(np.conj(modular4.delta_power(0.5, n)))
         assert max_abs(lhs - rhs) <= 1e-11
+        # the CLI's route: J applied leg by leg to the level matrix of delta^{1/2}
+        legwise = modular4.j_apply(modular4.delta_power(0.5, n), n)
+        assert max_abs(legwise - rhs) <= 1e-14 * max_abs(rhs)
+    md = exact_modular
+    for n in range(md.fock.n_max + 1):
+        assert np.array_equal(md.j_apply(md.delta_power(0.5, n), n), md.reversal(n))
 
 
 def test_j_matrix_is_the_dense_reversal_product(fock4, modular4, exact_modular):
@@ -299,10 +305,18 @@ def test_level_guard(modular4):
         modular4.delta_power(1.0, 7)
 
 
-def test_blockwise_conjugation_matches_the_dense_unitary_product(fock4, modular4, rng):
+def test_blockwise_conjugation_matches_the_dense_unitary_product(
+    fock4, modular4, exact_modular, rng
+):
+    # a full matrix as well as Wick words: every level block is conjugated
+    shape = (fock4.total_dim,) * 2
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for t in (0.3, -1.0, 2.5):
         u = modular4.fock_unitary(t)
         u_inv = modular4.fock_unitary(-t)
+        dense = u.dot(full).dot(u_inv)
+        blockwise = modular4.unitary_conjugate(t, full)
+        assert max_abs(blockwise - dense) <= 1e-14 * max_abs(dense)
         for n in (1, 2):
             word = random_word(fock4, rng, n)
             dense = u.dot(to_float(word.operator)).dot(u_inv)
@@ -313,3 +327,8 @@ def test_blockwise_conjugation_matches_the_dense_unitary_product(fock4, modular4
             fast = max_abs(flowed - blockwise)
             assert abs(fast - max_abs(flowed - dense)) <= 1e-12
             assert fast <= 1e-10
+    # exact spaces: the group is trivial and conjugation reproduces X exactly
+    md = exact_modular
+    word = from_vector(md.fock, np.array([F(1, 2), F(-2, 3)], dtype=object), 1)
+    dense = md.fock_unitary(0.7).dot(word.operator).dot(md.fock_unitary(-0.7))
+    assert np.array_equal(md.unitary_conjugate(0.7, word.operator), to_float(dense))
