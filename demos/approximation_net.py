@@ -38,7 +38,7 @@ def main():
     word = from_vector(fock, rng.standard_normal(fock.level_dim(2)), 2)
     scaled = second_quantize(fock, s * np.eye(3), word)
     print("second quantization of e^(-t) I scales level n by e^(-nt):")
-    print("  level-2 word, residual %.3e" % max_abs(scaled.operator - s**2 * word.operator))
+    print("  level-2 word, residual %.3e" % max_abs(scaled.dense() - s**2 * word.dense()))
 
     print("\nradial level projections resolve the identity:")
     total = sum(radial_matrix(fock, RadialSymbol.kronecker(n)) for n in range(4))

@@ -36,8 +36,8 @@ def main():
     for t in (0.3, 1.0):
         flowed = modular_flow(fock, t, word)
         u = modular.fock_unitary(-t)
-        conj = u.dot(word.operator).dot(modular.fock_unitary(t))
-        print("  t = %.1f: residual %.3e" % (t, max_abs(flowed.operator - conj)))
+        conj = u.dot(word.dense()).dot(modular.fock_unitary(t))
+        print("  t = %.1f: residual %.3e" % (t, max_abs(flowed.dense() - conj)))
 
     # spectral vectors of the rotation block: A v = lam v and A v' = v'/lam
     e = np.eye(3, dtype=complex)
@@ -48,8 +48,8 @@ def main():
 
     print("\nexchange identity: phi(xy) = phi(y sigma_{-i}(x))")
     print("  residual with the flow on the right factor: %.3e" % kms_residual(fock, x, y))
-    lhs = vacuum_expectation(fock, x.operator.dot(y.operator))
-    wrong = vacuum_expectation(fock, modular_flow(fock, -1j, y).operator.dot(x.operator))
+    lhs = vacuum_expectation(fock, x.dense().dot(y.dense()))
+    wrong = vacuum_expectation(fock, modular_flow(fock, -1j, y).dense().dot(x.dense()))
     print("  attaching the flow to the wrong factor misses by %.4f" % abs(lhs - wrong))
     print("  (the gap is 2(lam - 1) = %.1f for these spectral vectors)" % (2 * (lam - 1)))
 

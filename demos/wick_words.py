@@ -41,7 +41,7 @@ def main():
 
     s = field(fock, xi)
     print("\nfield operator s(xi) = creation + annihilation, realized as a matrix")
-    print("  shape:", s.operator.shape)
+    print("  shape:", s.dense().shape)
 
     print("\nmoments, two independent routes:")
     exact = build_space(DeformationMatrix.build([[F(3, 10)]]), [("fixed", 0)], exact=True)

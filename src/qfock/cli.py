@@ -33,7 +33,7 @@ import yaml
 from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
-from .fock import POSITIVITY_FLOOR
+from .fock import BRAID_TOLERANCE, POSITIVITY_FLOOR
 from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads, to_float
 from .modular import ModularData, kms_residual, modular_flow
 from .moments import MomentSpec, checked_moment
@@ -50,6 +50,18 @@ from .wick import cache_footprint, from_vector
 __all__ = ["main"]
 
 EXPERIMENT_ORDER = ("fock", "moments", "modular", "multipliers", "ultra")
+
+# gated checks whose headroom (worst residual / tolerance) the manifest
+# carries: check -> (experiment, summary key of its worst residual); the
+# tolerance is the configured one of the same name, the braid gate's is
+# BRAID_TOLERANCE
+HEADROOM_CHECKS = {
+    "braid": ("fock", "max_braid_residual"),
+    "moments": ("moments", "max_abs_diff"),
+    "modular_decomposition": ("modular", "max_decomposition_residual"),
+    "modular_exchange": ("modular", "max_exchange_residual"),
+    "modular_flow": ("modular", "max_flow_residual"),
+}
 
 
 def _fmt(value) -> str:
@@ -97,15 +109,21 @@ def _run_fock(config, fock, scale):
     rows = []
     worst_braid = 0.0
     floor_eig = float("inf")
+    braid_tol = BRAID_TOLERANCE * scale
     for n in range(fock.n_max + 1):
         eig = float(fock.min_p_eigenvalue(n))
-        braid = 0.0
-        for i in range(n - 2):
-            braid = max(braid, float(max_abs(fock.braid_defect(i, n))))
         if not eig > POSITIVITY_FLOOR:
             raise _invariant(
                 config, "level deformation positivity", level=n, min_eigenvalue=eig
             )
+        braid = 0.0
+        for i in range(n - 2):
+            residual = float(max_abs(fock.braid_defect(i, n)))
+            if not residual <= braid_tol:
+                raise _invariant(
+                    config, "braid relation", level=n, i=i, residual=residual, tolerance=braid_tol
+                )
+            braid = max(braid, residual)
         floor_eig = min(floor_eig, eig)
         worst_braid = max(worst_braid, braid)
         rows.append(
@@ -183,8 +201,7 @@ def _run_modular(config, fock, scale):
     for t in params["times"]:
         word = _random_word(fock, rng, 1)
         flowed = modular_flow(fock, t, word)
-        conj = modular.unitary_conjugate(-t, word.operator)
-        push("flow", t, float(max_abs(flowed.operator - conj)), "modular_flow")
+        push("flow", t, float(modular.flow_residual(t, word, flowed)), "modular_flow")
 
     summary = [(f"max_{check}_residual", value) for check, value in sorted(worst.items())]
     return rows, summary
@@ -250,6 +267,19 @@ EXPERIMENTS = {
 }
 
 
+def _headroom(config, summaries, scale) -> dict:
+    """Worst residual / tolerance of every gated check that ran, read off
+    the runners' summaries (experiment -> {key: value})."""
+    out = {}
+    for check, (experiment, key) in HEADROOM_CHECKS.items():
+        worst = summaries.get(experiment, {}).get(key)
+        if worst is None:
+            continue
+        tol = BRAID_TOLERANCE * scale if check == "braid" else config.tolerance(check, scale)
+        out[check] = worst / tol
+    return out
+
+
 def _peak_rss_mb() -> float:
     """Peak resident set of this process so far, in MiB."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -311,10 +341,12 @@ def _do_run(args, blas_threads) -> int:
     names = EXPERIMENT_ORDER if args.experiment == "all" else (args.experiment,)
     written = {}
     seconds = {}
+    summaries = {}
     for name in names:
         begun = time.perf_counter()
         rows, summary = EXPERIMENTS[name](config, fock, args.tolerance_scale)
         seconds[name] = round(time.perf_counter() - begun, 6)
+        summaries[name] = dict(summary)
         summary = list(summary) + [("config_hash", digest)]
         path = os.path.join(config.output_dir, f"{name}.csv")
         _write_report(path, rows, summary)
@@ -329,6 +361,7 @@ def _do_run(args, blas_threads) -> int:
         "cpu_count": os.cpu_count(),
         "experiment_seconds": seconds,
         "fock_build_seconds": fock.build_seconds,
+        "headroom": _headroom(config, summaries, args.tolerance_scale),
         "peak_rss_mb": _peak_rss_mb(),
         "seed": config.seed,
         "tolerance_scale": args.tolerance_scale,

@@ -111,6 +111,18 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _parse_yaml(text: str):
+    """Safe-load YAML with libyaml when PyYAML was built with it.  A text
+    libyaml rejects is parsed again by the pure-Python loader, so parse
+    errors keep that loader's wording and marks."""
+    if yaml.__with_libyaml__:
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def load_config(path: str) -> RunConfig:
     """Read, parse, and normalize a configuration file.
 
@@ -120,7 +132,7 @@ def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        raw = yaml.safe_load(text)
+        raw = _parse_yaml(text)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -61,6 +61,8 @@ MAX_LEVEL_DIM = 2048
 
 # every level symmetrizer must keep its smallest eigenvalue above this floor
 POSITIVITY_FLOOR = 1e-8
+# largest entry a braid defect T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} may reach
+BRAID_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class TruncatedFock:
     @functools.cached_property
     def full_gram(self) -> np.ndarray:
         """Deformed Gram form of the whole truncated space, assembled on
-        first use: the level checks of a build never read it."""
+        first use: only the amplified-norm scan and dense adjoints read it."""
         return self.level_diag(lambda n: self.gram_levels[n])
 
     @functools.cached_property
@@ -434,5 +436,9 @@ class TruncatedFock:
         return np.asarray(vec)[self.level_slice(n)]
 
     def full_inner(self, u, v):
-        """Deformed inner product on the whole truncated space."""
-        return gram_inner(u, v, self.full_gram)
+        """Deformed inner product on the whole truncated space: the Gram form
+        is block diagonal, so it is the sum of the level inner products."""
+        return sum(
+            gram_inner(u[self.level_slice(n)], v[self.level_slice(n)], self.gram_levels[n])
+            for n in range(self.n_max + 1)
+        )

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CutoffError
-from .linalg import kron_power, legwise, to_float
+from .linalg import kron_power, legwise, max_abs, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -54,7 +54,8 @@ class ModularData:
 
     Every method returns a matrix acting on one level's coordinates, except
     ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
-    on the whole truncated space.
+    on the whole truncated space, ``conjugate_block``, which maps one level
+    block to another, and ``flow_residual``, which returns a number.
     """
 
     fock: object
@@ -130,15 +131,12 @@ class ModularData:
         """U(t) X U(-t) for a full-space matrix X, one level block at a time.
 
         The quantized group element is block diagonal, so block (r, c) of
-        the product is U_r(t) X_rc U_c(-t) and zero blocks of X stay zero;
-        the dense product with ``fock_unitary`` is the same map.  The group
-        acts leg by leg: on the rows of a block, and on its columns through
-        the transpose, since (U^(c))^T = (U^T)^(c).
+        the product is ``conjugate_block(t, r, c, X_rc)`` and zero blocks of
+        X stay zero; the dense product with ``fock_unitary`` is the same map.
         """
         fock = self.fock
         x = to_float(np.asarray(operator))
         out = np.zeros(x.shape, dtype=complex)
-        left, right = fock.setup.u_matrix(t), fock.setup.u_matrix(-t).T
         levels = range(fock.n_max + 1)
         for r in levels:
             rows = fock.level_slice(r)
@@ -146,8 +144,30 @@ class ModularData:
                 cols = fock.level_slice(c)
                 block = x[rows, cols]
                 if np.any(block):
-                    out[rows, cols] = legwise(right, c, legwise(left, r, block).T).T
+                    out[rows, cols] = self.conjugate_block(t, r, c, block)
         return out
+
+    def conjugate_block(self, t: float, r: int, c: int, block) -> np.ndarray:
+        """U_r(t) B U_c(-t) for a block B from level c to level r.  The group
+        acts leg by leg: on the rows of the block, and on its columns through
+        the transpose, since (U^(c))^T = (U^T)^(c)."""
+        left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
+        return legwise(right, c, legwise(left, r, to_float(block)).T).T
+
+    def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
+        """Max-entry residual between ``flowed`` and U(-t) X U(t), X the
+        operator of ``word``, one level block at a time.
+
+        Only the blocks where either word holds entries are formed; on the
+        others both sides vanish.  Each block of the conjugation is computed
+        as ``unitary_conjugate`` computes it, so the residual is the dense
+        one, and no array is larger than one level block.
+        """
+        worst = 0.0
+        for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
+            conj = self.conjugate_block(-t, r, c, word.level_block(r, c))
+            worst = max(worst, max_abs(to_float(flowed.level_block(r, c)) - conj))
+        return worst
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:
@@ -169,12 +189,13 @@ def kms_residual(fock, x: WickWord, y: WickWord) -> float:
     """Exchange-identity residual |phi(x y) - phi(y sigma_{-i}(x))|.
 
     Both state values are read by applying the right factor to the vacuum
-    and then the left factor to that vector, so no operator product is
-    formed.  Exact (up to roundoff) whenever both words have level <=
-    n_max/2, since no vacuum-to-vacuum path then leaves the cutoff.
+    and then the left factor to that vector, both from their entries, so
+    no operator product and no dense operator is formed.  Exact (up to
+    roundoff) whenever both words have level <= n_max/2, since no
+    vacuum-to-vacuum path then leaves the cutoff.
     """
     flowed = modular_flow(fock, -1j, x)
     vacuum = fock.vacuum()
-    lhs = fock.full_inner(vacuum, x.operator.dot(y.vacuum_image()))
-    rhs = fock.full_inner(vacuum, y.operator.dot(flowed.vacuum_image()))
+    lhs = fock.full_inner(vacuum, x.apply(y.vacuum_image()))
+    rhs = fock.full_inner(vacuum, y.apply(flowed.vacuum_image()))
     return abs(complex(lhs - rhs))

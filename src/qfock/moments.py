@@ -5,7 +5,8 @@ contributes its crossing coefficient g_nu times the product of deformed
 inner products of the paired vectors.  Odd-length words vanish.  The matrix
 route applies the realized field operators to the vacuum vector one at a
 time, right to left, and takes the deformed inner product of the result
-with the vacuum, so a word of length l costs l matrix-vector products.
+with the vacuum, so a word of length l costs l products of a sparse field
+operator, held as its entries, with a vector.
 The pairing route is the production evaluator; the matrix route is the
 oracle.  ``checked_moment`` is the one comparison of the two, used by the
 library and the command line alike: it returns both values and their
@@ -129,7 +130,7 @@ def moment_matrix(spec: MomentSpec, fock):
     vacuum = fock.vacuum()
     vec = vacuum
     for v, label in zip(spec.vectors[::-1], spec.labels[::-1]):
-        vec = wick_operator(fock, [v], (label,)).operator.dot(vec)
+        vec = wick_operator(fock, [v], (label,)).apply(vec)
     return fock.full_inner(vacuum, vec)
 
 

@@ -22,11 +22,17 @@ summed once, position by position, in the order of the formula.  A basis
 word touches at most a few thousand of the D^2 entries, and basis-word
 operators are cached per space as exactly those (a read-only flat index
 array into the D x D operator and a value array).  Arbitrary arguments
-are realized as linear combinations of cached basis words by one
-scatter of the scaled entries, in word order, into a single output; that
-path is the single canonical realization.  ``basis_word_operator`` hands
-out a fresh dense copy of one cached word, which the multiplier layer's
-norm scan stacks and combines in one matrix product.
+are realized as linear combinations of cached basis words: the scaled
+entries are merged, in word order, into one entry list; that path is the
+single canonical realization.
+
+A realized ``WickWord`` keeps its operator as such an entry list and acts
+on vectors from it (``WickWord.apply``, a gather and a scatter over the
+rows), so the moment and modular checks never form a D x D matrix.
+Densifying is explicit: ``WickWord.dense`` for the tests' oracles and the
+demos, and ``basis_word_operator``, a fresh dense copy of one cached word,
+which the multiplier layer's norm scan stacks and combines in one matrix
+product.
 """
 
 from __future__ import annotations
@@ -56,27 +62,68 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WickWord:
-    """Realized Wick operator together with its vacuum argument."""
+    """Realized Wick operator together with its vacuum argument.
+
+    ``entries`` is the operator as (flat index into the row-major D x D
+    matrix, values), the form the basis-word cache holds; an index occurs
+    at most once.
+    """
 
     fock: object
     level: int
     argument: np.ndarray
     labels: tuple
-    operator: np.ndarray
+    entries: tuple
+
+    def apply(self, vec) -> np.ndarray:
+        """The operator applied to a full-space vector: each entry's value
+        times the vector at its column, added onto its row in entry order."""
+        fock = self.fock
+        index, values = self.entries
+        rows, cols = np.divmod(index, fock.total_dim)
+        out = fock._zeros(fock.total_dim)
+        np.add.at(out, rows, values * np.asarray(vec)[cols])
+        return out
 
     def vacuum_image(self) -> np.ndarray:
-        return self.operator.dot(self.fock.vacuum())
+        return self.apply(self.fock.vacuum())
+
+    def dense(self) -> np.ndarray:
+        """The operator as a fresh D x D matrix."""
+        return _densify(self.fock, self.entries)
+
+    def level_pairs(self) -> set:
+        """(row level, column level) of every level block holding an entry."""
+        fock = self.fock
+        starts = [fock.level_offset(n) for n in range(1, fock.n_max + 1)]
+        levels = np.searchsorted(starts, np.divmod(self.entries[0], fock.total_dim), side="right")
+        # a bincount, not np.unique: a plain np.unique imports numpy.ma
+        counts = np.bincount(levels[0] * (fock.n_max + 1) + levels[1])
+        return {divmod(int(key), fock.n_max + 1) for key in np.flatnonzero(counts)}
+
+    def level_block(self, r: int, c: int) -> np.ndarray:
+        """Fresh dense block of the operator from level c to level r."""
+        fock = self.fock
+        index, values = self.entries
+        rows, cols = np.divmod(index, fock.total_dim)
+        rows, cols = rows - fock.level_offset(r), cols - fock.level_offset(c)
+        shape = (fock.level_dim(r), fock.level_dim(c))
+        keep = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
+        out = fock._zeros(shape)
+        out[rows[keep], cols[keep]] = values[keep]
+        return out
 
     def adjoint_matrix(self) -> np.ndarray:
-        return g_adjoint(self.operator, self.fock.full_gram, self.fock.full_gram)
+        return g_adjoint(self.dense(), self.fock.full_gram, self.fock.full_gram)
 
     def scaled(self, factor) -> "WickWord":
+        index, values = self.entries
         return WickWord(
             self.fock,
             self.level,
             factor * self.argument,
             self.labels,
-            factor * self.operator,
+            (index, factor * values),
         )
 
 
@@ -179,8 +226,8 @@ def wick_operator(fock, legs, labels=None) -> WickWord:
         labels = tuple(leg_label(fock.setup, leg) for leg in legs)
     else:
         labels = tuple(labels)
-    operator = _densify(fock, _assemble_entries(fock, legs, labels))
-    return WickWord(fock, len(legs), _tensor_argument(fock, legs), labels, operator)
+    entries = _assemble_entries(fock, legs, labels)
+    return WickWord(fock, len(legs), _tensor_argument(fock, legs), labels, entries)
 
 
 def _word_entries(fock, word) -> tuple:
@@ -220,22 +267,24 @@ def from_vector(fock, vec, n: int) -> WickWord:
 
     This is the canonical realization path: every multiplier acts on the
     argument coordinates and comes back through here.  The entries of the
-    basis words with nonzero coordinates are scaled and scattered into one
-    output in word order, so every entry sums its terms in the order of a
-    word-by-word sum of dense matrices.
+    basis words with nonzero coordinates are scaled and merged into one
+    entry list in word order, so every entry sums its terms in the order of
+    a word-by-word sum of dense matrices.
     """
     vec = np.asarray(vec)
     if vec.shape != (fock.level_dim(n),):
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
-    operator = fock._zeros((fock.total_dim, fock.total_dim))
     index, values = [], []
     for idx in np.flatnonzero(vec):
         where, entries = _word_entries(fock, fock.index_word(int(idx), n))
         index.append(where)
         values.append(vec[idx] * entries)
-    if index:
-        np.add.at(operator.reshape(-1), np.concatenate(index), np.concatenate(values))
-    return WickWord(fock, n, vec.copy(), None, operator)
+    if not index:
+        return WickWord(fock, n, vec.copy(), None, (np.zeros(0, dtype=int), fock._zeros(0)))
+    where, inverse = np.unique(np.concatenate(index), return_inverse=True)
+    summed = fock._zeros(len(where))
+    np.add.at(summed, inverse, np.concatenate(values))
+    return WickWord(fock, n, vec.copy(), None, (where, summed))
 
 
 def vacuum_expectation(fock, operator):
@@ -261,7 +310,7 @@ def span_operator(fock, coords) -> np.ndarray:
     for n in range(fock.n_max + 1):
         seg = coords[fock.level_slice(n)]
         if np.any(seg != 0):
-            out += from_vector(fock, seg, n).operator
+            out += from_vector(fock, seg, n).dense()
     return out
 
 
@@ -270,15 +319,20 @@ def field(fock, xi) -> WickWord:
     xi = np.asarray(xi)
     if np.any(np.imag(to_float(np.atleast_1d(xi))) != 0):
         raise BuildError("field operators take real vectors")
-    out = fock._zeros((fock.total_dim, fock.total_dim))
+    blocks = []  # (row level, column level, ladder block)
     for m in range(fock.n_max + 1):
         if m < fock.n_max:
-            out[fock.level_slice(m + 1), fock.level_slice(m)] += fock.creation(xi, m)
+            blocks.append((m + 1, m, fock.creation(xi, m)))
         if m >= 1:
-            out[fock.level_slice(m - 1), fock.level_slice(m)] += fock.annihilation(xi, m)
+            blocks.append((m - 1, m, fock.annihilation(xi, m)))
+    index, values = [], []
+    for r, c, block in blocks:
+        rows, cols = np.nonzero(block)
+        index.append((rows + fock.level_offset(r)) * fock.total_dim + cols + fock.level_offset(c))
+        values.append(block[rows, cols])
     arg = fock._zeros(fock.dim)
     arg[:] = xi
-    return WickWord(fock, 1, arg, None, out)
+    return WickWord(fock, 1, arg, None, (np.concatenate(index), np.concatenate(values)))
 
 
 def wick_recursion_residual(fock, first, rest, labels=None) -> float:
@@ -297,9 +351,9 @@ def wick_recursion_residual(fock, first, rest, labels=None) -> float:
         labels = tuple(leg_label(fock.setup, leg) for leg in [first] + rest)
     head_label, rest_labels = labels[0], tuple(labels[1:])
 
-    lhs = wick_operator(fock, [first] + rest, labels).operator
-    head = wick_operator(fock, [first], (head_label,)).operator
-    body = wick_operator(fock, rest, rest_labels).operator
+    lhs = wick_operator(fock, [first] + rest, labels).dense()
+    head = wick_operator(fock, [first], (head_label,)).dense()
+    body = wick_operator(fock, rest, rest_labels).dense()
     rhs = head.dot(body)
     ent = fock.setup.deformation.entries
     for r in range(l):
@@ -311,7 +365,7 @@ def wick_recursion_residual(fock, first, rest, labels=None) -> float:
             continue
         dropped = wick_operator(
             fock, rest[:r] + rest[r + 1 :], rest_labels[:r] + rest_labels[r + 1 :]
-        ).operator
+        ).dense()
         rhs = rhs - weight * dropped
     valid = fock.level_offset(fock.n_max - l)
     return max_abs(to_float(lhs - rhs)[:, :valid])

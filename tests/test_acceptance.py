@@ -252,7 +252,7 @@ def test_criterion_6_modular_suite():
         flowed = modular_flow(fock, t, word)
         u = modular.fock_unitary(-t)
         u_inv = modular.fock_unitary(t)
-        assert max_abs(flowed.operator - u.dot(word.operator).dot(u_inv)) <= 1e-11
+        assert max_abs(flowed.dense() - u.dot(word.dense()).dot(u_inv)) <= 1e-11
 
 
 def test_criterion_7_approximation_suite():
@@ -268,15 +268,15 @@ def test_criterion_7_approximation_suite():
             word = random_word(fock, rng, level)
             out = second_quantize(fock, scaling, word)
             assert max_abs(out.argument - s**level * word.argument) == 0.0
-            assert max_abs(out.operator - s**level * word.operator) == 0.0
+            assert max_abs(out.dense() - s**level * word.dense()) == 0.0
 
     contraction = commuting_contraction()
     gamma = second_quantize_matrix(fock, contraction)
     for level in range(fock.n_max + 1):
         word = random_word(fock, rng, level)
-        before = vacuum_expectation(fock, word.operator)
+        before = vacuum_expectation(fock, word.dense())
         after = vacuum_expectation(
-            fock, second_quantize(fock, contraction, word).operator
+            fock, second_quantize(fock, contraction, word).dense()
         )
         assert abs(after - before) <= 1e-12 * (1 + abs(before))
 
@@ -286,7 +286,7 @@ def test_criterion_7_approximation_suite():
             symbol = RadialSymbol.kronecker(n)
             left = radial_apply(symbol, second_quantize(fock, contraction, word))
             right = second_quantize(fock, contraction, radial_apply(symbol, word))
-            assert max_abs(left.operator - right.operator) == 0.0
+            assert max_abs(left.dense() - right.dense()) == 0.0
         fn = radial_matrix(fock, symbol)
         assert max_abs(fn.dot(gamma) - gamma.dot(fn)) == 0.0
 

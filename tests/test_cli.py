@@ -364,9 +364,11 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
             "    assert name not in sys.modules, name + ' was imported'\n"
         )
 
-    # no scipy and no package metadata on the run path; numpy.random only
-    # where an experiment draws
-    run_path = unimported("scipy", "scipy.linalg", "scipy.sparse", "importlib.metadata")
+    # no scipy, no numpy.ma and no package metadata on the run path;
+    # numpy.random only where an experiment draws
+    run_path = unimported(
+        "scipy", "scipy.linalg", "scipy.sparse", "numpy.ma", "importlib.metadata"
+    )
     build = (
         "import sys, qfock.cli\n"
         "from qfock.fock import TruncatedFock\n"
@@ -453,3 +455,68 @@ def test_manifest_times_the_fock_build_phases(tmp_path, capsys):
     assert all(value >= 0 for value in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_seconds"]
     assert manifest["cpu_count"] == os.cpu_count()
+
+
+def test_braid_defect_beyond_tolerance_exits_with_replay_data(tmp_path, capsys, monkeypatch):
+    from qfock.fock import TruncatedFock
+
+    exact = TruncatedFock.braid_defect
+
+    def broken(self, i, n):
+        out = exact(self, i, n)
+        out[0, 0] += 1e-12
+        return out
+
+    monkeypatch.setattr(TruncatedFock, "braid_defect", broken)
+    path = write_config(tmp_path, MIXED)
+    code = main(["run", "fock", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: braid relation" in err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    assert (replay["level"], replay["i"]) == (3, 0)
+    assert replay["residual"] == pytest.approx(1e-12)
+    assert replay["tolerance"] == 1e-13
+    assert not (tmp_path / "out" / "fock.csv").exists()
+
+
+def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "minimal.yaml")
+    assert main(["run", "all", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    headroom = json.loads((tmp_path / "x" / "manifest.json").read_text())["headroom"]
+    assert sorted(headroom) == [
+        "braid",
+        "modular_decomposition",
+        "modular_exchange",
+        "modular_flow",
+        "moments",
+    ]
+    assert all(0 <= value <= 1 for value in headroom.values())
+
+
+def test_moments_and_modular_form_no_full_space_matrix(tmp_path, monkeypatch):
+    import qfock.wick
+    from qfock.cli import _run_modular, _run_moments
+    from qfock.config import normalize_config
+
+    e = [[float(i == j) for i in range(5)] for j in range(5)]
+    raw = {
+        **FIVE_FIXED,
+        "experiments": {
+            "moments": {"words": [{"vectors": [e[0], e[1], e[1], e[0]]}]},
+            "modular": {"times": [0.3], "pairs": 2},
+        },
+    }
+    config = normalize_config(raw)
+    fock = config.fock()
+    assert fock.total_dim == 781
+
+    def refuse(*args):
+        raise AssertionError("a D x D operator was densified")
+
+    monkeypatch.setattr(qfock.wick, "_densify", refuse)
+    _run_moments(config, fock, 1.0)
+    _run_modular(config, fock, 1.0)
+    assert "full_gram" not in fock.__dict__

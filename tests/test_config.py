@@ -1,6 +1,9 @@
 """Configuration loading: schema validation, defaults, and hashing."""
 
+import os
+
 import pytest
+import yaml
 
 from qfock.config import (
     DEFAULT_SEED,
@@ -254,3 +257,36 @@ def test_invalid_configs_report_exactly_their_violations(name):
     with pytest.raises(ConfigError) as excinfo:
         normalize_config(raw)
     assert list(excinfo.value.violations) == expected
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_libyaml_and_pure_loader_normalize_alike(name):
+    path = os.path.join(CONFIG_DIR, name)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    pure = normalize_config(yaml.load(text, Loader=yaml.SafeLoader)).data
+    fast = normalize_config(yaml.load(text, Loader=yaml.CSafeLoader)).data
+    assert fast == pure
+    assert load_config(path).data == pure
+
+
+def test_parse_errors_keep_the_pure_loader_message(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("space:\n  q: [[0.3]\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.violations == [
+        "configuration parse error at line 3, column 1: "
+        "while parsing a flow sequence\n"
+        '  in "<unicode string>", line 2, column 6:\n'
+        "      q: [[0.3]\n"
+        "         ^\n"
+        "expected ',' or ']', but got '<stream end>'\n"
+        '  in "<unicode string>", line 3, column 1:\n'
+        "    \n"
+        "    ^"
+    ]

@@ -149,7 +149,7 @@ def moment_by_dense_product(spec, fock):
     """Vacuum entry of the full product W_1 ... W_l: the dense oracle."""
     prod = identity_matrix(fock.total_dim, fock.exact)
     for v, label in zip(spec.vectors, spec.labels):
-        prod = prod.dot(wick_operator(fock, [v], (label,)).operator)
+        prod = prod.dot(wick_operator(fock, [v], (label,)).dense())
     return vacuum_expectation(fock, prod)
 
 

@@ -97,10 +97,10 @@ def test_radial_apply_projects_levels(fock3, rng):
     w = random_word(fock3, rng, 3)
     killed = radial_apply(RadialSymbol.cutoff(2), w)
     assert max_abs(killed.argument) == 0.0
-    assert max_abs(killed.operator) == 0.0
+    assert max_abs(killed.dense()) == 0.0
     kept = radial_apply(RadialSymbol.constant(1.0), w)
     assert np.array_equal(kept.argument, w.argument)
-    assert np.array_equal(kept.operator, w.operator)
+    assert np.array_equal(kept.dense(), w.dense())
     delta = radial_apply(RadialSymbol.kronecker(3), w)
     assert np.array_equal(delta.argument, w.argument)
 
@@ -112,7 +112,7 @@ def test_scalar_quantization_fast_path_is_bitwise(fock3, rng):
         w = random_word(fock3, rng, level)
         out = second_quantize(fock3, contraction, w)
         assert max_abs(out.argument - s**level * w.argument) == 0.0
-        assert max_abs(out.operator - s**level * w.operator) == 0.0
+        assert max_abs(out.dense() - s**level * w.dense()) == 0.0
 
 
 def test_scalar_path_matches_kron_route(fock3, rng):
@@ -123,7 +123,7 @@ def test_scalar_path_matches_kron_route(fock3, rng):
         fast = second_quantize(fock3, contraction, w)
         slow = from_vector(fock3, kron_power(contraction, level).dot(w.argument), level)
         assert max_abs(fast.argument - slow.argument) <= 1e-12
-        assert max_abs(fast.operator - slow.operator) <= 1e-12
+        assert max_abs(fast.dense() - slow.dense()) <= 1e-12
 
 
 def test_generic_quantization_acts_legwise(fock3):
@@ -140,8 +140,8 @@ def test_quantization_preserves_vacuum_state(fock3, rng):
     contraction = commuting_contraction()
     for level in range(fock3.n_max + 1):
         w = random_word(fock3, rng, level)
-        before = vacuum_expectation(fock3, w.operator)
-        after = vacuum_expectation(fock3, second_quantize(fock3, contraction, w).operator)
+        before = vacuum_expectation(fock3, w.dense())
+        after = vacuum_expectation(fock3, second_quantize(fock3, contraction, w).dense())
         if level == 0:
             assert after == before
         else:
@@ -151,7 +151,7 @@ def test_quantization_preserves_vacuum_state(fock3, rng):
 def test_quantization_fixes_identity(fock3):
     one = from_vector(fock3, np.ones(1), 0)
     out = second_quantize(fock3, commuting_contraction(), one)
-    assert np.array_equal(out.operator, one.operator)
+    assert np.array_equal(out.dense(), one.dense())
 
 
 def test_quantization_commutes_with_level_projections(fock3):
@@ -170,7 +170,7 @@ def test_quantization_commutes_on_words_exactly(fock3, rng):
             left = radial_apply(symbol, second_quantize(fock3, contraction, w))
             right = second_quantize(fock3, contraction, radial_apply(symbol, w))
             assert max_abs(left.argument - right.argument) == 0.0
-            assert max_abs(left.operator - right.operator) == 0.0
+            assert max_abs(left.dense() - right.dense()) == 0.0
 
 
 def test_quantization_precondition_rejections(fock3):

@@ -332,7 +332,7 @@ def dense_remainder_oracle(m, q, qt, scales):
     def one_letter(fock, a, scale=1.0):
         vec = np.zeros(fock.setup.dim)
         vec[a] = scale
-        return to_float(wick_operator(fock, [vec], (a,)).operator)
+        return to_float(wick_operator(fock, [vec], (a,)).dense())
 
     def basis3(fock, word):
         v = np.zeros(fock.total_dim, dtype=complex)

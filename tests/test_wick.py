@@ -4,8 +4,10 @@ Oracles: full-space ladder matrices assembled by hand from the fock layer,
 term-by-term hand expansions for small levels, a taller truncation of the
 same space for the compression semantics, the splitting formula assembled
 on dense level blocks from the dense ladder matrices for the entry
-assembly, and the word-by-word sum of dense basis-word matrices for the
-scatter realization.
+assembly, the word-by-word sum of dense basis-word matrices for the
+scatter realization, and the densified word (``WickWord.dense``), the full
+Gram form and the dense conjugation for the routes that work on entries
+and level blocks.
 """
 
 import tracemalloc
@@ -18,7 +20,8 @@ from qfock.combinatorics import f_coefficient, index_splittings
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space
-from qfock.linalg import identity_matrix, max_abs, op_norm, to_float
+from qfock.linalg import gram_inner, identity_matrix, max_abs, op_norm, to_float
+from qfock.modular import ModularData, modular_flow
 from qfock.wick import (
     _word_entries,
     basis_word_operator,
@@ -80,7 +83,7 @@ def test_level_one_is_ladder_sum(fock_mixed, rng):
     oracle = full_creation(fock_mixed, xi) + full_annihilation(
         fock_mixed, np.conj(xi)
     )
-    assert max_abs(to_float(word.operator) - oracle) < 1e-12
+    assert max_abs(to_float(word.dense()) - oracle) < 1e-12
 
 
 def test_vacuum_reproduction_levels(fock_mixed, rng):
@@ -94,7 +97,7 @@ def test_vacuum_reproduction_levels(fock_mixed, rng):
 def test_level_one_self_adjoint_for_real(fock_mixed):
     xi = np.array([0.7, -0.2, 0.0], dtype=complex)
     word = wick_operator(fock_mixed, [xi])
-    assert max_abs(to_float(word.operator) - to_float(word.adjoint_matrix())) < 1e-11
+    assert max_abs(to_float(word.dense()) - to_float(word.adjoint_matrix())) < 1e-11
 
 
 # -- level 2 hand expansion ------------------------------------------------------
@@ -114,7 +117,7 @@ def test_level_two_expansion(fock_mixed, rng):
     oracle = c1 @ c2 + c1 @ a2 + q21 * (c2 @ a1) + a1 @ a2
     # sources below the cutoff boundary are compression-free
     valid = fock_mixed.level_offset(fock_mixed.n_max - 1)
-    diff = to_float(word.operator) - oracle
+    diff = to_float(word.dense()) - oracle
     assert max_abs(diff[:, :valid]) < 1e-12
 
 
@@ -125,7 +128,7 @@ def test_explicit_formula_matches_basis_route(fock_mixed, rng):
     xi2[2] = 0.8 + 0.1j
     direct = wick_operator(fock_mixed, [xi1, xi2])
     via_basis = from_vector(fock_mixed, np.kron(xi1, xi2), 2)
-    assert max_abs(to_float(direct.operator - via_basis.operator)) < 1e-12
+    assert max_abs(to_float(direct.dense() - via_basis.dense())) < 1e-12
 
 
 def test_linearity_in_a_leg(fock_mixed, rng):
@@ -136,10 +139,10 @@ def test_linearity_in_a_leg(fock_mixed, rng):
     other = np.zeros(3, dtype=complex)
     other[2] = 1.0
     z = 0.4 - 1.1j
-    lhs = wick_operator(fock_mixed, [z * xi + eta, other]).operator
-    rhs = z * wick_operator(fock_mixed, [xi, other]).operator + wick_operator(
+    lhs = wick_operator(fock_mixed, [z * xi + eta, other]).dense()
+    rhs = z * wick_operator(fock_mixed, [xi, other]).dense() + wick_operator(
         fock_mixed, [eta, other]
-    ).operator
+    ).dense()
     assert max_abs(to_float(lhs - rhs)) < 1e-11
 
 
@@ -163,19 +166,19 @@ def test_field_matches_ladder_sum(fock_mixed):
     xi = np.array([0.3, 1.1, -0.4])
     s = field(fock_mixed, xi)
     oracle = full_creation(fock_mixed, xi) + full_annihilation(fock_mixed, xi)
-    assert max_abs(to_float(s.operator) - oracle) < 1e-13
+    assert max_abs(to_float(s.dense()) - oracle) < 1e-13
     assert np.allclose(to_float(s.vacuum_image())[fock_mixed.level_slice(1)], xi)
 
 
 def test_field_self_adjoint(fock_mixed):
     xi = np.array([0.3, 1.1, -0.4])
     s = field(fock_mixed, xi)
-    assert max_abs(to_float(s.operator - s.adjoint_matrix())) < 1e-11
+    assert max_abs(to_float(s.dense() - s.adjoint_matrix())) < 1e-11
 
 
 def test_field_square_moment(fock_mixed):
     xi = np.array([0.9, -0.5, 0.7])
-    s = field(fock_mixed, xi).operator
+    s = field(fock_mixed, xi).dense()
     expect = fock_mixed.setup.u_inner(xi, xi)
     assert state(fock_mixed, s.dot(s)) == pytest.approx(expect, abs=1e-12)
 
@@ -189,7 +192,7 @@ def test_field_equals_level_one_wick(fock_mixed):
     xi = np.array([0.0, 0.0, 2.3])
     s = field(fock_mixed, xi)
     w = wick_operator(fock_mixed, [xi])
-    assert max_abs(to_float(s.operator - w.operator)) == 0
+    assert max_abs(to_float(s.dense() - w.dense())) == 0
 
 
 # -- recursion -------------------------------------------------------------------
@@ -209,9 +212,9 @@ def test_recursion_orthogonal_pair_exact_product(fock_mixed):
     xi2 = np.zeros(3, dtype=complex)
     xi2[2] = 1.0
     assert fock_mixed.setup.u_inner(np.conj(xi1), xi2) == 0
-    w12 = wick_operator(fock_mixed, [xi1, xi2]).operator
-    prod = wick_operator(fock_mixed, [xi1]).operator.dot(
-        wick_operator(fock_mixed, [xi2]).operator
+    w12 = wick_operator(fock_mixed, [xi1, xi2]).dense()
+    prod = wick_operator(fock_mixed, [xi1]).dense().dot(
+        wick_operator(fock_mixed, [xi2]).dense()
     )
     valid = fock_mixed.level_offset(fock_mixed.n_max - 1)
     assert max_abs(to_float(w12 - prod)[:, :valid]) < 1e-12
@@ -258,7 +261,7 @@ def test_norm_bound_dominates_measured_norm(fock_mixed, rng):
     for n in (1, 2):
         vec = random_complex(rng, fock_mixed.level_dim(n))
         word = from_vector(fock_mixed, vec, n)
-        measured = op_norm(to_float(word.operator), g, g)
+        measured = op_norm(to_float(word.dense()), g, g)
         assert measured <= norm_bound(fock_mixed, vec, n) + 1e-9
 
 
@@ -268,11 +271,11 @@ def test_exact_wick_entries(fock_exact):
     e0 = fock_exact.setup.basis_vector(0)
     e1 = fock_exact.setup.basis_vector(1)
     word = wick_operator(fock_exact, [e0, e1])
-    assert word.operator.dtype == object
+    assert word.dense().dtype == object
     image = word.vacuum_image()
     assert image[fock_exact.level_offset(2) + fock_exact.word_index((0, 1))] == 1
     # vacuum-to-vacuum entry of W(e0 (x) e1) is exactly zero
-    assert word.operator[0, 0] == 0
+    assert word.dense()[0, 0] == 0
 
 
 def test_leg_label_helper(fock_mixed):
@@ -378,7 +381,7 @@ def test_simple_tensor_matches_the_dense_assembly(fock_rotation, rng):
         leg[start : start + 2] = random_complex(rng, 2)
         legs.append(leg)
     labels = (0, 1, 1)
-    fast = wick_operator(fock_rotation, legs, labels).operator
+    fast = wick_operator(fock_rotation, legs, labels).dense()
     assert_matches_dense(fast, dense_assembly(fock_rotation, legs, labels), False)
 
 
@@ -399,7 +402,7 @@ def test_from_vector_matches_the_dense_word_sum(fock_mixed, rng):
         sparse = full.copy()
         sparse[::2] = 0
         for vec in (full, sparse, full.real.copy()):
-            fast = from_vector(fock_mixed, vec, n).operator
+            fast = from_vector(fock_mixed, vec, n).dense()
             assert fast.tobytes() == dense_from_vector(fock_mixed, vec, n).tobytes()
 
 
@@ -407,7 +410,7 @@ def test_from_vector_matches_the_dense_word_sum_exactly(fock_exact):
     for n in range(fock_exact.n_max + 1):
         size = fock_exact.level_dim(n)
         vec = np.array([Fraction(i % 5 - 2, 3) for i in range(size)], dtype=object)
-        fast = from_vector(fock_exact, vec, n).operator
+        fast = from_vector(fock_exact, vec, n).dense()
         assert fast.dtype == object
         assert np.all(fast == dense_from_vector(fock_exact, vec, n))
 
@@ -449,3 +452,88 @@ def test_cached_entries_are_read_only_and_sparse(fock_mixed):
     assert entries == len(cache)
     assert held == sum(arr.nbytes for pair in cache.values() for arr in pair)
     assert held < entries * 16 * fock_mixed.total_dim**2 / 10
+
+
+# -- entry routes against their dense oracles ---------------------------------
+
+FIVE_SPACES = ["fock_trivial", "fock_commuting", "fock_mixed", "fock_rotation", "fock_exact"]
+
+
+def random_coords(fock, rng, size):
+    """Random coordinates: Fractions on exact spaces, complex otherwise."""
+    if fock.exact:
+        return np.array([Fraction(int(k), 7) for k in rng.integers(-9, 10, size)], dtype=object)
+    return random_complex(rng, size)
+
+
+def assert_agrees(fast, dense, exact):
+    """``==`` on exact spaces, 1e-13 relative on float spaces."""
+    if exact:
+        assert np.all(fast == dense)
+    else:
+        assert max_abs(fast - dense) <= 1e-13 * max(1.0, max_abs(dense))
+
+
+def sample_words(fock, rng):
+    words = [from_vector(fock, random_coords(fock, rng, fock.level_dim(n)), n) for n in range(fock.n_max + 1)]
+    xi = fock.setup.basis_vector(fock.dim - 1)
+    words.append(wick_operator(fock, [xi, fock.setup.basis_vector(0)]))
+    words.append(words[2].scaled(Fraction(2, 3) if fock.exact else 0.7 - 0.2j))
+    words.append(field(fock, xi))
+    return words
+
+
+@pytest.mark.parametrize("space", FIVE_SPACES)
+def test_apply_matches_the_dense_product(space, request, rng):
+    fock = request.getfixturevalue(space)
+    for word in sample_words(fock, rng):
+        vec = random_coords(fock, rng, fock.total_dim)
+        assert_agrees(word.apply(vec), word.dense().dot(vec), fock.exact)
+        assert_agrees(word.vacuum_image(), word.dense().dot(fock.vacuum()), fock.exact)
+
+
+@pytest.mark.parametrize("space", FIVE_SPACES)
+def test_level_blocks_tile_the_dense_operator(space, request, rng):
+    fock = request.getfixturevalue(space)
+    for word in sample_words(fock, rng):
+        dense = word.dense()
+        levels = range(fock.n_max + 1)
+        for r in levels:
+            for c in levels:
+                block = dense[fock.level_slice(r), fock.level_slice(c)]
+                assert np.all(word.level_block(r, c) == block)
+                if (r, c) not in word.level_pairs():
+                    assert not np.any(block)
+
+
+@pytest.mark.parametrize("space", FIVE_SPACES)
+def test_levelwise_full_inner_matches_the_full_gram(space, request, rng):
+    fock = request.getfixturevalue(space)
+    for _ in range(3):
+        u = random_coords(fock, rng, fock.total_dim)
+        v = random_coords(fock, rng, fock.total_dim)
+        dense = gram_inner(u, v, fock.full_gram)
+        fast = fock.full_inner(u, v)
+        if fock.exact:
+            assert fast == dense
+        else:
+            assert abs(fast - dense) <= 1e-13 * max(1.0, abs(dense))
+
+
+@pytest.mark.parametrize("space", FIVE_SPACES)
+def test_blockwise_flow_residual_matches_the_dense_conjugation(space, request, rng):
+    fock = request.getfixturevalue(space)
+    modular = ModularData(fock)
+    for n in (1, 2):
+        word = from_vector(fock, random_coords(fock, rng, fock.level_dim(n)), n)
+        for t in (0.3, 1.0):
+            flowed = modular_flow(fock, t, word)
+            conj = modular.unitary_conjugate(-t, word.dense())
+            dense = max_abs(to_float(flowed.dense()) - conj)
+            assert modular.flow_residual(t, word, flowed) == dense
+            # an unrelated word has an order-one residual, on blocks where
+            # only one side holds entries
+            other = from_vector(fock, random_coords(fock, rng, fock.level_dim(n + 1)), n + 1)
+            dense = max_abs(to_float(other.dense()) - conj)
+            assert dense > 0.1
+            assert modular.flow_residual(t, word, other) == dense
