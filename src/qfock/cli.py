@@ -35,17 +35,10 @@ from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import BRAID_TOLERANCE, POSITIVITY_FLOOR
 from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads, to_float
-from .modular import ModularData, kms_residual, modular_flow
-from .moments import MomentSpec, checked_moment
-from .multipliers import (
-    ContractionFamily,
-    amplified_norm_estimate,
-    net_element,
-    net_majorant,
-    net_pointwise_defect,
-)
-from .ultra import convergence_experiment
-from .wick import cache_footprint, from_vector
+
+# the layers above fock (wick, moments, modular, multipliers, ultra) are
+# imported inside the runners that use them, so a command loads only what
+# it runs
 
 __all__ = ["main"]
 
@@ -100,6 +93,8 @@ def _invariant(config, name: str, **fields) -> InvariantError:
 
 
 def _random_word(fock, rng, level: int):
+    from .wick import from_vector
+
     dim = fock.level_dim(level)
     coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return from_vector(fock, coords, level)
@@ -139,6 +134,8 @@ def _run_fock(config, fock, scale):
 
 
 def _run_moments(config, fock, scale):
+    from .moments import MomentSpec, checked_moment
+
     setup = fock.setup
     tol = config.tolerance("moments", scale)
     rows = []
@@ -164,6 +161,8 @@ def _run_moments(config, fock, scale):
 
 
 def _run_modular(config, fock, scale):
+    from .modular import ModularData, kms_residual, modular_flow
+
     # built here, so a run without modular never imports numpy.random
     rng = np.random.default_rng([config.seed, EXPERIMENT_ORDER.index("modular")])
     modular = ModularData(fock)
@@ -173,7 +172,7 @@ def _run_modular(config, fock, scale):
 
     def push(check, parameter, residual, tol_key):
         tol = config.tolerance(tol_key, scale)
-        if residual > tol:
+        if not residual <= tol:
             raise _invariant(
                 config,
                 f"modular {check} identity",
@@ -208,6 +207,15 @@ def _run_modular(config, fock, scale):
 
 
 def _run_multipliers(config, fock, scale):
+    from .multipliers import (
+        ContractionFamily,
+        amplified_norm_estimate,
+        net_element,
+        net_majorant,
+        net_pointwise_defect,
+    )
+    from .wick import from_vector
+
     setup = fock.setup
     params = config.experiment("multipliers")
     family = ContractionFamily(setup)
@@ -229,7 +237,7 @@ def _run_multipliers(config, fock, scale):
             )
         )
         defect = float(net_pointwise_defect(element, word, surrogate=max(1.0, estimate)))
-        if defect < -floor:
+        if not defect >= -floor:
             raise _invariant(config, "net defect nonnegativity", step=j, defect=defect)
         last = {"estimate": estimate, "defect": defect}
         rows.append(
@@ -249,6 +257,8 @@ def _run_multipliers(config, fock, scale):
 
 
 def _run_ultra(config, fock, scale):
+    from .ultra import convergence_experiment
+
     setup = fock.setup
     params = config.experiment("ultra")
     report = convergence_experiment(
@@ -353,7 +363,9 @@ def _do_run(args, blas_threads) -> int:
         written[name] = os.path.basename(path)
         print(f"wrote {path}")
 
-    entries, held = cache_footprint(fock)
+    # only wick fills the basis-word cache: a run that never loaded it has none
+    wick = sys.modules.get(f"{__package__}.wick")
+    entries, held = wick.cache_footprint(fock) if wick else (0, 0)
     manifest = {
         "blas_config": blas_config(),
         "blas_threads": blas_threads,

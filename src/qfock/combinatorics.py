@@ -14,8 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-MAX_PAIRING_POINTS = 12
-MAX_WORD_SIZE = 8
+from .limits import MAX_PAIRING_POINTS, MAX_WORD_SIZE
 
 
 def double_factorial(n: int) -> int:

@@ -14,17 +14,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
 import yaml
 
 from .errors import ConfigError
-from .fock import MAX_LEVEL, MAX_LEVEL_DIM, TruncatedFock
-from .hilbert import MAX_DIM, DeformationMatrix, build_space
-from .moments import MAX_COMBINATORIAL_LENGTH
-from .multipliers import MAX_AMPLIFICATION
-from .ultra import MAX_AUX_DIM, MAX_UM_LENGTH
+from .fock import TruncatedFock
+from .hilbert import DeformationMatrix, build_space
+from .limits import (
+    MAX_AMPLIFICATION,
+    MAX_AUX_DIM,
+    MAX_COMBINATORIAL_LENGTH,
+    MAX_DIM,
+    MAX_LEVEL,
+    MAX_LEVEL_DIM,
+    MAX_UM_LENGTH,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -50,7 +57,8 @@ _EXPERIMENT_KEYS = {"moments", "modular", "multipliers", "ultra"}
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A finite real number: NaN and infinities are rejected."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:

@@ -45,6 +45,7 @@ from .combinatorics import (
     permutations_by_length,
 )
 from .errors import BuildError, CutoffError
+from .limits import MAX_LEVEL, MAX_LEVEL_DIM
 from .linalg import (
     block_diag,
     gram_inner,
@@ -55,9 +56,6 @@ from .linalg import (
     op_norm,
     to_float,
 )
-
-MAX_LEVEL = 5
-MAX_LEVEL_DIM = 2048
 
 # every level symmetrizer must keep its smallest eigenvalue above this floor
 POSITIVITY_FLOOR = 1e-8

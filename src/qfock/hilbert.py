@@ -23,9 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BuildError
+from .limits import MAX_DIM
 from .linalg import hermitize, identity_matrix, max_abs, to_float
-
-MAX_DIM = 8
 
 # sampled group times for the unitarity check here and the commutation
 # check of one-particle maps in the multipliers layer
@@ -242,8 +241,8 @@ def build_space(deformation, blocks, exact: bool = False) -> HilbertSetup:
         elif kind == "rotation":
             _, label, lam = entry
             lam = Fraction(lam) if exact else float(lam)
-            if lam < 1:
-                violations.append("rotation parameter must be >= 1, got %r" % (lam,))
+            if not 1 <= lam < math.inf:
+                violations.append("rotation parameter must be finite and >= 1, got %r" % (lam,))
             rotations.append(
                 RotationBlock(int(label), (len(block_of), len(block_of) + 1), lam)
             )

@@ -166,8 +166,9 @@ class ModularData:
         worst = 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
             conj = self.conjugate_block(-t, r, c, word.level_block(r, c))
-            worst = max(worst, max_abs(to_float(flowed.level_block(r, c)) - conj))
-        return worst
+            # np.maximum, unlike max(), keeps a NaN block residual
+            worst = np.maximum(worst, max_abs(to_float(flowed.level_block(r, c)) - conj))
+        return float(worst)
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .combinatorics import g_coefficient, pair_partitions
 from .errors import BuildError, CutoffError, InvariantError
+from .limits import MAX_COMBINATORIAL_LENGTH
 from .linalg import to_float
 from .wick import leg_label, wick_operator
 
@@ -39,8 +40,6 @@ __all__ = [
     "random_spec",
     "validate_word",
 ]
-
-MAX_COMBINATORIAL_LENGTH = 8
 
 
 def validate_word(setup, vectors, labels, cap: int, cap_name: str, violations=()):
@@ -146,13 +145,13 @@ def checked_moment(spec: MomentSpec, fock, tolerance: float = 1e-9, **context):
     """Both routes' values and their absolute gap, as (pairing, matrix, gap).
 
     Raises InvariantError with a serialized replay record, extended by the
-    caller's ``context``, when the gap exceeds ``tolerance``.
+    caller's ``context``, when the gap exceeds ``tolerance`` or is NaN.
     """
     setup = fock.setup
     pairing = complex(moment_pairings(spec, setup.deformation, setup))
     matrix = complex(moment_matrix(spec, fock))
     gap = abs(pairing - matrix)
-    if gap > tolerance:
+    if not gap <= tolerance:
         replay = _serialize(spec, setup.deformation)
         replay.update(
             context,

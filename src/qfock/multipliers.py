@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import BuildError
 from .hilbert import GROUP_CHECK_TIMES
+from .limits import MAX_AMPLIFICATION, STACK_BUDGET_BYTES
 from .linalg import gram_inner, hermitize, kron_power, legwise, max_abs, op_norm, to_float
 from .wick import WickWord, basis_word_operator, from_vector
 
@@ -52,11 +53,6 @@ __all__ = [
     "second_quantize_matrix",
     "tail_series",
 ]
-
-MAX_AMPLIFICATION = 4
-
-# the whitened realization stack holds 16 D^3 bytes: 256 MiB allows D <= 256
-_STACK_BUDGET_BYTES = 256 * 2**20
 
 # random starts and refinement trials per amplification size in the scan
 _SCAN_STARTS = 5
@@ -331,10 +327,10 @@ def _whitened_stack(fock) -> np.ndarray:
     if hit is not None:
         return hit
     d = fock.total_dim
-    if 16 * d**3 > _STACK_BUDGET_BYTES:
+    if 16 * d**3 > STACK_BUDGET_BYTES:
         raise BuildError(
             f"amplified-norm scan needs a realization stack of 16*{d}^3 = "
-            f"{16 * d**3} bytes, over the budget of {_STACK_BUDGET_BYTES} "
+            f"{16 * d**3} bytes, over the budget of {STACK_BUDGET_BYTES} "
             "bytes; lower the cutoff or the dimension"
         )
     lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))

@@ -38,6 +38,7 @@ from .combinatorics import pair_partitions
 from .errors import BuildError
 from .fock import TruncatedFock
 from .hilbert import DeformationMatrix, build_space
+from .limits import MAX_AUX_DIM, MAX_UM_LENGTH, REMAINDER_AUX_DIMS
 from .linalg import to_float
 from .moments import MomentSpec, moment_pairings, validate_word
 
@@ -53,9 +54,6 @@ __all__ = [
     "um_moment_closedform",
     "um_moment_enumerate",
 ]
-
-MAX_AUX_DIM = 10
-MAX_UM_LENGTH = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +345,9 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
     scalar base space (three real letters with the given scales), and the
     norm is divided by m**(3/2).  Expected to decay like m**(-1/2).
     """
-    if not 2 <= m <= 8:
-        raise BuildError(f"remainder model needs 2 <= m <= 8, got {m}")
+    low, high = REMAINDER_AUX_DIMS
+    if not low <= m <= high:
+        raise BuildError(f"remainder model needs {low} <= m <= {high}, got {m}")
     if not (isinstance(q, numbers.Real) and 0 < q < 1):
         raise BuildError(f"uniform scale q must be real in (0, 1), got {q!r}")
     if len(scales) != 3:

@@ -229,6 +229,8 @@ def test_manifest_names_the_source_version_without_installed_metadata(tmp_path, 
     manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
     assert manifest["versions"]["qfock"] == qfock.__version__
     assert "scipy" not in manifest["versions"]
+    # run fock never loads the Wick layer, yet the manifest keeps its cache
+    assert manifest["wick_cache"] == {"entries": 0, "bytes": 0}
 
 
 def tight_modular_config(tmp_path):
@@ -270,6 +272,29 @@ def test_moment_disagreement_exits_with_replay_data(tmp_path, capsys, monkeypatc
     assert replay["gap"] == pytest.approx(1.0)
     assert replay["tolerance"] == 1e-9
     assert not (tmp_path / "out" / "moments.csv").exists()
+
+
+# a NaN residual exceeds no tolerance by comparison, yet must fail its gate
+@pytest.mark.parametrize(
+    "experiment, module, attr, invariant",
+    [
+        ("moments", "qfock.moments", "moment_matrix", "moment dual-path agreement"),
+        ("modular", "qfock.modular", "kms_residual", "modular exchange identity"),
+        ("modular", "qfock.modular.ModularData", "flow_residual", "modular flow identity"),
+        ("multipliers", "qfock.multipliers", "net_pointwise_defect", "net defect nonnegativity"),
+    ],
+)
+def test_a_nan_residual_exits_with_replay_data(
+    tmp_path, capsys, monkeypatch, experiment, module, attr, invariant
+):
+    monkeypatch.setattr(f"{module}.{attr}", lambda *args, **kwargs: float("nan"))
+    path = write_config(tmp_path, MIXED)
+    code = main(["run", experiment, "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"invariant violated: {invariant}" in err
+    assert any(line.startswith("replay: ") for line in err.splitlines())
+    assert not (tmp_path / "out" / f"{experiment}.csv").exists()
 
 
 def test_moment_replay_values_read_back_as_numbers(tmp_path, capsys, monkeypatch):
@@ -354,6 +379,22 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert result.stdout.startswith("valid")
 
 
+# the package root's exports, in order
+PACKAGE_EXPORTS = """
+    BuildError ConfigError ContractionFamily ConvergenceReport CutoffError
+    DeformationMatrix HilbertSetup InvariantError ModularData MomentSpec
+    PairPartition RadialSymbol RunConfig SetPartition TruncatedFock UmSpec
+    WickWord amplified_norm_estimate amplified_norm_scan basis_word_operator
+    build_space check_quantizable config_hash convergence_experiment field
+    from_vector kms_residual load_config modular_flow moment_matrix
+    moment_pairings net_element net_majorant net_pointwise_defect norm_bound
+    normalize_config pair_partitions radial_apply radial_matrix
+    recursion_remainder_norm second_quantize second_quantize_matrix
+    tail_series um_moment_closedform um_moment_enumerate vacuum_expectation
+    wick_operator wick_recursion_residual
+""".split()
+
+
 def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     source = os.path.dirname(os.path.dirname(qfock.__file__))
     config = os.path.join(os.path.dirname(source), "configs", "minimal.yaml")
@@ -385,11 +426,29 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
             "assert qfock.cli.main(argv) == 0\n"
         )
 
+    validate = (
+        "import sys, qfock.cli\n"
+        f"assert qfock.cli.main(['validate', '--config', {config!r}]) == 0\n"
+    )
+    # the package root loads a layer, or a submodule, only on first use
+    package = (
+        "import sys, qfock\n"
+        + unimported("qfock.linalg", "qfock.config")
+        + "assert callable(qfock.linalg.pin_blas_threads)\n"
+        + f"assert qfock.__all__ == {PACKAGE_EXPORTS!r}\n"
+    )
+    # each command loads only the layers it runs
+    upper = ("qfock.wick", "qfock.moments", "qfock.modular", "qfock.multipliers", "qfock.ultra")
     checks = [
         build + run_path,
+        package,
+        validate + run_path + unimported(*upper),
         run("all") + run_path,
-        run("fock") + run_path + unimported("numpy.random"),
-        run("moments") + run_path + unimported("numpy.random"),
+        run("fock") + run_path + unimported("numpy.random", *upper),
+        run("moments")
+        + run_path
+        + unimported("numpy.random", "qfock.modular", "qfock.multipliers", "qfock.ultra"),
+        run("modular") + run_path + unimported("qfock.moments", "qfock.multipliers", "qfock.ultra"),
     ]
     env = {**os.environ, "PYTHONPATH": source}
     for code in checks:

@@ -1,5 +1,6 @@
 """Configuration loading: schema validation, defaults, and hashing."""
 
+import math
 import os
 
 import pytest
@@ -247,6 +248,23 @@ INVALID_CONFIGS = {
     "tolerances-not-mapping": (
         {**minimal_raw(), "tolerances": 1e-9},
         ["tolerances: must be a mapping"],
+    ),
+    # NaN and infinities are not real numbers of a configuration
+    "tolerance-infinite": (
+        {**minimal_raw(), "tolerances": {"moments": math.inf}},
+        ["tolerances.moments: need a positive number"],
+    ),
+    "rotation-lam-infinite": (
+        {"space": {"q": [[0.3]], "blocks": ["fixed", {"kind": "rotation", "lam": math.inf}]}},
+        ["space.blocks[1].lam: must be a real number >= 1"],
+    ),
+    "word-vector-nan": (
+        experiments(moments={"words": [{"vectors": [[math.nan], [1.0]]}]}),
+        ["experiments.moments.words[0].vectors[0]: need a real vector of length 1"],
+    ),
+    "modular-times-non-finite": (
+        experiments(modular={"times": [math.nan, math.inf]}),
+        ["experiments.modular.times: need a nonempty list of real times"],
     ),
 }
 

@@ -57,8 +57,9 @@ def test_entry_magnitude_rejected():
 def test_bad_blocks_rejected():
     with pytest.raises(BuildError, match="out of range"):
         build_space(Q_MIXED, [("fixed", 2)])
-    with pytest.raises(BuildError, match=">= 1"):
-        build_space(Q_MIXED, [("rotation", 0, 0.8)])
+    for lam in (0.8, math.inf, math.nan):
+        with pytest.raises(BuildError, match="finite and >= 1"):
+            build_space(Q_MIXED, [("rotation", 0, lam)])
     with pytest.raises(BuildError, match="cap"):
         build_space(Q_MIXED, [("rotation", 0, 2.0)] * 5)
     with pytest.raises(BuildError, match="at least one"):

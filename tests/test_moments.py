@@ -208,6 +208,14 @@ def test_checked_moment_fails_loudly(single_block):
     assert set(replay) >= {"vectors", "deformation", "pairing", "matrix", "gap"}
 
 
+def test_checked_moment_fails_on_a_nan_word(single_block):
+    # a NaN gap exceeds no tolerance by comparison, yet must fail the check
+    spec = MomentSpec.build(single_block.setup, [np.array([np.nan]), np.array([1.0])])
+    with pytest.raises(InvariantError, match="dual-path") as info:
+        checked_moment(spec, single_block)
+    assert np.isnan(info.value.replay["gap"])
+
+
 def test_random_spec_shape(rotation_space, rng):
     spec = random_spec(rotation_space.setup, rng, 5)
     assert spec.l == 5

@@ -537,3 +537,8 @@ def test_blockwise_flow_residual_matches_the_dense_conjugation(space, request, r
             dense = max_abs(to_float(other.dense()) - conj)
             assert dense > 0.1
             assert modular.flow_residual(t, word, other) == dense
+            # one NaN coordinate makes some block residuals NaN, and the
+            # fold over blocks keeps it
+            coords = random_coords(fock, rng, fock.level_dim(n))
+            coords[-1] = np.nan
+            assert np.isnan(modular.flow_residual(t, word, from_vector(fock, coords, n)))
