@@ -1,13 +1,14 @@
 """Command-line surface: configuration checks, experiment runs, reports.
 
-Every run is deterministic for a fixed (configuration, seed) pair: the one
-experiment that draws (modular) seeds its own generator from the seed and
-its place in the experiment order, so the report bodies of a combined run
-match the bodies of individual runs exactly.  Reports are CSV with a
-header row, fixed column order, 15-significant-digit numbers, and a
-trailing summary block of key,value lines introduced by a '# summary'
-marker; every summary carries the configuration hash.  Files appear via
-write-then-rename, so a failed run never leaves a partial report.
+Every run is deterministic for a fixed (configuration, seed) pair: the
+experiments that draw (modular, multipliers) seed their own generators
+from the seed, modular also from its place in the experiment order, so
+the report bodies of a combined run match those of individual runs
+exactly.  Reports are CSV with a header row, fixed column order,
+15-significant-digit numbers, and a trailing summary block of key,value
+lines introduced by a '# summary' marker; every summary carries the
+configuration hash.  Files appear via write-then-rename, so a failed run
+never leaves a partial report.
 
 Every command first runs numpy's OpenBLAS on one thread, whatever
 ``OPENBLAS_NUM_THREADS`` says, and a run's manifest records the thread
@@ -34,7 +35,7 @@ from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import BRAID_TOLERANCE, POSITIVITY_FLOOR
-from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads, to_float
+from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads
 
 # the layers above fock (wick, moments, modular, multipliers, ultra) are
 # imported inside the runners that use them, so a command loads only what
@@ -113,7 +114,7 @@ def _run_fock(config, fock, scale):
             )
         braid = 0.0
         for i in range(n - 2):
-            residual = float(max_abs(fock.braid_defect(i, n)))
+            residual = fock.braid_defect(i, n)
             if not residual <= braid_tol:
                 raise _invariant(
                     config, "braid relation", level=n, i=i, residual=residual, tolerance=braid_tol
@@ -163,7 +164,7 @@ def _run_moments(config, fock, scale):
 def _run_modular(config, fock, scale):
     from .modular import ModularData, kms_residual, modular_flow
 
-    # built here, so a run without modular never imports numpy.random
+    # built here, so a run without modular or multipliers never imports numpy.random
     rng = np.random.default_rng([config.seed, EXPERIMENT_ORDER.index("modular")])
     modular = ModularData(fock)
     params = config.experiment("modular")
@@ -186,9 +187,10 @@ def _run_modular(config, fock, scale):
         rows.append({"check": check, "parameter": parameter, "residual": residual})
 
     for n in range(fock.n_max + 1):
-        lhs = to_float(modular.reversal(n))
-        rhs = modular.j_apply(modular.delta_power(0.5, n), n)
-        push("decomposition", n, float(max_abs(lhs - rhs)), "modular_decomposition")
+        # J Delta^{1/2} less the reversal, the linear part of the closing map
+        gap = modular.j_apply(modular.delta_power(0.5, n), n)
+        gap[modular.reversed_index(n), np.arange(fock.level_dim(n))] -= 1
+        push("decomposition", n, float(max_abs(gap)), "modular_decomposition")
 
     kms_cap = fock.n_max // 2
     if kms_cap >= 1:
@@ -349,6 +351,9 @@ def _do_run(args, blas_threads) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     fock = config.fock()
     names = EXPERIMENT_ORDER if args.experiment == "all" else (args.experiment,)
+    if "multipliers" in names:  # an oversized scan fails before any report
+        from .multipliers import check_stack_budget
+        check_stack_budget(fock)
     written = {}
     seconds = {}
     summaries = {}

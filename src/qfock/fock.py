@@ -12,7 +12,8 @@ pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
 and P(n) assembly costs one vector pass per permutation.  The braid check
 composes the amplified flips I^(i) (x) T (x) I^(n-i-2) the same way, read
-off the monomial of T; their Kronecker assembly is the tests' oracle.
+off the monomial of T, and reads its defect off the two composed index
+maps as a number; their Kronecker assembly is the tests' oracle.
 
 Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
 too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
@@ -92,7 +93,8 @@ class _Monomial:
             out = np.full((size, size), Fraction(0), dtype=object)
         else:
             out = np.zeros((size, size), dtype=complex)
-        out[self.perm, np.arange(size)] = self.coeff
+        # added onto +0, as a dense product accumulates: signed zeros agree
+        out[self.perm, np.arange(size)] += self.coeff
         return out
 
 
@@ -264,23 +266,17 @@ class TruncatedFock:
         rest = words - pair * low
         return _Monomial(rest + flip.perm[pair] * low, flip.coeff[pair])
 
-    def braid_defect(self, i: int, n: int) -> np.ndarray:
-        """T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} on level n, in floats.
-
-        The flips and the triple products are composed as index maps, so
-        each entry is the same product of three flip entries that a dense
-        product of the Kronecker-assembled flips computes.  A dense product
-        accumulates onto +0, and the left product is added onto +0 here, so
-        signed zeros agree with it too; both products land in one matrix.
-        """
+    def braid_defect(self, i: int, n: int) -> float:
+        """Largest entry of T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} on level n,
+        in floats.  Both products are composed as index maps, each entry the
+        product of three flip entries that a dense product computes, and the
+        defect is read column by column: where both send the column to one
+        row their entries subtract, elsewhere each stands alone."""
         ti, tj = self._amplified_flip(i, n), self._amplified_flip(i + 1, n)
         lhs, rhs = ti.after(tj).after(ti), tj.after(ti).after(tj)
-        cols = np.arange(self.dim**n)
-        out = np.zeros((cols.size, cols.size), dtype=complex)
-        # one entry per column in each product: no index repeats
-        out[lhs.perm, cols] += lhs.coeff
-        out[rhs.perm, cols] -= rhs.coeff
-        return out
+        apart = np.maximum(np.abs(lhs.coeff), np.abs(rhs.coeff))
+        gap = np.where(lhs.perm == rhs.perm, np.abs(lhs.coeff - rhs.coeff), apart)
+        return float(gap.max())
 
     def _assemble_p(self, n: int) -> np.ndarray:
         out = self._zeros((self.dim**n, self.dim**n))

@@ -61,7 +61,7 @@ class DeformationMatrix:
         if not np.array_equal(mat, mat.T):
             violations.append("deformation matrix must be symmetric")
         peak = max_abs(mat)
-        if peak >= 1:
+        if not peak < 1:
             violations.append("deformation entries must satisfy |q| < 1")
         if split_scale is None:
             one = Fraction(1) if exact else 1.0

@@ -10,7 +10,8 @@ rather than assumed.  Where a tensor power only acts on something (J on a
 level matrix, the flow on a word argument, conjugation of a level block by
 the group on its rows and, through the transpose, its columns) it is
 applied leg by leg with ``linalg.legwise``; the dense powers stay as the
-matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return.
+matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return.  Leg
+reversal is a gather by ``reversed_index``, never the matrix ``reversal``.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -33,12 +34,11 @@ picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CutoffError
-from .linalg import kron_power, legwise, max_abs, to_float
+from .linalg import identity_matrix, kron_power, legwise, max_abs, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -55,7 +55,8 @@ class ModularData:
     Every method returns a matrix acting on one level's coordinates, except
     ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
     on the whole truncated space, ``conjugate_block``, which maps one level
-    block to another, and ``flow_residual``, which returns a number.
+    block to another, ``reversed_index``, which returns an index map, and
+    ``flow_residual``, which returns a number.
     """
 
     fock: object
@@ -64,20 +65,18 @@ class ModularData:
         if not 0 <= n <= self.fock.n_max:
             raise CutoffError(f"level {n} outside cutoff {self.fock.n_max}")
 
-    def _reversed_index(self, n: int) -> np.ndarray:
+    def reversed_index(self, n: int) -> np.ndarray:
         """Index of the reversal of every level-n word: the digit at
         position k moves to position n - 1 - k."""
+        self._guard(n)
         return (self.fock.dim ** np.arange(n)).dot(self.fock._digits(n))
 
     def reversal(self, n: int) -> np.ndarray:
-        """Permutation matrix sending each basis word to its reversal."""
+        """Permutation matrix sending each basis word to its reversal: the
+        identity's rows gathered by ``reversed_index``, an involution."""
         self._guard(n)
-        fock = self.fock
-        size = fock.level_dim(n)
-        out = fock._zeros((size, size))
-        one = Fraction(1) if fock.exact else 1.0
-        out[self._reversed_index(n), np.arange(size)] = one
-        return out
+        eye = identity_matrix(self.fock.level_dim(n), self.fock.exact)
+        return eye[self.reversed_index(n)]
 
     def delta_power(self, z, n: int) -> np.ndarray:
         """Level-n matrix of the z-th power of the modular operator.
@@ -92,7 +91,7 @@ class ModularData:
         """Closing map on a level-n coordinate vector: conjugate the
         coordinates, then reverse the legs.  On real simple tensors this is
         a pure reversal of the factors."""
-        return self.reversal(n).dot(np.conj(np.asarray(v)))
+        return np.conj(np.asarray(v))[self.reversed_index(n)]
 
     def j_matrix(self, n: int) -> np.ndarray:
         """Linear part of the modular conjugation: reversal composed with
@@ -101,22 +100,21 @@ class ModularData:
         half = kron_power(self.fock.setup.a_power(-0.5), n)
         # the reversal permutes rows; it is an involution, so row w of the
         # product is row reverse(w) of half
-        return half[self._reversed_index(n)]
+        return half[self.reversed_index(n)]
 
     def j_apply(self, v, n: int) -> np.ndarray:
         """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
         matrix), leg by leg, then the rows reversed."""
         self._guard(n)
         half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
-        return half[self._reversed_index(n)]
+        return half[self.reversed_index(n)]
 
     def s_full_apply(self, v) -> np.ndarray:
+        """``s_apply`` on every level of a full-space vector, as one gather."""
         fock = self.fock
-        out = fock._zeros(fock.total_dim)
-        for n in range(fock.n_max + 1):
-            sl = fock.level_slice(n)
-            out[sl] = self.s_apply(np.asarray(v)[sl], n)
-        return out
+        levels = range(fock.n_max + 1)
+        rev = np.concatenate([fock.level_offset(n) + self.reversed_index(n) for n in levels])
+        return np.conj(np.asarray(v))[rev]
 
     def unitary_level(self, t: float, n: int) -> np.ndarray:
         """Level-n quantized group element: the group acts on every leg."""

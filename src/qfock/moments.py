@@ -29,7 +29,7 @@ from .combinatorics import g_coefficient, pair_partitions
 from .errors import BuildError, CutoffError, InvariantError
 from .limits import MAX_COMBINATORIAL_LENGTH
 from .linalg import to_float
-from .wick import leg_label, wick_operator
+from .wick import field, leg_label
 
 __all__ = [
     "MAX_COMBINATORIAL_LENGTH",
@@ -128,8 +128,8 @@ def moment_matrix(spec: MomentSpec, fock):
         )
     vacuum = fock.vacuum()
     vec = vacuum
-    for v, label in zip(spec.vectors[::-1], spec.labels[::-1]):
-        vec = wick_operator(fock, [v], (label,)).apply(vec)
+    for v in spec.vectors[::-1]:
+        vec = field(fock, v).apply(vec)
     return fock.full_inner(vacuum, vec)
 
 

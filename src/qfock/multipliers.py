@@ -44,6 +44,7 @@ __all__ = [
     "amplified_norm_estimate",
     "amplified_norm_scan",
     "check_quantizable",
+    "check_stack_budget",
     "net_element",
     "net_majorant",
     "net_pointwise_defect",
@@ -287,7 +288,7 @@ def tail_series(beyond: int, t: float) -> float:
     the summation stops when the geometric majorant of the remainder drops
     below 1e-15.
     """
-    if t <= 0:
+    if not t > 0:
         raise BuildError(f"tail series needs t > 0, got {t}")
     x = math.exp(-t)
     total = 0.0
@@ -314,6 +315,17 @@ def net_majorant(beyond: int, t: float, constant: float = 1.0) -> float:
 # -- amplified norm estimation -----------------------------------------------
 
 
+def check_stack_budget(fock) -> None:
+    """Refuse a space whose realization stack (16 D^3 bytes) is over budget."""
+    d = fock.total_dim
+    if 16 * d**3 > STACK_BUDGET_BYTES:
+        raise BuildError(
+            f"amplified-norm scan needs a realization stack of 16*{d}^3 = "
+            f"{16 * d**3} bytes, over the budget of {STACK_BUDGET_BYTES} "
+            "bytes; lower the cutoff or the dimension"
+        )
+
+
 def _whitened_stack(fock) -> np.ndarray:
     """Basis-word operators in an orthonormal frame of the full Gram form.
 
@@ -326,13 +338,8 @@ def _whitened_stack(fock) -> np.ndarray:
     hit = fock.__dict__.get("_whitened_stack")
     if hit is not None:
         return hit
+    check_stack_budget(fock)
     d = fock.total_dim
-    if 16 * d**3 > STACK_BUDGET_BYTES:
-        raise BuildError(
-            f"amplified-norm scan needs a realization stack of 16*{d}^3 = "
-            f"{16 * d**3} bytes, over the budget of {STACK_BUDGET_BYTES} "
-            "bytes; lower the cutoff or the dimension"
-        )
     lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
     left = lower.conj().T
     right = np.linalg.solve(lower, np.eye(d)).conj().T

@@ -315,24 +315,13 @@ def span_operator(fock, coords) -> np.ndarray:
 
 
 def field(fock, xi) -> WickWord:
-    """Self-adjoint field operator l(xi) + l*(xi) of a real vector."""
+    """Self-adjoint field operator l(xi) + l*(xi) of a real vector: the
+    one-leg splitting formula.  Both of its splitting weights are 1, so the
+    leg's block label is never read and xi may span blocks."""
     xi = np.asarray(xi)
     if np.any(np.imag(to_float(np.atleast_1d(xi))) != 0):
         raise BuildError("field operators take real vectors")
-    blocks = []  # (row level, column level, ladder block)
-    for m in range(fock.n_max + 1):
-        if m < fock.n_max:
-            blocks.append((m + 1, m, fock.creation(xi, m)))
-        if m >= 1:
-            blocks.append((m - 1, m, fock.annihilation(xi, m)))
-    index, values = [], []
-    for r, c, block in blocks:
-        rows, cols = np.nonzero(block)
-        index.append((rows + fock.level_offset(r)) * fock.total_dim + cols + fock.level_offset(c))
-        values.append(block[rows, cols])
-    arg = fock._zeros(fock.dim)
-    arg[:] = xi
-    return WickWord(fock, 1, arg, None, (np.concatenate(index), np.concatenate(values)))
+    return wick_operator(fock, [xi], (None,))
 
 
 def wick_recursion_residual(fock, first, rest, labels=None) -> float:

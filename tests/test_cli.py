@@ -92,6 +92,12 @@ def test_oversized_multipliers_run_fails_the_stack_budget(tmp_path, capsys):
     assert err.startswith("precondition failure:")
     assert "16*1555^3 = 60160462000 bytes, over the budget" in err
     assert not (out_dir / "multipliers.csv").exists()
+    # run all checks the budget before its first experiment writes a report
+    assert main(["run", "all", "--config", path, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:")
+    assert "16*1555^3 = 60160462000 bytes, over the budget" in err
+    assert list(out_dir.glob("*.csv")) == []
 
 
 def test_validate_rejects_a_moment_word_labels_key(tmp_path, capsys):
@@ -522,9 +528,7 @@ def test_braid_defect_beyond_tolerance_exits_with_replay_data(tmp_path, capsys, 
     exact = TruncatedFock.braid_defect
 
     def broken(self, i, n):
-        out = exact(self, i, n)
-        out[0, 0] += 1e-12
-        return out
+        return exact(self, i, n) + 1e-12
 
     monkeypatch.setattr(TruncatedFock, "braid_defect", broken)
     path = write_config(tmp_path, MIXED)

@@ -97,8 +97,11 @@ def test_braid_defect_matches_the_dense_triple_products(space, request):
         for i in range(n - 2):
             ti = to_float(fock.t_amplified(i, n))
             tj = to_float(fock.t_amplified(i + 1, n))
-            dense = ti.dot(tj).dot(ti) - tj.dot(ti).dot(tj)
-            assert fock.braid_defect(i, n).tobytes() == dense.tobytes()
+            lhs, rhs = ti.dot(tj).dot(ti), tj.dot(ti).dot(tj)
+            mi, mj = fock._amplified_flip(i, n), fock._amplified_flip(i + 1, n)
+            assert mi.after(mj).after(mi).matrix(False).tobytes() == lhs.tobytes()
+            assert mj.after(mi).after(mj).matrix(False).tobytes() == rhs.tobytes()
+            assert fock.braid_defect(i, n) == max_abs(lhs - rhs)
 
 
 def test_monomial_reading_refuses_a_column_with_two_nonzeros():

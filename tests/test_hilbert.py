@@ -54,6 +54,11 @@ def test_entry_magnitude_rejected():
         DeformationMatrix.build([[1.0]])
 
 
+def test_nan_entry_fails_the_magnitude_gate():
+    with pytest.raises(BuildError, match="\\|q\\| < 1"):
+        DeformationMatrix.build([[float("nan")]])
+
+
 def test_bad_blocks_rejected():
     with pytest.raises(BuildError, match="out of range"):
         build_space(Q_MIXED, [("fixed", 2)])

@@ -378,6 +378,8 @@ def test_tail_series_monotone_and_small():
     assert tail_series(3, 4.0) < 1e-3
     with pytest.raises(BuildError):
         tail_series(2, 0.0)
+    with pytest.raises(BuildError):
+        tail_series(2, float("nan"))
     assert net_majorant(3, 4.0) == pytest.approx(1.0 + tail_series(3, 4.0))
     assert net_majorant(3, 4.0, constant=5.0) == pytest.approx(
         1.0 + 5.0 * tail_series(3, 4.0)

@@ -1,7 +1,9 @@
-"""Package surface: every exported name resolves and every shipped config validates."""
+"""Package surface: every exported name resolves, every shipped config
+validates and every demo script runs."""
 
 import importlib
 import pkgutil
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,9 @@ import pytest
 import qfock
 from qfock.cli import main
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # every module that declares what it exports
 EXPORTING = [
     name
@@ -33,3 +37,9 @@ def test_the_shipped_configs_are_found():
 def test_every_shipped_config_validates(path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.startswith("valid")
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_every_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
