@@ -337,6 +337,8 @@ def _do_run(args, blas_threads) -> int:
     config = load_config(args.config)
     if not args.tolerance_scale > 0:
         raise ConfigError(f"tolerance scale must be positive, got {args.tolerance_scale}")
+    if not np.isfinite(args.tolerance_scale):  # an infinite scale lifts every gate
+        raise ConfigError(f"tolerance scale must be finite, got {args.tolerance_scale}")
     data = dict(config.data)
     if args.seed is not None:
         if args.seed < 0:

@@ -10,10 +10,12 @@ G_U applied to P(n) leg by leg (``linalg.legwise``), not as a dense power.
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
-and P(n) assembly costs one vector pass per permutation.  The braid check
-composes the amplified flips I^(i) (x) T (x) I^(n-i-2) the same way, read
-off the monomial of T, and reads its defect off the two composed index
-maps as a number; their Kronecker assembly is the tests' oracle.
+and P(n) assembly costs one vector pass per permutation.  Every index map
+of a permutation of word positions comes from ``permuted_words``.  The
+braid check composes the same flips T_i that P(n) is built from, so it
+gates the build itself, and reads its defect off the two composed index
+maps as a number, exactly in exact mode; the Kronecker assembly
+I^(i) (x) T (x) I^(n-i-2) of T_i is the tests' oracle.
 
 Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
 too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
@@ -70,16 +72,6 @@ class _Monomial:
 
     perm: np.ndarray
     coeff: np.ndarray
-
-    @classmethod
-    def of(cls, m: np.ndarray) -> "_Monomial":
-        """Read (row, value) per column off a matrix with at most one
-        nonzero per column."""
-        rows = np.abs(m).argmax(axis=0)
-        values = m[rows, np.arange(m.shape[1])]
-        if np.count_nonzero(m) != np.count_nonzero(values):
-            raise ValueError("a column holds more than one nonzero entry")
-        return cls(rows, values)
 
     def after(self, other: "_Monomial") -> "_Monomial":
         """Composition self o other (other acts first)."""
@@ -195,6 +187,12 @@ class TruncatedFock:
         strides = self.dim ** np.arange(n - 1, -1, -1)
         return np.arange(self.dim**n) // strides[:, None] % self.dim
 
+    def permuted_words(self, n: int, order) -> np.ndarray:
+        """Index map of a position permutation on level n: for every word,
+        the index of the word whose position p holds the letter at
+        position ``order[p]``."""
+        return (self.dim ** np.arange(n - 1, -1, -1)).dot(self._digits(n)[list(order)])
+
     def _zeros(self, shape) -> np.ndarray:
         if self.exact:
             return np.full(shape, Fraction(0), dtype=object)
@@ -210,13 +208,11 @@ class TruncatedFock:
 
     def _flip(self, n: int, i: int) -> _Monomial:
         """T_i on level n: swap legs i, i+1 with the deformation weight."""
-        digits = self._digits(n)
-        left, right = digits[i], digits[i + 1]
-        stride = self.dim ** (n - 1 - i)
-        shift = (right - left) * stride - (right - left) * (stride // self.dim)
-        labels = self._block_arr
-        coeff = self.setup.deformation.entries[labels[left], labels[right]]
-        return _Monomial(np.arange(self.dim**n) + shift, np.array(coeff))
+        order = list(range(n))
+        order[i], order[i + 1] = i + 1, i
+        labels = self._block_arr[self._digits(n)[i : i + 2]]
+        coeff = self.setup.deformation.entries[labels[0], labels[1]]
+        return _Monomial(self.permuted_words(n, order), coeff)
 
     def _identity_monomial(self, n: int) -> _Monomial:
         size = self.dim**n
@@ -241,38 +237,32 @@ class TruncatedFock:
 
     def pi_of(self, perm, n: int) -> np.ndarray:
         """Matrix of pi(sigma) on level n."""
-        self._check_level(n)
+        self.check_level(n)
         perm = tuple(perm)
         if len(perm) != n:
             raise BuildError("permutation of %d letters expected" % n)
         return self._pi_tables[n][perm].matrix(self.exact)
 
     def t_amplified(self, i: int, n: int) -> np.ndarray:
-        """T_i on level n by Kronecker assembly (independent of _flip): the
-        dense oracle of ``_amplified_flip``."""
+        """T_i on level n by Kronecker assembly, I^(i) (x) T (x) I^(n-i-2):
+        the dense oracle of ``_flip``."""
         eye = identity_matrix(self.dim, self.exact)
         out = kron_power(eye, i)
         out = np.kron(out, self.t_matrix)
         return np.kron(out, kron_power(eye, n - i - 2))
 
-    def _amplified_flip(self, i: int, n: int) -> _Monomial:
-        """T_i on level n, I^(i) (x) T (x) I^(n-i-2), as an index map: the
-        monomial of ``t_matrix`` acts on the pair of letters at positions
-        i, i+1 of every word (independent of _flip), in floats."""
-        flip = _Monomial.of(to_float(self.t_matrix))
-        pairs, low = self.dim**2, self.dim ** (n - i - 2)
-        words = np.arange(self.dim**n)
-        pair = words // low % pairs
-        rest = words - pair * low
-        return _Monomial(rest + flip.perm[pair] * low, flip.coeff[pair])
-
     def braid_defect(self, i: int, n: int) -> float:
         """Largest entry of T_i T_{i+1} T_i - T_{i+1} T_i T_{i+1} on level n,
-        in floats.  Both products are composed as index maps, each entry the
-        product of three flip entries that a dense product computes, and the
-        defect is read column by column: where both send the column to one
-        row their entries subtract, elsewhere each stands alone."""
-        ti, tj = self._amplified_flip(i, n), self._amplified_flip(i + 1, n)
+        for 0 <= i <= n - 3, composed from the flips ``_flip`` that P(n) is
+        built from: exactly in exact mode, in floats otherwise.  Each entry
+        of a product is the product of three flip entries that a dense
+        product computes, and the defect is read column by column: where
+        both products send the column to one row their entries subtract,
+        elsewhere each stands alone."""
+        self.check_level(n)
+        if not 0 <= i <= n - 3:
+            raise BuildError("no braid position %d on level %d" % (i, n))
+        ti, tj = self._flip(n, i), self._flip(n, i + 1)
         lhs, rhs = ti.after(tj).after(ti), tj.after(ti).after(tj)
         apart = np.maximum(np.abs(lhs.coeff), np.abs(rhs.coeff))
         gap = np.where(lhs.perm == rhs.perm, np.abs(lhs.coeff - rhs.coeff), apart)
@@ -287,10 +277,10 @@ class TruncatedFock:
         return out
 
     def p_matrix(self, n: int) -> np.ndarray:
-        return self.p_matrices[self._check_level(n)]
+        return self.p_matrices[self.check_level(n)]
 
     def gram(self, n: int) -> np.ndarray:
-        return self.gram_levels[self._check_level(n)]
+        return self.gram_levels[self.check_level(n)]
 
     def _level_gram(self, n: int) -> np.ndarray:
         return legwise(self.setup.u_gram, n, self.p_matrices[n])
@@ -298,7 +288,7 @@ class TruncatedFock:
     def min_p_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n), equal to that of the pencil
         (G_n, G_U^(n)); computed once at build, in floats in exact mode."""
-        return self._p_minima[self._check_level(n)]
+        return self._p_minima[self.check_level(n)]
 
     def _orbit_min_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n): one stacked ``eigvalsh`` per size of
@@ -313,7 +303,8 @@ class TruncatedFock:
             smallest = min(smallest, np.linalg.eigvalsh(blocks.real).min())
         return float(smallest)
 
-    def _check_level(self, n: int) -> int:
+    def check_level(self, n: int) -> int:
+        """n itself, if level n lies within the cutoff; else CutoffError."""
         if not 0 <= n <= self.n_max:
             raise CutoffError("no level %d within the cutoff %d" % (n, self.n_max))
         return n
@@ -333,7 +324,7 @@ class TruncatedFock:
 
     def creation(self, xi, n: int) -> np.ndarray:
         """Matrix of prepending xi, level n -> n + 1."""
-        if n >= self.n_max:
+        if self.check_level(n) == self.n_max:
             raise CutoffError(
                 "creation out of level %d would leave the cutoff %d"
                 % (n, self.n_max)
@@ -346,7 +337,7 @@ class TruncatedFock:
         """Deformed removal of one leg, level n -> n - 1: the dense matrix
         of ``annihilation_step`` on every level-n word.  Level 0 maps to the
         empty level: the vacuum is annihilated."""
-        self._check_level(n)
+        self.check_level(n)
         xi = self._check_vector(xi)
         if n == 0:
             return self._zeros((0, 1))
@@ -397,9 +388,7 @@ class TruncatedFock:
         f_{(J^c, J)} applied to the reshuffled word; the coordinate space
         is the same word space of length n + k on both sides.
         """
-        total = n + k
-        if total > self.n_max:
-            raise CutoffError("level %d beyond cutoff %d" % (total, self.n_max))
+        total = self.check_level(n + k)
         out = self._zeros((self.level_dim(total), self.level_dim(total)))
         ent = self.setup.deformation.entries
         for idx in range(self.level_dim(total)):

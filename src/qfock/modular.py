@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError
 from .linalg import identity_matrix, kron_power, legwise, max_abs, to_float
 from .wick import WickWord, from_vector
 
@@ -61,20 +60,15 @@ class ModularData:
 
     fock: object
 
-    def _guard(self, n: int) -> None:
-        if not 0 <= n <= self.fock.n_max:
-            raise CutoffError(f"level {n} outside cutoff {self.fock.n_max}")
-
     def reversed_index(self, n: int) -> np.ndarray:
-        """Index of the reversal of every level-n word: the digit at
-        position k moves to position n - 1 - k."""
-        self._guard(n)
-        return (self.fock.dim ** np.arange(n)).dot(self.fock._digits(n))
+        """Index of the reversal of every level-n word, the position
+        permutation p -> n - 1 - p as ``TruncatedFock.permuted_words``."""
+        return self.fock.permuted_words(self.fock.check_level(n), range(n - 1, -1, -1))
 
     def reversal(self, n: int) -> np.ndarray:
         """Permutation matrix sending each basis word to its reversal: the
         identity's rows gathered by ``reversed_index``, an involution."""
-        self._guard(n)
+        self.fock.check_level(n)
         eye = identity_matrix(self.fock.level_dim(n), self.fock.exact)
         return eye[self.reversed_index(n)]
 
@@ -84,7 +78,7 @@ class ModularData:
         The modular operator acts as the n-fold tensor power of the inverse
         generator, so its z-th power is the tensor power of A^{-z}.
         """
-        self._guard(n)
+        self.fock.check_level(n)
         return kron_power(self.fock.setup.a_power(-z), n)
 
     def s_apply(self, v, n: int) -> np.ndarray:
@@ -96,7 +90,7 @@ class ModularData:
     def j_matrix(self, n: int) -> np.ndarray:
         """Linear part of the modular conjugation: reversal composed with
         the legwise -1/2 power of the generator."""
-        self._guard(n)
+        self.fock.check_level(n)
         half = kron_power(self.fock.setup.a_power(-0.5), n)
         # the reversal permutes rows; it is an involution, so row w of the
         # product is row reverse(w) of half
@@ -105,7 +99,7 @@ class ModularData:
     def j_apply(self, v, n: int) -> np.ndarray:
         """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
         matrix), leg by leg, then the rows reversed."""
-        self._guard(n)
+        self.fock.check_level(n)
         half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
         return half[self.reversed_index(n)]
 
@@ -118,7 +112,7 @@ class ModularData:
 
     def unitary_level(self, t: float, n: int) -> np.ndarray:
         """Level-n quantized group element: the group acts on every leg."""
-        self._guard(n)
+        self.fock.check_level(n)
         return kron_power(self.fock.setup.u_matrix(t), n)
 
     def fock_unitary(self, t: float) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import f_coefficient, index_splittings
-from .errors import BuildError, CutoffError
+from .errors import BuildError
 from .linalg import g_adjoint, max_abs, to_float
 
 __all__ = [
@@ -154,11 +154,7 @@ def _assemble_entries(fock, legs, labels) -> tuple:
     position summing its terms in the order of the formula, and exact zeros
     are dropped.
     """
-    n = len(legs)
-    if n > fock.n_max:
-        raise CutoffError(
-            "argument level %d beyond cutoff %d" % (n, fock.n_max)
-        )
+    n = fock.check_level(len(legs))
     legs = [fock._check_vector(leg) for leg in legs]
     ent = fock.setup.deformation.entries
     size = fock.total_dim
@@ -272,6 +268,7 @@ def from_vector(fock, vec, n: int) -> WickWord:
     a word-by-word sum of dense matrices.
     """
     vec = np.asarray(vec)
+    fock.check_level(n)
     if vec.shape != (fock.level_dim(n),):
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
     index, values = [], []
@@ -334,8 +331,7 @@ def wick_recursion_residual(fock, first, rest, labels=None) -> float:
     first = np.asarray(first)
     rest = [np.asarray(r) for r in rest]
     l = len(rest)
-    if l + 1 > fock.n_max:
-        raise CutoffError("recursion needs level %d inside the cutoff" % (l + 1))
+    fock.check_level(l + 1)
     if labels is None:
         labels = tuple(leg_label(fock.setup, leg) for leg in [first] + rest)
     head_label, rest_labels = labels[0], tuple(labels[1:])

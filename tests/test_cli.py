@@ -120,6 +120,18 @@ def test_nonpositive_tolerance_scale_exits_with_code_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("scale", ["inf", "1e400"])
+def test_infinite_tolerance_scale_exits_with_code_one(tmp_path, capsys, scale):
+    path = write_config(tmp_path, MINIMAL)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", "fock", "--config", path, "--out", str(out_dir), "--tolerance-scale", scale]
+    )
+    assert code == 1
+    assert "tolerance scale must be finite, got inf" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_yaml_parse_errors_exit_with_code_one(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("space:\n  q: [[0.3]\n")
@@ -542,6 +554,29 @@ def test_braid_defect_beyond_tolerance_exits_with_replay_data(tmp_path, capsys, 
     assert replay["residual"] == pytest.approx(1e-12)
     assert replay["tolerance"] == 1e-13
     assert not (tmp_path / "out" / "fock.csv").exists()
+
+
+def test_braid_gate_checks_the_flips_the_build_uses(tmp_path, capsys, monkeypatch):
+    from qfock.fock import TruncatedFock
+
+    exact = TruncatedFock._flip
+
+    def broken(self, n, i):
+        flip = exact(self, n, i)
+        if n >= 3 and i == 1:
+            return type(flip)(flip.perm, flip.coeff * 0.5)
+        return flip
+
+    monkeypatch.setattr(TruncatedFock, "_flip", broken)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full_run.yaml")
+    code = main(["run", "fock", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: braid relation" in err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    assert (replay["level"], replay["i"]) == (3, 0)
+    assert replay["residual"] == pytest.approx(0.0416, abs=1e-4)
 
 
 def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys):

@@ -17,9 +17,11 @@ import pytest
 
 from qfock.combinatorics import all_reduced_words, reduced_word
 from qfock.errors import BuildError, CutoffError
-from qfock.fock import POSITIVITY_FLOOR, TruncatedFock, _Monomial
+from qfock.fock import POSITIVITY_FLOOR, TruncatedFock
 from qfock.hilbert import build_space
 from qfock.linalg import block_diag, kron_power, max_abs, min_gen_eig, op_norm, to_float
+from qfock.modular import ModularData
+from qfock.wick import from_vector, wick_operator, wick_recursion_residual
 
 from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, random_complex
 
@@ -98,18 +100,10 @@ def test_braid_defect_matches_the_dense_triple_products(space, request):
             ti = to_float(fock.t_amplified(i, n))
             tj = to_float(fock.t_amplified(i + 1, n))
             lhs, rhs = ti.dot(tj).dot(ti), tj.dot(ti).dot(tj)
-            mi, mj = fock._amplified_flip(i, n), fock._amplified_flip(i + 1, n)
+            mi, mj = fock._flip(n, i), fock._flip(n, i + 1)
             assert mi.after(mj).after(mi).matrix(False).tobytes() == lhs.tobytes()
             assert mj.after(mi).after(mj).matrix(False).tobytes() == rhs.tobytes()
             assert fock.braid_defect(i, n) == max_abs(lhs - rhs)
-
-
-def test_monomial_reading_refuses_a_column_with_two_nonzeros():
-    flip = np.array([[0.0, 0.5], [0.5, 0.0]])
-    read = _Monomial.of(flip)
-    assert read.perm.tolist() == [1, 0] and read.coeff.tolist() == [0.5, 0.5]
-    with pytest.raises(ValueError):
-        _Monomial.of(flip + np.eye(2))
 
 
 def test_braid_relation_exact(fock_exact):
@@ -118,6 +112,20 @@ def test_braid_relation_exact(fock_exact):
     lhs = t01.dot(t12).dot(t01)
     rhs = t12.dot(t01).dot(t12)
     assert np.array_equal(lhs, rhs)
+
+
+def test_exact_braid_defect_is_computed_in_fractions():
+    q = [[Fraction(1, 3), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(1, 2)]]
+    setup = build_space(q, [("fixed", 0), ("fixed", 1), ("fixed", 0)], exact=True)
+    fock = TruncatedFock(setup, 4)
+    for i, n in [(0, 3), (0, 4), (1, 4)]:
+        assert fock.braid_defect(i, n) == 0
+
+
+def test_braid_positions_outside_the_level_raise(fock_mixed):
+    for i, n in [(-1, 3), (1, 3), (0, 2)]:
+        with pytest.raises(BuildError, match="no braid position %d on level %d" % (i, n)):
+            fock_mixed.braid_defect(i, n)
 
 
 # -- pi and the symmetrizers ----------------------------------------------------
@@ -602,11 +610,27 @@ def test_build_validation():
 
 @pytest.mark.parametrize("n", [-1, 4])
 def test_levels_outside_the_truncation_raise(fock_mixed, n):
-    for read in (fock_mixed.p_matrix, fock_mixed.gram, fock_mixed.min_p_eigenvalue):
+    fock, modular = fock_mixed, ModularData(fock_mixed)
+    words = fock.dim ** max(n, 0)
+    reads = [
+        fock.p_matrix,
+        fock.gram,
+        fock.min_p_eigenvalue,
+        lambda n: fock.pi_of(range(max(n, 0)), n),
+        lambda n: fock.braid_defect(0, n),
+        lambda n: fock.r_star(n, 0),
+        lambda n: from_vector(fock, np.zeros(words), n),
+        lambda n: from_vector(fock, np.ones(words), n),
+        lambda n: modular.delta_power(1.0, n),
+        modular.reversed_index,
+    ]
+    if n > 0:
+        legs = [fock.setup.basis_vector(0)] * n
+        reads.append(lambda n: wick_operator(fock, legs))
+        reads.append(lambda n: wick_recursion_residual(fock, legs[0], legs[1:]))
+    for read in reads:
         with pytest.raises(CutoffError, match="no level %d" % n):
             read(n)
-    with pytest.raises(CutoffError, match="no level %d" % n):
-        fock_mixed.pi_of(range(max(n, 0)), n)
 
 
 def test_level_bound_errors(fock_mixed):
@@ -616,6 +640,10 @@ def test_level_bound_errors(fock_mixed):
         fock_mixed.r_star(2, 2)
     with pytest.raises(CutoffError):
         fock_mixed.annihilation(fock_mixed.setup.basis_vector(0), 4)
+    with pytest.raises(CutoffError, match="creation out of level 3"):
+        fock_mixed.creation(fock_mixed.setup.basis_vector(0), 3)
+    with pytest.raises(CutoffError, match="no level -1"):
+        fock_mixed.creation(fock_mixed.setup.basis_vector(0), -1)
 
 
 def test_block_diag_places_blocks_like_scipy():
@@ -649,7 +677,4 @@ def test_index_map_flips_match_the_kronecker_assembled_flips(space, request):
     fock = TruncatedFock(request.getfixturevalue(space), 4)
     for n in range(2, fock.n_max + 1):
         for i in range(n - 1):
-            fast = fock._amplified_flip(i, n)
-            dense = _Monomial.of(to_float(fock.t_amplified(i, n)))
-            assert np.array_equal(fast.perm, dense.perm)
-            assert np.array_equal(fast.coeff, dense.coeff)
+            assert np.array_equal(fock._flip(n, i).matrix(fock.exact), fock.t_amplified(i, n))
