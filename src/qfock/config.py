@@ -30,6 +30,7 @@ from .limits import (
     MAX_DIM,
     MAX_LEVEL,
     MAX_LEVEL_DIM,
+    MAX_REPEATS,
     MAX_UM_LENGTH,
 )
 
@@ -160,14 +161,12 @@ def _section(raw, field, keys, violations, optional=False):
     return raw
 
 
-def _int_field(raw, field, key, default, violations, high=None):
-    """Integer ``raw[key]`` in [1, high] (no upper end without ``high``),
-    ``default`` when absent or reported."""
+def _int_field(raw, field, key, default, violations, high):
+    """Integer ``raw[key]`` in [1, high], ``default`` when absent or reported."""
     value = raw.get(key, default)
-    if _is_int(value) and 1 <= value and (high is None or value <= high):
+    if _is_int(value) and 1 <= value <= high:
         return int(value)
-    need = "a positive integer" if high is None else f"an integer in [1, {high}]"
-    violations.append(f"{field}.{key}: need {need}")
+    violations.append(f"{field}.{key}: need an integer in [1, {high}]")
     return default
 
 
@@ -338,7 +337,7 @@ def _normalize_modular(raw, violations):
         violations.append(f"{field}.times: need a nonempty list of real times")
     else:
         out["times"] = [float(t) for t in times]
-    out["pairs"] = _int_field(raw, field, "pairs", out["pairs"], violations)
+    out["pairs"] = _int_field(raw, field, "pairs", out["pairs"], violations, MAX_REPEATS)
     return out
 
 
@@ -348,7 +347,7 @@ def _normalize_multipliers(raw, n_max, violations):
     raw = _section(raw, field, out, violations, optional=True)
     if raw is None:
         return out
-    highs = {"steps": None, "amplification": MAX_AMPLIFICATION, "word_level": n_max}
+    highs = {"steps": MAX_REPEATS, "amplification": MAX_AMPLIFICATION, "word_level": n_max}
     for key, high in highs.items():
         out[key] = _int_field(raw, field, key, out[key], violations, high)
     return out

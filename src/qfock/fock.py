@@ -156,7 +156,7 @@ class TruncatedFock:
         return sum(self.dim**m for m in range(n))
 
     def level_slice(self, n: int) -> slice:
-        off = self.level_offset(n)
+        off = self.level_offset(self.check_level(n))
         return slice(off, off + self.level_dim(n))
 
     def level_diag(self, block) -> np.ndarray:

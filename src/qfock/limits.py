@@ -18,3 +18,5 @@ MAX_AUX_DIM = 10  # ultra: auxiliary dimension of the averaged-moment enumeratio
 MAX_UM_LENGTH = 6  # ultra: word length of the averaged-moment enumeration
 # ultra: auxiliary dimensions m, (low, high) both included, of the remainder model
 REMAINDER_AUX_DIMS = (2, 8)
+# config: modular pairs and multiplier net steps, the experiments' repeat counts
+MAX_REPEATS = 1000

@@ -42,12 +42,12 @@ __all__ = [
 ]
 
 
-def validate_word(setup, vectors, labels, cap: int, cap_name: str, violations=()):
-    """Vectors and labels of a word of real single-block vectors.
+def validate_word(setup, vectors, cap: int, cap_name: str, violations=()):
+    """Vectors and block labels of a word of real single-block vectors.
 
     Collects shape, realness and length-cap violations after any already
-    found by the caller and raises them together as one BuildError; labels
-    default to the block of each vector's support.
+    found by the caller and raises them together as one BuildError; each
+    label is the block of its vector's support.
     """
     violations = list(violations)
     vecs = []
@@ -63,13 +63,7 @@ def validate_word(setup, vectors, labels, cap: int, cap_name: str, violations=()
         violations.append(f"word length {len(vecs)} beyond the {cap_name} cap {cap}")
     if violations:
         raise BuildError(violations)
-    if labels is None:
-        labels = tuple(leg_label(setup, v) for v in vecs)
-    else:
-        labels = tuple(labels)
-        if len(labels) != len(vecs):
-            raise BuildError("label word and vector word differ in length")
-    return tuple(vecs), labels
+    return tuple(vecs), tuple(leg_label(setup, v) for v in vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +74,8 @@ class MomentSpec:
     labels: tuple
 
     @classmethod
-    def build(cls, setup, vectors, labels=None) -> "MomentSpec":
-        return cls(
-            *validate_word(setup, vectors, labels, MAX_COMBINATORIAL_LENGTH, "pairing")
-        )
+    def build(cls, setup, vectors) -> "MomentSpec":
+        return cls(*validate_word(setup, vectors, MAX_COMBINATORIAL_LENGTH, "pairing"))
 
     @property
     def l(self) -> int:

@@ -62,17 +62,18 @@ class UmSpec:
 
     ``q_tilde`` is either a scalar (uniform shape on every auxiliary
     index) or a square matrix of actual entries, read as zero outside its
-    size.  ``q`` is the uniform scale of the second factor.
+    size.  ``q`` is the uniform scale of the second factor.  Each vector
+    must lie in one block, as in a moment word (``validate_word``); the
+    evaluators read only the vectors' inner products, never their labels.
     """
 
     m: int
     vectors: tuple
-    labels: tuple
     q: object
     q_tilde: object
 
     @classmethod
-    def build(cls, setup, m, vectors, q, q_tilde, labels=None) -> "UmSpec":
+    def build(cls, setup, m, vectors, q, q_tilde) -> "UmSpec":
         violations = []
         if not (isinstance(m, (int, np.integer)) and m >= 1):
             violations.append(f"auxiliary dimension must be a positive integer, got {m!r}")
@@ -95,10 +96,8 @@ class UmSpec:
                 violations.append("shape deformation entries must have modulus < 1")
             else:
                 q_tilde = arr
-        vecs, labels = validate_word(
-            setup, vectors, labels, MAX_UM_LENGTH, "averaged-moment", violations
-        )
-        return cls(int(m), vecs, labels, q, q_tilde)
+        vecs, _ = validate_word(setup, vectors, MAX_UM_LENGTH, "averaged-moment", violations)
+        return cls(int(m), vecs, q, q_tilde)
 
     @property
     def l(self) -> int:
@@ -283,7 +282,7 @@ def fitted_slope(aux_dims, errors, floor: float = 1e-15):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def convergence_experiment(setup, vectors, q, q_tilde, m_list, labels=None) -> ConvergenceReport:
+def convergence_experiment(setup, vectors, q, q_tilde, m_list) -> ConvergenceReport:
     """Evaluate the averaged-word moment along increasing auxiliary
     dimensions and compare with the limit moment under q * q_tilde."""
     m_list = [int(m) for m in m_list]
@@ -293,9 +292,9 @@ def convergence_experiment(setup, vectors, q, q_tilde, m_list, labels=None) -> C
         raise BuildError(f"auxiliary dimensions must increase: {m_list}")
     values = []
     for m in m_list:
-        spec = UmSpec.build(setup, m, vectors, q, q_tilde, labels)
+        spec = UmSpec.build(setup, m, vectors, q, q_tilde)
         values.append(um_moment_enumerate(spec, setup))
-    word = MomentSpec.build(setup, vectors, labels)
+    word = MomentSpec.build(setup, vectors)
     target = moment_pairings(word, effective_deformation(setup, q, q_tilde), setup)
     return ConvergenceReport(tuple(m_list), tuple(values), target)
 

@@ -14,17 +14,22 @@ are compressions to the truncated space: a summand whose image would leave
 the cutoff is dropped, so identities are only asserted on source levels
 whose compositions stay inside.
 
-The formula is evaluated directly on (row, column, value) entries, never
-on dense level blocks: each source level starts from its identity entries,
-annihilation legs map row words through the fock layer's annihilation
-step, creation legs prepend letters, and the terms of all splittings are
-summed once, position by position, in the order of the formula.  A basis
-word touches at most a few thousand of the D^2 entries, and basis-word
-operators are cached per space as exactly those (a read-only flat index
-array into the D x D operator and a value array).  Arbitrary arguments
-are realized as linear combinations of cached basis words: the scaled
-entries are merged, in word order, into one entry list; that path is the
-single canonical realization.
+The formula is evaluated for basis words e_w only, directly on (row,
+column, value) entries, never on dense level blocks: each source level
+starts from its identity entries, annihilation legs map row words through
+the fock layer's annihilation step, creation legs prepend their letters,
+and the terms of all splittings are summed once, position by position, in
+the order of the formula.  The weights f read the letters' blocks, which
+are the word's labels.  A basis word touches at most a few thousand of the
+D^2 entries, and basis-word operators are cached per space as exactly
+those (a read-only flat index array into the D x D operator and a value
+array).
+
+``from_vector`` is the one realization of every other argument: W is
+linear in it, so the cached entries of the basis words are scaled by the
+argument's coordinates and merged, in word order, into one entry list.
+Simple tensors (``wick_operator``, whose legs may span blocks) and field
+operators (``field``) are realized from their arguments this way.
 
 A realized ``WickWord`` keeps its operator as such an entry list and acts
 on vectors from it (``WickWord.apply``, a gather and a scatter over the
@@ -72,7 +77,6 @@ class WickWord:
     fock: object
     level: int
     argument: np.ndarray
-    labels: tuple
     entries: tuple
 
     def apply(self, vec) -> np.ndarray:
@@ -118,44 +122,40 @@ class WickWord:
 
     def scaled(self, factor) -> "WickWord":
         index, values = self.entries
-        return WickWord(
-            self.fock,
-            self.level,
-            factor * self.argument,
-            self.labels,
-            (index, factor * values),
-        )
+        return WickWord(self.fock, self.level, factor * self.argument, (index, factor * values))
 
 
 def leg_label(setup, v) -> int:
-    """Block label of a vector supported inside a single block."""
+    """Block label of a vector of a moment or averaged word (or of the
+    recursion's later legs), which must be supported inside one block."""
     v = np.asarray(v)
     support = [i for i in range(setup.dim) if v[i] != 0]
     if not support:
-        raise BuildError("zero tensor leg has no block label")
+        raise BuildError("zero word vector has no block label")
     labels = {setup.block_of[i] for i in support}
     if len(labels) > 1:
         raise BuildError(
-            "tensor leg spans blocks %s; expand the argument into "
-            "single-block legs first" % sorted(labels)
+            "word vector spans blocks %s; each vector of a word must lie in "
+            "one block" % sorted(labels)
         )
     return labels.pop()
 
 
-def _assemble_entries(fock, legs, labels) -> tuple:
-    """Splitting-formula operator for the given legs, as its nonzero entries.
+def _assemble_entries(fock, word) -> tuple:
+    """Splitting-formula operator of the basis word e_word, as its nonzero
+    entries.
 
     Returns (flat index into the row-major D x D operator, values), sorted
     by index.  Each source level m starts from the identity entries of
     level m.  An annihilation leg maps every entry's row word through
-    ``TruncatedFock.annihilation_step``; a creation leg prepends each letter
-    b with xi[b] != 0, moving the row to row + b d^level and scaling the
-    value by xi[b].  The terms of all splittings are combined once, each
-    position summing its terms in the order of the formula, and exact zeros
-    are dropped.
+    ``TruncatedFock.annihilation_step``; a creation leg prepends its letter
+    a, moving the row to row + a d^level.  The terms of all splittings are
+    combined once, each position summing its terms in the order of the
+    formula, and exact zeros are dropped.
     """
-    n = fock.check_level(len(legs))
-    legs = [fock._check_vector(leg) for leg in legs]
+    n = fock.check_level(len(word))
+    legs = [fock.setup.basis_vector(a) for a in word]
+    labels = fock.labels_of(word)
     ent = fock.setup.deformation.entries
     size = fock.total_dim
     index, values = [], []
@@ -171,16 +171,11 @@ def _assemble_entries(fock, legs, labels) -> tuple:
                 vals = fock._zeros(len(cols)) + 1
                 lvl = m
                 for j in reversed(right):
-                    term, rows, weight = fock.annihilation_step(
-                        np.conj(legs[j]), lvl, rows
-                    )
+                    term, rows, weight = fock.annihilation_step(legs[j], lvl, rows)
                     cols, vals = cols[term], vals[term] * weight
                     lvl -= 1
                 for i in reversed(left):
-                    letters = np.flatnonzero(legs[i])
-                    rows = (letters[:, None] * fock.level_dim(lvl) + rows).ravel()
-                    vals = (legs[i][letters][:, None] * vals).ravel()
-                    cols = np.tile(cols, len(letters))
+                    rows = word[i] * fock.level_dim(lvl) + rows
                     lvl += 1
                 index.append(
                     (rows + fock.level_offset(out_level)) * size
@@ -207,23 +202,15 @@ def _tensor_argument(fock, legs) -> np.ndarray:
     arg = fock._zeros(1)
     arg[0] = 1
     for leg in legs:
-        arg = np.kron(arg, np.asarray(leg))
+        arg = np.kron(arg, fock._check_vector(leg))
     return arg
 
 
-def wick_operator(fock, legs, labels=None) -> WickWord:
-    """Wick word of a simple tensor, by the explicit splitting formula.
-
-    ``legs`` is a sequence of single-block vectors; labels are deduced from
-    their supports when not given.
-    """
-    legs = [np.asarray(leg) for leg in legs]
-    if labels is None:
-        labels = tuple(leg_label(fock.setup, leg) for leg in legs)
-    else:
-        labels = tuple(labels)
-    entries = _assemble_entries(fock, legs, labels)
-    return WickWord(fock, len(legs), _tensor_argument(fock, legs), labels, entries)
+def wick_operator(fock, legs) -> WickWord:
+    """Wick word of the simple tensor of ``legs``, realized from its
+    argument by ``from_vector``.  W is linear in its argument, so a leg may
+    span blocks, and a zero leg gives the zero word."""
+    return from_vector(fock, _tensor_argument(fock, legs), len(legs))
 
 
 def _word_entries(fock, word) -> tuple:
@@ -237,8 +224,7 @@ def _word_entries(fock, word) -> tuple:
     hit = cache.get(word)
     if hit is not None:
         return hit
-    legs = [fock.setup.basis_vector(a) for a in word]
-    entry = _assemble_entries(fock, legs, fock.labels_of(word))
+    entry = _assemble_entries(fock, word)
     for arr in entry:
         arr.flags.writeable = False
     cache[word] = entry
@@ -277,11 +263,11 @@ def from_vector(fock, vec, n: int) -> WickWord:
         index.append(where)
         values.append(vec[idx] * entries)
     if not index:
-        return WickWord(fock, n, vec.copy(), None, (np.zeros(0, dtype=int), fock._zeros(0)))
+        return WickWord(fock, n, vec.copy(), (np.zeros(0, dtype=int), fock._zeros(0)))
     where, inverse = np.unique(np.concatenate(index), return_inverse=True)
     summed = fock._zeros(len(where))
     np.add.at(summed, inverse, np.concatenate(values))
-    return WickWord(fock, n, vec.copy(), None, (where, summed))
+    return WickWord(fock, n, vec.copy(), (where, summed))
 
 
 def vacuum_expectation(fock, operator):
@@ -313,33 +299,30 @@ def span_operator(fock, coords) -> np.ndarray:
 
 def field(fock, xi) -> WickWord:
     """Self-adjoint field operator l(xi) + l*(xi) of a real vector: the
-    one-leg splitting formula.  Both of its splitting weights are 1, so the
-    leg's block label is never read and xi may span blocks."""
+    level-1 Wick word of xi, which may span blocks."""
     xi = np.asarray(xi)
     if np.any(np.imag(to_float(np.atleast_1d(xi))) != 0):
         raise BuildError("field operators take real vectors")
-    return wick_operator(fock, [xi], (None,))
+    return from_vector(fock, xi, 1)
 
 
-def wick_recursion_residual(fock, first, rest, labels=None) -> float:
+def wick_recursion_residual(fock, first, rest) -> float:
     """Max-entry residual of the one-step product recursion.
 
     Compares W(first (x) rest) against W(first) W(rest) minus the deformed
     contraction corrections, on all source levels whose compositions stay
-    inside the cutoff (levels up to n_max - len(rest) - 1).
+    inside the cutoff (levels up to n_max - len(rest) - 1).  The
+    corrections weigh the legs of ``rest`` by their blocks, so each of them
+    must lie in a single block.
     """
     first = np.asarray(first)
     rest = [np.asarray(r) for r in rest]
     l = len(rest)
     fock.check_level(l + 1)
-    if labels is None:
-        labels = tuple(leg_label(fock.setup, leg) for leg in [first] + rest)
-    head_label, rest_labels = labels[0], tuple(labels[1:])
+    rest_labels = tuple(leg_label(fock.setup, leg) for leg in rest)
 
-    lhs = wick_operator(fock, [first] + rest, labels).dense()
-    head = wick_operator(fock, [first], (head_label,)).dense()
-    body = wick_operator(fock, rest, rest_labels).dense()
-    rhs = head.dot(body)
+    lhs = wick_operator(fock, [first] + rest).dense()
+    rhs = wick_operator(fock, [first]).dense().dot(wick_operator(fock, rest).dense())
     ent = fock.setup.deformation.entries
     for r in range(l):
         pairing = fock.setup.u_inner(np.conj(first), rest[r])
@@ -348,9 +331,7 @@ def wick_recursion_residual(fock, first, rest, labels=None) -> float:
             weight = weight * ent[rest_labels[r], rest_labels[j]]
         if weight == 0:
             continue
-        dropped = wick_operator(
-            fock, rest[:r] + rest[r + 1 :], rest_labels[:r] + rest_labels[r + 1 :]
-        ).dense()
+        dropped = wick_operator(fock, rest[:r] + rest[r + 1 :]).dense()
         rhs = rhs - weight * dropped
     valid = fock.level_offset(fock.n_max - l)
     return max_abs(to_float(lhs - rhs)[:, :valid])

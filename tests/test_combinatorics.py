@@ -1,5 +1,6 @@
 """Combinatorics layer, checked against independent brute-force oracles."""
 
+import doctest
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfock.combinatorics
 from qfock.combinatorics import (
     PairPartition,
     SetPartition,
@@ -275,3 +277,9 @@ def test_permutations_by_length():
     assert perms[0] == (0, 1, 2, 3)
     lengths = [inversion_count(p) for p in perms]
     assert lengths == sorted(lengths)
+
+
+def test_docstring_examples_run():
+    failed, attempted = doctest.testmod(qfock.combinatorics)
+    assert failed == 0
+    assert attempted == 10

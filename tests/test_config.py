@@ -213,8 +213,12 @@ INVALID_CONFIGS = {
         experiments(modular={"times": ["soon"], "pairs": 0}),
         [
             "experiments.modular.times: need a nonempty list of real times",
-            "experiments.modular.pairs: need a positive integer",
+            "experiments.modular.pairs: need an integer in [1, 1000]",
         ],
+    ),
+    "modular-pairs-beyond-the-cap": (
+        experiments(modular={"pairs": 1001}),
+        ["experiments.modular.pairs: need an integer in [1, 1000]"],
     ),
     "multipliers-not-mapping": (
         experiments(multipliers=5),
@@ -227,15 +231,19 @@ INVALID_CONFIGS = {
     "multipliers-out-of-range": (
         experiments(multipliers={"steps": 0, "amplification": 5, "word_level": 4}),
         [
-            "experiments.multipliers.steps: need a positive integer",
+            "experiments.multipliers.steps: need an integer in [1, 1000]",
             "experiments.multipliers.amplification: need an integer in [1, 4]",
             "experiments.multipliers.word_level: need an integer in [1, 3]",
         ],
     ),
+    "multipliers-steps-beyond-the-cap": (
+        experiments(multipliers={"steps": 10**12}),
+        ["experiments.multipliers.steps: need an integer in [1, 1000]"],
+    ),
     "multipliers-not-integers": (
         experiments(multipliers={"steps": True, "amplification": 0, "word_level": 0}),
         [
-            "experiments.multipliers.steps: need a positive integer",
+            "experiments.multipliers.steps: need an integer in [1, 1000]",
             "experiments.multipliers.amplification: need an integer in [1, 4]",
             "experiments.multipliers.word_level: need an integer in [1, 3]",
         ],

@@ -616,6 +616,9 @@ def test_levels_outside_the_truncation_raise(fock_mixed, n):
         fock.p_matrix,
         fock.gram,
         fock.min_p_eigenvalue,
+        fock.level_slice,
+        lambda n: fock.embed(np.zeros(words), n),
+        lambda n: fock.extract(np.zeros(fock.total_dim), n),
         lambda n: fock.pi_of(range(max(n, 0)), n),
         lambda n: fock.braid_defect(0, n),
         lambda n: fock.r_star(n, 0),

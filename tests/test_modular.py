@@ -268,7 +268,7 @@ def test_kms_residual_matches_the_dense_products(fock4, rng):
     size = (fock4.total_dim, fock4.total_dim)
     scrambled = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     every = (np.arange(scrambled.size), scrambled.ravel())
-    pairs.append((WickWord(fock4, 1, x.argument, None, every), x))
+    pairs.append((WickWord(fock4, 1, x.argument, every), x))
     for x, y in pairs:
         dense = kms_residual_by_dense_products(fock4, x, y)
         assert abs(kms_residual(fock4, x, y) - dense) <= 1e-12

@@ -148,8 +148,8 @@ def test_dual_path_on_random_specs(rng):
 def moment_by_dense_product(spec, fock):
     """Vacuum entry of the full product W_1 ... W_l: the dense oracle."""
     prod = identity_matrix(fock.total_dim, fock.exact)
-    for v, label in zip(spec.vectors, spec.labels):
-        prod = prod.dot(wick_operator(fock, [v], (label,)).dense())
+    for v in spec.vectors:
+        prod = prod.dot(wick_operator(fock, [v]).dense())
     return vacuum_expectation(fock, prod)
 
 
@@ -235,8 +235,6 @@ def test_build_rejects_bad_words(rotation_space):
         MomentSpec.build(setup, [np.eye(3)[0]] * 9)
     with pytest.raises(BuildError, match="spans blocks"):
         MomentSpec.build(setup, [np.array([1.0, 0.0, 1.0])])
-    with pytest.raises(BuildError, match="length"):
-        MomentSpec.build(setup, [np.eye(3)[0]], labels=(0, 1))
 
 
 def test_matrix_path_cutoff_guard(single_block):

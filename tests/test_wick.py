@@ -110,7 +110,6 @@ def test_level_two_expansion(fock_mixed, rng):
     xi2[2] = 1.4 - 0.2j
     q21 = Q_MIXED[1][0]
     word = wick_operator(fock_mixed, [xi1, xi2])
-    assert word.labels == (0, 1)
     c1, c2 = full_creation(fock_mixed, xi1), full_creation(fock_mixed, xi2)
     a1 = full_annihilation(fock_mixed, np.conj(xi1))
     a2 = full_annihilation(fock_mixed, np.conj(xi2))
@@ -119,16 +118,6 @@ def test_level_two_expansion(fock_mixed, rng):
     valid = fock_mixed.level_offset(fock_mixed.n_max - 1)
     diff = to_float(word.dense()) - oracle
     assert max_abs(diff[:, :valid]) < 1e-12
-
-
-def test_explicit_formula_matches_basis_route(fock_mixed, rng):
-    xi1 = np.zeros(3, dtype=complex)
-    xi1[:2] = random_complex(rng, 2)
-    xi2 = np.zeros(3, dtype=complex)
-    xi2[2] = 0.8 + 0.1j
-    direct = wick_operator(fock_mixed, [xi1, xi2])
-    via_basis = from_vector(fock_mixed, np.kron(xi1, xi2), 2)
-    assert max_abs(to_float(direct.dense() - via_basis.dense())) < 1e-12
 
 
 def test_linearity_in_a_leg(fock_mixed, rng):
@@ -146,12 +135,38 @@ def test_linearity_in_a_leg(fock_mixed, rng):
     assert max_abs(to_float(lhs - rhs)) < 1e-11
 
 
-def test_mixed_block_leg_rejected(fock_mixed):
-    bad = np.array([1.0, 0.0, 1.0], dtype=complex)
-    with pytest.raises(BuildError, match="spans blocks"):
-        wick_operator(fock_mixed, [bad])
-    with pytest.raises(BuildError, match="no block label"):
-        wick_operator(fock_mixed, [np.zeros(3, dtype=complex)])
+def test_a_leg_spanning_blocks_is_realized_by_linearity(fock_mixed, rng):
+    u = np.zeros(3, dtype=complex)
+    u[:2] = random_complex(rng, 2)
+    v = np.zeros(3, dtype=complex)
+    v[2] = 0.8 + 0.1j
+    w = random_complex(rng, 3)
+    lhs = wick_operator(fock_mixed, [u + v, w]).dense()
+    rhs = wick_operator(fock_mixed, [u, w]).dense() + wick_operator(fock_mixed, [v, w]).dense()
+    assert max_abs(to_float(lhs - rhs)) <= 1e-15 * max_abs(to_float(lhs))
+    # a zero leg gives the zero word
+    assert not np.any(wick_operator(fock_mixed, [np.zeros(3), w]).dense())
+
+
+def test_fields_and_simple_tensors_realize_through_from_vector(mixed5, rng):
+    # one path, bit for bit: the entries are those of the argument's
+    # basis-word merge
+    fock = TruncatedFock(mixed5, 3)
+
+    def rotation_leg():
+        leg = np.zeros(fock.dim)
+        leg[:2] = rng.standard_normal(2)
+        return leg
+
+    for _ in range(20):
+        xi, u, w = rotation_leg(), rotation_leg(), rotation_leg()
+        pairs = [
+            (field(fock, xi), from_vector(fock, xi, 1)),
+            (wick_operator(fock, [u, w]), from_vector(fock, np.kron(u, w), 2)),
+        ]
+        for word, merged in pairs:
+            for got, want in zip(word.entries, merged.entries):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_argument_level_cutoff(fock_mixed):
@@ -283,6 +298,13 @@ def test_leg_label_helper(fock_mixed):
     assert leg_label(fock_mixed.setup, [0, 0, 3.0]) == 1
 
 
+def test_leg_label_refuses_zero_and_multi_block_vectors(fock_mixed):
+    with pytest.raises(BuildError, match="spans blocks"):
+        leg_label(fock_mixed.setup, [1.0, 0.0, 1.0])
+    with pytest.raises(BuildError, match="no block label"):
+        leg_label(fock_mixed.setup, [0.0, 0.0, 0.0])
+
+
 # -- sparse basis-word cache -------------------------------------------------------------
 
 def dense_assembly(fock, legs, labels):
@@ -380,9 +402,8 @@ def test_simple_tensor_matches_the_dense_assembly(fock_rotation, rng):
         leg = np.zeros(fock_rotation.dim, dtype=complex)
         leg[start : start + 2] = random_complex(rng, 2)
         legs.append(leg)
-    labels = (0, 1, 1)
-    fast = wick_operator(fock_rotation, legs, labels).dense()
-    assert_matches_dense(fast, dense_assembly(fock_rotation, legs, labels), False)
+    fast = wick_operator(fock_rotation, legs).dense()
+    assert_matches_dense(fast, dense_assembly(fock_rotation, legs, (0, 1, 1)), False)
 
 
 def dense_from_vector(fock, vec, n):
