@@ -8,12 +8,14 @@ identities that are exact in the scalars stay exact in the arrays.
 
 The approximation net composes a length cutoff with the quantization of a
 shrunk finite-rank contraction, then normalizes by a computable surrogate
-for the amplified operator norm.  The norm estimator is a seeded random
-search returning a LOWER bound: it realizes matrix-valued combinations of
-Wick words, measures the ratio of realized operator norms before and after
-the map, and keeps the best witness.  Estimates are non-decreasing in the
-amplification size because the previous witness embeds with an unchanged
-ratio.
+for the amplified operator norm.  The norm estimator returns a LOWER bound:
+it realizes matrix-valued combinations of Wick words (witnesses), measures
+the ratio of realized operator norms after and before the map, and climbs
+that ratio by a backtracking ascent along its singular-vector gradient from
+one seed per level.  On a radial symbol the seeds alone meet the trivial
+bound max_n |symbol(n)|.  Estimates are non-decreasing in the amplification
+size because the previous witness embeds with an unchanged ratio and is
+replaced only by a strictly better one.
 
 Realization runs on a stack of all D basis-word operators, whitened by the
 Cholesky factor of the full Gram form and built once per space: a size-s
@@ -55,9 +57,13 @@ __all__ = [
     "tail_series",
 ]
 
-# random starts and refinement trials per amplification size in the scan
-_SCAN_STARTS = 5
-_SCAN_REFINE = 30
+# scan ascent: at most this many steps, each refused after this many
+# halvings, and a step kept only when it gains this much relative
+_ASCENT_STEPS = 20
+_ASCENT_HALVINGS = 6
+_ASCENT_GAIN = 1e-9
+# seeds scoring within this relative distance of the best are ascended
+_SEED_TIE = 1e-12
 
 # -- radial symbols ----------------------------------------------------------
 
@@ -354,24 +360,128 @@ def _whitened_stack(fock) -> np.ndarray:
     return stack
 
 
-def _realized_norm(stack: np.ndarray, witness: np.ndarray) -> float:
-    """Deformed operator norm of the block operator realizing a witness.
+def _realize(stack: np.ndarray, witnesses: np.ndarray) -> np.ndarray:
+    """Block operators realizing a stack of witnesses of shape (..., s, s, D).
 
-    Block (a, b) realizes the span coordinates witness[a, b]; in the
-    whitened frame the norm is the top singular value.
+    Block (a, b) realizes the span coordinates witness[a, b], as one
+    (s^2 x D) by (D x D^2) product per witness.
+    """
+    *batch, size, _, d = witnesses.shape
+    blocks = witnesses.reshape(-1, d).dot(stack.reshape(d, d * d))
+    big = blocks.reshape(*batch, size, size, d, d).swapaxes(-3, -2)
+    return big.reshape(*batch, size * d, size * d)
+
+
+def _realized_norm(stack: np.ndarray, witness: np.ndarray):
+    """Deformed operator norms of the block operators realizing a stack of
+    witnesses, by one stacked SVD: in the whitened frame each norm is the
+    top singular value."""
+    return np.linalg.svd(_realize(stack, witness), compute_uv=False)[..., 0]
+
+
+def _scores(stack, matrix, witnesses) -> np.ndarray:
+    """Ratios ||B(M W)|| / ||B(W)|| of a stack of unit witnesses, by one
+    stacked SVD.  A denominator below 1e-9 scores 0; witnesses have unit
+    Frobenius norm, so the guard does not depend on their scale."""
+    count = len(witnesses)
+    norms = _realized_norm(stack, np.concatenate([witnesses, witnesses.dot(matrix.T)]))
+    below, above = norms[:count], norms[count:]
+    return np.where(below < 1e-9, 0.0, above / np.maximum(below, 1e-9))
+
+
+def _ascent_direction(stack, matrix, witness):
+    """Unit direction of steepest ascent of the score at a witness, or None.
+
+    With (u, v) the top singular pair of B(X), the derivative of ||B(X)||
+    along dX is Re sum dX_abi g_abi with g_abi = u_a^H S_i v_b, S_i the
+    whitened basis words; X = M W pulls g back through M.
     """
     size, _, d = witness.shape
-    blocks = witness.reshape(size * size, d).dot(stack.reshape(d, d * d))
-    big = blocks.reshape(size, size, d, d).transpose(0, 2, 1, 3)
-    return float(np.linalg.norm(big.reshape(size * d, size * d), 2))
+    pair = np.stack([witness, witness.dot(matrix.T)])
+    left, sigma, right = np.linalg.svd(_realize(stack, pair), full_matrices=False)
+    u = left[:, :, 0].reshape(2, size, d).conj()
+    v = right[:, 0, :].reshape(2, size, d).conj()
+    outer = np.einsum("kap,kbq->kabpq", u, v).reshape(2 * size * size, d * d)
+    g = outer.dot(stack.reshape(d, d * d).T).reshape(2, size, size, d)
+    below, above = sigma[:, 0]
+    direction = np.conj(g[1].dot(matrix) - (above / below) * g[0])
+    length = np.linalg.norm(direction)
+    if not length > 0:
+        return None
+    return direction / length
 
 
-def _ratio(stack, matrix, witness) -> float:
-    denominator = _realized_norm(stack, witness)
-    if denominator < 1e-9:
-        return 0.0
-    mapped = np.einsum("ij,abj->abi", matrix, witness)
-    return _realized_norm(stack, mapped) / denominator
+def _ascend(stack, matrix, witness, value):
+    """Backtracking ascent of the score from a unit witness.
+
+    A step must gain more than _ASCENT_GAIN relative.  The step length
+    doubles after a kept step and halves after a refused one; all halvings
+    of one step are scored in one stacked SVD and the longest gaining one is
+    kept.  The witness is renormalized after every step.
+    """
+    step = 0.5
+    for _ in range(_ASCENT_STEPS):
+        direction = _ascent_direction(stack, matrix, witness)
+        if direction is None:
+            break
+        lengths = step * 0.5 ** np.arange(_ASCENT_HALVINGS + 1)
+        trials = witness + lengths[:, None, None, None] * direction
+        trials /= np.sqrt(np.sum(abs(trials) ** 2, axis=(1, 2, 3), keepdims=True))
+        scores = _scores(stack, matrix, trials)
+        gaining = np.flatnonzero(scores > value * (1 + _ASCENT_GAIN))
+        if not len(gaining):
+            break
+        k = gaining[0]
+        witness, value, step = trials[k], float(scores[k]), 2 * lengths[k]
+    return witness, value
+
+
+def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
+    """Estimates of the amplified norms, sizes 1..max, each with its unit
+    witness: a list of (value, witness) pairs.  See amplified_norm_scan."""
+    if not 1 <= max_amplification <= MAX_AMPLIFICATION:
+        raise BuildError(
+            f"amplification size must lie in 1..{MAX_AMPLIFICATION}"
+        )
+    # complex throughout, so every SVD of the scan is LAPACK's complex one
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (fock.total_dim,) * 2:
+        raise BuildError("norm estimation expects a full coordinate matrix")
+    bad = [tuple(int(i) for i in entry) for entry in np.argwhere(~np.isfinite(matrix))]
+    if bad:
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise BuildError(
+            f"norm estimation needs a finite matrix; entries "
+            f"{', '.join(map(str, bad[:5]))}{more} are not finite"
+        )
+    stack = _whitened_stack(fock)
+    d = fock.total_dim
+    seeds = np.zeros((fock.n_max + 1, 1, 1, d), dtype=complex)
+    for n in range(fock.n_max + 1):
+        columns = fock.level_slice(n)
+        top_right = np.linalg.svd(matrix[:, columns], full_matrices=False)[2][0].conj()
+        seeds[n, 0, 0, columns] = top_right
+    scores = _scores(stack, matrix, seeds)
+    value, witness = -math.inf, None
+    for n in np.flatnonzero(scores >= scores.max() * (1 - _SEED_TIE)):
+        climbed, reached = _ascend(stack, matrix, seeds[n], float(scores[n]))
+        if reached > value:
+            value, witness = reached, climbed
+    results = [(value, witness)]
+    rng = np.random.default_rng(seed)
+    for size in range(2, max_amplification + 1):
+        padded = np.zeros((size, size, d), dtype=complex)
+        padded[:-1, :-1] = witness
+        witness = padded
+        trial = rng.standard_normal((size, size, d)) + 1j * rng.standard_normal(
+            (size, size, d)
+        )
+        trial /= np.linalg.norm(trial)
+        score = float(_scores(stack, matrix, trial[None])[0])
+        if score > value:
+            witness, value = _ascend(stack, matrix, trial, score)
+        results.append((value, witness))
+    return results
 
 
 def amplified_norm_scan(
@@ -382,64 +492,20 @@ def amplified_norm_scan(
 ) -> list:
     """Lower-bound estimates of the amplified norms, sizes 1..max.
 
-    Random search with a fixed seed: candidate witnesses are matrices of
-    span coordinates, scored by the ratio of realized operator norms after
-    and before the map.  Each size reuses the previous best witness padded
-    by a zero row and column, which keeps the ratio and hence makes the
-    sequence non-decreasing.
+    Each estimate is the ratio of realized operator norms after and before
+    the map on a witness, a matrix of span coordinates.  Size 1 seeds one
+    witness per level, the top right singular vector of the map restricted
+    to that level's columns, and climbs by singular-vector ascent from every
+    seed that ties the best; on a radial symbol the level-n seed scores
+    |symbol(n)|.  Each larger size keeps the previous witness padded by a
+    zero row and column, whose ratio is unchanged, and replaces it only by
+    a full-support witness drawn with the seed that scores strictly higher
+    after its own ascent.  The sequence is non-decreasing by construction.
     """
-    if not 1 <= max_amplification <= MAX_AMPLIFICATION:
-        raise BuildError(
-            f"amplification size must lie in 1..{MAX_AMPLIFICATION}"
-        )
-    matrix = to_float(np.asarray(matrix))
-    if matrix.shape != (fock.total_dim,) * 2:
-        raise BuildError("norm estimation expects a full coordinate matrix")
-    stack = _whitened_stack(fock)
-    rng = np.random.default_rng(seed)
-    d = fock.total_dim
-    estimates = []
-    carried = None
-    for size in range(1, max_amplification + 1):
-        candidates = []
-        unit = np.zeros((size, size, d), dtype=complex)
-        for a in range(size):
-            unit[a, a, 0] = 1.0
-        candidates.append(unit)
-        if carried is not None:
-            grown = np.zeros((size, size, d), dtype=complex)
-            grown[: size - 1, : size - 1] = carried
-            candidates.append(grown)
-        for _ in range(_SCAN_STARTS):
-            candidates.append(
-                rng.standard_normal((size, size, d))
-                + 1j * rng.standard_normal((size, size, d))
-            )
-        best_value = -math.inf
-        best_witness = None
-        for candidate in candidates:
-            value = _ratio(stack, matrix, candidate)
-            if value > best_value:
-                best_value, best_witness = value, candidate
-        step = 0.5
-        for _ in range(_SCAN_REFINE):
-            trial = best_witness + step * (
-                rng.standard_normal((size, size, d))
-                + 1j * rng.standard_normal((size, size, d))
-            )
-            value = _ratio(stack, matrix, trial)
-            if value > best_value:
-                best_value, best_witness = value, trial
-            else:
-                step *= 0.85
-        if estimates and best_value < estimates[-1]:
-            best_value = estimates[-1]  # zero-padded witness keeps its ratio
-        estimates.append(best_value)
-        carried = best_witness
-    return estimates
+    return [value for value, _ in _scan(fock, matrix, max_amplification, seed)]
 
 
 def amplified_norm_estimate(fock, matrix, amplification: int, seed: int = 20240817) -> float:
-    """Largest lower-bound estimate over amplification sizes up to the given
-    one; see amplified_norm_scan for the search."""
+    """Lower-bound estimate at the given amplification size, the largest
+    over all sizes up to it; see amplified_norm_scan for the ascent."""
     return amplified_norm_scan(fock, matrix, amplification, seed)[-1]

@@ -95,20 +95,22 @@ def test_criterion_1_braid_relation_and_reduced_word_independence():
         exact=True,
     )
     fock = TruncatedFock(setup, 4)
-    flips = [fock.t_amplified(i, 4) for i in range(3)]
-    eye = np.array(
-        [[F(1) if i == j else F(0) for j in range(16)] for i in range(16)]
-    )
+    flips = [fock._flip(4, i) for i in range(3)]
     for perm in itertools.permutations(range(4)):
-        reference = None
+        expected = fock.pi_of(perm, 4)
         for word in all_reduced_words(perm):
-            out = eye
+            out = fock._identity_monomial(4)
             for letter in word:
-                out = out.dot(flips[letter])
-            if reference is None:
-                reference = out
-            assert np.array_equal(out, reference)
-        assert np.array_equal(fock.pi_of(perm, 4), reference)
+                out = out.after(flips[letter])
+            assert np.array_equal(out.matrix(True), expected)
+
+    # one dense Fraction product ties the flips to the Kronecker assembly
+    longest = (3, 2, 1, 0)
+    dense = [fock.t_amplified(i, 4) for i in range(3)]
+    out = np.array([[F(1) if i == j else F(0) for j in range(16)] for i in range(16)])
+    for letter in all_reduced_words(longest)[0]:
+        out = out.dot(dense[letter])
+    assert np.array_equal(out, fock.pi_of(longest, 4))
 
 
 def test_criterion_2_level_form_positivity():
