@@ -1,10 +1,16 @@
 """Run configuration: schema, validation, normalization, and hashing.
 
-A run is described by a plain UTF-8 key/value tree (YAML).  Validation
-checks every module precondition it can see arithmetically and raises one
-consolidated ConfigError listing all violations.  Normalization fills
-every default, so the echoed configuration is complete and its canonical
-JSON serialization is a stable input for the run hash.
+A run is described by a plain UTF-8 key/value tree (YAML).  This module
+states the schema: keys, types, defaults and the ranges only a
+configuration has.  Every rule on the space is a layer's own: once the
+space section's schema holds, normalization builds the group model and
+checks the cutoff and each word vector with the layers' checks.  One
+ConfigError lists all violations.  ``qfock validate`` also builds the
+truncated Fock space, so it refuses what a run's build refuses, level
+positivity included; only ``run`` checks the scan's stack budget.
+Normalization fills every default, so the echoed configuration is
+complete and its canonical JSON serialization is a stable input for the
+run hash.
 
 Configuration files carry plain floats and ints only; exact-arithmetic
 spaces (Fraction entries) are a library feature, not reachable from here.
@@ -20,16 +26,13 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ConfigError
-from .fock import TruncatedFock
-from .hilbert import DeformationMatrix, build_space
+from .errors import BuildError, ConfigError
+from .fock import TruncatedFock, size_violations
+from .hilbert import DeformationMatrix, build_space, leg_label
 from .limits import (
     MAX_AMPLIFICATION,
     MAX_AUX_DIM,
     MAX_COMBINATORIAL_LENGTH,
-    MAX_DIM,
-    MAX_LEVEL,
-    MAX_LEVEL_DIM,
     MAX_REPEATS,
     MAX_UM_LENGTH,
 )
@@ -90,23 +93,22 @@ class RunConfig:
     def experiment(self, name: str) -> dict:
         return self.data["experiments"][name]
 
-    def block_descriptors(self) -> list:
-        out = []
-        for block in self.data["space"]["blocks"]:
-            if block["kind"] == "rotation":
-                out.append(("rotation", block["label"], block["lam"]))
-            else:
-                out.append(("fixed", block["label"]))
-        return out
-
     def setup(self):
-        deformation = DeformationMatrix.build(
-            self.data["space"]["q"], self.data["space"]["split_scale"]
-        )
-        return build_space(deformation, self.block_descriptors())
+        return _build_setup(self.data["space"])
 
     def fock(self) -> TruncatedFock:
         return TruncatedFock(self.setup(), n_max=self.n_max)
+
+
+def _build_setup(space):
+    """The group model of a normalized space section, built and checked by
+    the hilbert layer."""
+    deformation = DeformationMatrix.build(space["q"], space["split_scale"])
+    blocks = [
+        ("rotation", b["label"], b["lam"]) if b["kind"] == "rotation" else ("fixed", b["label"])
+        for b in space["blocks"]
+    ]
+    return build_space(deformation, blocks)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -170,22 +172,17 @@ def _int_field(raw, field, key, default, violations, high):
     return default
 
 
-def _block_spans(blocks) -> list:
-    spans, start = [], 0
-    for block in blocks:
-        width = 2 if block["kind"] == "rotation" else 1
-        spans.append((start, start + width))
-        start += width
-    return spans
-
-
 def _normalize_space(raw, violations):
+    """The normalized space section and its setup.  Once the section's
+    schema holds, the space is built, and the build's violations are
+    reported under ``space:``; the setup is None when either fails."""
     if raw is None:
         violations.append("space: section is required")
-        return None
+        return None, None
+    start = len(violations)
     raw = _section(raw, "space", {"blocks", "q", "split_scale"}, violations)
     if raw is None:
-        return None
+        return None, None
 
     blocks_raw = raw.get("blocks")
     blocks = []
@@ -224,27 +221,20 @@ def _normalize_space(raw, violations):
     q_raw = raw.get("q")
     n_labels = max((b["label"] for b in blocks), default=-1) + 1
     q = []
-    q_ok = isinstance(q_raw, list) and q_raw and all(isinstance(r, list) for r in q_raw)
-    if not q_ok:
+    if not (isinstance(q_raw, list) and q_raw and all(isinstance(r, list) for r in q_raw)):
         violations.append("space.q: need a square matrix as a list of rows")
     else:
         size = len(q_raw)
         if any(len(r) != size for r in q_raw):
             violations.append("space.q: rows must all have the matrix size")
-            q_ok = False
         elif not all(_is_real(x) for r in q_raw for x in r):
             violations.append("space.q: entries must be real numbers")
-            q_ok = False
         else:
             q = [[float(x) for x in r] for r in q_raw]
             if blocks and size != n_labels:
                 violations.append(
                     f"space.q: size {size} does not match the {n_labels} block labels"
                 )
-            if any(q[i][j] != q[j][i] for i in range(size) for j in range(size)):
-                violations.append("space.q: must be symmetric")
-            if any(abs(x) >= 1 for r in q for x in r):
-                violations.append("space.q: max|q_ij| < 1 is required")
 
     split = raw.get("split_scale")
     if split is not None:
@@ -253,17 +243,20 @@ def _normalize_space(raw, violations):
             split = None
         else:
             split = float(split)
-            peak = max((abs(x) for r in q for x in r), default=0.0)
-            if not peak < split < 1:
-                violations.append(
-                    f"space.split_scale: need max|q_ij| = {peak:g} < scale < 1, got {split:g}"
-                )
 
-    return {"blocks": blocks, "q": q, "split_scale": split}
+    space = {"blocks": blocks, "q": q, "split_scale": split}
+    if len(violations) > start:
+        return space, None
+    try:
+        return space, _build_setup(space)
+    except BuildError as err:
+        violations.extend(f"space: {item}" for item in err.violations)
+        return space, None
 
 
-def _normalize_vectors(field, entries, dim, spans, violations):
-    """Real d-vectors, each supported inside a single block."""
+def _normalize_vectors(field, entries, dim, setup, violations):
+    """Real d-vectors, each inside a single block (``leg_label``'s rule,
+    checked once the space is built)."""
     out = []
     if not isinstance(entries, list) or not entries:
         violations.append(f"{field}: need a nonempty list of vectors")
@@ -273,15 +266,11 @@ def _normalize_vectors(field, entries, dim, spans, violations):
             violations.append(f"{field}[{j}]: need a real vector of length {dim}")
             continue
         vec = [float(x) for x in vec]
-        touched = [
-            k for k, (a, b) in enumerate(spans) if any(x != 0.0 for x in vec[a:b])
-        ]
-        if not touched:
-            violations.append(f"{field}[{j}]: zero vector")
-        elif len(touched) > 1:
-            violations.append(
-                f"{field}[{j}]: support spans blocks {touched}; split it into single-block legs"
-            )
+        if setup is not None:
+            try:
+                leg_label(setup, vec)
+            except BuildError as err:
+                violations.extend(f"{field}[{j}]: {item}" for item in err.violations)
         out.append(vec)
     return out
 
@@ -290,7 +279,7 @@ def _basis_vector(dim: int) -> list:
     return [1.0] + [0.0] * (dim - 1)
 
 
-def _normalize_moments(raw, dim, spans, n_max, violations):
+def _normalize_moments(raw, dim, setup, n_max, violations):
     raw = _section(raw, "experiments.moments", {"words"}, violations, optional=True)
     if raw is None:
         return {"words": []}
@@ -311,7 +300,7 @@ def _normalize_moments(raw, dim, spans, n_max, violations):
         word = _section(word, field, {"vectors"}, violations)
         if word is None:
             continue
-        vectors = _normalize_vectors(f"{field}.vectors", word.get("vectors"), dim, spans, violations)
+        vectors = _normalize_vectors(f"{field}.vectors", word.get("vectors"), dim, setup, violations)
         if len(vectors) > MAX_COMBINATORIAL_LENGTH:
             violations.append(
                 f"{field}: word length {len(vectors)} beyond the pairing cap"
@@ -353,7 +342,7 @@ def _normalize_multipliers(raw, n_max, violations):
     return out
 
 
-def _normalize_ultra(raw, dim, spans, n_labels, violations):
+def _normalize_ultra(raw, dim, setup, n_labels, violations):
     out = {
         "q": 0.5,
         "q_tilde": 0.6,
@@ -411,7 +400,7 @@ def _normalize_ultra(raw, dim, spans, n_labels, violations):
     vectors = raw.get("vectors")
     if vectors is not None:
         vectors = _normalize_vectors(
-            "experiments.ultra.vectors", vectors, dim, spans, violations
+            "experiments.ultra.vectors", vectors, dim, setup, violations
         )
         if len(vectors) > MAX_UM_LENGTH:
             violations.append(
@@ -436,36 +425,23 @@ def normalize_config(raw) -> RunConfig:
         if key not in _TOP_KEYS:
             violations.append(f"{key}: unknown top-level key")
 
-    space = _normalize_space(raw.get("space"), violations)
+    space, setup = _normalize_space(raw.get("space"), violations)
     blocks = space["blocks"] if space else []
-    spans = _block_spans(blocks)
-    dim = spans[-1][1] if spans else 0
+    dim = sum(2 if b["kind"] == "rotation" else 1 for b in blocks)
     n_labels = max((b["label"] for b in blocks), default=-1) + 1
 
+    # the sections below are checked against the default cutoff when the
+    # requested one is refused
     fock_raw = _section(raw.get("fock"), "fock", {"n_max"}, violations, optional=True)
-    n_max = requested_n = 3
+    n_max = 3
     if fock_raw is not None:
-        n_raw = fock_raw.get("n_max", 3)
-        if not (_is_int(n_raw) and n_raw >= 1):
+        n_raw = fock_raw.get("n_max", n_max)
+        if not _is_int(n_raw):
             violations.append("fock.n_max: need a positive integer")
-        elif n_raw > MAX_LEVEL:
-            violations.append(f"fock.n_max: {n_raw} beyond the level cap {MAX_LEVEL}")
-            requested_n = int(n_raw)
         else:
-            n_max = int(n_raw)
-            requested_n = n_max
-
-    if dim:
-        if dim > MAX_DIM:
-            violations.append(f"space: dimension {dim} exceeds the cap {MAX_DIM}")
-        # the budget message quotes the requested cutoff, even when that
-        # cutoff already violates the level cap on its own
-        top_words = dim**requested_n
-        if top_words > MAX_LEVEL_DIM:
-            violations.append(
-                f"size budget: {dim}^{requested_n} = {top_words} top-level words"
-                f" beyond the per-level cap {MAX_LEVEL_DIM}"
-            )
+            sizes = size_violations(dim, n_raw)
+            violations.extend(f"fock: {item}" for item in sizes)
+            n_max = n_max if sizes else int(n_raw)
 
     seed = raw.get("seed", DEFAULT_SEED)
     if not (_is_int(seed) and seed >= 0):
@@ -506,10 +482,10 @@ def normalize_config(raw) -> RunConfig:
                 f"experiments.{key}: unknown experiment; known: {sorted(_EXPERIMENT_KEYS)}"
             )
     experiments = {
-        "moments": _normalize_moments(exp_raw.get("moments"), dim, spans, n_max, violations),
+        "moments": _normalize_moments(exp_raw.get("moments"), dim, setup, n_max, violations),
         "modular": _normalize_modular(exp_raw.get("modular"), violations),
         "multipliers": _normalize_multipliers(exp_raw.get("multipliers"), n_max, violations),
-        "ultra": _normalize_ultra(exp_raw.get("ultra"), dim, spans, n_labels, violations),
+        "ultra": _normalize_ultra(exp_raw.get("ultra"), dim, setup, n_labels, violations),
     }
 
     if violations:

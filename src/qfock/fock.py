@@ -66,6 +66,25 @@ POSITIVITY_FLOOR = 1e-8
 BRAID_TOLERANCE = 1e-13
 
 
+def size_violations(dim: int, n_max: int) -> list:
+    """Why a space of dimension ``dim`` cannot be truncated at ``n_max``:
+    the level cap, and the word budget of the top level, quoted at the
+    requested cutoff even when that cutoff is beyond the level cap."""
+    out = []
+    if not n_max >= 1:
+        out.append("level cutoff must be at least 1, got %r" % (n_max,))
+    elif n_max > MAX_LEVEL:
+        out.append("level cutoff %r beyond the level cap %d" % (n_max, MAX_LEVEL))
+    # the exponent is capped: any dim >= 2 is over the budget long before 64
+    if n_max >= 1 and dim ** min(n_max, 64) > MAX_LEVEL_DIM:
+        words = " = %d" % dim**n_max if n_max <= 64 else ""
+        out.append(
+            "%d^%d%s top-level words beyond the per-level cap %d; lower the cutoff "
+            "or the dimension" % (dim, n_max, words, MAX_LEVEL_DIM)
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class _Monomial:
     """Operator sending e_w to coeff[w] * e_{perm[w]} (w = word index)."""
@@ -98,15 +117,9 @@ class TruncatedFock:
     """
 
     def __init__(self, setup, n_max: int):
-        if not 1 <= n_max <= MAX_LEVEL:
-            raise BuildError(
-                "level cutoff must lie in [1, %d], got %r" % (MAX_LEVEL, n_max)
-            )
-        if setup.dim**n_max > MAX_LEVEL_DIM:
-            raise BuildError(
-                "top level needs %d basis words, cap is %d; lower the cutoff "
-                "or the dimension" % (setup.dim**n_max, MAX_LEVEL_DIM)
-            )
+        violations = size_violations(setup.dim, n_max)
+        if violations:
+            raise BuildError(violations)
         self.setup = setup
         self.n_max = int(n_max)
         self.dim = setup.dim
@@ -283,6 +296,8 @@ class TruncatedFock:
         return self.gram_levels[self.check_level(n)]
 
     def _level_gram(self, n: int) -> np.ndarray:
+        if self.exact:  # G_U = I on exact spaces, as ``build_space`` checks
+            return self.p_matrices[n]
         return legwise(self.setup.u_gram, n, self.p_matrices[n])
 
     def min_p_eigenvalue(self, n: int) -> float:

@@ -62,12 +62,17 @@ class DeformationMatrix:
             violations.append("deformation matrix must be symmetric")
         peak = max_abs(mat)
         if not peak < 1:
-            violations.append("deformation entries must satisfy |q| < 1")
+            violations.append(
+                "deformation entries must satisfy |q| < 1: need max|q_ij| < 1, got %g" % peak
+            )
         if split_scale is None:
             one = Fraction(1) if exact else 1.0
             split_scale = (max((abs(x) for x in flat), default=0) + one) / 2
         if not violations and not (peak < float(split_scale) and abs(split_scale) < 1):
-            violations.append("split scale must satisfy max|entries| < scale < 1")
+            violations.append(
+                "split scale must satisfy max|q_ij| = %g < scale < 1, got %g"
+                % (peak, split_scale)
+            )
         if violations:
             raise BuildError(violations)
 
@@ -216,6 +221,23 @@ class HilbertSetup:
     @property
     def n_blocks(self) -> int:
         return self.deformation.n_blocks
+
+
+def leg_label(setup, v) -> int:
+    """Block label of a vector that must lie in one block: a letter of a
+    moment or averaged word, or a later leg of the Wick recursion.  The
+    rule counts labels, so a vector over two blocks that share a label
+    lies in one block."""
+    v = np.asarray(v)
+    labels = {setup.block_of[i] for i in range(setup.dim) if v[i] != 0}
+    if not labels:
+        raise BuildError("zero vector has no block label")
+    if len(labels) > 1:
+        raise BuildError(
+            "word vector spans blocks %s; each vector of a word must lie in "
+            "one block" % sorted(labels)
+        )
+    return labels.pop()
 
 
 def build_space(deformation, blocks, exact: bool = False) -> HilbertSetup:

@@ -1,8 +1,9 @@
 """Every size cap the package enforces, in one table.
 
-Each layer imports its caps from here, and ``config`` checks a run against
-the same values before anything is built.  The caps keep every dense array
-and every enumeration small enough to verify in seconds.
+Each layer imports its caps from here; ``config`` reads the caps only a
+configuration has, and meets the rest through the layers' own checks.  The
+caps keep every dense array and every enumeration small enough to verify
+in seconds.
 """
 
 MAX_DIM = 8  # hilbert: one-particle dimension

@@ -171,14 +171,6 @@ def op_norm(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> float:
     return float(np.sqrt(max(vals[-1], 0.0)))
 
 
-def g_adjoint(x: np.ndarray, gram_out: np.ndarray, gram_in: np.ndarray) -> np.ndarray:
-    """Adjoint of ``x``: maps the gram_out space back to the gram_in space."""
-    rhs = x.conj().T.dot(gram_out)
-    if x.dtype == object or gram_in.dtype == object:
-        return np.linalg.inv(to_float(gram_in)).dot(to_float(rhs))
-    return np.linalg.solve(gram_in, rhs)
-
-
 def block_diag(blocks) -> np.ndarray:
     """Block-diagonal matrix of the 2-D blocks in order, zeros elsewhere,
     in the promoted dtype of the blocks (object zeros are the integer 0)."""

@@ -27,9 +27,10 @@ import numpy as np
 
 from .combinatorics import g_coefficient, pair_partitions
 from .errors import BuildError, CutoffError, InvariantError
+from .hilbert import leg_label
 from .limits import MAX_COMBINATORIAL_LENGTH
 from .linalg import to_float
-from .wick import field, leg_label
+from .wick import field
 
 __all__ = [
     "MAX_COMBINATORIAL_LENGTH",

@@ -48,7 +48,8 @@ import numpy as np
 
 from .combinatorics import f_coefficient, index_splittings
 from .errors import BuildError
-from .linalg import g_adjoint, max_abs, to_float
+from .hilbert import leg_label
+from .linalg import max_abs, to_float
 
 __all__ = [
     "WickWord",
@@ -56,7 +57,6 @@ __all__ = [
     "cache_footprint",
     "field",
     "from_vector",
-    "leg_label",
     "norm_bound",
     "span_operator",
     "vacuum_expectation",
@@ -118,27 +118,17 @@ class WickWord:
         return out
 
     def adjoint_matrix(self) -> np.ndarray:
-        return g_adjoint(self.dense(), self.fock.full_gram, self.fock.full_gram)
+        """Adjoint in the deformed geometry, G^{-1} X^* G with G the full
+        Gram form; exact words are solved in floats."""
+        x, gram = self.dense(), self.fock.full_gram
+        rhs = x.conj().T.dot(gram)
+        if x.dtype == object:
+            return np.linalg.inv(to_float(gram)).dot(to_float(rhs))
+        return np.linalg.solve(gram, rhs)
 
     def scaled(self, factor) -> "WickWord":
         index, values = self.entries
         return WickWord(self.fock, self.level, factor * self.argument, (index, factor * values))
-
-
-def leg_label(setup, v) -> int:
-    """Block label of a vector of a moment or averaged word (or of the
-    recursion's later legs), which must be supported inside one block."""
-    v = np.asarray(v)
-    support = [i for i in range(setup.dim) if v[i] != 0]
-    if not support:
-        raise BuildError("zero word vector has no block label")
-    labels = {setup.block_of[i] for i in support}
-    if len(labels) > 1:
-        raise BuildError(
-            "word vector spans blocks %s; each vector of a word must lie in "
-            "one block" % sorted(labels)
-        )
-    return labels.pop()
 
 
 def _assemble_entries(fock, word) -> tuple:

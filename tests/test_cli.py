@@ -72,6 +72,15 @@ def test_validate_rejects_an_unbounded_deformation(tmp_path, capsys):
     assert "max|q_ij| < 1" in err
 
 
+def test_validate_refuses_a_space_whose_symmetrizer_loses_positivity(tmp_path, capsys):
+    # |q| < 1 holds, but P(2) = 1 + q is below the build's positivity floor
+    path = write_config(tmp_path, {"space": {"q": [[-0.999999999]], "blocks": ["fixed"]}})
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:")
+    assert "level 2 symmetrizer lost strict positivity" in err
+
+
 def test_validate_reports_the_size_budget_with_the_requested_cutoff(tmp_path, capsys):
     entries = [[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)]
     raw = {"space": {"q": entries, "blocks": ["fixed"] * 4}, "fock": {"n_max": 6}}
@@ -438,9 +447,11 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     )
 
     def run(experiment):
+        # its own directory: concurrent runs would share the reports' .tmp names
+        out = str(tmp_path / experiment)
         return (
             "import sys, qfock.cli\n"
-            f"argv = ['run', {experiment!r}, '--config', {config!r}, '--out', {str(tmp_path)!r}]\n"
+            f"argv = ['run', {experiment!r}, '--config', {config!r}, '--out', {out!r}]\n"
             "assert qfock.cli.main(argv) == 0\n"
         )
 
@@ -469,14 +480,24 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
         run("modular") + run_path + unimported("qfock.moments", "qfock.multipliers", "qfock.ultra"),
     ]
     env = {**os.environ, "PYTHONPATH": source}
-    for code in checks:
-        result = subprocess.run(
+    # the checks share nothing, so their interpreters start together
+    children = [
+        subprocess.Popen(
             [sys.executable, "-c", code],
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
             env=env,
         )
-        assert result.returncode == 0, result.stderr
+        for code in checks
+    ]
+    try:
+        for child in children:
+            _, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+    finally:
+        for child in children:
+            child.kill()
 
 
 # dim 5, n_max 4: the level-4 smallest P eigenvalue is a 625-row pencil

@@ -3,6 +3,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -13,6 +14,7 @@ from qfock.config import (
     load_config,
     normalize_config,
 )
+from qfock.moments import MomentSpec, checked_moment
 
 
 def minimal_raw():
@@ -145,6 +147,15 @@ def experiments(**sections):
     return {**minimal_raw(), "experiments": sections}
 
 
+def two_labels(**sections):
+    space = {"q": [[0.3, 0.1], [0.1, 0.2]], "blocks": ["fixed", "fixed"]}
+    return {"space": space, "experiments": sections}
+
+
+def one_label(count):
+    return [{"kind": "fixed", "label": 0}] * count
+
+
 _EMPTY_SPACE_WORDS = [
     f"experiments.moments.words[{w}].vectors[{v}]: need a real vector of length 0"
     for w, length in ((0, 2), (1, 4))
@@ -274,6 +285,168 @@ INVALID_CONFIGS = {
         experiments(modular={"times": [math.nan, math.inf]}),
         ["experiments.modular.times: need a nonempty list of real times"],
     ),
+    # the space section's schema
+    "blocks-empty": (
+        {"space": {"q": [[0.3]], "blocks": []}},
+        ["space.blocks: need a nonempty list", *_EMPTY_SPACE_WORDS],
+    ),
+    "block-not-mapping": (
+        {"space": {"q": [[0.3]], "blocks": ["fixed", 3]}},
+        ["space.blocks[1]: must be a mapping or kind name"],
+    ),
+    "block-kind-unknown": (
+        {"space": {"q": [[0.3]], "blocks": ["fixed", "twisted"]}},
+        ["space.blocks[1].kind: expected 'fixed' or 'rotation', got 'twisted'"],
+    ),
+    "block-label-negative": (
+        {"space": {"q": [[0.3]], "blocks": ["fixed", {"kind": "fixed", "label": -1}]}},
+        ["space.blocks[1].label: must be a nonnegative integer"],
+    ),
+    "fixed-block-with-lam": (
+        {"space": {"q": [[0.3]], "blocks": ["fixed", {"kind": "fixed", "lam": 2.0}]}},
+        ["space.blocks[1]: fixed blocks take no lam"],
+    ),
+    "q-not-a-matrix": (
+        {"space": {"q": 0.3, "blocks": ["fixed"]}},
+        ["space.q: need a square matrix as a list of rows"],
+    ),
+    "q-ragged-rows": (
+        {"space": {"q": [[0.3, 0.1], [0.1]], "blocks": ["fixed", "fixed"]}},
+        ["space.q: rows must all have the matrix size"],
+    ),
+    "q-not-real": (
+        {"space": {"q": [["x"]], "blocks": ["fixed"]}},
+        ["space.q: entries must be real numbers"],
+    ),
+    "q-size-does-not-match-the-labels": (
+        {"space": {"q": [[0.3, 0.1], [0.1, 0.2]], "blocks": ["fixed"]}},
+        ["space.q: size 2 does not match the 1 block labels"],
+    ),
+    "split-scale-not-real": (
+        {"space": {**minimal_raw()["space"], "split_scale": "half"}},
+        ["space.split_scale: must be a real number"],
+    ),
+    # space rules reached through the hilbert layer's build
+    "q-not-symmetric": (
+        {"space": {"q": [[0.3, 0.1], [0.2, 0.2]], "blocks": ["fixed", "fixed"]}},
+        ["space: deformation matrix must be symmetric"],
+    ),
+    "q-unbounded": (
+        {"space": {"q": [[1.0]], "blocks": ["fixed"]}},
+        ["space: deformation entries must satisfy |q| < 1: need max|q_ij| < 1, got 1"],
+    ),
+    "split-scale-out-of-range": (
+        {"space": {**minimal_raw()["space"], "split_scale": 0.2}},
+        ["space: split scale must satisfy max|q_ij| = 0.3 < scale < 1, got 0.2"],
+    ),
+    "space-beyond-the-dimension-cap": (
+        {"space": {"q": [[0.3]], "blocks": one_label(9)}, "fock": {"n_max": 1}},
+        ["space: dimension 9 exceeds the cap 8"],
+    ),
+    # the cutoff, checked by the fock layer's size rules
+    "n-max-not-an-integer": (
+        {**minimal_raw(), "fock": {"n_max": 2.5}},
+        ["fock.n_max: need a positive integer"],
+    ),
+    "n-max-zero": (
+        {**minimal_raw(), "fock": {"n_max": 0}},
+        ["fock: level cutoff must be at least 1, got 0"],
+    ),
+    "n-max-beyond-the-level-cap": (
+        {"space": {"q": [[0.5]], "blocks": one_label(4)}, "fock": {"n_max": 6}},
+        [
+            "fock: level cutoff 6 beyond the level cap 5",
+            "fock: 4^6 = 4096 top-level words beyond the per-level cap 2048;"
+            " lower the cutoff or the dimension",
+        ],
+    ),
+    "size-budget": (
+        {"space": {"q": [[0.5]], "blocks": one_label(8)}, "fock": {"n_max": 4}},
+        [
+            "fock: 8^4 = 4096 top-level words beyond the per-level cap 2048;"
+            " lower the cutoff or the dimension",
+        ],
+    ),
+    # the budget of a huge cutoff is refused without evaluating dim ** n_max
+    "n-max-huge": (
+        {"space": {"q": [[0.5]], "blocks": one_label(2)}, "fock": {"n_max": 10**12}},
+        [
+            "fock: level cutoff 1000000000000 beyond the level cap 5",
+            "fock: 2^1000000000000 top-level words beyond the per-level cap 2048;"
+            " lower the cutoff or the dimension",
+        ],
+    ),
+    "seed-negative": ({**minimal_raw(), "seed": -1}, ["seed: need a nonnegative integer"]),
+    "output-dir-empty": (
+        {**minimal_raw(), "output_dir": ""},
+        ["output_dir: need a nonempty path string"],
+    ),
+    # word vectors: their schema, and the hilbert layer's single-block rule
+    "moment-words-empty": (
+        experiments(moments={"words": []}),
+        ["experiments.moments.words: need a nonempty list"],
+    ),
+    "moment-vectors-empty": (
+        experiments(moments={"words": [{"vectors": []}]}),
+        ["experiments.moments.words[0].vectors: need a nonempty list of vectors"],
+    ),
+    "moment-zero-vector": (
+        experiments(moments={"words": [{"vectors": [[0.0], [1.0]]}]}),
+        ["experiments.moments.words[0].vectors[0]: zero vector has no block label"],
+    ),
+    "moment-vector-spans-blocks": (
+        two_labels(moments={"words": [{"vectors": [[1.0, 1.0], [1.0, 0.0]]}]}),
+        [
+            "experiments.moments.words[0].vectors[0]: word vector spans blocks [0, 1];"
+            " each vector of a word must lie in one block"
+        ],
+    ),
+    "moment-word-beyond-the-pairing-cap": (
+        experiments(moments={"words": [{"vectors": [[1.0]] * 10}]}),
+        ["experiments.moments.words[0]: word length 10 beyond the pairing cap 8"],
+    ),
+    "moment-word-beyond-the-cutoff": (
+        experiments(moments={"words": [{"vectors": [[1.0]] * 8}]}),
+        ["experiments.moments.words[0]: word length 8 needs level 4, beyond cutoff n_max = 3"],
+    ),
+    "ultra-q-out-of-range": (
+        experiments(ultra={"q": 1.0}),
+        ["experiments.ultra.q: need a real number in (0, 1)"],
+    ),
+    "ultra-scalar-shape-unbounded": (
+        experiments(ultra={"q_tilde": -1.0}),
+        ["experiments.ultra.q_tilde: scalar shape needs modulus < 1"],
+    ),
+    "ultra-matrix-shape-not-symmetric": (
+        experiments(ultra={"q_tilde": [[0.1, 0.2], [0.3, 0.1]]}),
+        [
+            "experiments.ultra.q_tilde: matrix shape must be square, symmetric, real,"
+            " with entries of modulus < 1"
+        ],
+    ),
+    "ultra-matrix-shape-too-small": (
+        two_labels(ultra={"q_tilde": [[0.1]]}),
+        ["experiments.ultra.q_tilde: matrix covers 1 blocks, the space has 2"],
+    ),
+    "ultra-shape-not-a-matrix": (
+        experiments(ultra={"q_tilde": "flat"}),
+        ["experiments.ultra.q_tilde: need a scalar or a square matrix"],
+    ),
+    "ultra-m-list-not-increasing": (
+        experiments(ultra={"m_list": [3, 2]}),
+        ["experiments.ultra.m_list: need strictly increasing integers in [1, 10]"],
+    ),
+    "ultra-vectors-beyond-the-cap": (
+        experiments(ultra={"vectors": [[1.0]] * 7}),
+        ["experiments.ultra.vectors: word length 7 beyond the cap 6"],
+    ),
+    "ultra-vector-spans-blocks": (
+        two_labels(ultra={"vectors": [[0.0, 1.0], [1.0, 1.0]]}),
+        [
+            "experiments.ultra.vectors[1]: word vector spans blocks [0, 1];"
+            " each vector of a word must lie in one block"
+        ],
+    ),
 }
 
 
@@ -283,6 +456,16 @@ def test_invalid_configs_report_exactly_their_violations(name):
     with pytest.raises(ConfigError) as excinfo:
         normalize_config(raw)
     assert list(excinfo.value.violations) == expected
+
+
+def test_a_vector_over_two_blocks_of_one_label_is_one_leg():
+    # the single-block rule counts labels, as the run's moment check does
+    space = {"q": [[0.3]], "blocks": one_label(2)}
+    word = {"vectors": [[1.0, 2.0], [1.0, 0.0]]}
+    config = normalize_config({"space": space, "experiments": {"moments": {"words": [word]}}})
+    assert config.experiment("moments")["words"] == [word]
+    spec = MomentSpec.build(config.setup(), [np.asarray(v) for v in word["vectors"]])
+    checked_moment(spec, config.fock(), config.tolerance("moments"))
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

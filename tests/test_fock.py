@@ -297,6 +297,39 @@ def test_build_refuses_a_level_form_below_the_floor():
         TruncatedFock(build_space([[-0.99995]], [("rotation", 0, 2.0)]), 3)
 
 
+def bareiss_determinant(rows):
+    """Determinant of a square Fraction matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    size, sign, previous = len(a), 1, Fraction(1)
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / previous
+        previous = a[k][k]
+    return sign * a[-1][-1]
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), Fraction(-3, 4)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_all_distinct_orbit_block_meets_zagiers_determinant(q, n):
+    # Zagier, Comm. Math. Phys. 147 (1992): on n distinct letters, uniform q,
+    # det P(n) = prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n! / (k^2+k))
+    fock = TruncatedFock(build_space([[q]], [("fixed", 0)] * n, exact=True), n)
+    rows = sorted(fock.word_index(w) for w in itertools.permutations(range(n)))
+    block = fock.p_matrix(n)[np.ix_(rows, rows)]
+    expected = Fraction(1)
+    for k in range(1, n):
+        power, rest = divmod((n - k) * math.factorial(n), k * k + k)
+        assert rest == 0
+        expected *= (1 - q ** (k * k + k)) ** power
+    assert bareiss_determinant(block) == expected
+
+
 @pytest.mark.parametrize("space", ["trivial2", "mixed5", "exact2"])
 def test_p_is_real_symmetric_and_commutes_with_the_gram_power(space, request):
     # the two facts that give the pencil (G_U^(n) P(n), G_U^(n)) the

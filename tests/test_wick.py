@@ -19,7 +19,7 @@ import pytest
 from qfock.combinatorics import f_coefficient, index_splittings
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import TruncatedFock
-from qfock.hilbert import build_space
+from qfock.hilbert import build_space, leg_label
 from qfock.linalg import gram_inner, identity_matrix, max_abs, op_norm, to_float
 from qfock.modular import ModularData, modular_flow
 from qfock.wick import (
@@ -28,7 +28,6 @@ from qfock.wick import (
     cache_footprint,
     field,
     from_vector,
-    leg_label,
     norm_bound,
     wick_operator,
     wick_recursion_residual,
