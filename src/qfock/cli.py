@@ -10,10 +10,12 @@ lines introduced by a '# summary' marker; every summary carries the
 configuration hash.  Files appear via write-then-rename, so a failed run
 never leaves a partial report.
 
-Every command first runs numpy's OpenBLAS on one thread, whatever
-``OPENBLAS_NUM_THREADS`` says, and a run's manifest records the thread
-count read back and OpenBLAS's build configuration (both null on other
-BLAS builds).
+Every command runs numpy's OpenBLAS on one thread, whatever
+``OPENBLAS_NUM_THREADS`` says: the entry (``qfock.__main__``) sets it to 1
+before numpy loads, so OpenBLAS starts no busy-waiting worker (~0.1 s of
+CPU per command on two CPUs), and ``main`` pins one thread, which holds
+when numpy loaded first.  A run's manifest records the count read back,
+OpenBLAS's build string (both null on other BLAS builds) and CPU seconds.
 
 Exit codes: 0 success, 1 configuration or precondition failure, 2 invariant
 or assertion failure, 3 I/O failure.
@@ -289,12 +291,12 @@ def _headroom(config, summaries, scale) -> dict:
     return out
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set of this process so far, in MiB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def _usage() -> tuple[float, float]:
+    """This process's CPU seconds (user + system, all threads) and peak RSS in MiB, so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     # Linux reports kibibytes, macOS bytes
     scale = 2**20 if sys.platform == "darwin" else 2**10
-    return round(peak / scale, 3)
+    return round(usage.ru_utime + usage.ru_stime, 6), round(usage.ru_maxrss / scale, 3)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -371,15 +373,17 @@ def _do_run(args, blas_threads) -> int:
     # only wick fills the basis-word cache: a run that never loaded it has none
     wick = sys.modules.get(f"{__package__}.wick")
     entries, held = wick.cache_footprint(fock) if wick else (0, 0)
+    cpu_seconds, peak_rss_mb = _usage()
     manifest = {
         "blas_config": blas_config(),
         "blas_threads": blas_threads,
         "config_hash": digest,
         "cpu_count": os.cpu_count(),
+        "cpu_seconds": cpu_seconds,
         "experiment_seconds": seconds,
         "fock_build_seconds": fock.build_seconds,
         "headroom": _headroom(config, summaries, args.tolerance_scale),
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb,
         "seed": config.seed,
         "tolerance_scale": args.tolerance_scale,
         "reports": written,

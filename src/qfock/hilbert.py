@@ -38,6 +38,8 @@ class DeformationMatrix:
     ``entries[i, j]`` couples block labels i and j.  The split scale q and
     the rescaled matrix satisfy entries = q * tilde, max|entries| < q < 1
     and max|tilde| < 1.  Exact instances hold Fractions in object arrays.
+    ``split_scale`` and ``tilde`` are validated, and a configured split scale is
+    hashed, but no computation reads them yet: reserved for label-indexed averaging.
     """
 
     entries: np.ndarray

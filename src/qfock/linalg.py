@@ -22,7 +22,10 @@ a dense matrix is the output, and is ``legwise``'s oracle in the tests.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
-hundred rows, where a thread pool costs more than it saves.
+hundred rows, where a thread pool costs more than it saves.  The pin keeps
+the digits; a library caller that also sets ``OPENBLAS_NUM_THREADS=1``
+before importing numpy, as the command entry does, spares the busy-waiting
+worker OpenBLAS otherwise starts at load (~0.1 s of CPU on two CPUs).
 ``blas_config`` reads the build string of that OpenBLAS for the manifest.
 """
 

@@ -479,7 +479,9 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
         + unimported("numpy.random", "qfock.modular", "qfock.multipliers", "qfock.ultra"),
         run("modular") + run_path + unimported("qfock.moments", "qfock.multipliers", "qfock.ultra"),
     ]
-    env = {**os.environ, "PYTHONPATH": source}
+    # one OpenBLAS thread, as the command entry sets for itself: seven
+    # interpreters on few CPUs must not each start a spinning worker
+    env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_NUM_THREADS": "1"}
     # the checks share nothing, so their interpreters start together
     children = [
         subprocess.Popen(
@@ -520,7 +522,7 @@ def test_fock_report_ignores_the_openblas_thread_variable(tmp_path):
     path = write_config(tmp_path, FIVE_FIXED)
     source = os.path.dirname(os.path.dirname(qfock.__file__))
     reports = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         out = tmp_path / f"threads{threads}"
         env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_NUM_THREADS": threads}
         result = subprocess.run(
@@ -532,6 +534,51 @@ def test_fock_report_ignores_the_openblas_thread_variable(tmp_path):
         assert result.returncode == 0, result.stderr
         reports.append((out / "fock.csv").read_bytes())
     assert reports[0] == reports[1]
+    assert reports[0] == reports[2]
+
+
+def _fresh_import(code, threads):
+    """Run `code` in a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    `threads` (None: unset); return the JSON it prints."""
+    source = os.path.dirname(os.path.dirname(qfock.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = source
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_the_command_entry_starts_openblas_on_one_thread():
+    # before any pin: the count is read through pin_blas_threads' symbol lookup
+    code = (
+        "import json, os, sys\n"
+        "import qfock.__main__\n"
+        "from qfock import linalg\n"
+        "lib = linalg._numpy_blas()\n"
+        "counts = [getattr(lib, get)() for _, get in linalg._OPENBLAS_THREAD_SYMBOLS\n"
+        "          if hasattr(lib, get)]\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], counts[:1], tasks]))\n"
+    )
+    # numpy's wheels bundle OpenBLAS (see the manifest test below)
+    assert _fresh_import(code, "4") == ["1", [1], 1]
+
+
+@pytest.mark.parametrize("threads", ["4", None])
+def test_importing_the_package_or_the_cli_changes_no_thread_variable(threads):
+    code = (
+        "import json, os\n"
+        "import qfock\n"
+        "seen = [os.environ.get('OPENBLAS_NUM_THREADS')]\n"
+        "import qfock.cli\n"
+        "seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert _fresh_import(code, threads) == [threads, threads]
 
 
 def test_manifest_records_the_pinned_blas_thread_count(tmp_path, capsys):
@@ -542,6 +589,15 @@ def test_manifest_records_the_pinned_blas_thread_count(tmp_path, capsys):
     assert manifest["blas_threads"] == 1
     # and whose build configuration names the library
     assert manifest["blas_config"].startswith("OpenBLAS")
+
+
+def test_manifest_records_the_process_cpu_seconds(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    # user + system over all threads since process start, not just this run
+    assert isinstance(manifest["cpu_seconds"], float)
+    assert manifest["cpu_seconds"] >= 0
 
 
 def test_manifest_times_the_fock_build_phases(tmp_path, capsys):

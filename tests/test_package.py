@@ -14,11 +14,16 @@ from qfock.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# every module that declares what it exports
+# every module that declares what it exports; the command entry exports
+# nothing, and importing it would set OPENBLAS_NUM_THREADS for the suite
 EXPORTING = [
     name
     for name in ["qfock"]
-    + [f"qfock.{info.name}" for info in pkgutil.iter_modules(qfock.__path__)]
+    + [
+        f"qfock.{info.name}"
+        for info in pkgutil.iter_modules(qfock.__path__)
+        if info.name != "__main__"
+    ]
     if hasattr(importlib.import_module(name), "__all__")
 ]
 
