@@ -103,7 +103,7 @@ class RunConfig:
 def _build_setup(space):
     """The group model of a normalized space section, built and checked by
     the hilbert layer."""
-    deformation = DeformationMatrix.build(space["q"], space["split_scale"])
+    deformation = DeformationMatrix.build(space["q"])
     blocks = [
         ("rotation", b["label"], b["lam"]) if b["kind"] == "rotation" else ("fixed", b["label"])
         for b in space["blocks"]
@@ -180,7 +180,7 @@ def _normalize_space(raw, violations):
         violations.append("space: section is required")
         return None, None
     start = len(violations)
-    raw = _section(raw, "space", {"blocks", "q", "split_scale"}, violations)
+    raw = _section(raw, "space", {"blocks", "q"}, violations)
     if raw is None:
         return None, None
 
@@ -236,15 +236,7 @@ def _normalize_space(raw, violations):
                     f"space.q: size {size} does not match the {n_labels} block labels"
                 )
 
-    split = raw.get("split_scale")
-    if split is not None:
-        if not _is_real(split):
-            violations.append("space.split_scale: must be a real number")
-            split = None
-        else:
-            split = float(split)
-
-    space = {"blocks": blocks, "q": q, "split_scale": split}
+    space = {"blocks": blocks, "q": q}
     if len(violations) > start:
         return space, None
     try:
@@ -357,33 +349,31 @@ def _normalize_ultra(raw, dim, setup, n_labels, violations):
         violations.append("experiments.ultra.q: need a real number in (0, 1)")
     else:
         out["q"] = float(q)
+    # a scalar shape is checked as the 1x1 matrix of its value
+    field = "experiments.ultra.q_tilde"
     qt = raw.get("q_tilde", out["q_tilde"])
-    if _is_real(qt):
-        if not abs(qt) < 1:
-            violations.append("experiments.ultra.q_tilde: scalar shape needs modulus < 1")
-        else:
-            out["q_tilde"] = float(qt)
-    elif isinstance(qt, list) and qt and all(isinstance(r, list) for r in qt):
-        size = len(qt)
-        good = (
-            all(len(r) == size and all(_is_real(x) for x in r) for r in qt)
-            and all(qt[i][j] == qt[j][i] for i in range(size) for j in range(size))
-            and all(abs(x) < 1 for r in qt for x in r)
-        )
-        if not good:
-            violations.append(
-                "experiments.ultra.q_tilde: matrix shape must be square, symmetric,"
-                " real, with entries of modulus < 1"
-            )
-        elif size < n_labels:
-            violations.append(
-                f"experiments.ultra.q_tilde: matrix covers {size} blocks,"
-                f" the space has {n_labels}"
-            )
-        else:
-            out["q_tilde"] = [[float(x) for x in r] for r in qt]
+    scalar = _is_real(qt)
+    rows = [[qt]] if scalar else qt
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+        violations.append(f"{field}: need a scalar or a square matrix")
+    elif not all(_is_real(x) for r in rows for x in r):
+        violations.append(f"{field}: entries must be real numbers")
     else:
-        violations.append("experiments.ultra.q_tilde: need a scalar or a square matrix")
+        rows = [[float(x) for x in r] for r in rows]
+        try:
+            DeformationMatrix.build(rows)
+        except BuildError as err:
+            found = ["scalar shape needs modulus < 1"] if scalar else err.violations
+            violations.extend(f"{field}: {item}" for item in found)
+        else:
+            if not scalar and len(rows) < n_labels:
+                # ultra.effective_deformation states this rule too; config
+                # loads no upper layer, so it cannot call that one
+                violations.append(
+                    f"{field}: matrix covers {len(rows)} blocks, the space has {n_labels}"
+                )
+            else:
+                out["q_tilde"] = rows[0][0] if scalar else rows
     m_list = raw.get("m_list", out["m_list"])
     good = (
         isinstance(m_list, list)

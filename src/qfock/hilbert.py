@@ -33,24 +33,28 @@ GROUP_CHECK_TIMES = (0.7, 1.3)
 
 @dataclass(frozen=True, eq=False)
 class DeformationMatrix:
-    """Symmetric matrix of deformation parameters, with a fixed split.
-
-    ``entries[i, j]`` couples block labels i and j.  The split scale q and
-    the rescaled matrix satisfy entries = q * tilde, max|entries| < q < 1
-    and max|tilde| < 1.  Exact instances hold Fractions in object arrays.
-    ``split_scale`` and ``tilde`` are validated, and a configured split scale is
-    hashed, but no computation reads them yet: reserved for label-indexed averaging.
-    """
+    """Symmetric matrix of deformation parameters: ``entries[i, j]``
+    couples block labels i and j.  ``build`` is the one rule for every
+    deformation matrix of the package, the space's Q and the averaging
+    layer's shape Q̃ alike.  Exact instances hold Fractions in object
+    arrays."""
 
     entries: np.ndarray
-    split_scale: object
-    tilde: np.ndarray
     exact: bool
 
     @classmethod
-    def build(cls, entries, split_scale=None) -> "DeformationMatrix":
-        rows = [list(r) for r in entries]
+    def build(cls, entries) -> "DeformationMatrix":
+        """A nonempty square list of rows of real numbers, symmetric, with
+        every entry of modulus < 1; anything else raises a BuildError."""
+        try:
+            rows = [list(r) for r in entries]
+        except TypeError:
+            rows = []
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise BuildError("deformation matrix must be a nonempty square list of rows")
         flat = [x for r in rows for x in r]
+        if not all(isinstance(x, numbers.Real) for x in flat):
+            raise BuildError("deformation entries must be real numbers")
         exact = all(isinstance(x, numbers.Rational) for x in flat)
         if exact:
             mat = np.array([[Fraction(x) for x in r] for r in rows], dtype=object)
@@ -58,37 +62,17 @@ class DeformationMatrix:
             mat = np.array(rows, dtype=float)
 
         violations = []
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise BuildError("deformation matrix must be square")
-        if not np.array_equal(mat, mat.T):
+        # NaN counts as equal to itself: a NaN entry fails only the magnitude rule
+        if not np.array_equal(mat, mat.T, equal_nan=not exact):
             violations.append("deformation matrix must be symmetric")
         peak = max_abs(mat)
         if not peak < 1:
             violations.append(
                 "deformation entries must satisfy |q| < 1: need max|q_ij| < 1, got %g" % peak
             )
-        if split_scale is None:
-            one = Fraction(1) if exact else 1.0
-            split_scale = (max((abs(x) for x in flat), default=0) + one) / 2
-        if not violations and not (peak < float(split_scale) and abs(split_scale) < 1):
-            violations.append(
-                "split scale must satisfy max|q_ij| = %g < scale < 1, got %g"
-                % (peak, split_scale)
-            )
         if violations:
             raise BuildError(violations)
-
-        if exact:
-            if not isinstance(split_scale, numbers.Rational):
-                raise BuildError("exact entries need a rational split scale")
-            split_scale = Fraction(split_scale)
-            tilde = np.array(
-                [[x / split_scale for x in r] for r in rows], dtype=object
-            )
-        else:
-            split_scale = float(split_scale)
-            tilde = mat / split_scale
-        return cls(mat, split_scale, tilde, exact)
+        return cls(mat, exact)
 
     @property
     def n_blocks(self) -> int:

@@ -136,15 +136,15 @@ def _as_scalar(matrix: np.ndarray):
     return s
 
 
-def check_quantizable(setup, matrix, tolerance: float = 1e-10) -> None:
-    """Validate the one-particle map: contraction in the deformed geometry,
-    block preserving, commuting with the group at sampled times."""
+def check_quantizable(setup, matrix) -> None:
+    """Validate the one-particle map to 1e-10: contraction in the deformed
+    geometry, block preserving, commuting with the group at sampled times."""
     matrix = np.asarray(matrix)
     violations = []
     if matrix.shape != (setup.dim, setup.dim):
         raise BuildError(f"one-particle map must be {setup.dim}x{setup.dim}")
     norm = op_norm(to_float(matrix), to_float(setup.u_gram), to_float(setup.u_gram))
-    if norm > 1 + tolerance:
+    if norm > 1 + 1e-10:
         violations.append(f"one-particle map has norm {norm:.6g} > 1")
     for i in range(setup.dim):
         for j in range(setup.dim):
@@ -155,7 +155,7 @@ def check_quantizable(setup, matrix, tolerance: float = 1e-10) -> None:
                 )
     for t in GROUP_CHECK_TIMES:
         u = setup.u_matrix(t)
-        if max_abs(matrix.dot(u) - u.dot(matrix)) > tolerance:
+        if max_abs(matrix.dot(u) - u.dot(matrix)) > 1e-10:
             violations.append(f"one-particle map fails to commute with the group at t={t}")
     if violations:
         raise BuildError(violations)

@@ -79,25 +79,20 @@ class UmSpec:
             violations.append(f"auxiliary dimension must be a positive integer, got {m!r}")
         if not (isinstance(q, numbers.Real) and 0 < q < 1):
             violations.append(f"uniform scale q must be real in (0, 1), got {q!r}")
-        if np.ndim(q_tilde) == 0:
-            if not (isinstance(q_tilde, numbers.Real) and abs(q_tilde) < 1):
+        # a uniform shape is checked as the 1x1 matrix of its value
+        uniform = isinstance(q_tilde, numbers.Number)
+        try:
+            DeformationMatrix.build([[q_tilde]] if uniform else q_tilde)
+        except BuildError as err:
+            if uniform:
                 violations.append(
                     f"uniform shape entry must be real with modulus < 1, got {q_tilde!r}"
                 )
-        else:
-            arr = np.asarray(q_tilde)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                violations.append("shape deformation must be scalar or square")
-            elif np.iscomplexobj(arr):
-                violations.append("shape deformation entries must be real")
-            elif np.any(arr != arr.T):
-                violations.append("shape deformation must be symmetric")
-            elif any(abs(x) >= 1 for x in arr.flat):
-                violations.append("shape deformation entries must have modulus < 1")
             else:
-                q_tilde = arr
+                violations.extend(f"shape deformation: {item}" for item in err.violations)
         vecs, _ = validate_word(setup, vectors, MAX_UM_LENGTH, "averaged-moment", violations)
-        return cls(int(m), vecs, q, q_tilde)
+        # the caller's own matrix, so exact Fraction entries keep their dtype
+        return cls(int(m), vecs, q, q_tilde if uniform else np.asarray(q_tilde))
 
     @property
     def l(self) -> int:
@@ -226,6 +221,7 @@ def effective_deformation(setup, q, q_tilde) -> DeformationMatrix:
         entries = [[q * q_tilde for _ in range(n)] for _ in range(n)]
     else:
         arr = np.asarray(q_tilde)
+        # config states this rule too; it loads no upper layer
         if arr.shape[0] < n:
             raise BuildError(
                 f"shape deformation covers {arr.shape[0]} blocks, space has {n}"
@@ -269,12 +265,12 @@ class ConvergenceReport:
         return out
 
 
-def fitted_slope(aux_dims, errors, floor: float = 1e-15):
+def fitted_slope(aux_dims, errors):
     """Least-squares slope of log error against log m, ignoring points at
-    or below the floor; None when fewer than two points remain."""
+    or below 1e-15; None when fewer than two points remain."""
     xs, ys = [], []
     for m, e in zip(aux_dims, errors):
-        if e > floor:
+        if e > 1e-15:
             xs.append(math.log(m))
             ys.append(math.log(e))
     if len(xs) < 2:

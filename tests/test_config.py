@@ -324,7 +324,7 @@ INVALID_CONFIGS = {
     ),
     "split-scale-not-real": (
         {"space": {**minimal_raw()["space"], "split_scale": "half"}},
-        ["space.split_scale: must be a real number"],
+        ["space.split_scale: unknown key"],
     ),
     # space rules reached through the hilbert layer's build
     "q-not-symmetric": (
@@ -334,10 +334,6 @@ INVALID_CONFIGS = {
     "q-unbounded": (
         {"space": {"q": [[1.0]], "blocks": ["fixed"]}},
         ["space: deformation entries must satisfy |q| < 1: need max|q_ij| < 1, got 1"],
-    ),
-    "split-scale-out-of-range": (
-        {"space": {**minimal_raw()["space"], "split_scale": 0.2}},
-        ["space: split scale must satisfy max|q_ij| = 0.3 < scale < 1, got 0.2"],
     ),
     "space-beyond-the-dimension-cap": (
         {"space": {"q": [[0.3]], "blocks": one_label(9)}, "fock": {"n_max": 1}},
@@ -419,10 +415,18 @@ INVALID_CONFIGS = {
     ),
     "ultra-matrix-shape-not-symmetric": (
         experiments(ultra={"q_tilde": [[0.1, 0.2], [0.3, 0.1]]}),
+        ["experiments.ultra.q_tilde: deformation matrix must be symmetric"],
+    ),
+    "ultra-matrix-shape-ragged": (
+        experiments(ultra={"q_tilde": [[0.1, 0.2], [0.2]]}),
         [
-            "experiments.ultra.q_tilde: matrix shape must be square, symmetric, real,"
-            " with entries of modulus < 1"
+            "experiments.ultra.q_tilde: deformation matrix must be a nonempty square"
+            " list of rows"
         ],
+    ),
+    "ultra-matrix-shape-not-real": (
+        experiments(ultra={"q_tilde": [[0.1, "x"], ["x", 0.1]]}),
+        ["experiments.ultra.q_tilde: entries must be real numbers"],
     ),
     "ultra-matrix-shape-too-small": (
         two_labels(ultra={"q_tilde": [[0.1]]}),

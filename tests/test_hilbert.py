@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qfock.errors import BuildError
 from qfock.hilbert import DeformationMatrix, build_space
+from qfock.ultra import UmSpec
 
 from conftest import Q_MIXED, random_complex
 
@@ -71,17 +72,41 @@ def test_bad_blocks_rejected():
         build_space(Q_MIXED, [])
 
 
-def test_split_defaults_and_validation():
-    dm = DeformationMatrix.build(Q_MIXED)
-    assert dm.split_scale == pytest.approx((0.55 + 1) / 2)
-    assert np.allclose(dm.tilde * dm.split_scale, dm.entries)
-    assert np.max(np.abs(dm.tilde)) < 1
-    with pytest.raises(BuildError, match="split scale"):
-        DeformationMatrix.build(Q_MIXED, split_scale=0.5)
-    with pytest.raises(BuildError, match="split scale"):
-        DeformationMatrix.build(Q_MIXED, split_scale=1.0)
-    explicit = DeformationMatrix.build(Q_MIXED, split_scale=0.7)
-    assert explicit.split_scale == pytest.approx(0.7)
+MALFORMED = {
+    "ragged": ([[0.1, 0.2], [0.2]], "square"),
+    "empty": ([], "square"),
+    "one-dimensional": (np.array([0.1, 0.2]), "square"),
+    "complex": ([[0.1j]], "real"),
+    "string": ([["x"]], "real"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_matrices_fail_the_one_deformation_rule(name):
+    entries, rule = MALFORMED[name]
+    setup = build_space(Q_MIXED, [("fixed", 0), ("fixed", 1)])
+    with pytest.raises(BuildError, match=rule):
+        DeformationMatrix.build(entries)
+    with pytest.raises(BuildError, match=rule):
+        build_space(entries, [("fixed", 0)])
+    with pytest.raises(BuildError, match=rule):
+        UmSpec.build(setup, 2, [], 0.5, entries)
+
+
+def test_nan_entry_reports_only_the_magnitude_rule():
+    nan = [[float("nan")]]
+    with pytest.raises(BuildError) as err:
+        DeformationMatrix.build(nan)
+    assert err.value.violations == [
+        "deformation entries must satisfy |q| < 1: need max|q_ij| < 1, got nan"
+    ]
+    setup = build_space(Q_MIXED, [("fixed", 0), ("fixed", 1)])
+    with pytest.raises(BuildError) as err:
+        UmSpec.build(setup, 2, [], 0.5, nan)
+    assert err.value.violations == [
+        "shape deformation: deformation entries must satisfy |q| < 1:"
+        " need max|q_ij| < 1, got nan"
+    ]
 
 
 # -- deformed inner product -------------------------------------------------
@@ -218,13 +243,6 @@ def test_exact_space(exact2):
     assert exact2.u_inner(e0, e1) == Fraction(0)
     assert isinstance(exact2.u_inner(e0, e0), Fraction)
     assert exact2.deformation.entries[0, 1] == Fraction(1, 7)
-
-
-def test_exact_split_is_rational(exact2):
-    dm = exact2.deformation
-    assert isinstance(dm.split_scale, Fraction)
-    assert dm.split_scale == (Fraction(2, 5) + 1) / 2
-    assert dm.tilde[0, 0] == Fraction(1, 3) / dm.split_scale
 
 
 def test_exact_mode_rejections():
