@@ -37,7 +37,7 @@ from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import BRAID_TOLERANCE
-from .linalg import blas_config, gram_inner, max_abs, pin_blas_threads
+from .linalg import blas_config, gram_inner, pin_blas_threads
 
 # the layers above fock (wick, moments, modular, multipliers, ultra) are
 # imported inside the runners that use them, so a command loads only what
@@ -186,10 +186,7 @@ def _run_modular(config, fock, scale):
         rows.append({"check": check, "parameter": parameter, "residual": residual})
 
     for n in range(fock.n_max + 1):
-        # J Delta^{1/2} less the reversal, the linear part of the closing map
-        gap = modular.j_apply(modular.delta_power(0.5, n), n)
-        gap[modular.reversed_index(n), np.arange(fock.level_dim(n))] -= 1
-        push("decomposition", n, float(max_abs(gap)), "modular_decomposition")
+        push("decomposition", n, modular.decomposition_residual(n), "modular_decomposition")
 
     kms_cap = fock.n_max // 2
     if kms_cap >= 1:
@@ -432,6 +429,3 @@ def main(argv=None) -> int:
         print(f"i/o failure: {err}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,9 +4,13 @@ Level n is spanned by words (a_1, ..., a_n) over the basis indices, in
 lexicographic order.  The deformation enters through the flip operator
 T(e_a (x) e_b) = q_{block(a), block(b)} e_b (x) e_a, its amplifications T_i,
 the quasi-multiplicative representation pi of the symmetric groups, and the
-level symmetrizers P(n) = sum over pi(sigma).  The deformed level inner
-product is represented by the Gram matrix (G_U tensor power) P(n), with
-G_U applied to P(n) leg by leg (``linalg.legwise``), not as a dense power.
+level symmetrizers P(n) = sum over pi(sigma).  q is real, so every pi
+coefficient is, and a float space stores P(n) as real float64 (exact spaces
+keep Fractions).  The deformed level inner product is represented by the
+Gram matrix (G_U tensor power) P(n), complex, with G_U applied to P(n) leg
+by leg (``linalg.legwise``, a run of columns at a time), not as a dense
+power; its Hermiticity is checked a run of rows at a time, so the build
+holds no level-sized scratch beside what it keeps.
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
@@ -51,6 +55,7 @@ from .errors import BuildError, CutoffError
 from .limits import MAX_LEVEL, MAX_LEVEL_DIM
 from .linalg import (
     block_diag,
+    column_slabs,
     gram_inner,
     identity_matrix,
     kron_power,
@@ -112,8 +117,10 @@ class _Monomial:
 class TruncatedFock:
     """Levels 0..n_max of the deformed Fock space, fully materialized.
 
-    Immutable by convention after construction.  All matrices are dense;
-    the word count of the top level is capped to keep them workable.
+    Immutable by convention after construction.  It keeps per level the
+    pi table, P(n) (real in float mode, Fractions in exact mode) and the
+    Gram form (complex in float mode); all are dense, and the word count of
+    the top level is capped to keep them workable.
     """
 
     def __init__(self, setup, n_max: int):
@@ -229,8 +236,7 @@ class TruncatedFock:
 
     def _identity_monomial(self, n: int) -> _Monomial:
         size = self.dim**n
-        coeff = self._zeros(size)
-        coeff[:] = Fraction(1) if self.exact else 1.0
+        coeff = np.full(size, Fraction(1), dtype=object) if self.exact else np.ones(size)
         return _Monomial(np.arange(size), coeff)
 
     def _pi_table(self, n: int) -> dict:
@@ -282,8 +288,10 @@ class TruncatedFock:
         return float(gap.max())
 
     def _assemble_p(self, n: int) -> np.ndarray:
-        out = self._zeros((self.dim**n, self.dim**n))
-        cols = np.arange(self.dim**n)
+        size = self.dim**n
+        # real in float mode: q is real, and so is every pi coefficient
+        out = self._zeros((size, size)) if self.exact else np.zeros((size, size))
+        cols = np.arange(size)
         for mono in self._pi_tables[n].values():
             # one scaled permutation per sigma: row indices never repeat
             out[mono.perm, cols] += mono.coeff
@@ -327,8 +335,15 @@ class TruncatedFock:
     def _check_build(self) -> None:
         problems = []
         for n in range(self.n_max + 1):
-            g = to_float(self.gram_levels[n])
-            if max_abs(g - g.conj().T) > 1e-10 * max(1.0, max_abs(g)):
+            g = self.gram_levels[n]
+            # G against G^H one row slab at a time: a max over entries does
+            # not depend on the slabs, and np.maximum keeps a NaN
+            skew = peak = 0.0
+            for rows in column_slabs(self.level_dim(n)):
+                slab = to_float(g[rows])
+                skew = np.maximum(skew, max_abs(slab - to_float(g[:, rows]).conj().T))
+                peak = np.maximum(peak, max_abs(slab))
+            if skew > 1e-10 * max(1.0, peak):
                 problems.append("level %d Gram is not Hermitian" % n)
             elif not self._p_minima[n] > POSITIVITY_FLOOR:
                 problems.append("level %d symmetrizer lost strict positivity" % n)

@@ -233,10 +233,12 @@ def build_space(deformation, blocks, exact: bool = False) -> HilbertSetup:
     entries; each fixed entry occupies one basis index, each rotation two
     consecutive ones.  Exact mode needs rational deformation entries and
     lam = 1 everywhere (the group is then trivial and everything stays in
-    Fraction arithmetic).
+    Fraction arithmetic); a float space takes rational entries as float64.
     """
     if not isinstance(deformation, DeformationMatrix):
         deformation = DeformationMatrix.build(deformation)
+    if not exact and deformation.exact:
+        deformation = DeformationMatrix(deformation.entries.astype(float), False)
 
     violations = []
     fixed, rotations, block_of = [], [], []

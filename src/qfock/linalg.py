@@ -19,6 +19,9 @@ Every one-particle map acts on a level leg by leg, so ``legwise`` applies
 its n-th tensor power as n batched (d x d) products instead of forming the
 d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
+``kron_columns`` builds any columns of a power, so a check can walk a level
+matrix a run of columns at a time (``column_slabs``), and ``legwise`` takes
+its products the same way; both equal their one-shot forms bit for bit.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -34,6 +37,9 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
+
+# columns per run when a level product is taken a run at a time (``column_slabs``)
+SLAB_COLUMNS = 64
 
 # (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
 # the copies bundled with numpy 2 (64-bit, then 32-bit integers), the one
@@ -91,11 +97,38 @@ def blas_config() -> str | None:
     return None
 
 
+def column_slabs(size: int) -> list:
+    """Slices cutting ``size`` columns into runs of ``SLAB_COLUMNS``; the
+    last run keeps the remainder, and a one-column remainder joins the run
+    before it.  OpenBLAS computes the last N mod U columns of an N-column
+    product in an edge kernel, U a divisor of 64, and a single column takes
+    the matrix-vector route; so every column of a run meets the kernel it
+    meets in the whole product, and a product taken run by run equals the
+    whole one bit for bit."""
+    bounds = list(range(0, size, SLAB_COLUMNS)) + [size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of ``m``; n = 0 gives the 1x1 identity."""
-    out = np.eye(1, dtype=m.dtype)
-    for _ in range(n):
-        out = np.kron(out, m)
+    return kron_columns(m, n, slice(None))
+
+
+def kron_columns(m: np.ndarray, n: int, cols) -> np.ndarray:
+    """The columns ``cols`` (a slice or index array over the words of n
+    letters) of the n-fold Kronecker power of ``m``, the one builder of
+    tensor powers.  Leg k multiplies every column by the column of ``m`` at
+    the column word's k-th letter, left to right as a chain of ``np.kron``
+    products would, and numpy's elementwise product does not depend on the
+    layout, so any columns equal those of the whole power bit for bit."""
+    d = m.shape[1]
+    words = np.arange(d**n)[cols]
+    out = np.ones((1, len(words)), dtype=m.dtype)
+    for k in range(n):
+        letters = words // d ** (n - 1 - k) % d
+        out = (out[:, None, :] * m[:, letters]).reshape(-1, len(words))
     return out
 
 
@@ -106,15 +139,22 @@ def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
     on every leg.  Leg k is one batched product: with the rows split as
     (letters before k, letter k, letters after k and the columns of x),
     each of the d^k slices is a (d x d) by (d x rest) product, written in
-    place of the letter it consumed, so no transpose is needed.  Exact on
-    Fraction arrays.
+    place of the letter it consumed, so no transpose is needed.  The
+    columns of x (its trailing axes, flattened) go through in
+    ``column_slabs``, so the scratch beside the result is a few slabs, and
+    the result is the one-shot product's bit for bit.  Exact on Fraction
+    arrays.
     """
     x = np.asarray(x)
     if n == 0:
         return x.astype(np.result_type(m.dtype, x.dtype))
-    d, out = m.shape[1], x
-    for k in range(n):
-        out = np.matmul(m, out.reshape(d**k, d, -1))
+    d, flat = m.shape[1], x.reshape(len(x), -1)
+    out = np.empty(flat.shape, dtype=np.result_type(m.dtype, x.dtype))
+    for cols in column_slabs(flat.shape[1]):
+        part = flat[:, cols]
+        for k in range(n):
+            part = np.matmul(m, part.reshape(d**k, d, -1))
+        out[:, cols] = part.reshape(len(x), -1)
     return out.reshape(x.shape)
 
 

@@ -10,8 +10,11 @@ rather than assumed.  Where a tensor power only acts on something (J on a
 level matrix, the flow on a word argument, conjugation of a level block by
 the group on its rows and, through the transpose, its columns) it is
 applied leg by leg with ``linalg.legwise``; the dense powers stay as the
-matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return.  Leg
-reversal is a gather by ``reversed_index``, never the matrix ``reversal``.
+matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return, and
+the tests' oracles.  The decomposition check ``decomposition_residual``
+builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``),
+so no check holds a level-sized scratch matrix.  Leg reversal is a gather
+by ``reversed_index``, never the matrix ``reversal``.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -37,7 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import identity_matrix, kron_power, legwise, max_abs, to_float
+from .linalg import (
+    column_slabs,
+    identity_matrix,
+    kron_columns,
+    kron_power,
+    legwise,
+    max_abs,
+    to_float,
+)
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -55,7 +66,7 @@ class ModularData:
     ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
     on the whole truncated space, ``conjugate_block``, which maps one level
     block to another, ``reversed_index``, which returns an index map, and
-    ``flow_residual``, which returns a number.
+    ``decomposition_residual`` and ``flow_residual``, which return numbers.
     """
 
     fock: object
@@ -103,6 +114,23 @@ class ModularData:
         half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
         return half[self.reversed_index(n)]
 
+    def decomposition_residual(self, n: int) -> float:
+        """Largest entry of J Delta^{1/2} less the reversal on level n (the
+        decomposition S = J Delta^{1/2} on linear parts), a run of columns
+        (``linalg.column_slabs``) at a time: each run of Delta^{1/2} comes
+        from ``kron_columns``, goes through ``j_apply`` and loses its
+        columns of the reversal, bit for bit as in the dense difference,
+        whose max this is.  No array is as large as a level matrix."""
+        fock = self.fock
+        half, rev = fock.setup.a_power(-0.5), self.reversed_index(n)
+        worst = 0.0
+        for cols in column_slabs(fock.level_dim(n)):
+            gap = self.j_apply(kron_columns(half, n, cols), n)
+            gap[rev[cols], np.arange(gap.shape[1])] -= 1
+            # np.maximum, unlike max(), keeps a NaN slab residual
+            worst = np.maximum(worst, max_abs(gap))
+        return float(worst)
+
     def s_full_apply(self, v) -> np.ndarray:
         """``s_apply`` on every level of a full-space vector, as one gather."""
         fock = self.fock
@@ -142,9 +170,15 @@ class ModularData:
     def conjugate_block(self, t: float, r: int, c: int, block) -> np.ndarray:
         """U_r(t) B U_c(-t) for a block B from level c to level r.  The group
         acts leg by leg: on the rows of the block, and on its columns through
-        the transpose, since (U^(c))^T = (U^T)^(c)."""
+        the transpose, since (U^(c))^T = (U^T)^(c).  A row of the result
+        needs only the same row of the rows' product, so the columns are
+        transformed in place, one run of rows (``linalg.column_slabs``) at a
+        time, bit for bit as on the whole transpose."""
         left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
-        return legwise(right, c, legwise(left, r, to_float(block)).T).T
+        out = legwise(left, r, to_float(block))
+        for rows in column_slabs(len(out)):
+            out[rows] = legwise(right, c, out[rows].T).T
+        return out
 
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
         """Max-entry residual between ``flowed`` and U(-t) X U(t), X the
@@ -153,13 +187,17 @@ class ModularData:
         Only the blocks where either word holds entries are formed; on the
         others both sides vanish.  Each block of the conjugation is computed
         as ``unitary_conjugate`` computes it, so the residual is the dense
-        one, and no array is larger than one level block.
+        one.  The difference is taken in place on the conjugation (its sign
+        leaves the moduli as they are), so at most two level blocks are
+        held at a time.
         """
         worst = 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
-            conj = self.conjugate_block(-t, r, c, word.level_block(r, c))
+            gap = to_float(self.conjugate_block(-t, r, c, word.level_block(r, c)))
+            gap -= to_float(flowed.level_block(r, c))
             # np.maximum, unlike max(), keeps a NaN block residual
-            worst = np.maximum(worst, max_abs(to_float(flowed.level_block(r, c)) - conj))
+            worst = np.maximum(worst, max_abs(gap))
+            del gap  # before the next block's scratch
         return float(worst)
 
 

@@ -79,10 +79,9 @@ class UmSpec:
             violations.append(f"auxiliary dimension must be a positive integer, got {m!r}")
         if not (isinstance(q, numbers.Real) and 0 < q < 1):
             violations.append(f"uniform scale q must be real in (0, 1), got {q!r}")
-        # a uniform shape is checked as the 1x1 matrix of its value
         uniform = isinstance(q_tilde, numbers.Number)
         try:
-            DeformationMatrix.build([[q_tilde]] if uniform else q_tilde)
+            _checked_shape(q_tilde)
         except BuildError as err:
             if uniform:
                 violations.append(
@@ -214,19 +213,30 @@ def um_moment_closedform(spec: UmSpec, setup):
     return total
 
 
+def _checked_shape(q_tilde):
+    """The shape deformation as ``DeformationMatrix.build`` admits it: a
+    scalar, checked as the 1x1 matrix of its value, comes back as it is; a
+    matrix comes back as the built entries.  Anything else raises the
+    rule's BuildError."""
+    if isinstance(q_tilde, numbers.Number):
+        DeformationMatrix.build([[q_tilde]])
+        return q_tilde
+    return DeformationMatrix.build(q_tilde).entries
+
+
 def effective_deformation(setup, q, q_tilde) -> DeformationMatrix:
     """The limit deformation q * q_tilde on the base space's blocks."""
     n = setup.n_blocks
+    q_tilde = _checked_shape(q_tilde)
     if np.ndim(q_tilde) == 0:
         entries = [[q * q_tilde for _ in range(n)] for _ in range(n)]
     else:
-        arr = np.asarray(q_tilde)
         # config states this rule too; it loads no upper layer
-        if arr.shape[0] < n:
+        if q_tilde.shape[0] < n:
             raise BuildError(
-                f"shape deformation covers {arr.shape[0]} blocks, space has {n}"
+                f"shape deformation covers {q_tilde.shape[0]} blocks, space has {n}"
             )
-        entries = [[q * arr[i, j] for j in range(n)] for i in range(n)]
+        entries = [[q * q_tilde[i, j] for j in range(n)] for i in range(n)]
     return DeformationMatrix.build(entries)
 
 
@@ -300,14 +310,14 @@ def convergence_experiment(setup, vectors, q, q_tilde, m_list) -> ConvergenceRep
 
 def aux_deformation_matrix(q_tilde, m: int) -> np.ndarray:
     """Shape deformation on m auxiliary indices as a dense float matrix,
-    zero-extended past the declared size."""
+    zero-extended past the declared size; ``_checked_shape`` admits it."""
+    q_tilde = _checked_shape(q_tilde)
     out = np.zeros((m, m))
     if np.ndim(q_tilde) == 0:
         out[:] = float(q_tilde)
     else:
-        arr = to_float(np.asarray(q_tilde))
-        n = min(m, arr.shape[0])
-        out[:n, :n] = np.real(arr[:n, :n])
+        n = min(m, q_tilde.shape[0])
+        out[:n, :n] = q_tilde[:n, :n].astype(float)
     return out
 
 

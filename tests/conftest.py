@@ -44,3 +44,27 @@ def rng():
 
 def random_complex(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+# -- one-shot oracles of the run-by-run products ------------------------------
+
+
+def kron_chain(m, n):
+    """The n-fold Kronecker power as a chain of ``np.kron`` products: the
+    oracle of ``linalg.kron_columns``."""
+    out = np.eye(1, dtype=m.dtype)
+    for _ in range(n):
+        out = np.kron(out, m)
+    return out
+
+
+def one_shot_legwise(m, n, x):
+    """``linalg.legwise`` with every column in one batched product per leg:
+    the oracle of the product taken run by run of columns."""
+    x = np.asarray(x)
+    if n == 0:
+        return x.astype(np.result_type(m.dtype, x.dtype))
+    d, out = m.shape[1], x
+    for k in range(n):
+        out = np.matmul(m, out.reshape(d**k, d, -1))
+    return out.reshape(x.shape)

@@ -10,12 +10,19 @@ The independent routes used as oracles here:
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qfock.combinatorics import all_reduced_words, reduced_word
+from qfock.combinatorics import (
+    all_reduced_words,
+    apply_adjacent,
+    descents,
+    permutations_by_length,
+    reduced_word,
+)
 from qfock.errors import BuildError, CutoffError
 from qfock.fock import POSITIVITY_FLOOR, TruncatedFock
 from qfock.hilbert import build_space
@@ -23,7 +30,7 @@ from qfock.linalg import block_diag, kron_power, max_abs, min_gen_eig, op_norm, 
 from qfock.modular import ModularData
 from qfock.wick import from_vector, wick_operator, wick_recursion_residual
 
-from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, random_complex
+from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, one_shot_legwise, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -714,3 +721,74 @@ def test_index_map_flips_match_the_kronecker_assembled_flips(space, request):
     for n in range(2, fock.n_max + 1):
         for i in range(n - 1):
             assert np.array_equal(fock._flip(n, i).matrix(fock.exact), fock.t_amplified(i, n))
+
+
+# -- real symmetrizers and the build's memory ------------------------------------
+
+
+def complex_symmetrizer(fock, n):
+    """P(n) as it was assembled when stored complex: every pi(sigma) grown
+    from a complex identity one flip at a time, as ``_pi_table`` grows it,
+    and summed into a complex matrix.  The oracle of the real assembly."""
+    size = fock.level_dim(n)
+    flips = [fock._flip(n, i) for i in range(n - 1)]
+    table = {}
+    for perm in permutations_by_length(n):
+        ds = descents(perm)
+        if not ds:
+            table[perm] = (np.arange(size), np.ones(size, dtype=complex))
+            continue
+        index, coeff = table[apply_adjacent(perm, ds[0])]
+        flip = flips[ds[0]]
+        table[perm] = (index[flip.perm], flip.coeff * coeff[flip.perm])
+    out = np.zeros((size, size), dtype=complex)
+    for index, coeff in table.values():
+        out[index, np.arange(size)] += coeff
+    return out
+
+
+def test_float_symmetrizers_are_real_parts_of_the_complex_assembly(mixed5):
+    fock = TruncatedFock(mixed5, 4)
+    for n in range(fock.n_max + 1):
+        old = complex_symmetrizer(fock, n)
+        assert np.all(old.imag == 0)
+        p = fock.p_matrix(n)
+        assert p.dtype == np.float64
+        assert p.tobytes() == old.real.tobytes(), f"level {n}"
+        # numpy promotes the real P(n) to complex: the Gram is the old one
+        assert np.array_equal(fock.gram(n), one_shot_legwise(mixed5.u_gram, n, old))
+
+
+def test_a_fraction_deformation_in_a_float_space_is_float64():
+    thirds = TruncatedFock(build_space([[Fraction(1, 3)]], [("fixed", 0)]), 4)
+    floats = TruncatedFock(build_space([[1 / 3]], [("fixed", 0)]), 4)
+    assert thirds.setup.deformation.entries.dtype == np.float64
+    assert not thirds.setup.deformation.exact
+    for n in range(thirds.n_max + 1):
+        assert thirds.p_matrix(n).tobytes() == floats.p_matrix(n).tobytes()
+        assert thirds.gram(n).tobytes() == floats.gram(n).tobytes()
+
+
+def test_the_build_holds_less_than_a_level_block_beyond_what_it_keeps(mixed5):
+    # D = 781: one complex block of the top level is 16 * 625^2 = 6.25 MB;
+    # storing P(4) complex and forming G - G^H whole took 12.6 MB beyond it
+    tracemalloc.start()
+    try:
+        fock = TruncatedFock(mixed5, 4)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fock.level_dim(4) == 625
+    assert peak - kept < 16 * 625**2, f"peak {peak} B, kept {kept} B"
+
+
+@pytest.mark.parametrize("where", [(0, 1), (3, 600), (600, 624)])
+def test_the_hermiticity_gate_by_row_runs_is_the_dense_one(mixed5, where):
+    # one entry moved by a multiple of the gate's tolerance, on either side
+    for factor in (1e-3, 0.5, 2.0, 1e3):
+        fock = _UncheckedFock(mixed5, 4)
+        g = fock.gram_levels[4]
+        g[where] += factor * 1e-10 * max(1.0, max_abs(g))
+        dense = max_abs(g - g.conj().T) > 1e-10 * max(1.0, max_abs(g))
+        assert build_verdict(fock) == ([4] if dense else [])
+        assert dense == (factor > 1)

@@ -6,7 +6,10 @@ oracle.  Both pencil routes are in turn the oracle of the level positivity
 minimum, which the fock layer reads off P(n)'s orbit blocks.
 
 ``legwise`` applies a tensor power leg by leg; the dense product with
-``kron_power`` is its oracle.
+``kron_power`` is its oracle, and the one-shot product over every column
+is the bitwise oracle of its run-by-run product.  ``kron_columns`` builds
+any columns of a tensor power; the chain of ``np.kron`` products is its
+bitwise oracle.
 """
 
 from fractions import Fraction
@@ -18,8 +21,11 @@ import scipy.linalg
 import qfock.linalg
 from qfock.fock import MAX_LEVEL, TruncatedFock
 from qfock.linalg import (
+    SLAB_COLUMNS,
     blas_config,
+    column_slabs,
     hermitize,
+    kron_columns,
     kron_power,
     legwise,
     min_gen_eig,
@@ -27,6 +33,8 @@ from qfock.linalg import (
     pin_blas_threads,
     to_float,
 )
+
+from conftest import kron_chain, one_shot_legwise
 
 
 def pencil_oracle(a, b):
@@ -122,3 +130,49 @@ def test_legwise_is_exact_on_fractions(n):
         assert got.shape == rhs.shape
         assert all(type(v) is Fraction for v in got.flat)
         assert np.array_equal(got, kron_power(m, n).dot(rhs))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 63, 64, 65, 66, 127, 128, 129, 625, 2048])
+def test_column_slabs_cut_runs_of_64_and_keep_the_remainder_last(size):
+    slabs = column_slabs(size)
+    covered = [i for s in slabs for i in range(size)[s]]
+    assert covered == list(range(size))
+    widths = [s.stop - s.start for s in slabs]
+    assert all(w == SLAB_COLUMNS for w in widths[:-1])
+    if size:
+        # the last run keeps the remainder of the whole, and holds one
+        # column only when the whole does
+        assert widths[-1] % SLAB_COLUMNS == size % SLAB_COLUMNS
+        assert widths[-1] > 1 or size == 1
+
+
+def same_entries(a, b) -> bool:
+    """Bit for bit on float arrays; equal values of one type on object arrays."""
+    if a.dtype == object:
+        return np.array_equal(a, b) and all(type(x) is type(y) for x, y in zip(a.flat, b.flat))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_kron_columns_are_the_kron_chain_columns_bit_for_bit(mixed5, rng):
+    exact = np.array([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(1)]], dtype=object)
+    wide = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.7), exact, wide):
+        for n in range(5):
+            whole = kron_chain(m, n)
+            assert same_entries(kron_power(m, n), whole)
+            words = m.shape[1] ** n
+            picks = [slice(words // 3, words), np.arange(0, words, 2), [words - 1]]
+            for cols in picks + column_slabs(words):
+                assert same_entries(kron_columns(m, n, cols), whole[:, cols])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_legwise_by_runs_is_the_one_shot_product_bit_for_bit(mixed5, n, rng):
+    # d = 5 on a rotation space: level 4 has 625 words, ten runs of columns
+    words = mixed5.dim**n
+    for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.3), mixed5.u_gram):
+        for shape in ((words,), (words, 1), (words, 65), (words, 130), (words, 7, 19), (words, words)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for arg in (x, x.real, np.swapaxes(x, 0, -1).copy().swapaxes(0, -1)):
+                got, ref = legwise(m, n, arg), one_shot_legwise(m, n, arg)
+                assert same_entries(got, ref), (m.dtype, shape)

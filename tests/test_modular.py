@@ -1,5 +1,6 @@
 """Modular data: reversal, generator powers, conjugation, flow, exchange."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,8 @@ from qfock.hilbert import DeformationMatrix, build_space
 from qfock.linalg import block_diag, gram_inner, kron_power, max_abs, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
 from qfock.wick import WickWord, field, from_vector, vacuum_expectation, wick_operator
+
+from conftest import one_shot_legwise
 
 MOD_Q = [[0.3, -0.2], [-0.2, 0.55]]
 LAM = 2.0
@@ -333,3 +336,67 @@ def test_blockwise_conjugation_matches_the_dense_unitary_product(
     word = from_vector(md.fock, np.array([F(1, 2), F(-2, 3)], dtype=object), 1)
     dense = md.fock_unitary(0.7).dot(word.dense()).dot(md.fock_unitary(-0.7))
     assert np.array_equal(md.unitary_conjugate(0.7, word.dense()), to_float(dense))
+
+
+# -- the checks by runs of columns against their dense routes --------------------
+
+
+@pytest.fixture(scope="module")
+def modular_wide():
+    """d = 5 with two rotation blocks at n_max 4: level 4 has 625 words, ten
+    runs of columns, and one complex level block is 16 * 625^2 = 6.25 MB."""
+    setup = build_space(MOD_Q, [("rotation", 0, 2.0), ("fixed", 1), ("rotation", 1, 1.5)])
+    return ModularData(TruncatedFock(setup, 4))
+
+
+def dense_decomposition_gap(md, n):
+    """J Delta^{1/2} less the reversal as one level matrix: the dense route."""
+    gap = md.j_apply(md.delta_power(0.5, n), n)
+    gap[md.reversed_index(n), np.arange(md.fock.level_dim(n))] -= 1
+    return gap
+
+
+def test_decomposition_residual_is_the_dense_route(modular4, modular_wide, exact_modular):
+    for md in (modular4, modular_wide, exact_modular):
+        for n in range(md.fock.n_max + 1):
+            dense = float(max_abs(dense_decomposition_gap(md, n)))
+            assert md.decomposition_residual(n) == dense, f"level {n}"
+    assert max(modular_wide.decomposition_residual(n) for n in range(5)) > 0
+    assert all(exact_modular.decomposition_residual(n) == 0 for n in range(4))
+
+
+def test_decomposition_check_holds_less_than_a_level_block(modular_wide):
+    tracemalloc.start()
+    try:
+        modular_wide.decomposition_residual(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense route peaked at 25 MB, four level blocks
+    assert peak < 16 * 625**2, f"peak {peak} B"
+
+
+def test_conjugate_block_is_the_one_shot_transpose_route(modular_wide, rng):
+    fock, md = modular_wide.fock, modular_wide
+    setup = fock.setup
+    for r, c in [(4, 3), (3, 4), (4, 4), (2, 4)]:
+        shape = (fock.level_dim(r), fock.level_dim(c))
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for t in (0.3, -1.0):
+            left, right = setup.u_matrix(t), setup.u_matrix(-t).T
+            dense = one_shot_legwise(right, c, one_shot_legwise(left, r, block).T).T
+            assert md.conjugate_block(t, r, c, block).tobytes() == np.ascontiguousarray(dense).tobytes()
+
+
+def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
+    fock = modular_wide.fock
+    word = from_vector(fock, rng.standard_normal(5) + 1j * rng.standard_normal(5), 1)
+    flowed = modular_flow(fock, 0.3, word)
+    tracemalloc.start()
+    try:
+        modular_wide.flow_residual(0.3, word, flowed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # five blocks of 625 x 125 entries used to be held at once
+    assert peak < 16 * 625**2, f"peak {peak} B"

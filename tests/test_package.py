@@ -48,3 +48,14 @@ def test_every_shipped_config_validates(path, capsys):
 def test_every_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+# runpy warns that the module it runs is already imported, which is the point
+@pytest.mark.filterwarnings("ignore:'qfock.cli' found in sys.modules:RuntimeWarning")
+def test_the_cli_module_is_not_a_command_entry(capsys):
+    # the entries are `python -m qfock` and the `qfock` script, both through
+    # qfock.__main__, which starts OpenBLAS on one thread; run as a script,
+    # qfock.cli only defines its names
+    namespace = runpy.run_module("qfock.cli", run_name="__main__")
+    assert callable(namespace["main"])
+    assert capsys.readouterr() == ("", "")

@@ -439,3 +439,28 @@ def test_remainder_guards():
         recursion_remainder_norm(3, 1.5, 0.6)
     with pytest.raises(BuildError, match="three letters"):
         recursion_remainder_norm(3, 0.5, 0.6, scales=(1.0, 1.0))
+
+
+# every shape deformation the averaging layer takes meets DeformationMatrix.build
+MALFORMED_SHAPES = {
+    "complex-entry": ([[0.1j]], "must be real numbers"),
+    "complex-scalar": (0.1j, "must be real numbers"),
+    "ragged": ([[0.5, 0.2], [0.2]], "nonempty square list of rows"),
+    "empty": ([], "nonempty square list of rows"),
+    "non-symmetric": ([[0.5, 0.2], [0.1, 0.5]], "must be symmetric"),
+    "too-large": ([[0.5, 1.0], [1.0, 0.5]], r"\|q\| < 1"),
+    "too-large-scalar": (-1.0, r"\|q\| < 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPES))
+@pytest.mark.parametrize("route", ["remainder", "effective", "aux"])
+def test_malformed_shapes_fail_the_one_deformation_rule(rot_space, route, name):
+    q_tilde, rule = MALFORMED_SHAPES[name]
+    call = {
+        "remainder": lambda: recursion_remainder_norm(3, 0.5, q_tilde),
+        "effective": lambda: effective_deformation(rot_space, 0.5, q_tilde),
+        "aux": lambda: aux_deformation_matrix(q_tilde, 3),
+    }[route]
+    with pytest.raises(BuildError, match=rule):
+        call()
