@@ -6,11 +6,9 @@ T(e_a (x) e_b) = q_{block(a), block(b)} e_b (x) e_a, its amplifications T_i,
 the quasi-multiplicative representation pi of the symmetric groups, and the
 level symmetrizers P(n) = sum over pi(sigma).  q is real, so every pi
 coefficient is, and a float space stores P(n) as real float64 (exact spaces
-keep Fractions).  The deformed level inner product is represented by the
-Gram matrix (G_U tensor power) P(n), complex, with G_U applied to P(n) leg
-by leg (``linalg.legwise``, a run of columns at a time), not as a dense
-power; its Hermiticity is checked a run of rows at a time, so the build
-holds no level-sized scratch beside what it keeps.
+keep Fractions).  The space keeps P(n) and nothing derived from it: the
+level Gram G_U^(n) P(n) is formed on call, G_U applied leg by leg
+(``linalg.legwise``), and its Hermiticity is checked once, on the flip.
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
@@ -55,8 +53,6 @@ from .errors import BuildError, CutoffError
 from .limits import MAX_LEVEL, MAX_LEVEL_DIM
 from .linalg import (
     block_diag,
-    column_slabs,
-    gram_inner,
     identity_matrix,
     kron_power,
     legwise,
@@ -117,10 +113,10 @@ class _Monomial:
 class TruncatedFock:
     """Levels 0..n_max of the deformed Fock space, fully materialized.
 
-    Immutable by convention after construction.  It keeps per level the
-    pi table, P(n) (real in float mode, Fractions in exact mode) and the
-    Gram form (complex in float mode); all are dense, and the word count of
-    the top level is capped to keep them workable.
+    Immutable by convention after construction.  It keeps per level P(n)
+    (dense, real in float mode, Fractions in exact mode) and its smallest
+    eigenvalue, and the word count of the top level is capped to keep P(n)
+    workable.  The pi tables and the Gram forms are formed on call.
     """
 
     def __init__(self, setup, n_max: int):
@@ -134,28 +130,23 @@ class TruncatedFock:
         self._block_arr = np.array(setup.block_of, dtype=int)
 
         levels = range(n_max + 1)
-        marks = [time.perf_counter()]
+        start = time.perf_counter()
         self.t_matrix = self._flip(2, 0).matrix(self.exact)
-        self._pi_tables = [self._pi_table(n) for n in levels]
-        marks.append(time.perf_counter())
         self.p_matrices = tuple(self._assemble_p(n) for n in levels)
-        marks.append(time.perf_counter())
-        self.gram_levels = tuple(self._level_gram(n) for n in levels)
-        marks.append(time.perf_counter())
+        assembled = time.perf_counter()
         self._p_minima = tuple(self._orbit_min_eigenvalue(n) for n in levels)
         self._check_build()
-        marks.append(time.perf_counter())
         # wall seconds per build phase, for the run manifest
-        phases = ("pi_tables", "symmetrizers", "gram", "positivity")
         self.build_seconds = {
-            phase: round(b - a, 6) for phase, a, b in zip(phases, marks, marks[1:])
+            "symmetrizers": round(assembled - start, 6),
+            "positivity": round(time.perf_counter() - assembled, 6),
         }
 
     @functools.cached_property
     def full_gram(self) -> np.ndarray:
-        """Deformed Gram form of the whole truncated space, assembled on
+        """Deformed Gram form of the whole space, assembled from ``gram`` on
         first use: only the amplified-norm scan and dense adjoints read it."""
-        return self.level_diag(lambda n: self.gram_levels[n])
+        return self.level_diag(self.gram)
 
     @functools.cached_property
     def t_norm(self) -> float:
@@ -260,7 +251,7 @@ class TruncatedFock:
         perm = tuple(perm)
         if len(perm) != n:
             raise BuildError("permutation of %d letters expected" % n)
-        return self._pi_tables[n][perm].matrix(self.exact)
+        return self._pi_table(n)[perm].matrix(self.exact)
 
     def t_amplified(self, i: int, n: int) -> np.ndarray:
         """T_i on level n by Kronecker assembly, I^(i) (x) T (x) I^(n-i-2):
@@ -292,7 +283,7 @@ class TruncatedFock:
         # real in float mode: q is real, and so is every pi coefficient
         out = self._zeros((size, size)) if self.exact else np.zeros((size, size))
         cols = np.arange(size)
-        for mono in self._pi_tables[n].values():
+        for mono in self._pi_table(n).values():
             # one scaled permutation per sigma: row indices never repeat
             out[mono.perm, cols] += mono.coeff
         return out
@@ -301,12 +292,10 @@ class TruncatedFock:
         return self.p_matrices[self.check_level(n)]
 
     def gram(self, n: int) -> np.ndarray:
-        return self.gram_levels[self.check_level(n)]
-
-    def _level_gram(self, n: int) -> np.ndarray:
-        if self.exact:  # G_U = I on exact spaces, as ``build_space`` checks
-            return self.p_matrices[n]
-        return legwise(self.setup.u_gram, n, self.p_matrices[n])
+        """Level Gram G_U^(n) P(n), formed on call; P(n) itself on exact
+        spaces, where G_U = I as ``build_space`` checks."""
+        p = self.p_matrices[self.check_level(n)]
+        return p if self.exact else legwise(self.setup.u_gram, n, p)
 
     def min_p_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n), equal to that of the pencil
@@ -332,20 +321,24 @@ class TruncatedFock:
             raise CutoffError("no level %d within the cutoff %d" % (n, self.n_max))
         return n
 
+    def flip_skew(self) -> tuple:
+        """(max |G_2 - G_2^H|, max |(G_U (x) G_U) T|): T is real symmetric and
+        G_2 = (G_U (x) G_U)(1 + T), so G_2 - G_2^H is their commutator.  If it
+        vanishes, G_U^(n) commutes with every T_i and P(n): every Gram is Hermitian."""
+        g2 = to_float(kron_power(self.setup.u_gram, 2))
+        t = to_float(self.t_matrix)
+        left = g2.dot(t)
+        return max_abs(left - t.dot(g2)), max_abs(left)
+
     def _check_build(self) -> None:
         problems = []
+        # G_U = I on exact spaces, and a NaN skew fails the comparison
+        if not self.exact and self.n_max >= 2:
+            skew, peak = self.flip_skew()
+            if not skew <= 1e-10 * max(1.0, peak):
+                problems.append("level 2 Gram is not Hermitian: G_U does not commute with T")
         for n in range(self.n_max + 1):
-            g = self.gram_levels[n]
-            # G against G^H one row slab at a time: a max over entries does
-            # not depend on the slabs, and np.maximum keeps a NaN
-            skew = peak = 0.0
-            for rows in column_slabs(self.level_dim(n)):
-                slab = to_float(g[rows])
-                skew = np.maximum(skew, max_abs(slab - to_float(g[:, rows]).conj().T))
-                peak = np.maximum(peak, max_abs(slab))
-            if skew > 1e-10 * max(1.0, peak):
-                problems.append("level %d Gram is not Hermitian" % n)
-            elif not self._p_minima[n] > POSITIVITY_FLOOR:
+            if not self._p_minima[n] > POSITIVITY_FLOOR:
                 problems.append("level %d symmetrizer lost strict positivity" % n)
         if problems:
             raise BuildError(problems)
@@ -449,9 +442,12 @@ class TruncatedFock:
         return np.asarray(vec)[self.level_slice(n)]
 
     def full_inner(self, u, v):
-        """Deformed inner product on the whole truncated space: the Gram form
-        is block diagonal, so it is the sum of the level inner products."""
-        return sum(
-            gram_inner(u[self.level_slice(n)], v[self.level_slice(n)], self.gram_levels[n])
-            for n in range(self.n_max + 1)
-        )
+        """Sum of the level inner products <u_n, G_U^(n) P(n) v_n>, forming no
+        Gram and no complex P(n): the real P(n) takes v_n's parts apart.  Every
+        level's term is computed, so a non-finite coordinate reaches the result."""
+        total = 0
+        for n, p in enumerate(self.p_matrices):
+            un, vn = u[self.level_slice(n)], v[self.level_slice(n)]
+            pv = p.dot(vn) if self.exact else p.dot(vn.real) + 1j * p.dot(vn.imag)
+            total += np.conj(un).dot(legwise(self.setup.u_gram, n, pv))
+        return total

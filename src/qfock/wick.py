@@ -173,11 +173,17 @@ def _assemble_entries(fock, word) -> tuple:
                     + fock.level_offset(m)
                 )
                 values.append(coeff * vals)
+    where, summed = _merge_entries(fock, index, values)
+    keep = summed != 0
+    return where[keep], summed[keep]
+
+
+def _merge_entries(fock, index, values) -> tuple:
+    """Sorted distinct indices of the lists ``index``, values summed in list order."""
     where, inverse = np.unique(np.concatenate(index), return_inverse=True)
     summed = fock._zeros(len(where))
     np.add.at(summed, inverse, np.concatenate(values))
-    keep = summed != 0
-    return where[keep], summed[keep]
+    return where, summed
 
 
 def _densify(fock, entries) -> np.ndarray:
@@ -247,17 +253,13 @@ def from_vector(fock, vec, n: int) -> WickWord:
     fock.check_level(n)
     if vec.shape != (fock.level_dim(n),):
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
-    index, values = [], []
+    # seeded empty, so a zero argument merges to no entries
+    index, values = [np.zeros(0, dtype=int)], [fock._zeros(0)]
     for idx in np.flatnonzero(vec):
         where, entries = _word_entries(fock, fock.index_word(int(idx), n))
         index.append(where)
         values.append(vec[idx] * entries)
-    if not index:
-        return WickWord(fock, n, vec.copy(), (np.zeros(0, dtype=int), fock._zeros(0)))
-    where, inverse = np.unique(np.concatenate(index), return_inverse=True)
-    summed = fock._zeros(len(where))
-    np.add.at(summed, inverse, np.concatenate(values))
-    return WickWord(fock, n, vec.copy(), (where, summed))
+    return WickWord(fock, n, vec.copy(), _merge_entries(fock, index, values))
 
 
 def vacuum_expectation(fock, operator):

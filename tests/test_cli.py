@@ -605,7 +605,8 @@ def test_manifest_times_the_fock_build_phases(tmp_path, capsys):
     assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
     manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
     phases = manifest["fock_build_seconds"]
-    assert sorted(phases) == ["gram", "pi_tables", "positivity", "symmetrizers"]
+    # the pi tables are formed inside the symmetrizers phase; no Gram is built
+    assert sorted(phases) == ["positivity", "symmetrizers"]
     assert all(value >= 0 for value in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_seconds"]
     assert manifest["cpu_count"] == os.cpu_count()
@@ -675,6 +676,7 @@ def test_moments_and_modular_form_no_full_space_matrix(tmp_path, monkeypatch):
     import qfock.wick
     from qfock.cli import _run_modular, _run_moments
     from qfock.config import normalize_config
+    from qfock.fock import TruncatedFock
 
     e = [[float(i == j) for i in range(5)] for j in range(5)]
     raw = {
@@ -691,7 +693,11 @@ def test_moments_and_modular_form_no_full_space_matrix(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a D x D operator was densified")
 
+    def no_gram(*args):
+        raise AssertionError("a level Gram was formed")
+
     monkeypatch.setattr(qfock.wick, "_densify", refuse)
+    monkeypatch.setattr(TruncatedFock, "gram", no_gram)
     _run_moments(config, fock, 1.0)
     _run_modular(config, fock, 1.0)
     assert "full_gram" not in fock.__dict__

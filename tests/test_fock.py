@@ -8,6 +8,7 @@ The independent routes used as oracles here:
   - P(n + k) via direct symmetrization vs the splitting-map factorization.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -771,7 +772,8 @@ def test_a_fraction_deformation_in_a_float_space_is_float64():
 
 def test_the_build_holds_less_than_a_level_block_beyond_what_it_keeps(mixed5):
     # D = 781: one complex block of the top level is 16 * 625^2 = 6.25 MB;
-    # storing P(4) complex and forming G - G^H whole took 12.6 MB beyond it
+    # storing P(4) complex and forming G - G^H whole took 12.6 MB beyond it,
+    # and the stored complex level Grams kept 6.2 MB beside P(n)
     tracemalloc.start()
     try:
         fock = TruncatedFock(mixed5, 4)
@@ -780,15 +782,63 @@ def test_the_build_holds_less_than_a_level_block_beyond_what_it_keeps(mixed5):
         tracemalloc.stop()
     assert fock.level_dim(4) == 625
     assert peak - kept < 16 * 625**2, f"peak {peak} B, kept {kept} B"
+    p_bytes = sum(p.nbytes for p in fock.p_matrices)
+    assert kept < p_bytes + 2**20, f"kept {kept} B, P(n) {p_bytes} B"
+    assert not hasattr(fock, "gram_levels") and not hasattr(fock, "_pi_tables")
 
 
-@pytest.mark.parametrize("where", [(0, 1), (3, 600), (600, 624)])
-def test_the_hermiticity_gate_by_row_runs_is_the_dense_one(mixed5, where):
-    # one entry moved by a multiple of the gate's tolerance, on either side
-    for factor in (1e-3, 0.5, 2.0, 1e3):
-        fock = _UncheckedFock(mixed5, 4)
-        g = fock.gram_levels[4]
-        g[where] += factor * 1e-10 * max(1.0, max_abs(g))
-        dense = max_abs(g - g.conj().T) > 1e-10 * max(1.0, max_abs(g))
-        assert build_verdict(fock) == ([4] if dense else [])
-        assert dense == (factor > 1)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_full_inner_forms_no_gram_and_keeps_every_level_term(mixed5, rng):
+    fock = TruncatedFock(mixed5, 4)
+    u, v = random_complex(rng, fock.total_dim), random_complex(rng, fock.total_dim)
+    tracemalloc.start()
+    try:
+        fock.full_inner(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a level-4 Gram, or P(4) copied to complex, is 16 * 625^2 = 6.25 MB
+    assert peak < 2**20, f"peak {peak} B"
+    vac = fock.vacuum()
+    for n in range(fock.n_max + 1):
+        for bad in (np.nan, np.inf, 1j * np.inf):
+            w = v.copy()
+            w[fock.level_slice(n).stop - 1] = bad
+            assert not np.isfinite(fock.full_inner(vac, w)), (n, bad)
+            assert not np.isfinite(fock.full_inner(w, vac)), (n, bad)
+
+
+def _coupled(setup):
+    """``setup`` with G_U coupling basis vectors 0 and 2, which carry labels
+    with different q rows: G_U no longer commutes with the flip."""
+    u = setup.u_gram.copy()
+    u[0, 2] += 0.1
+    u[2, 0] += 0.1
+    return dataclasses.replace(setup, u_gram=u)
+
+
+def test_the_hermiticity_gate_is_the_flip_commutation(mixed5):
+    coupled = _coupled(mixed5)
+    assert mixed5.block_of[0] != mixed5.block_of[2]
+    assert not np.array_equal(Q_MIXED[0], Q_MIXED[1])
+    with pytest.raises(BuildError, match="level 2 Gram is not Hermitian"):
+        TruncatedFock(coupled, 2)
+    # level 1 carries G_U itself, Hermitian: no level Gram below 2 can fail
+    TruncatedFock(coupled, 1)
+    assert build_verdict(_UncheckedFock(coupled, 3)) == [2]
+    assert build_verdict(_UncheckedFock(mixed5, 3)) == []
+
+
+@pytest.mark.parametrize("kind", ["mixed", "rotation", "coupled"])
+def test_the_flip_skew_is_the_dense_level_2_skew(mixed5, kind):
+    setup = {
+        "mixed": mixed5,
+        "rotation": build_space(Q_MIXED, [("rotation", 0, 2.0), ("rotation", 1, 1.5)]),
+        "coupled": _coupled(mixed5),
+    }[kind]
+    fock = _UncheckedFock(setup, 2)
+    g2 = fock.gram(2)
+    dense = max_abs(g2 - g2.conj().T)
+    skew, peak = fock.flip_skew()
+    assert abs(skew - dense) <= 1e-15 * max(1.0, peak), (skew, dense)
+    assert (skew > 1e-10 * max(1.0, peak)) == (kind == "coupled")
