@@ -288,9 +288,6 @@ class TruncatedFock:
             out[mono.perm, cols] += mono.coeff
         return out
 
-    def p_matrix(self, n: int) -> np.ndarray:
-        return self.p_matrices[self.check_level(n)]
-
     def gram(self, n: int) -> np.ndarray:
         """Level Gram G_U^(n) P(n), formed on call; P(n) itself on exact
         spaces, where G_U = I as ``build_space`` checks."""
@@ -437,9 +434,6 @@ class TruncatedFock:
         out = self._zeros(self.total_dim)
         out[self.level_slice(n)] = vec
         return out
-
-    def extract(self, vec, n: int) -> np.ndarray:
-        return np.asarray(vec)[self.level_slice(n)]
 
     def full_inner(self, u, v):
         """Sum of the level inner products <u_n, G_U^(n) P(n) v_n>, forming no

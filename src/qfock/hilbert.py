@@ -78,11 +78,6 @@ class DeformationMatrix:
     def n_blocks(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def peak(self) -> float:
-        """max |q_ij|, the crude size of the deformation."""
-        return max_abs(self.entries)
-
 
 @dataclass(frozen=True)
 class FixedVector:
@@ -187,13 +182,6 @@ class HilbertSetup:
         if xi.shape != (self.dim,) or eta.shape != (self.dim,):
             raise BuildError("vector dimension mismatch")
         return np.conj(xi).dot(self.u_gram.dot(eta))
-
-    def u_norm(self, xi) -> float:
-        return math.sqrt(abs(self.u_inner(xi, xi)))
-
-    def conjugate(self, v) -> np.ndarray:
-        """Entrywise conjugation in the distinguished real basis."""
-        return np.conj(np.asarray(v))
 
     def basis_vector(self, i: int) -> np.ndarray:
         if self.exact:

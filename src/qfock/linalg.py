@@ -20,8 +20,8 @@ its n-th tensor power as n batched (d x d) products instead of forming the
 d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
 ``kron_columns`` builds any columns of a power, so a check can walk a level
-matrix a run of columns at a time (``column_slabs``), and ``legwise`` takes
-its products the same way; both equal their one-shot forms bit for bit.
+matrix a run of columns at a time (``column_slabs``) and equal its one-shot
+form bit for bit.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -38,7 +38,7 @@ import ctypes
 
 import numpy as np
 
-# columns per run when a level product is taken a run at a time (``column_slabs``)
+# columns per run when a level matrix is walked a run at a time (``column_slabs``)
 SLAB_COLUMNS = 64
 
 # (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
@@ -136,25 +136,18 @@ def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
     """The product of ``kron_power(m, n)`` with ``x``, without forming the power.
 
     The rows of ``x`` are indexed by words of n letters; ``m`` (d x d) acts
-    on every leg.  Leg k is one batched product: with the rows split as
-    (letters before k, letter k, letters after k and the columns of x),
-    each of the d^k slices is a (d x d) by (d x rest) product, written in
-    place of the letter it consumed, so no transpose is needed.  The
-    columns of x (its trailing axes, flattened) go through in
-    ``column_slabs``, so the scratch beside the result is a few slabs, and
-    the result is the one-shot product's bit for bit.  Exact on Fraction
-    arrays.
+    on every leg.  Leg k is one batched product over the whole array: with
+    the rows split as (letters before k, letter k, letters after k and the
+    columns of x), each of the d^k slices is a (d x d) by (d x rest)
+    product, written in place of the letter it consumed, so no transpose
+    is needed.  Exact on Fraction arrays.
     """
     x = np.asarray(x)
     if n == 0:
         return x.astype(np.result_type(m.dtype, x.dtype))
-    d, flat = m.shape[1], x.reshape(len(x), -1)
-    out = np.empty(flat.shape, dtype=np.result_type(m.dtype, x.dtype))
-    for cols in column_slabs(flat.shape[1]):
-        part = flat[:, cols]
-        for k in range(n):
-            part = np.matmul(m, part.reshape(d**k, d, -1))
-        out[:, cols] = part.reshape(len(x), -1)
+    d, out = m.shape[1], x
+    for k in range(n):
+        out = np.matmul(m, out.reshape(d**k, d, -1))
     return out.reshape(x.shape)
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "checked_moment",
     "moment_matrix",
     "moment_pairings",
-    "random_spec",
     "validate_word",
 ]
 
@@ -81,9 +80,6 @@ class MomentSpec:
     @property
     def l(self) -> int:
         return len(self.vectors)
-
-    def reversed(self) -> "MomentSpec":
-        return MomentSpec(self.vectors[::-1], self.labels[::-1])
 
 
 def moment_pairings(spec: MomentSpec, deformation, setup):
@@ -156,22 +152,4 @@ def checked_moment(spec: MomentSpec, fock, tolerance: float = 1e-9, **context):
         )
         raise InvariantError("moment dual-path agreement", replay)
     return pairing, matrix, gap
-
-
-def random_spec(setup, rng, l: int) -> MomentSpec:
-    """Random word of l unit-free real single-block vectors."""
-    supports = {}
-    for index, label in enumerate(setup.block_of):
-        supports.setdefault(label, []).append(index)
-    labels = sorted(supports)
-    vectors = []
-    for _ in range(l):
-        label = labels[rng.integers(len(labels))]
-        v = np.zeros(setup.dim)
-        for index in supports[label]:
-            v[index] = rng.standard_normal()
-        if not np.any(v):
-            v[supports[label][0]] = 1.0
-        vectors.append(v)
-    return MomentSpec.build(setup, vectors)
 

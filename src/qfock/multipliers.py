@@ -85,10 +85,6 @@ class RadialSymbol:
             if not math.isfinite(abs(complex(v))):
                 raise BuildError("radial symbol values must be finite")
 
-    @property
-    def finite_rank(self) -> bool:
-        return self.tail == 0
-
     def at(self, n: int):
         if n < len(self.values):
             return self.values[n]
@@ -98,15 +94,6 @@ class RadialSymbol:
     def kronecker(cls, n: int) -> "RadialSymbol":
         """Projection onto words of length exactly n."""
         return cls((0.0,) * n + (1.0,), 0.0)
-
-    @classmethod
-    def cutoff(cls, n: int) -> "RadialSymbol":
-        """Projection onto words of length at most n."""
-        return cls((1.0,) * (n + 1), 0.0)
-
-    @classmethod
-    def constant(cls, value) -> "RadialSymbol":
-        return cls((), value)
 
 
 def radial_apply(symbol: RadialSymbol, word: WickWord) -> WickWord:

@@ -328,8 +328,6 @@ def _aux_fock(entries: np.ndarray, levels: int) -> TruncatedFock:
 
 
 def _sector_norm_sq(bucket: dict, gram_x: np.ndarray, gram_y: np.ndarray) -> float:
-    if not bucket:
-        return 0.0
     keys = list(bucket)
     ix = np.array([k[0] for k in keys])
     iy = np.array([k[1] for k in keys])
@@ -339,7 +337,7 @@ def _sector_norm_sq(bucket: dict, gram_x: np.ndarray, gram_y: np.ndarray) -> flo
     return float(np.real(np.conj(c).dot((gx * gy).dot(c))))
 
 
-def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) -> float:
+def recursion_remainder_norm(m: int, q: float, q_tilde) -> float:
     """Normalized vacuum norm of the three-letter recursion remainder.
 
     Extending a two-letter averaged word by one letter leaves a remainder
@@ -347,16 +345,14 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
     terms, summed over auxiliary multi-indices whose first value equals
     the hatted one and whose other values are distinct.  The remainder is
     applied to the two-factor vacuum in an explicit truncated model on a
-    scalar base space (three real letters with the given scales), and the
-    norm is divided by m**(3/2).  Expected to decay like m**(-1/2).
+    scalar base space (three real unit letters), and the norm is divided
+    by m**(3/2).  Expected to decay like m**(-1/2).
     """
     low, high = REMAINDER_AUX_DIMS
     if not low <= m <= high:
         raise BuildError(f"remainder model needs {low} <= m <= {high}, got {m}")
     if not (isinstance(q, numbers.Real) and 0 < q < 1):
         raise BuildError(f"uniform scale q must be real in (0, 1), got {q!r}")
-    if len(scales) != 3:
-        raise BuildError("the remainder model uses exactly three letters")
     shape = aux_deformation_matrix(q_tilde, m)
     first = _aux_fock(shape, 3)
     second = _aux_fock(float(q) * np.ones((m, m)), 3)
@@ -364,8 +360,6 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
     def shape_entry(a, b):
         return shape[a, b]
 
-    s1, s2, s3 = (float(s) for s in scales)
-    full_scale = s1 * s2 * s3
     sec33: dict = {}
     sec32: dict = {}
     sec23: dict = {}
@@ -381,17 +375,16 @@ def recursion_remainder_norm(m: int, q: float, q_tilde, scales=(1.0, 1.0, 1.0)) 
             x3 = first.word_index(word)
             y3 = second.word_index(word)
             key33 = (x3, y3)
-            sec33[key33] = sec33.get(key33, 0.0) + full_scale
+            sec33[key33] = sec33.get(key33, 0.0) + 1.0
             pair = (k[rest[0]], k[rest[1]])
-            pair_scale = scales[rest[0]] * scales[rest[1]]
-            kappa2 = s1 * scales[hat] * q ** (i - 1)
+            kappa2 = q ** (i - 1)
             y2 = second.word_index(pair)
             key32 = (x3, y2)
-            sec32[key32] = sec32.get(key32, 0.0) + kappa2 * pair_scale
+            sec32[key32] = sec32.get(key32, 0.0) + kappa2
             kappa3 = 1.0 if i == 2 else shape_entry(k[2], k[1])
             x2 = first.word_index(pair)
             key23 = (x2, y3)
-            sec23[key23] = sec23.get(key23, 0.0) + kappa3 * full_scale
+            sec23[key23] = sec23.get(key23, 0.0) + kappa3
     total = (
         _sector_norm_sq(sec33, first.gram(3), second.gram(3))
         + _sector_norm_sq(sec32, first.gram(3), second.gram(2))

@@ -7,6 +7,7 @@ import pytest
 
 from qfock.hilbert import build_space
 from qfock.linalg import pin_blas_threads
+from qfock.moments import MomentSpec
 
 # the suite runs numpy's OpenBLAS on one thread, as the CLI does
 pin_blas_threads()
@@ -46,6 +47,24 @@ def random_complex(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+def random_spec(setup, rng, l: int) -> MomentSpec:
+    """Random word of l unit-free real single-block vectors."""
+    supports = {}
+    for index, label in enumerate(setup.block_of):
+        supports.setdefault(label, []).append(index)
+    labels = sorted(supports)
+    vectors = []
+    for _ in range(l):
+        label = labels[rng.integers(len(labels))]
+        v = np.zeros(setup.dim)
+        for index in supports[label]:
+            v[index] = rng.standard_normal()
+        if not np.any(v):
+            v[supports[label][0]] = 1.0
+        vectors.append(v)
+    return MomentSpec.build(setup, vectors)
+
+
 # -- one-shot oracles of the run-by-run products ------------------------------
 
 
@@ -59,8 +78,9 @@ def kron_chain(m, n):
 
 
 def one_shot_legwise(m, n, x):
-    """``linalg.legwise`` with every column in one batched product per leg:
-    the oracle of the product taken run by run of columns."""
+    """``linalg.legwise`` with every column in one batched product per leg,
+    written out: the pin of ``legwise`` and the one-shot oracle of the row
+    runs of ``ModularData.conjugate_block``."""
     x = np.asarray(x)
     if n == 0:
         return x.astype(np.result_type(m.dtype, x.dtype))

@@ -17,7 +17,7 @@ from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
 from qfock.linalg import gram_inner, max_abs, min_gen_eig, op_norm, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
-from qfock.moments import MomentSpec, checked_moment, moment_matrix, moment_pairings, random_spec
+from qfock.moments import MomentSpec, checked_moment, moment_matrix, moment_pairings
 from qfock.multipliers import (
     ContractionFamily,
     RadialSymbol,
@@ -38,6 +38,8 @@ from qfock.ultra import (
     um_moment_enumerate,
 )
 from qfock.wick import from_vector, span_operator, vacuum_expectation, wick_recursion_residual
+
+from conftest import random_spec
 
 MIXED_Q = [[0.3, -0.2], [-0.2, 0.55]]
 SEED = 20240817
@@ -158,7 +160,7 @@ def test_criterion_3_creation_adjointness_and_norm_bound():
                 to_float(fock.gram(n + 1)),
                 to_float(fock.gram(n)),
             )
-            assert norm <= fock.setup.u_norm(xi) * bound_scale * (1 + 1e-10)
+            assert norm <= math.sqrt(abs(fock.setup.u_inner(xi, xi))) * bound_scale * (1 + 1e-10)
 
 
 def test_criterion_4_wick_vacuum_recursion_and_splitting():
@@ -188,9 +190,9 @@ def test_criterion_4_wick_vacuum_recursion_and_splitting():
             assert residual <= 1e-10
 
     for n, k in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)):
-        lhs = to_float(fock.p_matrix(n + k))
+        lhs = to_float(fock.p_matrices[n + k])
         rhs = np.kron(
-            to_float(fock.p_matrix(n)), to_float(fock.p_matrix(k))
+            to_float(fock.p_matrices[n]), to_float(fock.p_matrices[k])
         ) @ to_float(fock.r_star(n, k))
         assert max_abs(lhs - rhs) <= 1e-12 * max(1.0, max_abs(lhs))
     d = fock.dim

@@ -129,6 +129,15 @@ def test_nonpositive_tolerance_scale_exits_with_code_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_negative_seed_exits_with_code_one(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    out_dir = tmp_path / "out"
+    code = main(["run", "fock", "--config", path, "--out", str(out_dir), "--seed", "-1"])
+    assert code == 1
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("scale", ["inf", "1e400"])
 def test_infinite_tolerance_scale_exits_with_code_one(tmp_path, capsys, scale):
     path = write_config(tmp_path, MINIMAL)

@@ -6,8 +6,8 @@ oracle.  Both pencil routes are in turn the oracle of the level positivity
 minimum, which the fock layer reads off P(n)'s orbit blocks.
 
 ``legwise`` applies a tensor power leg by leg; the dense product with
-``kron_power`` is its oracle, and the one-shot product over every column
-is the bitwise oracle of its run-by-run product.  ``kron_columns`` builds
+``kron_power`` is its oracle, and the product written out in the tests
+pins it bit for bit.  ``kron_columns`` builds
 any columns of a tensor power; the chain of ``np.kron`` products is its
 bitwise oracle.
 """
@@ -168,7 +168,8 @@ def test_kron_columns_are_the_kron_chain_columns_bit_for_bit(mixed5, rng):
 
 @pytest.mark.parametrize("n", range(5))
 def test_legwise_by_runs_is_the_one_shot_product_bit_for_bit(mixed5, n, rng):
-    # d = 5 on a rotation space: level 4 has 625 words, ten runs of columns
+    # d = 5 on a rotation space: level 4 has 625 words; real, complex and
+    # non-contiguous arguments of every width meet the written-out product
     words = mixed5.dim**n
     for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.3), mixed5.u_gram):
         for shape in ((words,), (words, 1), (words, 65), (words, 130), (words, 7, 19), (words, words)):

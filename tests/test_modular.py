@@ -400,3 +400,9 @@ def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
         tracemalloc.stop()
     # five blocks of 625 x 125 entries used to be held at once
     assert peak < 16 * 625**2, f"peak {peak} B"
+
+
+def test_the_flow_of_a_level_zero_word_is_the_word(fock4):
+    word = from_vector(fock4, np.array([2.0 - 1.0j]), 0)
+    for z in (0.3, -1j):
+        assert modular_flow(fock4, z, word) is word

@@ -15,9 +15,10 @@ from qfock.moments import (
     checked_moment,
     moment_matrix,
     moment_pairings,
-    random_spec,
 )
 from qfock.wick import vacuum_expectation, wick_operator
+
+from conftest import random_spec
 
 
 def make_fock(entries, blocks, n_max, exact=False):
@@ -182,11 +183,12 @@ def test_conjugate_symmetry_under_reversal(rotation_space, rng):
     setup = rotation_space.setup
     for _ in range(5):
         spec = random_spec(setup, rng, 4)
+        reverse = MomentSpec(spec.vectors[::-1], spec.labels[::-1])
         forward = moment_matrix(spec, rotation_space)
-        backward = moment_matrix(spec.reversed(), rotation_space)
+        backward = moment_matrix(reverse, rotation_space)
         assert abs(backward - np.conj(forward)) <= 1e-12 * (1 + abs(forward))
         pair_fwd = moment_pairings(spec, setup.deformation, setup)
-        pair_bwd = moment_pairings(spec.reversed(), setup.deformation, setup)
+        pair_bwd = moment_pairings(reverse, setup.deformation, setup)
         assert abs(pair_bwd - np.conj(pair_fwd)) <= 1e-12 * (1 + abs(pair_fwd))
 
 

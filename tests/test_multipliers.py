@@ -72,11 +72,9 @@ def commuting_contraction():
 def test_radial_symbol_shapes():
     f2 = RadialSymbol.kronecker(2)
     assert [f2.at(n) for n in range(4)] == [0.0, 0.0, 1.0, 0.0]
-    b1 = RadialSymbol.cutoff(1)
+    b1 = RadialSymbol((1.0, 1.0))
     assert [b1.at(n) for n in range(4)] == [1.0, 1.0, 0.0, 0.0]
-    assert f2.finite_rank and b1.finite_rank
-    ones = RadialSymbol.constant(1.0)
-    assert not ones.finite_rank
+    ones = RadialSymbol((), 1.0)
     assert ones.at(17) == 1.0
     with pytest.raises(BuildError):
         RadialSymbol((1.0, math.inf))
@@ -98,10 +96,10 @@ def test_radial_projections_partition_identity(fock3):
 
 def test_radial_apply_projects_levels(fock3, rng):
     w = random_word(fock3, rng, 3)
-    killed = radial_apply(RadialSymbol.cutoff(2), w)
+    killed = radial_apply(RadialSymbol((1.0, 1.0, 1.0)), w)
     assert max_abs(killed.argument) == 0.0
     assert max_abs(killed.dense()) == 0.0
-    kept = radial_apply(RadialSymbol.constant(1.0), w)
+    kept = radial_apply(RadialSymbol((), 1.0), w)
     assert np.array_equal(kept.argument, w.argument)
     assert np.array_equal(kept.dense(), w.dense())
     delta = radial_apply(RadialSymbol.kronecker(3), w)
@@ -344,8 +342,8 @@ def assert_same_array(ours, oracle):
 def test_level_matrices_match_the_per_level_loops(fock3, family3):
     symbols = [
         RadialSymbol.kronecker(1),
-        RadialSymbol.cutoff(2),
-        RadialSymbol.constant(0.3),
+        RadialSymbol((1.0, 1.0, 1.0)),
+        RadialSymbol((), 0.3),
         RadialSymbol((1.0, 0.5), 0.25j),
     ]
     for symbol in symbols:
@@ -479,7 +477,8 @@ def test_amplified_estimate_meets_the_radial_trivial_bound(space, kind, exact2, 
     else:
         fock = request.getfixturevalue(space)
     for n in range(fock.n_max + 1):
-        symbol = getattr(RadialSymbol, kind)(n)
+        # the projection onto length n, or onto lengths up to n
+        symbol = RadialSymbol.kronecker(n) if kind == "kronecker" else RadialSymbol((1.0,) * (n + 1))
         trivial = max(abs(symbol.at(k)) for k in range(fock.n_max + 1))
         estimate = amplified_norm_estimate(fock, radial_matrix(fock, symbol), 2)
         assert estimate >= trivial * (1 - 1e-12)

@@ -314,7 +314,7 @@ def test_aux_deformation_matrix_zero_extension():
     assert aux_deformation_matrix(0.7, 3) == pytest.approx(0.7 * np.ones((3, 3)))
 
 
-def dense_remainder_oracle(m, q, qt, scales):
+def dense_remainder_oracle(m, q, qt):
     """Assemble the remainder on the vacuum in the full two-factor tensor
     model, one-letter pieces through actual Wick operators."""
     shape = aux_deformation_matrix(qt, m)
@@ -322,16 +322,14 @@ def dense_remainder_oracle(m, q, qt, scales):
     second = TruncatedFock(
         build_space(q * np.ones((m, m)), [("fixed", i) for i in range(m)]), n_max=3
     )
-    s = [float(x) for x in scales]
-
     def vac(fock):
         v = np.zeros(fock.total_dim, dtype=complex)
         v[0] = 1.0
         return v
 
-    def one_letter(fock, a, scale=1.0):
+    def one_letter(fock, a):
         vec = np.zeros(fock.setup.dim)
-        vec[a] = scale
+        vec[a] = 1.0
         return to_float(wick_operator(fock, [vec]).dense())
 
     def basis3(fock, word):
@@ -353,13 +351,11 @@ def dense_remainder_oracle(m, q, qt, scales):
             k[hat] = k[0]
             word = tuple(k)
             x3 = basis3(first, word)
-            y3 = basis3(second, word) * (s[0] * s[1] * s[2])
+            y3 = basis3(second, word)
             add(3, 3, x3, y3, 1.0)
             a, b = rest
-            kappa2 = s[0] * s[hat] * q ** (i - 1)
-            y_pair = one_letter(second, k[a], s[a]).dot(
-                one_letter(second, k[b], s[b]).dot(vac(second))
-            )
+            kappa2 = q ** (i - 1)
+            y_pair = one_letter(second, k[a]).dot(one_letter(second, k[b]).dot(vac(second)))
             for ny in (0, 2):
                 add(3, ny, x3, y_pair, kappa2)
             kappa3 = 1.0 if i == 2 else shape[k[2], k[1]]
@@ -375,11 +371,10 @@ def dense_remainder_oracle(m, q, qt, scales):
 
 
 def test_remainder_norm_matches_dense_tensor_oracle():
-    scales = (1.0, 0.8, 1.25)
     for m in (2, 3):
         for qt in (0.6, [[0.5, 0.2], [0.2, -0.3]]):
-            got = recursion_remainder_norm(m, 0.5, qt, scales)
-            want = dense_remainder_oracle(m, 0.5, qt, scales)
+            got = recursion_remainder_norm(m, 0.5, qt)
+            want = dense_remainder_oracle(m, 0.5, qt)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -422,6 +417,10 @@ def test_enumeration_guards(rot_space, unit_space):
     spec = UmSpec.build(rot_space, MAX_AUX_DIM + 1, [f, f], 0.5, 0.4)
     with pytest.raises(BuildError, match=f"capped at auxiliary dimension {MAX_AUX_DIM}"):
         um_moment_enumerate(spec, rot_space)
+    # UmSpec.build refuses such a word first; a spec made directly meets the guard
+    long = UmSpec(2, (f,) * (MAX_UM_LENGTH + 1), 0.5, 0.4)
+    with pytest.raises(BuildError, match=f"capped at word length {MAX_UM_LENGTH}, got {MAX_UM_LENGTH + 1}"):
+        um_moment_enumerate(long, rot_space)
     with pytest.raises(BuildError, match="at least one"):
         convergence_experiment(unit_space, [[Fraction(1)]] * 2, Fraction(1, 2), Fraction(1, 4), [])
     with pytest.raises(BuildError, match="must increase"):
@@ -437,8 +436,6 @@ def test_remainder_guards():
         recursion_remainder_norm(9, 0.5, 0.6)
     with pytest.raises(BuildError, match="real in"):
         recursion_remainder_norm(3, 1.5, 0.6)
-    with pytest.raises(BuildError, match="three letters"):
-        recursion_remainder_norm(3, 0.5, 0.6, scales=(1.0, 1.0))
 
 
 # every shape deformation the averaging layer takes meets DeformationMatrix.build

@@ -29,6 +29,7 @@ from qfock.wick import (
     field,
     from_vector,
     norm_bound,
+    span_operator,
     wick_operator,
     wick_recursion_residual,
 )
@@ -562,3 +563,27 @@ def test_blockwise_flow_residual_matches_the_dense_conjugation(space, request, r
             coords = random_coords(fock, rng, fock.level_dim(n))
             coords[-1] = np.nan
             assert np.isnan(modular.flow_residual(t, word, from_vector(fock, coords, n)))
+
+
+def test_arguments_of_the_wrong_length_are_refused(fock_mixed):
+    with pytest.raises(BuildError, match="level-2 argument of length 9 expected"):
+        from_vector(fock_mixed, np.ones(8), 2)
+    with pytest.raises(BuildError, match="level-2 argument of length 9 expected"):
+        from_vector(fock_mixed, np.ones((9, 1)), 2)
+    with pytest.raises(BuildError, match="span coordinates of length 121 expected"):
+        span_operator(fock_mixed, np.ones(120))
+
+
+def test_an_exact_word_takes_its_adjoint_in_floats(fock_exact):
+    # as documented, an exact word's adjoint G^-1 X^* G is solved in floats:
+    # the float inverse Gram times the float product, the float solve to roundoff
+    vec = np.array([Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(1, 5)], dtype=object)
+    word = from_vector(fock_exact, vec, 2)
+    got = word.adjoint_matrix()
+    assert got.dtype == complex
+    gram = to_float(fock_exact.full_gram)
+    want = np.linalg.solve(gram, to_float(word.dense()).conj().T.dot(gram))
+    assert max_abs(got - want) <= 1e-12 * max_abs(want)
+    # and it is the word of the closed argument, the reversed word
+    closed = from_vector(fock_exact, vec[[0, 2, 1, 3]], 2)
+    assert max_abs(got - to_float(closed.dense())) <= 1e-12 * max_abs(want)
