@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .limits import MAX_PAIRING_POINTS, MAX_WORD_SIZE
 
 
@@ -219,16 +221,18 @@ def f_coefficient(left, right, labels, q):
 
     ``left`` and ``right`` are the increasing position tuples of the two
     groups; the product runs over all (a, b) in left x right with a > b,
-    each contributing q[labels[a]][labels[b]].
+    each contributing q[labels[a]][labels[b]].  ``labels[p]`` may be an
+    array of the labels at position p of many words, one coefficient each.
     """
     positions = sorted(left) + sorted(right)
     if sorted(positions) != list(range(len(labels))):
         raise ValueError("split does not cover the word positions")
+    q = np.asarray(q)
     out = 1
     for a in left:
         for b in right:
             if a > b:
-                out = out * q[labels[a]][labels[b]]
+                out = out * q[labels[a], labels[b]]
     return out
 
 

@@ -130,6 +130,15 @@ class TruncatedFock:
         self._block_arr = np.array(setup.block_of, dtype=int)
 
         levels = range(n_max + 1)
+        # word tables fixed at build: the level offsets, and per level (to the
+        # flip's level 2 at least) the read-only (n, dim**n) letters of every word
+        self._offsets = tuple(itertools.accumulate((self.dim**n for n in levels), initial=0))
+        self.total_dim = self._offsets[-1]
+        self._digits = tuple(
+            np.indices((self.dim,) * n).reshape(n, self.dim**n) for n in range(max(n_max, 2) + 1)
+        )
+        for table in self._digits:
+            table.flags.writeable = False
         start = time.perf_counter()
         self.t_matrix = self._flip(2, 0).matrix(self.exact)
         self.p_matrices = tuple(self._assemble_p(n) for n in levels)
@@ -159,12 +168,8 @@ class TruncatedFock:
     def level_dim(self, n: int) -> int:
         return self.dim**n
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dim**n for n in range(self.n_max + 1))
-
     def level_offset(self, n: int) -> int:
-        return sum(self.dim**m for m in range(n))
+        return self._offsets[n]
 
     def level_slice(self, n: int) -> slice:
         off = self.level_offset(self.check_level(n))
@@ -190,19 +195,11 @@ class TruncatedFock:
     def basis_words(self, n: int):
         return list(itertools.product(range(self.dim), repeat=n))
 
-    def labels_of(self, word) -> tuple:
-        return tuple(self.setup.block_of[a] for a in word)
-
-    def _digits(self, n: int) -> np.ndarray:
-        """(n, dim**n) array: digit at each position of every word index."""
-        strides = self.dim ** np.arange(n - 1, -1, -1)
-        return np.arange(self.dim**n) // strides[:, None] % self.dim
-
     def permuted_words(self, n: int, order) -> np.ndarray:
         """Index map of a position permutation on level n: for every word,
         the index of the word whose position p holds the letter at
         position ``order[p]``."""
-        return (self.dim ** np.arange(n - 1, -1, -1)).dot(self._digits(n)[list(order)])
+        return (self.dim ** np.arange(n - 1, -1, -1)).dot(self._digits[n][list(order)])
 
     def _zeros(self, shape) -> np.ndarray:
         if self.exact:
@@ -221,7 +218,7 @@ class TruncatedFock:
         """T_i on level n: swap legs i, i+1 with the deformation weight."""
         order = list(range(n))
         order[i], order[i + 1] = i + 1, i
-        labels = self._block_arr[self._digits(n)[i : i + 2]]
+        labels = self._block_arr[self._digits[n][i : i + 2]]
         coeff = self.setup.deformation.entries[labels[0], labels[1]]
         return _Monomial(self.permuted_words(n, order), coeff)
 
@@ -362,13 +359,17 @@ class TruncatedFock:
         if n == 0:
             return self._zeros((0, 1))
         cols = np.arange(self.level_dim(n))
-        term, target, weight = self.annihilation_step(xi, n, cols)
+        pairings = np.conj(xi).dot(self.setup.u_gram)[None]
+        term, target, weight = self.annihilation_step(pairings, 0, n, cols)
         out = self._zeros((self.level_dim(n - 1), self.level_dim(n)))
         np.add.at(out, (target, cols[term]), weight)
         return out
 
-    def annihilation_step(self, xi, n: int, rows) -> tuple:
-        """Deformed removal of one leg from the level-n words ``rows``, n >= 1.
+    def annihilation_step(self, pairings, letters, n: int, rows) -> tuple:
+        """Deformed removal of a leg xi from each level-n word ``rows[e]``,
+        n >= 1, where entry e's xi has the pairings <xi, e_a>_U over the
+        letters a in row ``letters[e]`` (or ``letters``, one for all) of
+        ``pairings``.
 
         Returns (term, target, weight): word ``rows[term]`` goes to the
         level-(n - 1) word ``target`` with ``weight``.  Position k of a word
@@ -376,19 +377,19 @@ class TruncatedFock:
         q_{block(w_k), block(w_j)} over j < k, on the word with position k
         deleted.  Terms whose k-th leg pairs to zero are skipped, the
         deleted-position index is computed arithmetically, and terms are
-        listed in increasing k, so summing them in order adds each word's
-        contributions in the order of the formula.
+        listed in increasing k, then in entry order, so summing them in
+        order adds each entry's contributions in the order of the formula,
+        whatever other entries share the call.
         """
-        xi = self._check_vector(xi)
-        pairings = np.conj(xi).dot(self.setup.u_gram)  # <xi, e_a>_U by a
         ent = self.setup.deformation.entries
         labels = self._block_arr
-        digits = self._digits(n)[:, rows]
+        digits = self._digits[n][:, rows]
         terms, targets, weights = [], [], []
         for k in range(n):
-            keep = np.flatnonzero(pairings[digits[k]] != 0)
+            pair = pairings[letters, digits[k]]
+            keep = np.flatnonzero(pair != 0)
             removed = digits[k, keep]
-            weight = pairings[removed]
+            weight = pair[keep]
             for j in range(k):
                 weight = weight * ent[labels[removed], labels[digits[j, keep]]]
             low = self.dim ** (n - 1 - k)
@@ -413,7 +414,7 @@ class TruncatedFock:
         ent = self.setup.deformation.entries
         for idx in range(self.level_dim(total)):
             word = self.index_word(idx, total)
-            labels = self.labels_of(word)
+            labels = self._block_arr[list(word)]
             for left, right in index_splittings(total, k):
                 coeff = f_coefficient(left, right, labels, ent)
                 target = self.word_index(

@@ -36,7 +36,7 @@ from .errors import BuildError
 from .hilbert import GROUP_CHECK_TIMES
 from .limits import MAX_AMPLIFICATION, STACK_BUDGET_BYTES
 from .linalg import gram_inner, hermitize, kron_power, legwise, max_abs, op_norm, to_float
-from .wick import WickWord, basis_word_operator, from_vector
+from .wick import WickWord, _level_entries, basis_word_operator, from_vector
 
 __all__ = [
     "MAX_AMPLIFICATION",
@@ -336,11 +336,11 @@ def _whitened_stack(fock) -> np.ndarray:
     lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
     left = lower.conj().T
     right = np.linalg.solve(lower, np.eye(d)).conj().T
-    words = itertools.chain.from_iterable(
-        fock.basis_words(n) for n in range(fock.n_max + 1)
-    )
+    words = [fock.basis_words(n) for n in range(fock.n_max + 1)]
+    for n, level in enumerate(words):
+        _level_entries(fock, n, level)  # each level's words assembled in one batch
     stack = np.empty((d, d, d), dtype=complex)
-    for i, word in enumerate(words):
+    for i, word in enumerate(itertools.chain.from_iterable(words)):
         stack[i] = left.dot(to_float(basis_word_operator(fock, word))).dot(right)
     stack.flags.writeable = False
     fock.__dict__["_whitened_stack"] = stack

@@ -14,20 +14,22 @@ are compressions to the truncated space: a summand whose image would leave
 the cutoff is dropped, so identities are only asserted on source levels
 whose compositions stay inside.
 
-The formula is evaluated for basis words e_w only, directly on (row,
-column, value) entries, never on dense level blocks: each source level
-starts from its identity entries, annihilation legs map row words through
-the fock layer's annihilation step, creation legs prepend their letters,
-and the terms of all splittings are summed once, position by position, in
-the order of the formula.  The weights f read the letters' blocks, which
-are the word's labels.  A basis word touches at most a few thousand of the
-D^2 entries, and basis-word operators are cached per space as exactly
-those (a read-only flat index array into the D x D operator and a value
-array).
+The formula is evaluated for basis words e_w only, a batch of one level's
+words at a time, directly on (word, row, column, value) entries, never on
+dense level blocks: each source level starts from the identity entries of
+every word, annihilation legs map row words through the fock layer's
+annihilation step against each entry's own letter, creation legs prepend
+each entry's letter, and the terms of all splittings are summed once per
+(word, flat index), in the order of the formula, so a word's entries are
+the same in any batch.  The weights f read the letters' blocks, one coefficient
+per word.  A basis word touches at most a few thousand of the D^2 entries,
+and basis-word operators are cached per space as exactly those (a
+read-only flat index array into the D x D operator and a value array).
 
 ``from_vector`` is the one realization of every other argument: W is
-linear in it, so the cached entries of the basis words are scaled by the
-argument's coordinates and merged, in word order, into one entry list.
+linear in it, so the basis words of its nonzero coordinates are assembled
+in one batch if not cached, and their entries are scaled by the
+coordinates and merged, in word order, into one entry list.
 Simple tensors (``wick_operator``, whose legs may span blocks) and field
 operators (``field``) are realized from their arguments this way.
 
@@ -131,58 +133,75 @@ class WickWord:
         return WickWord(self.fock, self.level, factor * self.argument, (index, factor * values))
 
 
-def _assemble_entries(fock, word) -> tuple:
-    """Splitting-formula operator of the basis word e_word, as its nonzero
-    entries.
+# identity entries one pass of the assembler starts from, at most: a batch
+# is taken in runs of whole words under this count (one word at least), so
+# the scratch of a pass stays near that of assembling one word alone
+ASSEMBLY_ENTRIES = 8192
 
-    Returns (flat index into the row-major D x D operator, values), sorted
-    by index.  Each source level m starts from the identity entries of
-    level m.  An annihilation leg maps every entry's row word through
-    ``TruncatedFock.annihilation_step``; a creation leg prepends its letter
-    a, moving the row to row + a d^level.  The terms of all splittings are
-    combined once, each position summing its terms in the order of the
-    formula, and exact zeros are dropped.
+
+def _assemble_entries(fock, n, words) -> list:
+    """Splitting-formula operators of the level-n basis words ``words``, as
+    their nonzero entries.
+
+    Returns one (flat index into the row-major D x D operator, values) pair
+    per word, sorted by index.  For each splitting and each source level m,
+    the words of a run start together from the identity entries of level
+    m, as (word, row, column, value).  An annihilation leg maps every
+    entry's row word through ``TruncatedFock.annihilation_step`` against
+    its own word's letter; a creation leg prepends each entry's own letter
+    a, moving the row to row + a d^level; the weights f are evaluated on
+    the run's label arrays.  The terms are merged once, on the key (word,
+    flat index) and in the order of the formula, so each word sums its
+    terms exactly as it would alone; exact zeros are dropped.
     """
-    n = fock.check_level(len(word))
-    legs = [fock.setup.basis_vector(a) for a in word]
-    labels = fock.labels_of(word)
-    ent = fock.setup.deformation.entries
-    size = fock.total_dim
-    index, values = [], []
-    for k in range(n + 1):
-        for left, right in index_splittings(n, k):
-            coeff = f_coefficient(left, right, labels, ent)
-            for m in range(k, fock.n_max + 1):
-                out_level = m - k + (n - k)
-                if out_level > fock.n_max:
-                    continue  # compressed away with the cutoff
-                # identity entries of level m: row word, column word, value
-                cols = rows = np.arange(fock.level_dim(m))
-                vals = fock._zeros(len(cols)) + 1
-                lvl = m
-                for j in reversed(right):
-                    term, rows, weight = fock.annihilation_step(legs[j], lvl, rows)
-                    cols, vals = cols[term], vals[term] * weight
-                    lvl -= 1
-                for i in reversed(left):
-                    rows = word[i] * fock.level_dim(lvl) + rows
-                    lvl += 1
-                index.append(
-                    (rows + fock.level_offset(out_level)) * size
-                    + cols
-                    + fock.level_offset(m)
-                )
-                values.append(coeff * vals)
-    where, summed = _merge_entries(fock, index, values)
-    keep = summed != 0
-    return where[keep], summed[keep]
+    setup, ent, size = fock.setup, fock.setup.deformation.entries, fock.total_dim
+    letters = np.array(words, dtype=int).reshape(len(words), fock.check_level(n))
+    pairings = np.array([np.conj(setup.basis_vector(a)).dot(setup.u_gram) for a in range(fock.dim)])
+    blocks = [
+        (left, right, m)
+        for k in range(n + 1)
+        for left, right in index_splittings(n, k)
+        # the source levels whose image m - k + (n - k) stays inside the cutoff
+        for m in range(k, fock.n_max + 1 - max(0, n - 2 * k))
+    ]
+    per_run = max(1, ASSEMBLY_ENTRIES // sum(fock.level_dim(m) for _, _, m in blocks))
+    out = []
+    for first in range(0, len(letters), per_run):
+        run = letters[first : first + per_run]
+        labels = fock._block_arr[run.T]
+        keys, values = [], []
+        for left, right, m in blocks:
+            coeff = np.broadcast_to(f_coefficient(left, right, labels, ent), len(run))
+            word, cols = np.divmod(np.arange(len(run) * fock.level_dim(m)), fock.level_dim(m))
+            rows, vals, lvl = cols, fock._zeros(len(cols)) + 1, m
+            for j in reversed(right):
+                term, rows, weight = fock.annihilation_step(pairings, run[word, j], lvl, rows)
+                word, cols, vals = word[term], cols[term], vals[term] * weight
+                lvl -= 1
+            for i in reversed(left):
+                rows = run[word, i] * fock.level_dim(lvl) + rows
+                lvl += 1
+            flat = (rows + fock.level_offset(lvl)) * size + cols + fock.level_offset(m)
+            keys.append(word * size**2 + flat)
+            values.append(coeff[word] * vals)
+        where, summed = _merge_entries(fock, keys, values)
+        keep = summed != 0
+        word, index = np.divmod(where[keep], size**2)
+        summed = summed[keep]
+        bounds = np.searchsorted(word, np.arange(len(run) + 1))
+        out += [(index[a:b], summed[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return out
 
 
 def _merge_entries(fock, index, values) -> tuple:
-    """Sorted distinct indices of the lists ``index``, values summed in list order."""
+    """Sorted distinct entries of the arrays ``index``, with the values of
+    each entry summed in list order.  ``values`` yields one array per array
+    of ``index`` and is read only after the sort, one array at a time."""
     where, inverse = np.unique(np.concatenate(index), return_inverse=True)
-    summed = fock._zeros(len(where))
-    np.add.at(summed, inverse, np.concatenate(values))
+    summed, start = fock._zeros(len(where)), 0
+    for part in values:
+        np.add.at(summed, inverse[start : start + len(part)], part)
+        start += len(part)
     return where, summed
 
 
@@ -209,22 +228,27 @@ def wick_operator(fock, legs) -> WickWord:
     return from_vector(fock, _tensor_argument(fock, legs), len(legs))
 
 
-def _word_entries(fock, word) -> tuple:
-    """Cached nonzero entries of the basis word e_word's operator.
+def _level_entries(fock, n, words) -> list:
+    """Cached nonzero entries of the level-n basis words ``words``, in order.
 
-    A pair (flat index into the row-major D x D operator, values), both
-    read-only, assembled on entries by ``_assemble_entries``: no level
-    block or D x D scratch matrix is ever formed.
+    Each is a pair (flat index into the row-major D x D operator, values),
+    both read-only.  The words not cached yet are assembled in one batch by
+    ``_assemble_entries``: no level block or D x D scratch matrix is ever
+    formed.
     """
     cache = fock.__dict__.setdefault("_wick_cache", {})
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    entry = _assemble_entries(fock, word)
-    for arr in entry:
-        arr.flags.writeable = False
-    cache[word] = entry
-    return entry
+    missing = [word for word in words if word not in cache]
+    if missing:
+        for word, entry in zip(missing, _assemble_entries(fock, n, missing)):
+            for arr in entry:
+                arr.flags.writeable = False
+            cache[word] = entry
+    return [cache[word] for word in words]
+
+
+def _word_entries(fock, word) -> tuple:
+    """Cached nonzero entries of the basis word e_word's operator."""
+    return _level_entries(fock, len(word), [word])[0]
 
 
 def cache_footprint(fock) -> tuple:
@@ -253,12 +277,12 @@ def from_vector(fock, vec, n: int) -> WickWord:
     fock.check_level(n)
     if vec.shape != (fock.level_dim(n),):
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
-    # seeded empty, so a zero argument merges to no entries
-    index, values = [np.zeros(0, dtype=int)], [fock._zeros(0)]
-    for idx in np.flatnonzero(vec):
-        where, entries = _word_entries(fock, fock.index_word(int(idx), n))
-        index.append(where)
-        values.append(vec[idx] * entries)
+    nonzero = np.flatnonzero(vec)
+    entries = _level_entries(fock, n, [fock.index_word(int(idx), n) for idx in nonzero])
+    # seeded empty, so a zero argument merges to no entries; a word's values
+    # are scaled only when the merge adds them on
+    index = [np.zeros(0, dtype=int)] + [where for where, _ in entries]
+    values = (vec[idx] * vals for idx, (_, vals) in zip(nonzero, entries))
     return WickWord(fock, n, vec.copy(), _merge_entries(fock, index, values))
 
 
@@ -344,7 +368,7 @@ def norm_bound(fock, vec, n: int) -> float:
         c = abs(vec[idx])
         if c == 0:
             continue
-        labels = fock.labels_of(fock.index_word(idx, n))
+        labels = fock._block_arr[list(fock.index_word(idx, n))]
         weight = 0.0
         for k in range(n + 1):
             for left, right in index_splittings(n, k):

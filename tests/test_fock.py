@@ -584,7 +584,7 @@ def annihilation_by_positions(fock, xi, n):
     pairings = np.conj(xi).dot(fock.setup.u_gram)
     ent = fock.setup.deformation.entries
     labels = np.array(fock.setup.block_of)
-    digits = fock._digits(n)
+    digits = fock._digits[n]
     out = fock._zeros((fock.level_dim(n - 1), fock.level_dim(n)))
     for k in range(n):
         cols = np.flatnonzero(pairings[digits[k]] != 0)
@@ -846,6 +846,6 @@ def test_vectors_and_permutations_of_the_wrong_length_are_refused(fock_mixed):
     with pytest.raises(BuildError, match="vector of dimension 5 expected"):
         wick_operator(fock_mixed, [np.ones(4)])
     with pytest.raises(BuildError, match="vector of dimension 5 expected"):
-        fock_mixed.annihilation_step(np.ones((5, 1)), 2, np.arange(3))
+        fock_mixed.annihilation(np.ones((5, 1)), 2)
     with pytest.raises(BuildError, match="permutation of 3 letters expected"):
         fock_mixed.pi_of((1, 0), 3)

@@ -22,7 +22,9 @@ from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space, leg_label
 from qfock.linalg import gram_inner, identity_matrix, max_abs, op_norm, to_float
 from qfock.modular import ModularData, modular_flow
+from qfock import wick
 from qfock.wick import (
+    _assemble_entries,
     _word_entries,
     basis_word_operator,
     cache_footprint,
@@ -346,7 +348,7 @@ def dense_assembly(fock, legs, labels):
 def dense_word(fock, word):
     """Splitting-formula operator of one basis word, on dense level blocks."""
     legs = [fock.setup.basis_vector(a) for a in word]
-    return dense_assembly(fock, legs, fock.labels_of(word))
+    return dense_assembly(fock, legs, tuple(fock.setup.block_of[a] for a in word))
 
 
 def assert_matches_dense(fast, dense, exact):
@@ -462,6 +464,25 @@ def test_building_word_entries_stays_small(mixed5):
         assert peak < 1_000_000, f"word {word}: peak {peak} B"
 
 
+# tracemalloc peak of the test below when every word was assembled alone
+# (5.27 MB, measured under pytest and standalone, rounded down)
+WORD_BY_WORD_PEAK = 5_272_000
+
+
+def test_a_fresh_dense_level_argument_peaks_no_higher_than_word_by_word(mixed5):
+    # D = 781: the 25 level-2 words are assembled in one batch, cut in runs,
+    # and realized; the word-by-word assembly peaked in the final merge
+    fock = TruncatedFock(mixed5, 4)
+    vec = random_complex(np.random.default_rng(0), fock.level_dim(2))
+    tracemalloc.start()
+    try:
+        from_vector(fock, vec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WORD_BY_WORD_PEAK, f"peak {peak} B"
+
+
 def test_cached_entries_are_read_only_and_sparse(fock_mixed):
     index, values = _word_entries(fock_mixed, (1, 2))
     with pytest.raises(ValueError):
@@ -478,6 +499,25 @@ def test_cached_entries_are_read_only_and_sparse(fock_mixed):
 # -- entry routes against their dense oracles ---------------------------------
 
 FIVE_SPACES = ["fock_trivial", "fock_commuting", "fock_mixed", "fock_rotation", "fock_exact"]
+
+
+@pytest.mark.parametrize("space", FIVE_SPACES)
+def test_a_word_assembles_the_same_in_a_level_batch_as_alone(space, request, monkeypatch):
+    fock = request.getfixturevalue(space)
+    for n in range(fock.n_max + 1):
+        words = fock.basis_words(n)
+        alone = [_assemble_entries(fock, n, [word])[0] for word in words]
+        # whole levels, in runs of the default length, of a few words and of one
+        for run_entries in (wick.ASSEMBLY_ENTRIES, 1000, 1):
+            monkeypatch.setattr(wick, "ASSEMBLY_ENTRIES", run_entries)
+            for (index, values), (one_index, one_values) in zip(
+                _assemble_entries(fock, n, words), alone, strict=True
+            ):
+                assert index.tobytes() == one_index.tobytes()
+                if fock.exact:
+                    assert values.dtype == object and np.all(values == one_values)
+                else:
+                    assert values.tobytes() == one_values.tobytes()
 
 
 def random_coords(fock, rng, size):
