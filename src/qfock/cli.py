@@ -17,14 +17,22 @@ CPU per command on two CPUs), and ``main`` pins one thread, which holds
 when numpy loaded first.  A run's manifest records the count read back,
 OpenBLAS's build string (both null on other BLAS builds) and CPU seconds.
 
-Exit codes: 0 success, 1 configuration or precondition failure, 2 invariant
-failure, 3 I/O failure.
+Every gate of this module passes through ``_gate``; the moments gate is
+``moments.checked_moment``.  A tolerance has one source: the
+configuration's ``tolerances`` section, or ``fock.BRAID_TOLERANCE`` for the
+braid gate; the net defect's gate checks finiteness alone.  The manifest's
+``headroom`` is each toleranced check's worst residual over its tolerance,
+as the runners recorded them.
+
+Exit codes: 0 success, 1 usage, configuration or precondition failure, 2
+invariant failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -46,18 +54,6 @@ from .linalg import blas_config, gram_inner, pin_blas_threads
 __all__ = ["main"]
 
 EXPERIMENT_ORDER = ("fock", "moments", "modular", "multipliers", "ultra")
-
-# gated checks whose headroom (worst residual / tolerance) the manifest
-# carries: check -> (experiment, summary key of its worst residual); the
-# tolerance is the configured one of the same name, the braid gate's is
-# BRAID_TOLERANCE
-HEADROOM_CHECKS = {
-    "braid": ("fock", "max_braid_residual"),
-    "moments": ("moments", "max_abs_diff"),
-    "modular_decomposition": ("modular", "max_decomposition_residual"),
-    "modular_exchange": ("modular", "max_exchange_residual"),
-    "modular_flow": ("modular", "max_flow_residual"),
-}
 
 
 def _fmt(value) -> str:
@@ -93,6 +89,19 @@ def _invariant(config, name: str, **fields) -> InvariantError:
     return InvariantError(name, replay=replay)
 
 
+def _gate(config, gated, check, residual, tolerance, invariant: str, /, **replay) -> None:
+    """Pass a finite ``residual`` at most ``tolerance``; any other, NaN
+    included, raises ``invariant`` with ``replay`` (the parameters are
+    positional, so replay fields may reuse their names).  A named ``check``
+    keeps its worst residual and its tolerance in ``gated``, which the
+    manifest's headroom reads."""
+    if not (math.isfinite(residual) and residual <= tolerance):
+        raise _invariant(config, invariant, **replay)
+    if check is not None:
+        worst = gated.get(check, (0.0,))[0]
+        gated[check] = (max(worst, residual), tolerance)
+
+
 def _random_word(fock, rng, level: int):
     from .wick import from_vector
 
@@ -101,24 +110,23 @@ def _random_word(fock, rng, level: int):
     return from_vector(fock, coords, level)
 
 
-def _run_fock(config, fock, scale):
+def _run_fock(config, fock, gated):
     rows = []
-    worst_braid = 0.0
     floor_eig = float("inf")
-    braid_tol = BRAID_TOLERANCE * scale
+    # recorded as 0 below level 3, where no braid relation applies
+    gated["braid"] = (0.0, BRAID_TOLERANCE)
     for n in range(fock.n_max + 1):
         # the build has refused any level at or below POSITIVITY_FLOOR
         eig = float(fock.min_p_eigenvalue(n))
         braid = 0.0
         for i in range(n - 2):
             residual = fock.braid_defect(i, n)
-            if not residual <= braid_tol:
-                raise _invariant(
-                    config, "braid relation", level=n, i=i, residual=residual, tolerance=braid_tol
-                )
+            _gate(
+                config, gated, "braid", residual, BRAID_TOLERANCE, "braid relation",
+                level=n, i=i, residual=residual, tolerance=BRAID_TOLERANCE,
+            )
             braid = max(braid, residual)
         floor_eig = min(floor_eig, eig)
-        worst_braid = max(worst_braid, braid)
         rows.append(
             {
                 "level": n,
@@ -127,15 +135,15 @@ def _run_fock(config, fock, scale):
                 "braid_residual": braid,
             }
         )
-    summary = [("min_p_eigenvalue", floor_eig), ("max_braid_residual", worst_braid)]
+    summary = [("min_p_eigenvalue", floor_eig), ("max_braid_residual", gated["braid"][0])]
     return rows, summary
 
 
-def _run_moments(config, fock, scale):
+def _run_moments(config, fock, gated):
     from .moments import MomentSpec, checked_moment
 
     setup = fock.setup
-    tol = config.tolerance("moments", scale)
+    tol = config.tolerance("moments")
     rows = []
     worst = 0.0
     for i, word in enumerate(config.experiment("moments")["words"]):
@@ -155,10 +163,12 @@ def _run_moments(config, fock, scale):
                 "abs_diff": gap,
             }
         )
+    # checked_moment has gated every gap
+    gated["moments"] = (worst, tol)
     return rows, [("max_abs_diff", worst)]
 
 
-def _run_modular(config, fock, scale):
+def _run_modular(config, fock, gated):
     from .modular import ModularData, kms_residual, modular_flow
 
     # built here, so a run without modular or multipliers never imports numpy.random
@@ -166,43 +176,40 @@ def _run_modular(config, fock, scale):
     modular = ModularData(fock)
     params = config.experiment("modular")
     rows = []
-    worst = {}
 
-    def push(check, parameter, residual, tol_key):
-        tol = config.tolerance(tol_key, scale)
-        if not residual <= tol:
-            raise _invariant(
-                config,
-                f"modular {check} identity",
-                seed=config.seed,
-                check=check,
-                parameter=parameter,
-                residual=residual,
-                tolerance=tol,
-            )
-        worst[check] = max(worst.get(check, 0.0), residual)
+    def push(check, parameter, residual):
+        tol = config.tolerance(f"modular_{check}")
+        _gate(
+            config, gated, f"modular_{check}", residual, tol, f"modular {check} identity",
+            seed=config.seed, check=check, parameter=parameter, residual=residual, tolerance=tol,
+        )
         rows.append({"check": check, "parameter": parameter, "residual": residual})
 
     for n in range(fock.n_max + 1):
-        push("decomposition", n, modular.decomposition_residual(n), "modular_decomposition")
+        push("decomposition", n, modular.decomposition_residual(n))
 
     kms_cap = fock.n_max // 2
     if kms_cap >= 1:
         for p in range(params["pairs"]):
             x = _random_word(fock, rng, int(rng.integers(1, kms_cap + 1)))
             y = _random_word(fock, rng, int(rng.integers(1, kms_cap + 1)))
-            push("exchange", p, float(kms_residual(fock, x, y)), "modular_exchange")
+            push("exchange", p, float(kms_residual(fock, x, y)))
 
     for t in params["times"]:
         word = _random_word(fock, rng, 1)
         flowed = modular_flow(fock, t, word)
-        push("flow", t, float(modular.flow_residual(t, word, flowed)), "modular_flow")
+        push("flow", t, float(modular.flow_residual(t, word, flowed)))
 
-    summary = [(f"max_{check}_residual", value) for check, value in sorted(worst.items())]
+    # no exchange check below n_max 2, where no pair of words fits
+    summary = [
+        (f"max_{check}_residual", gated[f"modular_{check}"][0])
+        for check in ("decomposition", "exchange", "flow")
+        if f"modular_{check}" in gated
+    ]
     return rows, summary
 
 
-def _run_multipliers(config, fock, scale):
+def _run_multipliers(config, fock, gated):
     from .multipliers import (
         ContractionFamily,
         amplified_norm_estimate,
@@ -221,7 +228,6 @@ def _run_multipliers(config, fock, scale):
     coords[0] = 1.0
     norm = float(np.sqrt(abs(gram_inner(coords, coords, fock.gram(level)))))
     word = from_vector(fock, coords / norm, level)
-    floor = config.tolerance("net_defect_floor", scale)
     rows = []
     last = {}
     for j in range(1, params["steps"] + 1):
@@ -233,8 +239,10 @@ def _run_multipliers(config, fock, scale):
             )
         )
         defect = float(net_pointwise_defect(element, word, surrogate=max(1.0, estimate)))
-        if not defect >= -floor:
-            raise _invariant(config, "net defect nonnegativity", step=j, defect=defect)
+        # a square root of a modulus, so only finiteness is gated: no headroom
+        _gate(
+            config, gated, None, defect, math.inf, "net defect finiteness", step=j, defect=defect
+        )
         last = {"estimate": estimate, "defect": defect}
         rows.append(
             {
@@ -252,7 +260,7 @@ def _run_multipliers(config, fock, scale):
     return rows, summary
 
 
-def _run_ultra(config, fock, scale):
+def _run_ultra(config, fock, gated):
     from .ultra import convergence_experiment
 
     setup = fock.setup
@@ -271,19 +279,6 @@ EXPERIMENTS = {
     "multipliers": _run_multipliers,
     "ultra": _run_ultra,
 }
-
-
-def _headroom(config, summaries, scale) -> dict:
-    """Worst residual / tolerance of every gated check that ran, read off
-    the runners' summaries (experiment -> {key: value})."""
-    out = {}
-    for check, (experiment, key) in HEADROOM_CHECKS.items():
-        worst = summaries.get(experiment, {}).get(key)
-        if worst is None:
-            continue
-        tol = BRAID_TOLERANCE * scale if check == "braid" else config.tolerance(check, scale)
-        out[check] = worst / tol
-    return out
 
 
 def _usage() -> tuple[float, float]:
@@ -311,12 +306,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to a YAML run configuration")
     run.add_argument("--seed", type=int, default=None, help="override the configured seed")
     run.add_argument("--out", default=None, help="override the configured output directory")
-    run.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        help="multiply every tolerance by this factor",
-    )
     return parser
 
 
@@ -330,10 +319,6 @@ def _do_validate(args) -> int:
 
 def _do_run(args, blas_threads) -> int:
     config = load_config(args.config)
-    if not args.tolerance_scale > 0:
-        raise ConfigError(f"tolerance scale must be positive, got {args.tolerance_scale}")
-    if not np.isfinite(args.tolerance_scale):  # an infinite scale lifts every gate
-        raise ConfigError(f"tolerance scale must be finite, got {args.tolerance_scale}")
     data = dict(config.data)
     if args.seed is not None:
         if args.seed < 0:
@@ -353,12 +338,11 @@ def _do_run(args, blas_threads) -> int:
         check_stack_budget(fock)
     written = {}
     seconds = {}
-    summaries = {}
+    gated = {}  # check -> (worst residual, tolerance), as the runners' gates passed them
     for name in names:
         begun = time.perf_counter()
-        rows, summary = EXPERIMENTS[name](config, fock, args.tolerance_scale)
+        rows, summary = EXPERIMENTS[name](config, fock, gated)
         seconds[name] = round(time.perf_counter() - begun, 6)
-        summaries[name] = dict(summary)
         summary = list(summary) + [("config_hash", digest)]
         path = os.path.join(config.output_dir, f"{name}.csv")
         _write_report(path, rows, summary)
@@ -377,10 +361,9 @@ def _do_run(args, blas_threads) -> int:
         "cpu_seconds": cpu_seconds,
         "experiment_seconds": seconds,
         "fock_build_seconds": fock.build_seconds,
-        "headroom": _headroom(config, summaries, args.tolerance_scale),
+        "headroom": {check: worst / tol for check, (worst, tol) in gated.items()},
         "peak_rss_mb": peak_rss_mb,
         "seed": config.seed,
-        "tolerance_scale": args.tolerance_scale,
         "reports": written,
         "versions": {
             "python": ".".join(str(x) for x in sys.version_info[:3]),
@@ -398,7 +381,12 @@ def _do_run(args, blas_threads) -> int:
 
 def main(argv=None) -> int:
     blas_threads = pin_blas_threads()
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error, the code of an invariant failure
+        # here; its message is on stderr already, and --help exits 0
+        return 1 if err.code == 2 else err.code
     try:
         if args.command == "validate":
             return _do_validate(args)

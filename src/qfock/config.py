@@ -12,6 +12,11 @@ Normalization fills every default, so the echoed configuration is
 complete and its canonical JSON serialization is a stable input for the
 run hash.
 
+The ``tolerances`` section is the only source of the CLI's configured
+tolerances: one per gated check (``moments`` and the three modular
+identities), each a positive number.  The braid gate's tolerance is
+``fock.BRAID_TOLERANCE`` and is not configurable.
+
 Configuration files carry plain floats and ints only; exact-arithmetic
 spaces (Fraction entries) are a library feature, not reachable from here.
 """
@@ -53,7 +58,6 @@ DEFAULT_TOLERANCES = {
     "modular_exchange": 1e-10,
     "modular_flow": 1e-11,
     "modular_decomposition": 1e-11,
-    "net_defect_floor": 1e-9,
 }
 
 _TOP_KEYS = {"space", "fock", "seed", "output_dir", "tolerances", "experiments"}
@@ -87,8 +91,8 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.data["output_dir"]
 
-    def tolerance(self, key: str, scale: float = 1.0) -> float:
-        return self.data["tolerances"][key] * scale
+    def tolerance(self, key: str) -> float:
+        return self.data["tolerances"][key]
 
     def experiment(self, name: str) -> dict:
         return self.data["experiments"][name]

@@ -298,10 +298,13 @@ class TruncatedFock:
 
     def _orbit_min_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n): one stacked ``eigvalsh`` per size of
-        orbit block (the words spelling one multiset of letters), in floats."""
+        orbit block (the words spelling one multiset of letters), in floats.
+        A word's orbit is keyed by the index of its letters sorted; each
+        orbit lists its words in increasing index, in key order."""
+        keys = (self.dim ** np.arange(n - 1, -1, -1)).dot(np.sort(self._digits[n], axis=0))
+        order = np.argsort(keys, kind="stable")
         orbits = {}
-        for letters in itertools.combinations_with_replacement(range(self.dim), n):
-            words = sorted({self.word_index(w) for w in itertools.permutations(letters)})
+        for words in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
             orbits.setdefault(len(words), []).append(words)
         smallest = np.inf
         for rows in map(np.array, orbits.values()):

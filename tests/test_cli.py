@@ -118,17 +118,6 @@ def test_validate_rejects_a_moment_word_labels_key(tmp_path, capsys):
     assert "experiments.moments.words[0].labels: unknown key" in capsys.readouterr().err
 
 
-def test_nonpositive_tolerance_scale_exits_with_code_one(tmp_path, capsys):
-    path = write_config(tmp_path, MINIMAL)
-    out_dir = tmp_path / "out"
-    code = main(
-        ["run", "fock", "--config", path, "--out", str(out_dir), "--tolerance-scale", "0"]
-    )
-    assert code == 1
-    assert "tolerance scale must be positive, got 0.0" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
 def test_negative_seed_exits_with_code_one(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     out_dir = tmp_path / "out"
@@ -138,16 +127,36 @@ def test_negative_seed_exits_with_code_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("scale", ["inf", "1e400"])
-def test_infinite_tolerance_scale_exits_with_code_one(tmp_path, capsys, scale):
-    path = write_config(tmp_path, MINIMAL)
-    out_dir = tmp_path / "out"
-    code = main(
-        ["run", "fock", "--config", path, "--out", str(out_dir), "--tolerance-scale", scale]
-    )
-    assert code == 1
-    assert "tolerance scale must be finite, got inf" in capsys.readouterr().err
-    assert not out_dir.exists()
+# usage errors exit 1 like configuration errors: 2 is an invariant failure
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate"], "the following arguments are required: --config"),
+        (
+            ["run", "everything", "--config", "x.yaml"],
+            "argument experiment: invalid choice: 'everything'",
+        ),
+        (
+            ["run", "fock", "--config", "x.yaml", "--seed", "x"],
+            "argument --seed: invalid int value: 'x'",
+        ),
+        (
+            ["run", "fock", "--config", "x.yaml", "--tolerance-scale", "2"],
+            "unrecognized arguments: --tolerance-scale 2",
+        ),
+    ],
+    ids=["missing-config", "unknown-experiment", "non-integer-seed", "tolerance-scale"],
+)
+def test_usage_errors_exit_with_code_one(capsys, args, message):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qfock")
+    assert f": error: {message}" in err
+
+
+def test_help_exits_with_code_zero(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--tolerance-scale" not in capsys.readouterr().out
 
 
 def test_yaml_parse_errors_exit_with_code_one(tmp_path, capsys):
@@ -317,7 +326,7 @@ def test_moment_disagreement_exits_with_replay_data(tmp_path, capsys, monkeypatc
         ("moments", "qfock.moments", "moment_matrix", "moment dual-path agreement"),
         ("modular", "qfock.modular", "kms_residual", "modular exchange identity"),
         ("modular", "qfock.modular.ModularData", "flow_residual", "modular flow identity"),
-        ("multipliers", "qfock.multipliers", "net_pointwise_defect", "net defect nonnegativity"),
+        ("multipliers", "qfock.multipliers", "net_pointwise_defect", "net defect finiteness"),
     ],
 )
 def test_a_nan_residual_exits_with_replay_data(
@@ -331,6 +340,20 @@ def test_a_nan_residual_exits_with_replay_data(
     assert f"invariant violated: {invariant}" in err
     assert any(line.startswith("replay: ") for line in err.splitlines())
     assert not (tmp_path / "out" / f"{experiment}.csv").exists()
+
+
+def test_an_infinite_net_defect_exits_with_replay_data(tmp_path, capsys, monkeypatch):
+    # the net defect's gate is finiteness: an overflow fails it as NaN does
+    monkeypatch.setattr("qfock.multipliers.net_pointwise_defect", lambda *a, **k: float("inf"))
+    path = write_config(tmp_path, MIXED)
+    code = main(["run", "multipliers", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: net defect finiteness" in err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    assert (replay["step"], replay["defect"]) == (1, float("inf"))
+    assert not (tmp_path / "out" / "multipliers.csv").exists()
 
 
 def test_moment_replay_values_read_back_as_numbers(tmp_path, capsys, monkeypatch):
@@ -366,24 +389,6 @@ def test_each_net_step_checks_its_contraction_once(tmp_path, capsys, monkeypatch
     assert main(["run", "multipliers", "--config", path, "--out", out]) == 0
     capsys.readouterr()
     assert len(calls) == 20
-
-
-def test_tolerance_scale_recovers_a_tight_run(tmp_path, capsys):
-    path = tight_modular_config(tmp_path)
-    code = main(
-        [
-            "run",
-            "modular",
-            "--config",
-            path,
-            "--out",
-            str(tmp_path / "out"),
-            "--tolerance-scale",
-            "1e25",
-        ]
-    )
-    capsys.readouterr()
-    assert code == 0
 
 
 def test_ultra_report_carries_the_slope_summary(tmp_path, capsys):
@@ -666,19 +671,67 @@ def test_braid_gate_checks_the_flips_the_build_uses(tmp_path, capsys, monkeypatc
     assert replay["residual"] == pytest.approx(0.0416, abs=1e-4)
 
 
-def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "minimal.yaml")
-    assert main(["run", "all", "--config", path, "--out", str(tmp_path / "x")]) == 0
-    capsys.readouterr()
-    headroom = json.loads((tmp_path / "x" / "manifest.json").read_text())["headroom"]
-    assert sorted(headroom) == [
-        "braid",
-        "modular_decomposition",
-        "modular_exchange",
-        "modular_flow",
-        "moments",
+# gated check -> (report, summary key of its worst residual, residual column,
+# the report's rows of the check as (column, value) or None for all)
+HEADROOM_SOURCES = {
+    "braid": ("fock", "max_braid_residual", "braid_residual", None),
+    "moments": ("moments", "max_abs_diff", "abs_diff", None),
+    "modular_decomposition": (
+        "modular", "max_decomposition_residual", "residual", ("check", "decomposition")
+    ),
+    "modular_exchange": ("modular", "max_exchange_residual", "residual", ("check", "exchange")),
+    "modular_flow": ("modular", "max_flow_residual", "residual", ("check", "flow")),
+}
+
+
+def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys, monkeypatch):
+    import qfock.cli
+    from qfock.config import load_config
+    from qfock.fock import BRAID_TOLERANCE
+
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = [
+        os.path.join(configs, "minimal.yaml"),
+        os.path.join(configs, "full_run.yaml"),
+        # below level 3 no braid relation applies, below n_max 2 no exchange pair fits
+        write_config(tmp_path, {**MIXED, "fock": {"n_max": 1}}),
     ]
-    assert all(0 <= value <= 1 for value in headroom.values())
+    # each report's rows and summary as the runner returned them, before
+    # 15-digit formatting
+    reports = {}
+    write = qfock.cli._write_report
+
+    def kept(target, rows, summary):
+        reports[os.path.basename(target).removesuffix(".csv")] = (rows, dict(summary))
+        write(target, rows, summary)
+
+    monkeypatch.setattr(qfock.cli, "_write_report", kept)
+    for path in paths:
+        reports.clear()
+        assert main(["run", "all", "--config", path, "--out", str(tmp_path / "x")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert "tolerance_scale" not in manifest
+        headroom = manifest["headroom"]
+        config = load_config(path)
+        expected = {}
+        for check, (report, key, column, only) in HEADROOM_SOURCES.items():
+            rows, summary = reports[report]
+            residuals = [row[column] for row in rows if only is None or row[only[0]] == only[1]]
+            if not residuals:
+                assert key not in summary
+                continue
+            # the summary's worst residual is its report's largest
+            assert summary[key] == max(residuals), (path, check)
+            tolerance = BRAID_TOLERANCE if check == "braid" else config.tolerance(check)
+            expected[check] = summary[key] / tolerance
+        assert headroom == expected, path
+        assert all(0 <= value <= 1 for value in headroom.values())
+        if config.n_max == 1:
+            assert headroom["braid"] == 0.0
+            assert sorted(headroom) == ["braid", "modular_decomposition", "modular_flow", "moments"]
+        else:
+            assert sorted(headroom) == sorted(HEADROOM_SOURCES)
 
 
 def test_moments_and_modular_form_no_full_space_matrix(tmp_path, monkeypatch):
@@ -707,6 +760,6 @@ def test_moments_and_modular_form_no_full_space_matrix(tmp_path, monkeypatch):
 
     monkeypatch.setattr(qfock.wick, "_densify", refuse)
     monkeypatch.setattr(TruncatedFock, "gram", no_gram)
-    _run_moments(config, fock, 1.0)
-    _run_modular(config, fock, 1.0)
+    _run_moments(config, fock, {})
+    _run_modular(config, fock, {})
     assert "full_gram" not in fock.__dict__

@@ -136,13 +136,6 @@ def test_a_null_section_means_the_defaults(section):
     )
 
 
-def test_tolerance_scale_multiplies():
-    config = normalize_config(minimal_raw())
-    assert config.tolerance("moments", 10.0) == pytest.approx(
-        10.0 * config.tolerance("moments")
-    )
-
-
 def experiments(**sections):
     return {**minimal_raw(), "experiments": sections}
 
@@ -267,6 +260,14 @@ INVALID_CONFIGS = {
     "tolerances-not-mapping": (
         {**minimal_raw(), "tolerances": 1e-9},
         ["tolerances: must be a mapping"],
+    ),
+    # the net defect's gate is finiteness alone: no floor to configure
+    "tolerances-net-defect-floor": (
+        {**minimal_raw(), "tolerances": {"net_defect_floor": 1e-9}},
+        [
+            "tolerances.net_defect_floor: unknown key; known:"
+            " ['modular_decomposition', 'modular_exchange', 'modular_flow', 'moments']"
+        ],
     ),
     # NaN and infinities are not real numbers of a configuration
     "tolerance-infinite": (

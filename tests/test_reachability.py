@@ -32,7 +32,7 @@ SKIPPED_RUNS = {("modular_rotation.yaml", "multipliers")}
 # def the pass does not enter (module.qualname) -> entered def it serves
 ORACLES = {
     # error paths: they report the failure of a gate the runs pass
-    "cli._invariant": "cli._run_fock",
+    "cli._invariant": "cli._gate",
     "errors.InvariantError.__init__": "moments.checked_moment",
     "moments._serialize": "moments.checked_moment",
     "combinatorics.PairPartition.validate": "combinatorics.pair_partitions",
