@@ -83,6 +83,20 @@ def _write_report(path: str, rows, summary) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _strict(value):
+    """``value`` with every non-finite float in it, numpy's included and
+    through nested dicts, lists and tuples, written as the string "nan",
+    "inf" or "-inf": JSON has no token for them, and the replay line is
+    strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    return value
+
+
 def _invariant(config, name: str, **fields) -> InvariantError:
     """Invariant failure whose replay names the space and cutoff of the run."""
     replay = {"space": config.data["space"], "n_max": config.n_max, **fields}
@@ -370,6 +384,7 @@ def _do_run(args, blas_threads) -> int:
             "qfock": __version__,
             "numpy": np.__version__,
         },
+        "symmetrizer_bytes": fock.symmetrizer_bytes,
         "wall_time_seconds": round(time.perf_counter() - started, 6),
         "wick_cache": {"entries": entries, "bytes": held},
     }
@@ -406,7 +421,9 @@ def main(argv=None) -> int:
         return 1
     except InvariantError as err:
         print(f"invariant violated: {err.invariant}", file=sys.stderr)
-        print("replay: " + json.dumps(err.replay, sort_keys=True, default=str), file=sys.stderr)
+        # what JSON cannot hold (a Fraction, a complex number) is its str
+        replay = json.dumps(_strict(err.replay), sort_keys=True, default=str, allow_nan=False)
+        print("replay: " + replay, file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)

@@ -6,26 +6,30 @@ T(e_a (x) e_b) = q_{block(a), block(b)} e_b (x) e_a, its amplifications T_i,
 the quasi-multiplicative representation pi of the symmetric groups, and the
 level symmetrizers P(n) = sum over pi(sigma).  q is real, so every pi
 coefficient is, and a float space stores P(n) as real float64 (exact spaces
-keep Fractions).  The space keeps P(n) and nothing derived from it: the
-level Gram G_U^(n) P(n) is formed on call, G_U applied leg by leg
-(``linalg.legwise``), and its Hermiticity is checked once, on the flip.
+keep Fractions).  pi(sigma) permutes the letters of a word, so P(n) is
+block-diagonal over letter multisets, the S_n-orbits of words (at most n!
+words each; at d = 5, level 4 holds 7,885 of P(4)'s 390,625 entries).  The
+space keeps P(n) as those orbit blocks and nothing derived from it: the
+dense P(n) and the level Gram G_U^(n) P(n) are formed on call, G_U applied
+leg by leg (``linalg.legwise``), and the Gram's Hermiticity is checked
+once, on the flip.
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
-and P(n) assembly costs one vector pass per permutation.  Every index map
-of a permutation of word positions comes from ``permuted_words``.  The
-braid check composes the same flips T_i that P(n) is built from, so it
-gates the build itself, and reads its defect off the two composed index
-maps as a number, exactly in exact mode; the Kronecker assembly
-I^(i) (x) T (x) I^(n-i-2) of T_i is the tests' oracle.
+and P(n) assembly costs one vector pass per permutation and orbit size,
+scattered into the orbit blocks.  Every index map of a permutation of word
+positions comes from ``permuted_words``.  The braid check composes the
+same flips T_i that P(n) is built from, so it gates the build itself, and
+reads its defect off the two composed index maps as a number, exactly in
+exact mode; the Kronecker assembly I^(i) (x) T (x) I^(n-i-2) of T_i is the
+tests' oracle.
 
 Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
 too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
 commutes with every pi(sigma), and the level pencil (G_U^(n) P(n), G_U^(n))
-has the spectrum of P(n).  P(n) is block-diagonal over letter multisets
-(the S_n-orbits of words, at most n! words each), so the build takes each
-level's smallest eigenvalue from those small blocks and factorizes no
-level-sized matrix; ``linalg.min_gen_eig`` on the pencil is the tests' oracle.
+has the spectrum of P(n).  So the build takes each level's smallest
+eigenvalue from the stored orbit blocks and factorizes no level-sized
+matrix; ``linalg.min_gen_eig`` on the pencil is the tests' oracle.
 
 Creation beyond the level cutoff raises CutoffError rather than silently
 truncating; identities are only ever asserted on compositions that stay
@@ -114,9 +118,10 @@ class TruncatedFock:
     """Levels 0..n_max of the deformed Fock space, fully materialized.
 
     Immutable by convention after construction.  It keeps per level P(n)
-    (dense, real in float mode, Fractions in exact mode) and its smallest
-    eigenvalue, and the word count of the top level is capped to keep P(n)
-    workable.  The pi tables and the Gram forms are formed on call.
+    as its orbit blocks (real in float mode, Fractions in exact mode) and
+    its smallest eigenvalue, and the word count of the top level is capped
+    to keep P(n) workable.  The pi tables, the dense P(n) (``p_matrix``) and
+    the Gram forms are formed on call.
     """
 
     def __init__(self, setup, n_max: int):
@@ -141,10 +146,14 @@ class TruncatedFock:
             table.flags.writeable = False
         start = time.perf_counter()
         self.t_matrix = self._flip(2, 0).matrix(self.exact)
-        self.p_matrices = tuple(self._assemble_p(n) for n in levels)
+        self._p_blocks = tuple(self._orbit_blocks(n) for n in levels)
         assembled = time.perf_counter()
         self._p_minima = tuple(self._orbit_min_eigenvalue(n) for n in levels)
         self._check_build()
+        # array bytes of the orbit blocks and their word arrays, for the manifest
+        self.symmetrizer_bytes = sum(
+            a.nbytes for pairs in self._p_blocks for pair in pairs for a in pair
+        )
         # wall seconds per build phase, for the run manifest
         self.build_seconds = {
             "symmetrizers": round(assembled - start, 6),
@@ -275,20 +284,49 @@ class TruncatedFock:
         gap = np.where(lhs.perm == rhs.perm, np.abs(lhs.coeff - rhs.coeff), apart)
         return float(gap.max())
 
-    def _assemble_p(self, n: int) -> np.ndarray:
-        size = self.dim**n
-        # real in float mode: q is real, and so is every pi coefficient
-        out = self._zeros((size, size)) if self.exact else np.zeros((size, size))
-        cols = np.arange(size)
+    def _orbit_blocks(self, n: int) -> tuple:
+        """P(n) as its orbit blocks: a (words, blocks) pair per orbit size k,
+        ``words`` (count, k) and ``blocks`` (count, k, k), block o holding
+        P(n) on the words of orbit o.  A word's orbit is keyed by the index
+        of its letters sorted; each orbit is a row of its words in increasing
+        index, the rows in key order.  pi(sigma) keeps every orbit, so each
+        monomial of ``_pi_table`` adds onto each entry once, in table order,
+        from +0: every entry is that of the dense sum ``out[perm, cols] +=
+        coeff`` bit for bit.  Real in float mode: q is real, and so is every
+        pi coefficient."""
+        keys = (self.dim ** np.arange(n - 1, -1, -1)).dot(np.sort(self._digits[n], axis=0))
+        order = np.argsort(keys, kind="stable")
+        orbits = {}
+        for words in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            orbits.setdefault(len(words), []).append(words)
+        groups = [np.array(rows) for rows in orbits.values()]
+        place = np.empty(self.dim**n, dtype=int)  # a word's column in its block
+        for words in groups:
+            place[words] = np.arange(words.shape[1])
+        zeros = self._zeros if self.exact else np.zeros
+        blocks = [zeros(words.shape + words.shape[1:]) for words in groups]
         for mono in self._pi_table(n).values():
-            # one scaled permutation per sigma: row indices never repeat
-            out[mono.perm, cols] += mono.coeff
+            for words, block in zip(groups, blocks):
+                count, k = words.shape
+                rows = place[mono.perm[words]]
+                block[np.arange(count)[:, None], rows, np.arange(k)] += mono.coeff[words]
+        for table in groups + blocks:
+            table.flags.writeable = False
+        return tuple(zip(groups, blocks))
+
+    def p_matrix(self, n: int) -> np.ndarray:
+        """P(n) as a dense level matrix, scattered from its orbit blocks on
+        call (zero between orbits): real in float mode, Fractions in exact mode."""
+        size = self.level_dim(self.check_level(n))
+        out = self._zeros((size, size)) if self.exact else np.zeros((size, size))
+        for words, block in self._p_blocks[n]:
+            out[words[:, :, None], words[:, None, :]] = block
         return out
 
     def gram(self, n: int) -> np.ndarray:
         """Level Gram G_U^(n) P(n), formed on call; P(n) itself on exact
         spaces, where G_U = I as ``build_space`` checks."""
-        p = self.p_matrices[self.check_level(n)]
+        p = self.p_matrix(n)
         return p if self.exact else legwise(self.setup.u_gram, n, p)
 
     def min_p_eigenvalue(self, n: int) -> float:
@@ -298,18 +336,10 @@ class TruncatedFock:
 
     def _orbit_min_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n): one stacked ``eigvalsh`` per size of
-        orbit block (the words spelling one multiset of letters), in floats.
-        A word's orbit is keyed by the index of its letters sorted; each
-        orbit lists its words in increasing index, in key order."""
-        keys = (self.dim ** np.arange(n - 1, -1, -1)).dot(np.sort(self._digits[n], axis=0))
-        order = np.argsort(keys, kind="stable")
-        orbits = {}
-        for words in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-            orbits.setdefault(len(words), []).append(words)
+        orbit block, in floats."""
         smallest = np.inf
-        for rows in map(np.array, orbits.values()):
-            blocks = to_float(self.p_matrices[n][rows[:, :, None], rows[:, None, :]])
-            smallest = min(smallest, np.linalg.eigvalsh(blocks.real).min())
+        for _, blocks in self._p_blocks[n]:
+            smallest = min(smallest, np.linalg.eigvalsh(to_float(blocks).real).min())
         return float(smallest)
 
     def check_level(self, n: int) -> int:
@@ -441,11 +471,19 @@ class TruncatedFock:
 
     def full_inner(self, u, v):
         """Sum of the level inner products <u_n, G_U^(n) P(n) v_n>, forming no
-        Gram and no complex P(n): the real P(n) takes v_n's parts apart.  Every
-        level's term is computed, so a non-finite coordinate reaches the result."""
+        Gram and no dense P(n): P(n) acts orbit block by orbit block, and in
+        float mode its real blocks take v_n's parts apart.  Every level's term
+        is computed, so a non-finite coordinate reaches the result."""
         total = 0
-        for n, p in enumerate(self.p_matrices):
+        for n, pairs in enumerate(self._p_blocks):
             un, vn = u[self.level_slice(n)], v[self.level_slice(n)]
-            pv = p.dot(vn) if self.exact else p.dot(vn.real) + 1j * p.dot(vn.imag)
+            pv = self._zeros(len(vn))
+            for words, blocks in pairs:
+                part = vn[words][..., None]
+                if self.exact:
+                    part = np.matmul(blocks, part)
+                else:
+                    part = np.matmul(blocks, part.real) + 1j * np.matmul(blocks, part.imag)
+                pv[words] = part[..., 0]
             total += np.conj(un).dot(legwise(self.setup.u_gram, n, pv))
         return total

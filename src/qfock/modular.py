@@ -13,8 +13,10 @@ applied leg by leg with ``linalg.legwise``; the dense powers stay as the
 matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return, and
 the tests' oracles.  The decomposition check ``decomposition_residual``
 builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``),
-so no check holds a level-sized scratch matrix.  Leg reversal is a gather
-by ``reversed_index``, never the matrix ``reversal``.
+so it holds no level-sized scratch matrix; the flow check conjugates one
+level block of the word in place, a run at a time (``conjugate_block``),
+and holds no other.  Leg reversal is a gather by ``reversed_index``, never
+the matrix ``reversal``.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -64,8 +66,8 @@ class ModularData:
 
     Every method returns a matrix acting on one level's coordinates, except
     ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
-    on the whole truncated space, ``conjugate_block``, which maps one level
-    block to another, ``reversed_index``, which returns an index map, and
+    on the whole truncated space, ``conjugate_block``, which transforms one
+    level block in place, ``reversed_index``, which returns an index map, and
     ``decomposition_residual`` and ``flow_residual``, which return numbers.
     """
 
@@ -151,8 +153,9 @@ class ModularData:
         """U(t) X U(-t) for a full-space matrix X, one level block at a time.
 
         The quantized group element is block diagonal, so block (r, c) of
-        the product is ``conjugate_block(t, r, c, X_rc)`` and zero blocks of
-        X stay zero; the dense product with ``fock_unitary`` is the same map.
+        the product is ``conjugate_block(t, r, c, X_rc)`` on a copy of X_rc,
+        and zero blocks of X stay zero; the dense product with
+        ``fock_unitary`` is the same map.
         """
         fock = self.fock
         x = to_float(np.asarray(operator))
@@ -164,21 +167,24 @@ class ModularData:
                 cols = fock.level_slice(c)
                 block = x[rows, cols]
                 if np.any(block):
-                    out[rows, cols] = self.conjugate_block(t, r, c, block)
+                    out[rows, cols] = self.conjugate_block(t, r, c, block.astype(complex))
         return out
 
-    def conjugate_block(self, t: float, r: int, c: int, block) -> np.ndarray:
-        """U_r(t) B U_c(-t) for a block B from level c to level r.  The group
-        acts leg by leg: on the rows of the block, and on its columns through
-        the transpose, since (U^(c))^T = (U^T)^(c).  A row of the result
-        needs only the same row of the rows' product, so the columns are
-        transformed in place, one run of rows (``linalg.column_slabs``) at a
-        time, bit for bit as on the whole transpose."""
+    def conjugate_block(self, t: float, r: int, c: int, block: np.ndarray) -> np.ndarray:
+        """U_r(t) B U_c(-t) for a complex block B from level c to level r,
+        written over B, which is returned.  The group acts leg by leg: on the
+        rows of the block one run of columns (``linalg.column_slabs``) at a
+        time, then on its columns one run of rows at a time, through the
+        transpose, since (U^(c))^T = (U^T)^(c).  A column of a product needs
+        only the same column of its factor, so each run is transformed in
+        place, bit for bit as on the whole block; beside the block, the
+        scratch is that of one run."""
         left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
-        out = legwise(left, r, to_float(block))
-        for rows in column_slabs(len(out)):
-            out[rows] = legwise(right, c, out[rows].T).T
-        return out
+        for cols in column_slabs(block.shape[1]):
+            block[:, cols] = legwise(left, r, block[:, cols])
+        for rows in column_slabs(len(block)):
+            block[rows] = legwise(right, c, block[rows].T).T
+        return block
 
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
         """Max-entry residual between ``flowed`` and U(-t) X U(t), X the
@@ -186,17 +192,20 @@ class ModularData:
 
         Only the blocks where either word holds entries are formed; on the
         others both sides vanish.  Each block of the conjugation is computed
-        as ``unitary_conjugate`` computes it, so the residual is the dense
-        one.  The difference is taken in place on the conjugation (its sign
-        leaves the moduli as they are), so at most two level blocks are
-        held at a time.
+        as ``unitary_conjugate`` computes it, in place on a fresh block of
+        ``word``; ``flowed``'s entries are subtracted from it by index (its
+        sign leaves the moduli as they are), and its largest modulus is read
+        a run of rows at a time.  So the residual is the dense one, and one
+        level block and the scratch of one run are held at a time.
         """
         worst = 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
-            gap = to_float(self.conjugate_block(-t, r, c, word.level_block(r, c)))
-            gap -= to_float(flowed.level_block(r, c))
-            # np.maximum, unlike max(), keeps a NaN block residual
-            worst = np.maximum(worst, max_abs(gap))
+            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c)))
+            rows, cols, values = flowed.block_entries(r, c)
+            gap[rows, cols] -= to_float(values)
+            for run in column_slabs(len(gap)):
+                # np.maximum, unlike max(), keeps a NaN residual
+                worst = np.maximum(worst, max_abs(gap[run]))
             del gap  # before the next block's scratch
         return float(worst)
 

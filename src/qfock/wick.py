@@ -107,16 +107,21 @@ class WickWord:
         counts = np.bincount(levels[0] * (fock.n_max + 1) + levels[1])
         return {divmod(int(key), fock.n_max + 1) for key in np.flatnonzero(counts)}
 
-    def level_block(self, r: int, c: int) -> np.ndarray:
-        """Fresh dense block of the operator from level c to level r."""
+    def block_entries(self, r: int, c: int) -> tuple:
+        """(rows, cols, values) of the entries in the level block from level
+        c to level r, rows and columns counted within the block."""
         fock = self.fock
         index, values = self.entries
         rows, cols = np.divmod(index, fock.total_dim)
         rows, cols = rows - fock.level_offset(r), cols - fock.level_offset(c)
-        shape = (fock.level_dim(r), fock.level_dim(c))
-        keep = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
-        out = fock._zeros(shape)
-        out[rows[keep], cols[keep]] = values[keep]
+        keep = (rows >= 0) & (rows < fock.level_dim(r)) & (cols >= 0) & (cols < fock.level_dim(c))
+        return rows[keep], cols[keep], values[keep]
+
+    def level_block(self, r: int, c: int) -> np.ndarray:
+        """Fresh dense block of the operator from level c to level r."""
+        rows, cols, values = self.block_entries(r, c)
+        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)))
+        out[rows, cols] = values
         return out
 
     def adjoint_matrix(self) -> np.ndarray:

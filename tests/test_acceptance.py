@@ -190,9 +190,9 @@ def test_criterion_4_wick_vacuum_recursion_and_splitting():
             assert residual <= 1e-10
 
     for n, k in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)):
-        lhs = to_float(fock.p_matrices[n + k])
+        lhs = to_float(fock.p_matrix(n + k))
         rhs = np.kron(
-            to_float(fock.p_matrices[n]), to_float(fock.p_matrices[k])
+            to_float(fock.p_matrix(n)), to_float(fock.p_matrix(k))
         ) @ to_float(fock.r_star(n, k))
         assert max_abs(lhs - rhs) <= 1e-12 * max(1.0, max_abs(lhs))
     d = fock.dim

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import yaml
 
 import qfock
-from qfock.cli import main
+from qfock.cli import _strict, main
+from qfock.config import load_config
 
 MINIMAL = {"space": {"q": [[0.3]], "blocks": ["fixed"]}}
 
@@ -352,8 +355,52 @@ def test_an_infinite_net_defect_exits_with_replay_data(tmp_path, capsys, monkeyp
     assert "invariant violated: net defect finiteness" in err
     replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
     replay = json.loads(replay_line[0].removeprefix("replay: "))
-    assert (replay["step"], replay["defect"]) == (1, float("inf"))
+    assert (replay["step"], replay["defect"]) == (1, "inf")
     assert not (tmp_path / "out" / "multipliers.csv").exists()
+
+
+def strict_replay(err):
+    """The replay line of ``err`` read as strict JSON: a bare NaN,
+    Infinity or -Infinity token raises."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    line = next(line for line in err.splitlines() if line.startswith("replay: "))
+    return json.loads(line.removeprefix("replay: "), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "experiment, target, value, field",
+    [
+        ("modular", "qfock.modular.ModularData.flow_residual", np.float64("nan"), "residual"),
+        ("multipliers", "qfock.multipliers.net_pointwise_defect", float("inf"), "defect"),
+    ],
+)
+def test_a_non_finite_replay_is_strict_json(
+    tmp_path, capsys, monkeypatch, experiment, target, value, field
+):
+    monkeypatch.setattr(target, lambda *args, **kwargs: value)
+    path = write_config(tmp_path, MIXED)
+    assert main(["run", experiment, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    replay = strict_replay(capsys.readouterr().err)
+    assert replay[field] == str(float(value))
+    assert replay["space"]["q"] == MIXED["space"]["q"]
+
+
+def test_the_replay_writes_nested_and_numpy_non_finite_values_as_strings():
+    replay = {
+        "a": [np.float32("-inf"), {"b": np.float64("nan"), "c": (float("inf"), 0.5)}],
+        "d": F(1, 3),
+        "e": np.float64(2.5),
+    }
+    # a non-finite float left in place would make allow_nan=False raise
+    line = json.dumps(_strict(replay), default=str, allow_nan=False)
+    assert strict_replay("replay: " + line) == {
+        "a": ["-inf", {"b": "nan", "c": ["inf", 0.5]}],
+        "d": "1/3",
+        "e": 2.5,
+    }
 
 
 def test_moment_replay_values_read_back_as_numbers(tmp_path, capsys, monkeypatch):
@@ -624,6 +671,29 @@ def test_manifest_times_the_fock_build_phases(tmp_path, capsys):
     assert all(value >= 0 for value in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_seconds"]
     assert manifest["cpu_count"] == os.cpu_count()
+
+
+def test_manifest_records_the_symmetrizer_bytes(tmp_path, capsys):
+    # d = 5 at n_max 4, D = 781: a dense P(n) per level took 3.26 MB
+    raw = {
+        "space": {
+            "q": [[0.3, -0.2, 0.1], [-0.2, 0.55, 0.05], [0.1, 0.05, -0.4]],
+            "blocks": [
+                {"kind": "rotation", "lam": 2.0},
+                {"kind": "fixed"},
+                {"kind": "rotation", "lam": 1.5},
+            ],
+        },
+        "fock": {"n_max": 4},
+    }
+    path = write_config(tmp_path, raw)
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    fock = load_config(path).fock()
+    assert fock.total_dim == 781
+    held = sum(a.nbytes for pairs in fock._p_blocks for pair in pairs for a in pair)
+    assert manifest["symmetrizer_bytes"] == held
+    assert 0 < held < 2**20
 
 
 def test_braid_defect_beyond_tolerance_exits_with_replay_data(tmp_path, capsys, monkeypatch):

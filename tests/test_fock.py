@@ -188,16 +188,16 @@ def test_pi_reduced_word_independent_s4(fock_trivial):
 
 
 def test_p_low_levels_are_identity(fock_mixed):
-    assert np.allclose(to_float(fock_mixed.p_matrices[0]), np.eye(1))
+    assert np.allclose(to_float(fock_mixed.p_matrix(0)), np.eye(1))
     assert np.allclose(
-        to_float(fock_mixed.p_matrices[1]), np.eye(fock_mixed.dim)
+        to_float(fock_mixed.p_matrix(1)), np.eye(fock_mixed.dim)
     )
 
 
 def test_p2_single_index():
     setup = build_space([[0.6]], [("fixed", 0)])
     fock = TruncatedFock(setup, 2)
-    assert to_float(fock.p_matrices[2])[0, 0] == pytest.approx(1.6)
+    assert to_float(fock.p_matrix(2))[0, 0] == pytest.approx(1.6)
 
 
 def test_p2_two_blocks(fock_trivial):
@@ -206,7 +206,7 @@ def test_p2_two_blocks(fock_trivial):
     expect[0, 0] = 1 + q[0, 0]
     expect[3, 3] = 1 + q[1, 1]
     expect[1, 2] = expect[2, 1] = q[0, 1]
-    assert np.allclose(to_float(fock_trivial.p_matrices[2]), expect)
+    assert np.allclose(to_float(fock_trivial.p_matrix(2)), expect)
 
 
 def test_p_matches_brute_sum(fock_mixed):
@@ -215,11 +215,11 @@ def test_p_matches_brute_sum(fock_mixed):
             kron_pi(fock_mixed, perm, n)
             for perm in itertools.permutations(range(n))
         )
-        assert np.allclose(to_float(fock_mixed.p_matrices[n]), brute, atol=1e-11)
+        assert np.allclose(to_float(fock_mixed.p_matrix(n)), brute, atol=1e-11)
 
 
 def test_p_exact_entries(fock_exact):
-    p2 = fock_exact.p_matrices[2]
+    p2 = fock_exact.p_matrix(2)
     assert p2[0, 0] == 1 + Fraction(1, 3)
     assert p2[1, 2] == Fraction(1, 7)
     assert p2.dtype == object
@@ -329,7 +329,7 @@ def test_all_distinct_orbit_block_meets_zagiers_determinant(q, n):
     # det P(n) = prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n! / (k^2+k))
     fock = TruncatedFock(build_space([[q]], [("fixed", 0)] * n, exact=True), n)
     rows = sorted(fock.word_index(w) for w in itertools.permutations(range(n)))
-    block = fock.p_matrices[n][np.ix_(rows, rows)]
+    block = fock.p_matrix(n)[np.ix_(rows, rows)]
     expected = Fraction(1)
     for k in range(1, n):
         power, rest = divmod((n - k) * math.factorial(n), k * k + k)
@@ -345,7 +345,7 @@ def test_p_is_real_symmetric_and_commutes_with_the_gram_power(space, request):
     setup = request.getfixturevalue(space)
     fock = TruncatedFock(setup, 3)
     for n in range(fock.n_max + 1):
-        p = fock.p_matrices[n]
+        p = fock.p_matrix(n)
         base = kron_power(setup.u_gram, n)
         if setup.exact:
             assert np.array_equal(p, p.T), f"level {n}"
@@ -505,16 +505,16 @@ def test_r_star_two_terms(fock_trivial):
 
 def test_r_star_factorizes_symmetrizer(fock_mixed):
     for n, k in ((1, 1), (2, 1), (1, 2)):
-        lhs = to_float(fock_mixed.p_matrices[n + k])
+        lhs = to_float(fock_mixed.p_matrix(n + k))
         rhs = np.kron(
-            to_float(fock_mixed.p_matrices[n]), to_float(fock_mixed.p_matrices[k])
+            to_float(fock_mixed.p_matrix(n)), to_float(fock_mixed.p_matrix(k))
         ) @ to_float(fock_mixed.r_star(n, k))
         assert np.allclose(lhs, rhs, atol=1e-11)
 
 
 def test_r_star_factorizes_exact(fock_exact):
-    lhs = fock_exact.p_matrices[3]
-    rhs = np.kron(fock_exact.p_matrices[1], fock_exact.p_matrices[2]).dot(
+    lhs = fock_exact.p_matrix(3)
+    rhs = np.kron(fock_exact.p_matrix(1), fock_exact.p_matrix(2)).dot(
         fock_exact.r_star(1, 2)
     )
     assert np.array_equal(lhs, rhs)
@@ -707,7 +707,7 @@ def test_level_grams_match_the_dense_tensor_power_product(space, request):
     setup = request.getfixturevalue(space)
     fock = TruncatedFock(setup, 4)
     for n in range(fock.n_max + 1):
-        dense = kron_power(setup.u_gram, n).dot(fock.p_matrices[n])
+        dense = kron_power(setup.u_gram, n).dot(fock.p_matrix(n))
         if fock.exact:
             assert np.array_equal(fock.gram(n), dense)
         else:
@@ -751,7 +751,7 @@ def test_float_symmetrizers_are_real_parts_of_the_complex_assembly(mixed5):
     for n in range(fock.n_max + 1):
         old = complex_symmetrizer(fock, n)
         assert np.all(old.imag == 0)
-        p = fock.p_matrices[n]
+        p = fock.p_matrix(n)
         assert p.dtype == np.float64
         assert p.tobytes() == old.real.tobytes(), f"level {n}"
         # numpy promotes the real P(n) to complex: the Gram is the old one
@@ -764,14 +764,15 @@ def test_a_fraction_deformation_in_a_float_space_is_float64():
     assert thirds.setup.deformation.entries.dtype == np.float64
     assert not thirds.setup.deformation.exact
     for n in range(thirds.n_max + 1):
-        assert thirds.p_matrices[n].tobytes() == floats.p_matrices[n].tobytes()
+        assert thirds.p_matrix(n).tobytes() == floats.p_matrix(n).tobytes()
         assert thirds.gram(n).tobytes() == floats.gram(n).tobytes()
 
 
 def test_the_build_holds_less_than_a_level_block_beyond_what_it_keeps(mixed5):
     # D = 781: one complex block of the top level is 16 * 625^2 = 6.25 MB;
     # storing P(4) complex and forming G - G^H whole took 12.6 MB beyond it,
-    # and the stored complex level Grams kept 6.2 MB beside P(n)
+    # the stored complex level Grams kept 6.2 MB beside P(n), and the dense
+    # real P(n) kept 3.26 MB where its orbit blocks and words take 74 KB
     tracemalloc.start()
     try:
         fock = TruncatedFock(mixed5, 4)
@@ -780,9 +781,68 @@ def test_the_build_holds_less_than_a_level_block_beyond_what_it_keeps(mixed5):
         tracemalloc.stop()
     assert fock.level_dim(4) == 625
     assert peak - kept < 16 * 625**2, f"peak {peak} B, kept {kept} B"
-    p_bytes = sum(p.nbytes for p in fock.p_matrices)
-    assert kept < p_bytes + 2**20, f"kept {kept} B, P(n) {p_bytes} B"
+    block_bytes = sum(a.nbytes for pairs in fock._p_blocks for pair in pairs for a in pair)
+    assert block_bytes == fock.symmetrizer_bytes < 2**17
+    assert kept < block_bytes + 2**20, f"kept {kept} B, orbit blocks {block_bytes} B"
     assert not hasattr(fock, "gram_levels") and not hasattr(fock, "_pi_tables")
+    assert not hasattr(fock, "p_matrices")
+    # no level matrix beyond the level-2 flip t_matrix is held
+    level_shapes = {(fock.level_dim(n),) * 2 for n in range(3, fock.n_max + 1)}
+    held = []
+    for value in vars(fock).values():
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                held.append(item.shape)
+    assert held and not any(shape[-2:] in level_shapes for shape in held), held
+
+
+def dense_symmetrizer(fock, n):
+    """P(n) as one dense scatter of every pi(sigma) of ``_pi_table``,
+    ``out[perm, cols] += coeff`` in table order: the oracle of the orbit
+    blocks (real in float mode, Fractions in exact mode)."""
+    size = fock.level_dim(n)
+    out = fock._zeros((size, size)) if fock.exact else np.zeros((size, size))
+    for mono in fock._pi_table(n).values():
+        out[mono.perm, np.arange(size)] += mono.coeff
+    return out
+
+
+@pytest.mark.parametrize("space", ["trivial2", "mixed5", "exact2", "exact3"])
+def test_densified_orbit_blocks_are_the_dense_scatter(space, request):
+    if space == "exact3":  # three letters over two labels: orbits of 1 to 12 words
+        setup = build_space(Q_EXACT, [("fixed", 0), ("fixed", 1), ("fixed", 0)], exact=True)
+    else:
+        setup = request.getfixturevalue(space)
+    fock = TruncatedFock(setup, 4)
+    for n in range(fock.n_max + 1):
+        dense, p = dense_symmetrizer(fock, n), fock.p_matrix(n)
+        assert p.dtype == dense.dtype and p.shape == dense.shape
+        if fock.exact:
+            assert np.array_equal(p, dense), f"level {n}"
+            assert all(type(v) is Fraction for v in p.flat)
+        else:
+            assert p.tobytes() == dense.tobytes(), f"level {n}"
+
+
+@pytest.mark.parametrize("space", ["trivial2", "mixed5", "exact2"])
+def test_every_word_sits_in_one_orbit_of_one_sorted_letter_key(space, request):
+    fock = TruncatedFock(request.getfixturevalue(space), 4)
+    for n in range(fock.n_max + 1):
+        seen = []
+        for words, blocks in fock._p_blocks[n]:
+            assert blocks.shape == words.shape + words.shape[1:]
+            for orbit in words:
+                keys = {tuple(sorted(fock.index_word(int(w), n))) for w in orbit}
+                assert len(keys) == 1, (n, orbit)
+                assert list(orbit) == sorted(orbit)
+                # the orbit is every word spelling its letters
+                assert len(orbit) == len(set(itertools.permutations(keys.pop())))
+            seen.extend(words.ravel())
+        assert sorted(seen) == list(range(fock.level_dim(n))), f"level {n}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

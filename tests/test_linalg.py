@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg
 
 import qfock.linalg
-from qfock.fock import MAX_LEVEL, TruncatedFock
+from qfock.fock import TruncatedFock
 from qfock.linalg import (
     SLAB_COLUMNS,
     blas_config,
@@ -106,7 +106,9 @@ def test_blas_config_without_openblas_is_none(monkeypatch):
     assert blas_config() is None
 
 
-@pytest.mark.parametrize("n", range(MAX_LEVEL + 1))
+# levels 0-5, not up to the level cap: the dense power at d = 3 takes
+# 16 * 9^n bytes, about 55 GB at n = 10
+@pytest.mark.parametrize("n", range(6))
 def test_legwise_matches_the_dense_tensor_power_product(n, rng):
     d = 3
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -119,7 +121,7 @@ def test_legwise_matches_the_dense_tensor_power_product(n, rng):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", range(MAX_LEVEL + 1))
+@pytest.mark.parametrize("n", range(6))
 def test_legwise_is_exact_on_fractions(n):
     m = np.array([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(1)]], dtype=object)
     x = np.array(

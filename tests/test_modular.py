@@ -9,7 +9,7 @@ import pytest
 from qfock.errors import CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
-from qfock.linalg import block_diag, gram_inner, kron_power, max_abs, to_float
+from qfock.linalg import SLAB_COLUMNS, block_diag, gram_inner, kron_power, max_abs, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
 from qfock.wick import WickWord, field, from_vector, vacuum_expectation, wick_operator
 
@@ -385,7 +385,10 @@ def test_conjugate_block_is_the_one_shot_transpose_route(modular_wide, rng):
         for t in (0.3, -1.0):
             left, right = setup.u_matrix(t), setup.u_matrix(-t).T
             dense = one_shot_legwise(right, c, one_shot_legwise(left, r, block).T).T
-            assert md.conjugate_block(t, r, c, block).tobytes() == np.ascontiguousarray(dense).tobytes()
+            handed = block.copy()
+            out = md.conjugate_block(t, r, c, handed)
+            assert out is handed  # transformed in place
+            assert out.tobytes() == np.ascontiguousarray(dense).tobytes()
 
 
 def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
@@ -400,6 +403,27 @@ def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
         tracemalloc.stop()
     # five blocks of 625 x 125 entries used to be held at once
     assert peak < 16 * 625**2, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_flow_check_holds_one_level_block_and_one_run(modular_wide, rng, level):
+    fock = modular_wide.fock
+    coords = rng.standard_normal(5**level) + 1j * rng.standard_normal(5**level)
+    word = from_vector(fock, coords, level)
+    flowed = modular_flow(fock, 0.3, word)
+    pairs = word.level_pairs() | flowed.level_pairs()
+    block = max(16 * fock.level_dim(r) * fock.level_dim(c) for r, c in pairs)
+    run = 16 * fock.level_dim(fock.n_max) * SLAB_COLUMNS
+    tracemalloc.start()
+    try:
+        modular_wide.flow_residual(0.3, word, flowed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a run's product holds its input and its output; the rest is index
+    # scratch.  A second dense block for ``flowed`` took the level-1 check
+    # to 3.8 MB, and the moduli of a whole block the level-2 one to 18.8 MB
+    assert peak < block + 2 * run + 2**17, f"peak {peak} B, block {block} B"
 
 
 def test_the_flow_of_a_level_zero_word_is_the_word(fock4):

@@ -33,6 +33,7 @@ SKIPPED_RUNS = {("modular_rotation.yaml", "multipliers")}
 ORACLES = {
     # error paths: they report the failure of a gate the runs pass
     "cli._invariant": "cli._gate",
+    "cli._strict": "cli._gate",
     "errors.InvariantError.__init__": "moments.checked_moment",
     "moments._serialize": "moments.checked_moment",
     "combinatorics.PairPartition.validate": "combinatorics.pair_partitions",
@@ -46,7 +47,7 @@ ORACLES = {
     "combinatorics.word_permutation": "fock.TruncatedFock._pi_table",
     "combinatorics.all_reduced_words": "fock.TruncatedFock._pi_table",
     "combinatorics._all_reduced_words": "fock.TruncatedFock._pi_table",
-    "fock.TruncatedFock.r_star": "fock.TruncatedFock._assemble_p",
+    "fock.TruncatedFock.r_star": "fock.TruncatedFock._orbit_blocks",
     "linalg.min_gen_eig": "fock.TruncatedFock._orbit_min_eigenvalue",
     "multipliers.second_quantize_matrix": "multipliers._legwise_matrix",
     "multipliers.radial_apply": "multipliers.second_quantize",
