@@ -1,8 +1,8 @@
 """Command-line surface: configuration checks, experiment runs, reports.
 
 Every run is deterministic for a fixed (configuration, seed) pair: the
-experiments that draw (modular, multipliers) seed their own generators
-from the seed, modular also from its place in the experiment order, so
+experiments that draw (modular, multipliers) seed their own
+``random.Random`` from the seed, modular also from its name, so
 the report bodies of a combined run match those of individual runs
 exactly.  Reports are CSV with a header row, fixed column order,
 15-significant-digit numbers, and a trailing summary block of key,value
@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import random
 import resource
 import sys
 import time
@@ -45,7 +46,7 @@ from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import BRAID_TOLERANCE
-from .linalg import blas_config, gram_inner, pin_blas_threads
+from .linalg import blas_config, complex_normals, gram_inner, pin_blas_threads
 
 # the layers above fock (wick, moments, modular, multipliers, ultra) are
 # imported inside the runners that use them, so a command loads only what
@@ -119,9 +120,7 @@ def _gate(config, gated, check, residual, tolerance, invariant: str, /, **replay
 def _random_word(fock, rng, level: int):
     from .wick import from_vector
 
-    dim = fock.level_dim(level)
-    coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return from_vector(fock, coords, level)
+    return from_vector(fock, complex_normals(rng, fock.level_dim(level)), level)
 
 
 def _run_fock(config, fock, gated):
@@ -185,8 +184,9 @@ def _run_moments(config, fock, gated):
 def _run_modular(config, fock, gated):
     from .modular import ModularData, kms_residual, modular_flow
 
-    # built here, so a run without modular or multipliers never imports numpy.random
-    rng = np.random.default_rng([config.seed, EXPERIMENT_ORDER.index("modular")])
+    # a str seed is hashed by random's builtin sha512; the draws do not
+    # depend on which experiments ran before
+    rng = random.Random(f"{config.seed}:modular")
     modular = ModularData(fock)
     params = config.experiment("modular")
     rows = []
@@ -202,11 +202,13 @@ def _run_modular(config, fock, gated):
     for n in range(fock.n_max + 1):
         push("decomposition", n, modular.decomposition_residual(n))
 
+    # pair p takes levels (1 + p % cap, 1 + p // cap % cap): every level
+    # pair is tested once pairs >= cap**2; only the coordinates are drawn
     kms_cap = fock.n_max // 2
     if kms_cap >= 1:
         for p in range(params["pairs"]):
-            x = _random_word(fock, rng, int(rng.integers(1, kms_cap + 1)))
-            y = _random_word(fock, rng, int(rng.integers(1, kms_cap + 1)))
+            x = _random_word(fock, rng, 1 + p % kms_cap)
+            y = _random_word(fock, rng, 1 + p // kms_cap % kms_cap)
             push("exchange", p, float(kms_residual(fock, x, y)))
 
     for t in params["times"]:

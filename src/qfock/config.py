@@ -10,7 +10,10 @@ truncated Fock space, so it refuses what a run's build refuses, level
 positivity included; only ``run`` checks the scan's stack budget.
 Normalization fills every default, so the echoed configuration is
 complete and its canonical JSON serialization is a stable input for the
-run hash.
+run hash.  The hash is SHA-256 from CPython's builtin module (``_sha2``
+on 3.12+, ``_sha256`` before), as the stdlib's ``random`` takes its
+sha512: ``hashlib`` loads OpenSSL, a few MB that no run needs.  It falls
+back to ``hashlib`` where neither builtin exists; the digest is the same.
 
 The ``tolerances`` section is the only source of the CLI's configured
 tolerances: one per gated check (``moments`` and the three modular
@@ -23,11 +26,19 @@ spaces (Fraction entries) are a library feature, not reachable from here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
 from dataclasses import dataclass
+
+# hashlib loads OpenSSL: try the lean builtin module first, as random does
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import yaml
 
@@ -123,7 +134,7 @@ def config_hash(config: RunConfig) -> str:
     """
     payload = {k: v for k, v in config.data.items() if k != "output_dir"}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _parse_yaml(text: str):

@@ -30,6 +30,10 @@ the digits; a library caller that also sets ``OPENBLAS_NUM_THREADS=1``
 before importing numpy, as the command entry does, spares the busy-waiting
 worker OpenBLAS otherwise starts at load (~0.1 s of CPU on two CPUs).
 ``blas_config`` reads the build string of that OpenBLAS for the manifest.
+
+A run's seeded draws are few (a witness, a few word vectors), so
+``complex_normals`` takes them from a ``random.Random``: ``numpy.random``
+would load OpenSSL through its ``secrets`` import, a few MB per process.
 """
 
 from __future__ import annotations
@@ -177,6 +181,15 @@ def to_float(m: np.ndarray) -> np.ndarray:
 def gram_inner(u: np.ndarray, v: np.ndarray, gram: np.ndarray):
     """Inner product <u, v> against ``gram``; linear in the second slot."""
     return np.conj(u).dot(gram).dot(v)
+
+
+def complex_normals(rng, shape) -> np.ndarray:
+    """complex128 array of ``shape`` from the ``random.Random`` ``rng``:
+    first every real part, then every imaginary part, in C order, each a
+    ``gauss(0.0, 1.0)`` draw."""
+    size = int(np.prod(shape))
+    parts = np.fromiter((rng.gauss(0.0, 1.0) for _ in range(2 * size)), float, 2 * size)
+    return (parts[:size] + 1j * parts[size:]).reshape(shape)
 
 
 def _gen_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,16 @@ import numpy as np
 from .errors import BuildError
 from .hilbert import GROUP_CHECK_TIMES
 from .limits import MAX_AMPLIFICATION, STACK_BUDGET_BYTES
-from .linalg import gram_inner, hermitize, kron_power, legwise, max_abs, op_norm, to_float
+from .linalg import (
+    complex_normals,
+    gram_inner,
+    hermitize,
+    kron_power,
+    legwise,
+    max_abs,
+    op_norm,
+    to_float,
+)
 from .wick import WickWord, _level_entries, basis_word_operator, from_vector
 
 __all__ = [
@@ -430,6 +441,9 @@ def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
         raise BuildError(
             f"amplification size must lie in 1..{MAX_AMPLIFICATION}"
         )
+    # random.Random accepts and hashes any object; a scan seed is a count
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise BuildError(f"scan seed must be a nonnegative integer, got {seed!r}")
     # complex throughout, so every SVD of the scan is LAPACK's complex one
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (fock.total_dim,) * 2:
@@ -455,14 +469,12 @@ def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
         if reached > value:
             value, witness = reached, climbed
     results = [(value, witness)]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for size in range(2, max_amplification + 1):
         padded = np.zeros((size, size, d), dtype=complex)
         padded[:-1, :-1] = witness
         witness = padded
-        trial = rng.standard_normal((size, size, d)) + 1j * rng.standard_normal(
-            (size, size, d)
-        )
+        trial = complex_normals(rng, (size, size, d))
         trial /= np.linalg.norm(trial)
         score = float(_scores(stack, matrix, trial[None])[0])
         if score > value:
@@ -486,8 +498,11 @@ def amplified_norm_scan(
     seed that ties the best; on a radial symbol the level-n seed scores
     |symbol(n)|.  Each larger size keeps the previous witness padded by a
     zero row and column, whose ratio is unchanged, and replaces it only by
-    a full-support witness drawn with the seed that scores strictly higher
-    after its own ascent.  The sequence is non-decreasing by construction.
+    a full-support witness that scores strictly higher after its own
+    ascent.  That witness's coordinates are ``linalg.complex_normals`` draws
+    from ``random.Random(seed)``; ``seed`` must be a nonnegative integer,
+    and any other raises BuildError.  The sequence is non-decreasing by
+    construction.
     """
     return [value for value, _ in _scan(fock, matrix, max_amplification, seed)]
 

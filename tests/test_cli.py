@@ -254,6 +254,27 @@ def test_single_experiment_matches_the_combined_run(tmp_path, capsys):
         assert 0 < cache["bytes"] < cache["entries"] * 16 * 40**2
 
 
+def test_exchange_pairs_cover_every_level_pair_on_any_seed(tmp_path, capsys, monkeypatch):
+    import qfock.modular
+
+    levels = []
+    kms_residual = qfock.modular.kms_residual
+
+    def recording(fock, x, y):
+        levels.append((x.level, y.level))
+        return kms_residual(fock, x, y)
+
+    monkeypatch.setattr(qfock.modular, "kms_residual", recording)
+    raw = {**MIXED, "fock": {"n_max": 4}, "experiments": {"modular": {"pairs": 5}}}
+    path = write_config(tmp_path, raw)
+    for seed in ("0", "3"):
+        out = str(tmp_path / seed)
+        assert main(["run", "modular", "--config", path, "--out", out, "--seed", seed]) == 0
+    capsys.readouterr()
+    # pair p takes levels (1 + p % 2, 1 + p // 2 % 2) at n_max 4
+    assert levels == 2 * [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1)]
+
+
 def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0
@@ -493,10 +514,11 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
             "    assert name not in sys.modules, name + ' was imported'\n"
         )
 
-    # no scipy, no numpy.ma and no package metadata on the run path;
-    # numpy.random only where an experiment draws
+    # no scipy, no numpy.ma, no package metadata and no OpenSSL on the run
+    # path: seeded draws come from random.Random, the hash from a builtin
     run_path = unimported(
-        "scipy", "scipy.linalg", "scipy.sparse", "numpy.ma", "importlib.metadata"
+        "scipy", "scipy.linalg", "scipy.sparse", "numpy.ma", "importlib.metadata",
+        "numpy.random", "secrets", "hashlib", "_hashlib",
     )
     build = (
         "import sys, qfock.cli\n"
@@ -534,10 +556,8 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
         package,
         validate + run_path + unimported(*upper),
         run("all") + run_path,
-        run("fock") + run_path + unimported("numpy.random", *upper),
-        run("moments")
-        + run_path
-        + unimported("numpy.random", "qfock.modular", "qfock.multipliers", "qfock.ultra"),
+        run("fock") + run_path + unimported(*upper),
+        run("moments") + run_path + unimported("qfock.modular", "qfock.multipliers", "qfock.ultra"),
         run("modular") + run_path + unimported("qfock.moments", "qfock.multipliers", "qfock.ultra"),
     ]
     # one OpenBLAS thread, as the command entry sets for itself: seven

@@ -1,12 +1,17 @@
 """Configuration loading: schema validation, defaults, and hashing."""
 
+import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import qfock
 from qfock.config import (
     DEFAULT_SEED,
     ConfigError,
@@ -474,6 +479,43 @@ def test_a_vector_over_two_blocks_of_one_label_is_one_leg():
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def hashlib_digests(paths):
+    """sha256 of each config's canonical JSON, through OpenSSL's hashlib."""
+    digests = []
+    for path in paths:
+        payload = {k: v for k, v in load_config(path).data.items() if k != "output_dir"}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digests.append(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+    return digests
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_json():
+    paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
+    assert [config_hash(load_config(path)) for path in paths] == hashlib_digests(paths)
+
+
+def test_config_hash_falls_back_to_hashlib_without_the_builtin_module():
+    paths = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))]
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from qfock.config import config_hash, load_config\n"
+        "assert 'hashlib' in sys.modules\n"
+        f"for path in {paths!r}:\n"
+        "    print(config_hash(load_config(path)))\n"
+    )
+    source = os.path.dirname(os.path.dirname(qfock.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == hashlib_digests(paths)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")

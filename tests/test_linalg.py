@@ -12,6 +12,7 @@ any columns of a tensor power; the chain of ``np.kron`` products is its
 bitwise oracle.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from qfock.linalg import (
     SLAB_COLUMNS,
     blas_config,
     column_slabs,
+    complex_normals,
     hermitize,
     kron_columns,
     kron_power,
@@ -179,3 +181,19 @@ def test_legwise_by_runs_is_the_one_shot_product_bit_for_bit(mixed5, n, rng):
             for arg in (x, x.real, np.swapaxes(x, 0, -1).copy().swapaxes(0, -1)):
                 got, ref = legwise(m, n, arg), one_shot_legwise(m, n, arg)
                 assert same_entries(got, ref), (m.dtype, shape)
+
+
+def test_complex_normals_repeat_bit_for_bit_from_the_same_generator_state():
+    rng = random.Random("7:modular")
+    state = rng.getstate()
+    first = complex_normals(rng, (2, 3, 4))
+    rng.setstate(state)
+    again = complex_normals(rng, (2, 3, 4))
+    assert first.dtype == np.complex128 and first.shape == (2, 3, 4)
+    assert first.tobytes() == again.tobytes()
+    # every real part, then every imaginary part, each one gauss(0, 1) draw
+    rng.setstate(state)
+    parts = [rng.gauss(0.0, 1.0) for _ in range(48)]
+    assert first.ravel().real.tolist() == parts[:24]
+    assert first.ravel().imag.tolist() == parts[24:]
+    assert complex_normals(rng, 5).shape == (5,)

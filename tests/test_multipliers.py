@@ -509,3 +509,9 @@ def test_amplified_estimate_guards(small_fock):
         amplified_norm_scan(small_fock, np.eye(small_fock.total_dim), MAX_AMPLIFICATION + 1)
     with pytest.raises(BuildError):
         amplified_norm_scan(small_fock, np.eye(3), 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_amplified_scan_refuses_a_seed_that_is_not_a_nonnegative_integer(small_fock, seed):
+    with pytest.raises(BuildError, match="seed must be a nonnegative integer"):
+        amplified_norm_scan(small_fock, np.eye(small_fock.total_dim), 2, seed=seed)
