@@ -45,9 +45,7 @@ def main():
     print("  sum of F_n minus identity: %.3e" % max_abs(total - np.eye(fock.total_dim)))
 
     family = ContractionFamily(setup)
-    print("\ncontraction family on the one-particle space:",
-          family.size, "members, ranks",
-          [family.rank(k) for k in range(family.size)])
+    print("\ncontraction family on the one-particle space:", family.size, "members")
 
     coords = np.zeros(fock.level_dim(1), dtype=complex)
     coords[0] = 1.0

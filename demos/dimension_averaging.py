@@ -3,10 +3,7 @@
 A word of averaged generators over an auxiliary dimension m has moments
 that approach the deformed pair-partition values like 1/m.  Two evaluators
 (grouped enumeration and, in the uniform regime, a closed form) agree
-exactly; the fitted slope of the error is -1; and the norm surrogate for
-the recursion remainder decays in m as well.  The last table is the part
-the command line report deliberately leaves out: it tracks an operator
-norm, not a moment, so it lives here as a narrative companion.
+exactly; the fitted slope of the error is -1.
 """
 
 from fractions import Fraction as F
@@ -15,11 +12,9 @@ import numpy as np
 
 from qfock import (
     DeformationMatrix,
-    TruncatedFock,
     UmSpec,
     build_space,
     convergence_experiment,
-    recursion_remainder_norm,
     um_moment_closedform,
     um_moment_enumerate,
 )
@@ -58,12 +53,6 @@ def main():
         spec = UmSpec.build(two, m, vectors, 0.5, shape)
         print("  m = %d: enumeration %.10f" % (m, um_moment_enumerate(spec, two).real))
     print("  (no closed form here; the enumeration is the only evaluator)")
-
-    print("\nnorm surrogate for the recursion remainder, scaled by m^(-3/2):")
-    print("  %4s %12s" % ("m", "surrogate"))
-    for m in range(2, 9):
-        print("  %4d %12.6f" % (m, recursion_remainder_norm(m, 0.5, 0.6)))
-    print("  strictly decreasing; the remainder terms lose a factor m^(-1/2)")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ _EXPORTS = {
     "multipliers": "ContractionFamily RadialSymbol amplified_norm_estimate amplified_norm_scan"
     " check_quantizable net_element net_majorant net_pointwise_defect radial_apply"
     " radial_matrix second_quantize second_quantize_matrix tail_series",
-    "ultra": "ConvergenceReport UmSpec convergence_experiment recursion_remainder_norm"
-    " um_moment_closedform um_moment_enumerate",
+    "ultra": "ConvergenceReport UmSpec convergence_experiment um_moment_closedform"
+    " um_moment_enumerate",
     "wick": "WickWord basis_word_operator field from_vector norm_bound vacuum_expectation"
     " wick_operator wick_recursion_residual",
 }

@@ -17,7 +17,5 @@ MAX_AMPLIFICATION = 4  # multipliers: matrix size of the amplified-norm scan
 STACK_BUDGET_BYTES = 256 * 2**20
 MAX_AUX_DIM = 10  # ultra: auxiliary dimension of the averaged-moment enumeration
 MAX_UM_LENGTH = 6  # ultra: word length of the averaged-moment enumeration
-# ultra: auxiliary dimensions m, (low, high) both included, of the remainder model
-REMAINDER_AUX_DIMS = (2, 8)
 # config: modular pairs and multiplier net steps, the experiments' repeat counts
 MAX_REPEATS = 1000

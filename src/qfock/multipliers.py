@@ -226,9 +226,6 @@ class ContractionFamily:
         keep = [1.0 if label < k else 0.0 for label in self.setup.block_of]
         return np.diag(keep)
 
-    def rank(self, k: int) -> int:
-        return sum(1 for label in self.setup.block_of if label < k)
-
 
 # -- approximation net -------------------------------------------------------
 
@@ -290,8 +287,11 @@ def tail_series(beyond: int, t: float) -> float:
 
     Terms decay at least geometrically once k exceeds max(beyond, 2/t), and
     the summation stops when the geometric majorant of the remainder drops
-    below 1e-15.
+    below 1e-15.  ``beyond`` must be a nonnegative integer, a level count;
+    any other raises BuildError.
     """
+    if not (isinstance(beyond, numbers.Integral) and not isinstance(beyond, bool) and beyond >= 0):
+        raise BuildError(f"tail series needs a nonnegative integer beyond, got {beyond!r}")
     if not t > 0:
         raise BuildError(f"tail series needs t > 0, got {t}")
     x = math.exp(-t)

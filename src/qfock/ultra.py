@@ -16,12 +16,6 @@ only when the shape deformation is uniform, because only then is the
 first-factor crossing coefficient independent of the auxiliary values.
 Non-uniform specs must use the enumeration path, and their convergence is
 reported rather than asserted.
-
-The remainder of the one-letter extension recursion (splitting an
-(l+1)-letter average into the extended word, the contracted words, and a
-normalized rest term) is realized as a vector norm check: the rest term is
-applied to the vacuum in an explicit two-factor truncated model and its
-normalized norm is expected to decay like m**(-1/2).
 """
 
 from __future__ import annotations
@@ -36,10 +30,8 @@ import numpy as np
 
 from .combinatorics import pair_partitions
 from .errors import BuildError
-from .fock import TruncatedFock
-from .hilbert import DeformationMatrix, build_space
-from .limits import MAX_AUX_DIM, MAX_UM_LENGTH, REMAINDER_AUX_DIMS
-from .linalg import to_float
+from .hilbert import DeformationMatrix
+from .limits import MAX_AUX_DIM, MAX_UM_LENGTH
 from .moments import MomentSpec, moment_pairings, validate_word
 
 __all__ = [
@@ -47,10 +39,8 @@ __all__ = [
     "MAX_UM_LENGTH",
     "ConvergenceReport",
     "UmSpec",
-    "aux_deformation_matrix",
     "convergence_experiment",
     "effective_deformation",
-    "recursion_remainder_norm",
     "um_moment_closedform",
     "um_moment_enumerate",
 ]
@@ -75,7 +65,7 @@ class UmSpec:
     @classmethod
     def build(cls, setup, m, vectors, q, q_tilde) -> "UmSpec":
         violations = []
-        if not (isinstance(m, (int, np.integer)) and m >= 1):
+        if not _is_aux_dim(m):
             violations.append(f"auxiliary dimension must be a positive integer, got {m!r}")
         if not (isinstance(q, numbers.Real) and 0 < q < 1):
             violations.append(f"uniform scale q must be real in (0, 1), got {q!r}")
@@ -110,6 +100,12 @@ class UmSpec:
         if a < n and b < n:
             return self.q_tilde[a, b]
         return 0
+
+
+def _is_aux_dim(m) -> bool:
+    """An auxiliary dimension is a positive integer: a bool or a float is
+    none, though int() would take either."""
+    return isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1
 
 
 def _zero(setup):
@@ -291,6 +287,10 @@ def fitted_slope(aux_dims, errors):
 def convergence_experiment(setup, vectors, q, q_tilde, m_list) -> ConvergenceReport:
     """Evaluate the averaged-word moment along increasing auxiliary
     dimensions and compare with the limit moment under q * q_tilde."""
+    m_list = list(m_list)
+    bad = [m for m in m_list if not _is_aux_dim(m)]
+    if bad:
+        raise BuildError(f"auxiliary dimensions must be positive integers, got {bad!r}")
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise BuildError("need at least one auxiliary dimension")
@@ -304,90 +304,3 @@ def convergence_experiment(setup, vectors, q, q_tilde, m_list) -> ConvergenceRep
     target = moment_pairings(word, effective_deformation(setup, q, q_tilde), setup)
     return ConvergenceReport(tuple(m_list), tuple(values), target)
 
-
-# -- recursion remainder ------------------------------------------------------
-
-
-def aux_deformation_matrix(q_tilde, m: int) -> np.ndarray:
-    """Shape deformation on m auxiliary indices as a dense float matrix,
-    zero-extended past the declared size; ``_checked_shape`` admits it."""
-    q_tilde = _checked_shape(q_tilde)
-    out = np.zeros((m, m))
-    if np.ndim(q_tilde) == 0:
-        out[:] = float(q_tilde)
-    else:
-        n = min(m, q_tilde.shape[0])
-        out[:n, :n] = q_tilde[:n, :n].astype(float)
-    return out
-
-
-def _aux_fock(entries: np.ndarray, levels: int) -> TruncatedFock:
-    m = entries.shape[0]
-    setup = build_space(entries, [("fixed", i) for i in range(m)])
-    return TruncatedFock(setup, n_max=levels)
-
-
-def _sector_norm_sq(bucket: dict, gram_x: np.ndarray, gram_y: np.ndarray) -> float:
-    keys = list(bucket)
-    ix = np.array([k[0] for k in keys])
-    iy = np.array([k[1] for k in keys])
-    c = np.array([bucket[k] for k in keys], dtype=complex)
-    gx = to_float(gram_x)[np.ix_(ix, ix)]
-    gy = to_float(gram_y)[np.ix_(iy, iy)]
-    return float(np.real(np.conj(c).dot((gx * gy).dot(c))))
-
-
-def recursion_remainder_norm(m: int, q: float, q_tilde) -> float:
-    """Normalized vacuum norm of the three-letter recursion remainder.
-
-    Extending a two-letter averaged word by one letter leaves a remainder
-    made of full-word terms, scale-contracted terms, and shape-contracted
-    terms, summed over auxiliary multi-indices whose first value equals
-    the hatted one and whose other values are distinct.  The remainder is
-    applied to the two-factor vacuum in an explicit truncated model on a
-    scalar base space (three real unit letters), and the norm is divided
-    by m**(3/2).  Expected to decay like m**(-1/2).
-    """
-    low, high = REMAINDER_AUX_DIMS
-    if not low <= m <= high:
-        raise BuildError(f"remainder model needs {low} <= m <= {high}, got {m}")
-    if not (isinstance(q, numbers.Real) and 0 < q < 1):
-        raise BuildError(f"uniform scale q must be real in (0, 1), got {q!r}")
-    shape = aux_deformation_matrix(q_tilde, m)
-    first = _aux_fock(shape, 3)
-    second = _aux_fock(float(q) * np.ones((m, m)), 3)
-
-    def shape_entry(a, b):
-        return shape[a, b]
-
-    sec33: dict = {}
-    sec32: dict = {}
-    sec23: dict = {}
-    # the two non-hatted values are distinct, so no term reaches a vacuum
-    # sector on either factor
-    for i, hat in ((2, 1), (3, 2)):
-        rest = [p for p in range(3) if p != hat]
-        for others in itertools.permutations(range(m), 2):
-            k = [0, 0, 0]
-            k[rest[0]], k[rest[1]] = others
-            k[hat] = k[0]  # the extension letter contracts against the first
-            word = tuple(k)
-            x3 = first.word_index(word)
-            y3 = second.word_index(word)
-            key33 = (x3, y3)
-            sec33[key33] = sec33.get(key33, 0.0) + 1.0
-            pair = (k[rest[0]], k[rest[1]])
-            kappa2 = q ** (i - 1)
-            y2 = second.word_index(pair)
-            key32 = (x3, y2)
-            sec32[key32] = sec32.get(key32, 0.0) + kappa2
-            kappa3 = 1.0 if i == 2 else shape_entry(k[2], k[1])
-            x2 = first.word_index(pair)
-            key23 = (x2, y3)
-            sec23[key23] = sec23.get(key23, 0.0) + kappa3
-    total = (
-        _sector_norm_sq(sec33, first.gram(3), second.gram(3))
-        + _sector_norm_sq(sec32, first.gram(3), second.gram(2))
-        + _sector_norm_sq(sec23, first.gram(2), second.gram(3))
-    )
-    return math.sqrt(max(total, 0.0)) / m ** 1.5

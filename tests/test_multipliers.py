@@ -199,9 +199,6 @@ def test_contraction_family_members(fock3, family3):
     assert family3.size == setup.n_blocks + 1
     assert np.array_equal(family3.member(family3.size - 1), np.eye(setup.dim))
     assert max_abs(family3.member(0)) == 0.0
-    assert family3.rank(0) == 0
-    assert family3.rank(1) == 2
-    assert family3.rank(2) == 3
     g = to_float(setup.u_gram)
     for k in range(family3.size):
         t_k = family3.member(k)
@@ -385,6 +382,14 @@ def test_tail_series_monotone_and_small():
     assert net_majorant(3, 4.0, constant=5.0) == pytest.approx(
         1.0 + 5.0 * tail_series(3, 4.0)
     )
+
+
+# -1 divided by zero, -3 summed from k = -2 and 2.5 over half-integers
+@pytest.mark.parametrize("beyond", [-1, -3, 2.5, 3.0, True, None])
+def test_the_tail_refuses_a_start_that_is_not_a_nonnegative_integer(beyond):
+    for call in (tail_series, net_majorant):
+        with pytest.raises(BuildError, match="nonnegative integer beyond"):
+            call(beyond, 1.0)
 
 
 def test_sampled_positivity_of_quantization(fock3, rng):

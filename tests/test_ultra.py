@@ -1,4 +1,4 @@
-"""Finite-m averaged moments: dual evaluators, limits, remainder decay."""
+"""Finite-m averaged moments: dual evaluators and limits."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 
 from qfock.combinatorics import pair_partitions
 from qfock.errors import BuildError
-from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
 from qfock.linalg import to_float
 from qfock.moments import MomentSpec, moment_pairings
@@ -16,15 +15,12 @@ from qfock.ultra import (
     MAX_AUX_DIM,
     MAX_UM_LENGTH,
     UmSpec,
-    aux_deformation_matrix,
     convergence_experiment,
     effective_deformation,
     fitted_slope,
-    recursion_remainder_norm,
     um_moment_closedform,
     um_moment_enumerate,
 )
-from qfock.wick import wick_operator
 
 MIXED_Q = [[0.3, -0.2], [-0.2, 0.55]]
 
@@ -307,91 +303,6 @@ def test_effective_deformation_shapes(rot_space):
         effective_deformation(rot_space, 0.5, [[0.4]])
 
 
-def test_aux_deformation_matrix_zero_extension():
-    out = aux_deformation_matrix([[0.5, 0.2], [0.2, -0.3]], 4)
-    assert out[:2, :2] == pytest.approx(np.array([[0.5, 0.2], [0.2, -0.3]]))
-    assert np.all(out[2:, :] == 0.0) and np.all(out[:, 2:] == 0.0)
-    assert aux_deformation_matrix(0.7, 3) == pytest.approx(0.7 * np.ones((3, 3)))
-
-
-def dense_remainder_oracle(m, q, qt):
-    """Assemble the remainder on the vacuum in the full two-factor tensor
-    model, one-letter pieces through actual Wick operators."""
-    shape = aux_deformation_matrix(qt, m)
-    first = TruncatedFock(build_space(shape, [("fixed", i) for i in range(m)]), n_max=3)
-    second = TruncatedFock(
-        build_space(q * np.ones((m, m)), [("fixed", i) for i in range(m)]), n_max=3
-    )
-    def vac(fock):
-        v = np.zeros(fock.total_dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def one_letter(fock, a):
-        vec = np.zeros(fock.setup.dim)
-        vec[a] = 1.0
-        return to_float(wick_operator(fock, [vec]).dense())
-
-    def basis3(fock, word):
-        v = np.zeros(fock.total_dim, dtype=complex)
-        v[fock.level_offset(3) + fock.word_index(word)] = 1.0
-        return v
-
-    joint = {}
-
-    def add(nx, ny, xfull, yfull, coeff):
-        block = coeff * np.kron(xfull[first.level_slice(nx)], yfull[second.level_slice(ny)])
-        joint[nx, ny] = joint.get((nx, ny), 0) + block
-
-    for i, hat in ((2, 1), (3, 2)):
-        rest = [p for p in range(3) if p != hat]
-        for others in itertools.permutations(range(m), 2):
-            k = [0, 0, 0]
-            k[rest[0]], k[rest[1]] = others
-            k[hat] = k[0]
-            word = tuple(k)
-            x3 = basis3(first, word)
-            y3 = basis3(second, word)
-            add(3, 3, x3, y3, 1.0)
-            a, b = rest
-            kappa2 = q ** (i - 1)
-            y_pair = one_letter(second, k[a]).dot(one_letter(second, k[b]).dot(vac(second)))
-            for ny in (0, 2):
-                add(3, ny, x3, y_pair, kappa2)
-            kappa3 = 1.0 if i == 2 else shape[k[2], k[1]]
-            x_pair = one_letter(first, k[a]).dot(one_letter(first, k[b]).dot(vac(first)))
-            for nx in (0, 2):
-                add(nx, 3, x_pair, y3, kappa3)
-
-    total = 0.0
-    for (nx, ny), vec in joint.items():
-        gram = np.kron(to_float(first.gram(nx)), to_float(second.gram(ny)))
-        total += float(np.real(np.conj(vec).dot(gram.dot(vec))))
-    return np.sqrt(max(total, 0.0)) / m ** 1.5
-
-
-def test_remainder_norm_matches_dense_tensor_oracle():
-    for m in (2, 3):
-        for qt in (0.6, [[0.5, 0.2], [0.2, -0.3]]):
-            got = recursion_remainder_norm(m, 0.5, qt)
-            want = dense_remainder_oracle(m, 0.5, qt)
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_remainder_norm_decays():
-    values = [recursion_remainder_norm(m, 0.5, 0.6) for m in range(2, 9)]
-    assert all(v > 0 for v in values)
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] / values[0] < 0.75
-
-
-def test_remainder_norm_decays_for_matrix_shape():
-    shape = [[0.5, 0.2], [0.2, -0.3]]
-    values = [recursion_remainder_norm(m, 0.5, shape) for m in range(2, 9)]
-    assert all(v > 0 for v in values)
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
 def test_spec_validation_consolidates_violations(rot_space):
     with pytest.raises(BuildError) as err:
         UmSpec.build(rot_space, 0, [np.ones(2)], 1.5, 2.0)
@@ -412,6 +323,23 @@ def test_spec_validation_consolidates_violations(rot_space):
         )
 
 
+# int() took 2.7 as m = 2 and True as m = 1
+@pytest.mark.parametrize("m", [2.7, 3.0, True, np.float64(2.0), "2", None])
+def test_an_auxiliary_dimension_must_be_a_positive_integer(unit_space, m):
+    vectors, q, q_tilde = [[Fraction(1)]] * 2, Fraction(1, 2), Fraction(1, 4)
+    with pytest.raises(BuildError, match="auxiliary dimension must be a positive integer"):
+        UmSpec.build(unit_space, m, vectors, q, q_tilde)
+    with pytest.raises(BuildError, match="auxiliary dimensions must be positive integers"):
+        convergence_experiment(unit_space, vectors, q, q_tilde, [1, m])
+
+
+def test_an_auxiliary_dimension_may_be_a_numpy_integer(unit_space):
+    vectors, q, q_tilde = [[Fraction(1)]] * 2, Fraction(1, 2), Fraction(1, 4)
+    ours = convergence_experiment(unit_space, vectors, q, q_tilde, [np.int64(1), np.int64(3)])
+    assert ours.aux_dims == (1, 3) and all(type(m) is int for m in ours.aux_dims)
+    assert ours.values == convergence_experiment(unit_space, vectors, q, q_tilde, [1, 3]).values
+
+
 def test_enumeration_guards(rot_space, unit_space):
     f = np.array([0.7, -0.2, 0.0])
     spec = UmSpec.build(rot_space, MAX_AUX_DIM + 1, [f, f], 0.5, 0.4)
@@ -429,15 +357,6 @@ def test_enumeration_guards(rot_space, unit_space):
         )
 
 
-def test_remainder_guards():
-    with pytest.raises(BuildError, match="2 <= m <= 8"):
-        recursion_remainder_norm(1, 0.5, 0.6)
-    with pytest.raises(BuildError, match="2 <= m <= 8"):
-        recursion_remainder_norm(9, 0.5, 0.6)
-    with pytest.raises(BuildError, match="real in"):
-        recursion_remainder_norm(3, 1.5, 0.6)
-
-
 # every shape deformation the averaging layer takes meets DeformationMatrix.build
 MALFORMED_SHAPES = {
     "complex-entry": ([[0.1j]], "must be real numbers"),
@@ -450,14 +369,11 @@ MALFORMED_SHAPES = {
 }
 
 
+# the one route that reports a scalar shape by the rule itself (UmSpec.build
+# names it a uniform shape entry); the route stays in the test's id
 @pytest.mark.parametrize("name", sorted(MALFORMED_SHAPES))
-@pytest.mark.parametrize("route", ["remainder", "effective", "aux"])
+@pytest.mark.parametrize("route", ["effective"])
 def test_malformed_shapes_fail_the_one_deformation_rule(rot_space, route, name):
     q_tilde, rule = MALFORMED_SHAPES[name]
-    call = {
-        "remainder": lambda: recursion_remainder_norm(3, 0.5, q_tilde),
-        "effective": lambda: effective_deformation(rot_space, 0.5, q_tilde),
-        "aux": lambda: aux_deformation_matrix(q_tilde, 3),
-    }[route]
     with pytest.raises(BuildError, match=rule):
-        call()
+        effective_deformation(rot_space, 0.5, q_tilde)
