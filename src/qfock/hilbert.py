@@ -302,11 +302,12 @@ def _check_assembly(setup: HilbertSetup) -> None:
     g = to_float(setup.u_gram)
     if max_abs(a - a.conj().T) > 1e-12:
         problems.append("generator is not Hermitian")
-    if min(np.linalg.eigvalsh(hermitize(a))) <= 0:
+    if not np.all(_eliminate(hermitize(a))[0] > 0):
         problems.append("generator is not positive definite")
-    if min(np.linalg.eigvalsh(hermitize(g))) <= 0:
+    if not np.all(_eliminate(hermitize(g))[0] > 0):
         problems.append("deformed Gram is not positive definite")
-    if max_abs(np.conj(a) - np.linalg.inv(a)) > 1e-10:
+    # not <=: a generator too ill-conditioned to invert gives a NaN residual
+    if not max_abs(np.conj(a) - _eliminate(a)[1]) <= 1e-10:
         problems.append("conjugation does not invert the generator")
     if max_abs(g.real - np.eye(setup.dim)) > 1e-12:
         problems.append("real part of the deformed Gram is not the identity")
@@ -317,3 +318,25 @@ def _check_assembly(setup: HilbertSetup) -> None:
             break
     if problems:
         raise BuildError(problems)
+
+
+def _eliminate(m: np.ndarray) -> tuple:
+    """(pivots, inverse) of a small complex square matrix by Gauss-Jordan
+    elimination without row exchanges, in numpy: no LAPACK routine is
+    loaded for the build's checks on a matrix of at most ``MAX_DIM`` rows.
+
+    On a Hermitian matrix the pivots are the real diagonal of its LDL^H
+    factorization, and it is positive definite exactly when every pivot
+    is > 0 (Sylvester's criterion); a pivot <= 0 makes the later ones
+    meaningless, and a zero pivot leaves NaN in the inverse.
+    """
+    size = len(m)
+    work = np.concatenate([m, np.eye(size)], axis=1).astype(complex)
+    pivots = np.zeros(size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(size):
+            pivots[k] = work[k, k].real
+            work[k] /= work[k, k]
+            rest = np.arange(size) != k
+            work[rest] -= np.outer(work[rest, k], work[k])
+    return pivots, work[:, size:]

@@ -19,6 +19,9 @@ Every one-particle map acts on a level leg by leg, so ``legwise`` applies
 its n-th tensor power as n batched (d x d) products instead of forming the
 d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
+Given a spare array, ``legwise`` alternates its legs between the argument
+and the spare, so a caller that walks a level a run at a time allocates
+its run buffers once.
 ``kron_columns`` builds any columns of a power, so a check can walk a level
 matrix a run of columns at a time (``column_slabs``) and equal its one-shot
 form bit for bit.
@@ -136,7 +139,7 @@ def kron_columns(m: np.ndarray, n: int, cols) -> np.ndarray:
     return out
 
 
-def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
+def legwise(m: np.ndarray, n: int, x, spare=None) -> np.ndarray:
     """The product of ``kron_power(m, n)`` with ``x``, without forming the power.
 
     The rows of ``x`` are indexed by words of n letters; ``m`` (d x d) acts
@@ -145,13 +148,23 @@ def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
     columns of x), each of the d^k slices is a (d x d) by (d x rest)
     product, written in place of the letter it consumed, so no transpose
     is needed.  Exact on Fraction arrays.
+
+    With ``spare`` and n >= 1, nothing is allocated: x and spare must be
+    C-contiguous arrays of one shape and of the result's dtype, and leg k
+    writes into the one of them that leg k - 1 read (``np.matmul``'s
+    ``out``), so both are overwritten and the result is spare for odd n,
+    x for even n.  ``np.matmul`` writes an ``out`` as it writes the array
+    it would allocate, so the digits are those of the allocating route.
     """
     x = np.asarray(x)
     if n == 0:
         return x.astype(np.result_type(m.dtype, x.dtype))
-    d, out = m.shape[1], x
+    d, out, pair = m.shape[1], x, (x, spare)
     for k in range(n):
-        out = np.matmul(m, out.reshape(d**k, d, -1))
+        src = out.reshape(d**k, d, -1)
+        # a reshape of a C-contiguous array is a view: the writes land
+        dst = None if spare is None else pair[(k + 1) % 2].reshape(src.shape)
+        out = np.matmul(m, src, out=dst)
     return out.reshape(x.shape)
 
 

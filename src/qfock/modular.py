@@ -12,11 +12,13 @@ the group on its rows and, through the transpose, its columns) it is
 applied leg by leg with ``linalg.legwise``; the dense powers stay as the
 matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return, and
 the tests' oracles.  The decomposition check ``decomposition_residual``
-builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``),
+builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``)
+and takes each run through J in two run buffers allocated once per level,
 so it holds no level-sized scratch matrix; the flow check conjugates one
 level block of the word in place, a run at a time (``conjugate_block``),
-and holds no other.  Leg reversal is a gather by ``reversed_index``, never
-the matrix ``reversal``.
+the larger pass using the run's own stretch of the block as one of the
+two arrays its legs alternate between, and holds no other.  Leg reversal
+is a gather by ``reversed_index``, never the matrix ``reversal``.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -109,25 +111,43 @@ class ModularData:
         # product is row reverse(w) of half
         return half[self.reversed_index(n)]
 
-    def j_apply(self, v, n: int) -> np.ndarray:
+    def j_apply(self, v, n: int, buffers=None) -> np.ndarray:
         """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
-        matrix), leg by leg, then the rows reversed."""
+        matrix), leg by leg, then the rows reversed.
+
+        Two flat buffers with at least v.size entries each, of the result's
+        dtype, hold every array this writes: the conjugate goes into the
+        first, the legs alternate between the two (``legwise``'s ``spare``)
+        and the reversal is gathered into the one the last leg left free,
+        whose leading entries, shaped as v, are returned.  Without
+        ``buffers`` two of v's size are allocated."""
         self.fock.check_level(n)
-        half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
-        return half[self.reversed_index(n)]
+        a, v = self.fock.setup.a_power(-0.5), np.asarray(v)
+        if buffers is None:
+            buffers = [np.empty(v.size, dtype=np.result_type(a, v)) for _ in range(2)]
+        # leading slices of flat buffers: C-contiguous whatever v's layout
+        first, second = (buf[: v.size].reshape(v.shape) for buf in buffers)
+        half = legwise(a, n, np.conjugate(v, out=first), second)
+        free = first if n % 2 else second
+        # mode "clip": the default "raise" buffers the gather; every index is in range
+        return np.take(half, self.reversed_index(n), axis=0, out=free, mode="clip")
 
     def decomposition_residual(self, n: int) -> float:
         """Largest entry of J Delta^{1/2} less the reversal on level n (the
         decomposition S = J Delta^{1/2} on linear parts), a run of columns
         (``linalg.column_slabs``) at a time: each run of Delta^{1/2} comes
-        from ``kron_columns``, goes through ``j_apply`` and loses its
-        columns of the reversal, bit for bit as in the dense difference,
-        whose max this is.  No array is as large as a level matrix."""
+        from ``kron_columns``, goes through ``j_apply`` in two run buffers
+        allocated once for the level, and loses its columns of the
+        reversal, bit for bit as in the dense difference, whose max this
+        is.  No array is as large as a level matrix."""
         fock = self.fock
         half, rev = fock.setup.a_power(-0.5), self.reversed_index(n)
+        runs = column_slabs(fock.level_dim(n))
+        widest = max(run.stop - run.start for run in runs)
+        buffers = [np.empty(fock.level_dim(n) * widest, dtype=half.dtype) for _ in range(2)]
         worst = 0.0
-        for cols in column_slabs(fock.level_dim(n)):
-            gap = self.j_apply(kron_columns(half, n, cols), n)
+        for cols in runs:
+            gap = self.j_apply(kron_columns(half, n, cols), n, buffers)
             gap[rev[cols], np.arange(gap.shape[1])] -= 1
             # np.maximum, unlike max(), keeps a NaN slab residual
             worst = np.maximum(worst, max_abs(gap))
@@ -177,13 +197,15 @@ class ModularData:
         time, then on its columns one run of rows at a time, through the
         transpose, since (U^(c))^T = (U^T)^(c).  A column of a product needs
         only the same column of its factor, so each run is transformed in
-        place, bit for bit as on the whole block; beside the block, the
-        scratch is that of one run."""
+        place (``_legwise_over``), bit for bit as on the whole block; beside
+        the block, the scratch is that of one run where the run fills a
+        stretch of memory (a column run of a column-major block, a row run
+        of a row-major one), and of two runs elsewhere."""
         left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
         for cols in column_slabs(block.shape[1]):
-            block[:, cols] = legwise(left, r, block[:, cols])
+            _legwise_over(left, r, block[:, cols])
         for rows in column_slabs(len(block)):
-            block[rows] = legwise(right, c, block[rows].T).T
+            _legwise_over(right, c, block[rows].T)
         return block
 
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
@@ -196,11 +218,14 @@ class ModularData:
         ``word``; ``flowed``'s entries are subtracted from it by index (its
         sign leaves the moduli as they are), and its largest modulus is read
         a run of rows at a time.  So the residual is the dense one, and one
-        level block and the scratch of one run are held at a time.
+        level block and the scratch of one run are held at a time: a block
+        with more rows than columns is laid out column-major, so that the
+        runs of its larger pass, the columns, fill stretches of memory.
         """
-        worst = 0.0
+        fock, worst = self.fock, 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
-            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c)))
+            order = "F" if fock.level_dim(r) > fock.level_dim(c) else "C"
+            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c, order)))
             rows, cols, values = flowed.block_entries(r, c)
             gap[rows, cols] -= to_float(values)
             for run in column_slabs(len(gap)):
@@ -208,6 +233,28 @@ class ModularData:
                 worst = np.maximum(worst, max_abs(gap[run]))
             del gap  # before the next block's scratch
         return float(worst)
+
+
+def _legwise_over(m: np.ndarray, n: int, run: np.ndarray) -> None:
+    """Write ``legwise(m, n, run)`` over ``run``, a view into a block.
+
+    Where the entries of run fill one stretch of memory (run C- or
+    F-contiguous) and the product keeps run's dtype, the legs alternate
+    between a C-ordered copy of run and that stretch, read in the copy's
+    layout (``legwise``'s ``spare``), so beside the block the scratch is
+    one run; elsewhere ``legwise`` copies and allocates as it does alone.
+    The digits are the same either way.
+    """
+    contiguous = run.flags.c_contiguous or run.flags.f_contiguous
+    if not contiguous or np.result_type(m.dtype, run.dtype) != run.dtype:
+        run[...] = legwise(m, n, run)
+        return
+    x = np.array(run, order="C")
+    out = legwise(m, n, x, run.ravel(order="K").reshape(run.shape))
+    if n % 2:  # the last leg wrote the stretch in x's layout: back through x
+        np.copyto(x, out)
+        out = x
+    run[...] = out
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:

@@ -296,7 +296,7 @@ def tail_series(beyond: int, t: float) -> float:
         raise BuildError(f"tail series needs t > 0, got {t}")
     x = math.exp(-t)
     total = 0.0
-    k = beyond + 1
+    k = int(beyond) + 1
     while True:
         term = k * k * x**k
         total += term

@@ -29,7 +29,13 @@ read-only flat index array into the D x D operator and a value array).
 ``from_vector`` is the one realization of every other argument: W is
 linear in it, so the basis words of its nonzero coordinates are assembled
 in one batch if not cached, and their entries are scaled by the
-coordinates and merged, in word order, into one entry list.
+coordinates and merged, in word order, into one entry list.  The merge
+needs no sort: the words' flat indices are collected on a D x D boolean
+mask, and each word's scaled values are placed by ``np.searchsorted`` and
+added on, one word after another.  The assembler's merge, whose keys may
+repeat within a part, sorts them with a stable argsort, not ``np.unique``,
+whose quicksort kernel would map another megabyte of library code into
+every command that realizes a word.
 Simple tensors (``wick_operator``, whose legs may span blocks) and field
 operators (``field``) are realized from their arguments this way.
 
@@ -117,10 +123,11 @@ class WickWord:
         keep = (rows >= 0) & (rows < fock.level_dim(r)) & (cols >= 0) & (cols < fock.level_dim(c))
         return rows[keep], cols[keep], values[keep]
 
-    def level_block(self, r: int, c: int) -> np.ndarray:
-        """Fresh dense block of the operator from level c to level r."""
+    def level_block(self, r: int, c: int, order="C") -> np.ndarray:
+        """Fresh dense block of the operator from level c to level r, in
+        row-major (``order`` "C") or column-major ("F") layout."""
         rows, cols, values = self.block_entries(r, c)
-        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)))
+        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)), order)
         out[rows, cols] = values
         return out
 
@@ -201,12 +208,45 @@ def _assemble_entries(fock, n, words) -> list:
 def _merge_entries(fock, index, values) -> tuple:
     """Sorted distinct entries of the arrays ``index``, with the values of
     each entry summed in list order.  ``values`` yields one array per array
-    of ``index`` and is read only after the sort, one array at a time."""
-    where, inverse = np.unique(np.concatenate(index), return_inverse=True)
+    of ``index`` and is read only after the sort, one array at a time.
+
+    The keys are ordered by a stable argsort, the kernel the fock build's
+    orbit sort loads anyway, not by ``np.unique``, whose quicksort argsort
+    maps another megabyte of library code; equal keys are adjacent either
+    way, so the distinct keys and each key's slot are the same."""
+    keys = np.concatenate(index)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    where = keys[new]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    del keys, order, new
     summed, start = fock._zeros(len(where)), 0
     for part in values:
         np.add.at(summed, inverse[start : start + len(part)], part)
         start += len(part)
+    return where, summed
+
+
+def _union_entries(fock, coords, entries) -> tuple:
+    """Entries of the sum of the basis-word operators ``entries`` scaled by
+    ``coords``, merged as ``_merge_entries`` merges them, without a sort.
+
+    The distinct flat indices are read off a D x D mask; each word's values
+    are then placed by ``np.searchsorted`` and added onto zeros, one word
+    after another.  A word's indices are distinct, so every entry sums its
+    terms in word order, bit for bit as the merge does."""
+    size = fock.total_dim
+    mask = np.zeros(size * size, dtype=bool)
+    for index, _ in entries:
+        mask[index] = True
+    where = np.flatnonzero(mask)
+    del mask
+    summed = fock._zeros(len(where))
+    for coord, (index, values) in zip(coords, entries):
+        summed[np.searchsorted(where, index)] += coord * values
     return where, summed
 
 
@@ -275,8 +315,8 @@ def from_vector(fock, vec, n: int) -> WickWord:
     This is the canonical realization path: every multiplier acts on the
     argument coordinates and comes back through here.  The entries of the
     basis words with nonzero coordinates are scaled and merged into one
-    entry list in word order, so every entry sums its terms in the order of
-    a word-by-word sum of dense matrices.
+    entry list in word order (``_union_entries``), so every entry sums its
+    terms in the order of a word-by-word sum of dense matrices.
     """
     vec = np.asarray(vec)
     fock.check_level(n)
@@ -284,11 +324,7 @@ def from_vector(fock, vec, n: int) -> WickWord:
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
     nonzero = np.flatnonzero(vec)
     entries = _level_entries(fock, n, [fock.index_word(int(idx), n) for idx in nonzero])
-    # seeded empty, so a zero argument merges to no entries; a word's values
-    # are scaled only when the merge adds them on
-    index = [np.zeros(0, dtype=int)] + [where for where, _ in entries]
-    values = (vec[idx] * vals for idx, (_, vals) in zip(nonzero, entries))
-    return WickWord(fock, n, vec.copy(), _merge_entries(fock, index, values))
+    return WickWord(fock, n, vec.copy(), _union_entries(fock, vec[nonzero], entries))
 
 
 def vacuum_expectation(fock, operator):

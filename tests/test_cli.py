@@ -84,6 +84,14 @@ def test_validate_refuses_a_space_whose_symmetrizer_loses_positivity(tmp_path, c
     assert "level 2 symmetrizer lost strict positivity" in err
 
 
+def test_validate_refuses_a_generator_too_ill_conditioned_to_invert(tmp_path, capsys):
+    # a traceback from LAPACK's inv before the checks were eliminations in numpy
+    space = {"q": [[0.3, -0.2], [-0.2, 0.55]], "blocks": [{"kind": "rotation", "lam": 1e10}, "fixed"]}
+    path = write_config(tmp_path, {"space": space})
+    assert main(["validate", "--config", path]) == 1
+    assert "conjugation does not invert the generator" in capsys.readouterr().err
+
+
 def test_validate_reports_the_size_budget_with_the_requested_cutoff(tmp_path, capsys):
     entries = [[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)]
     raw = {"space": {"q": entries, "blocks": ["fixed"] * 4}, "fock": {"n_max": 6}}
@@ -584,10 +592,16 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
         run("moments") + run_path + unimported("qfock.modular", "qfock.multipliers", "qfock.ultra"),
         run("modular") + run_path + unimported("qfock.moments", "qfock.multipliers", "qfock.ultra"),
     ]
-    # one OpenBLAS thread, as the command entry sets for itself: seven
-    # interpreters on few CPUs must not each start a spinning worker
+    run_together(checks, source)
+
+
+def run_together(checks, source):
+    """Run each check in its own interpreter with ``source`` on the path;
+    every one must exit 0.  The checks share nothing, so their
+    interpreters start together, each with one OpenBLAS thread, as the
+    command entry sets for itself: many interpreters on few CPUs must not
+    each start a spinning worker."""
     env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_NUM_THREADS": "1"}
-    # the checks share nothing, so their interpreters start together
     children = [
         subprocess.Popen(
             [sys.executable, "-c", code],
@@ -605,6 +619,31 @@ def test_building_a_space_leaves_scipy_linalg_unimported(tmp_path):
     finally:
         for child in children:
             child.kill()
+
+
+def test_the_cap_commands_sort_no_unique_and_invert_and_diagonalize_nothing_complex(tmp_path):
+    # np.unique's quicksort argsort and complex LAPACK map megabytes of
+    # library code that a command's entry merges and 8 x 8 checks need not
+    source = os.path.dirname(os.path.dirname(qfock.__file__))
+    config = os.path.join(os.path.dirname(source), "configs", "modular_rotation.yaml")
+    cuts = (
+        "import sys, numpy as np, qfock.cli\n"
+        "def refuse(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(name + ' was called')\n"
+        "    return call\n"
+        "np.unique, np.linalg.inv = refuse('np.unique'), refuse('np.linalg.inv')\n"
+        "real_eigvalsh = np.linalg.eigvalsh\n"
+        "def eigvalsh(a, *args, **kwargs):\n"
+        "    assert not np.iscomplexobj(a), 'complex eigvalsh'\n"
+        "    return real_eigvalsh(a, *args, **kwargs)\n"
+        "np.linalg.eigvalsh = eigvalsh\n"
+    )
+    commands = [["validate", "--config", config]] + [
+        ["run", experiment, "--config", config, "--out", str(tmp_path / experiment)]
+        for experiment in ("fock", "moments", "modular")
+    ]
+    run_together([cuts + f"assert qfock.cli.main({argv!r}) == 0\n" for argv in commands], source)
 
 
 # dim 5, n_max 4: the level-4 smallest P eigenvalue is a 625-row pencil

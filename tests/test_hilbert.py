@@ -1,5 +1,6 @@
 """Group model and deformed inner product, against matrix-function oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.errors import BuildError
-from qfock.hilbert import DeformationMatrix, build_space
+from qfock.hilbert import (
+    GROUP_CHECK_TIMES,
+    DeformationMatrix,
+    _check_assembly,
+    build_space,
+)
+from qfock.linalg import hermitize, max_abs, to_float
 from qfock.ultra import UmSpec
 
 from conftest import Q_MIXED, random_complex
@@ -260,3 +267,76 @@ def test_exact_rotation_with_unit_parameter_allowed():
     setup = build_space([[Fraction(1, 4)]], [("rotation", 0, 1)], exact=True)
     assert setup.u_matrix(2.3).dtype == object
     assert setup.a_power(-1)[0, 0] == Fraction(1)
+
+
+# -- the build's structural checks against their LAPACK oracle ----------------
+
+
+def lapack_assembly_problems(setup):
+    """The structural checks of the build with LAPACK's eigvalsh and inv in
+    place of the elimination: the oracle of ``_check_assembly``."""
+    problems = []
+    a, g = setup.a_matrix, to_float(setup.u_gram)
+    if max_abs(a - a.conj().T) > 1e-12:
+        problems.append("generator is not Hermitian")
+    if min(np.linalg.eigvalsh(hermitize(a))) <= 0:
+        problems.append("generator is not positive definite")
+    if min(np.linalg.eigvalsh(hermitize(g))) <= 0:
+        problems.append("deformed Gram is not positive definite")
+    if max_abs(np.conj(a) - np.linalg.inv(a)) > 1e-10:
+        problems.append("conjugation does not invert the generator")
+    if max_abs(g.real - np.eye(setup.dim)) > 1e-12:
+        problems.append("real part of the deformed Gram is not the identity")
+    for t in GROUP_CHECK_TIMES:
+        u = setup.u_matrix(t)
+        if max_abs(u.conj().T.dot(g).dot(u) - g) > 1e-11:
+            problems.append("group is not unitary for the deformed Gram")
+            break
+    return problems
+
+
+def assembly_problems(setup):
+    try:
+        _check_assembly(setup)
+    except BuildError as err:
+        return err.violations
+    return []
+
+
+def patched_setups():
+    """One setup per verdict of the elimination, each failing that one."""
+    base = build_space(Q_MIXED, [("rotation", 0, 2.0), ("fixed", 1)])
+    a, g = base.a_matrix, base.u_gram
+    lopsided = a.copy()
+    lopsided[0, 2] = 0.5
+    # Hermitian with imaginary part 2 on the rotation plane: spectrum 3, -1, 1,
+    # real part the identity, and the rotations commute with it
+    indefinite = np.eye(3, dtype=complex)
+    indefinite[0, 1], indefinite[1, 0] = 2j, -2j
+    return {
+        "generator is not Hermitian": dataclasses.replace(base, a_matrix=lopsided),
+        # -A is Hermitian and conj(-A) = -A^-1 still: only positivity fails
+        "generator is not positive definite": dataclasses.replace(base, a_matrix=-a),
+        "deformed Gram is not positive definite": dataclasses.replace(base, u_gram=indefinite),
+        # 2A is Hermitian positive definite, and its inverse is conj(A) / 2
+        "conjugation does not invert the generator": dataclasses.replace(base, a_matrix=2 * a),
+        "": base,
+    }
+
+
+@pytest.mark.parametrize("verdict", list(patched_setups()))
+def test_each_assembly_verdict_matches_the_lapack_oracle(verdict):
+    setup = patched_setups()[verdict]
+    problems = assembly_problems(setup)
+    assert problems == lapack_assembly_problems(setup)
+    assert (verdict in problems) if verdict else problems == []
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.2, 2.0, 3.0, 1e2, 1e3, 1e5, 1e8])
+def test_the_assembly_verdicts_match_the_lapack_oracle_on_built_generators(lam, monkeypatch):
+    # from lam = 1e3 on the conjugation check fails on both routes
+    for blocks in ([("rotation", 0, lam)], [("fixed", 1), ("rotation", 0, lam), ("rotation", 1, 1.5)]):
+        with monkeypatch.context() as patch:
+            patch.setattr("qfock.hilbert._check_assembly", lambda setup: None)
+            setup = build_space(Q_MIXED, blocks)
+        assert assembly_problems(setup) == lapack_assembly_problems(setup)

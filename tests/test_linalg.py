@@ -183,6 +183,24 @@ def test_legwise_by_runs_is_the_one_shot_product_bit_for_bit(mixed5, n, rng):
                 assert same_entries(got, ref), (m.dtype, shape)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_legwise_in_two_buffers_is_the_allocating_route_bit_for_bit(mixed5, n, rng):
+    words = mixed5.dim**n
+    exact = np.array([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(1)]], dtype=object)
+    for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.3)):
+        for shape in ((words,), (words, 1), (words, 64), (words, 65)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            first, spare = x.copy(), np.empty_like(x)
+            got = legwise(m, n, first, spare)
+            assert same_entries(got, one_shot_legwise(m, n, x)), shape
+            # the legs alternate: odd n ends in the spare, even n in x
+            if n:
+                assert np.shares_memory(got, spare if n % 2 else first)
+    x = np.array([Fraction(i - 3, i + 2) for i in range(2**n)], dtype=object)
+    got = legwise(exact, n, x.copy(), np.empty_like(x))
+    assert same_entries(got, legwise(exact, n, x))
+
+
 def test_complex_normals_repeat_bit_for_bit_from_the_same_generator_state():
     rng = random.Random("7:modular")
     state = rng.getstate()

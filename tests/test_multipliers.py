@@ -392,6 +392,17 @@ def test_the_tail_refuses_a_start_that_is_not_a_nonnegative_integer(beyond):
             call(beyond, 1.0)
 
 
+def test_a_numpy_integer_start_sums_as_the_same_python_int():
+    # x**k with an np.int64 k went through numpy's power: the last bit moved
+    for beyond in (0, 1, 3, 7):
+        for t in (0.1, 0.5, 1.0, 4.0):
+            for call in (tail_series, net_majorant):
+                want = call(beyond, t)
+                for start in (np.int64(beyond), np.int32(beyond), np.uint8(beyond)):
+                    got = call(start, t)
+                    assert type(got) is float and got == want, (call.__name__, start, t)
+
+
 def test_sampled_positivity_of_quantization(fock3, rng):
     contraction = commuting_contraction()
     gamma = second_quantize_matrix(fock3, contraction)

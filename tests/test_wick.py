@@ -25,6 +25,7 @@ from qfock.modular import ModularData, modular_flow
 from qfock import wick
 from qfock.wick import (
     _assemble_entries,
+    _merge_entries,
     _word_entries,
     basis_word_operator,
     cache_footprint,
@@ -627,3 +628,77 @@ def test_an_exact_word_takes_its_adjoint_in_floats(fock_exact):
     # and it is the word of the closed argument, the reversed word
     closed = from_vector(fock_exact, vec[[0, 2, 1, 3]], 2)
     assert max_abs(got - to_float(closed.dense())) <= 1e-12 * max_abs(want)
+
+
+# -- the merge of entries against np.unique ------------------------------------
+
+
+def unique_merge(fock, index, values):
+    """Oracle of ``_merge_entries``: the sorted distinct keys by
+    ``np.unique(return_inverse=True)``, each part added on by ``np.add.at``."""
+    where, inverse = np.unique(np.concatenate(index), return_inverse=True)
+    summed, start = fock._zeros(len(where)), 0
+    for part in values:
+        np.add.at(summed, inverse[start : start + len(part)], part)
+        start += len(part)
+    return where, summed
+
+
+def unique_from_vector(fock, vec, n):
+    """Oracle of ``from_vector``'s entries: every word's scaled entries
+    through ``unique_merge``, seeded empty, in word order."""
+    nonzero = np.flatnonzero(vec)
+    entries = [_word_entries(fock, fock.index_word(int(idx), n)) for idx in nonzero]
+    index = [np.zeros(0, dtype=int)] + [where for where, _ in entries]
+    return unique_merge(fock, index, [vec[idx] * vals for idx, (_, vals) in zip(nonzero, entries)])
+
+
+def same_merge(got, want, exact):
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    if exact:
+        assert got[1].dtype == object and np.array_equal(got[1], want[1])
+        assert all(type(x) is type(y) for x, y in zip(got[1], want[1]))
+    else:
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+def test_the_merge_is_the_unique_merge_bit_for_bit(fock_mixed, fock_exact, rng):
+    signed = np.array([0.0, -0.0, 1.5, -2.25])
+    cases = [
+        [np.zeros(0, dtype=int)],
+        [np.zeros(0, dtype=int), np.array([7]), np.zeros(0, dtype=int)],
+        [np.array([5, 3, 5, 5, 0]), np.array([3, 3, 9]), np.array([0])],
+        [rng.integers(0, 40, size) for size in (0, 300, 1, 57, 1000)],
+    ]
+    for index in cases:
+        # parts with signed zeros in both components, repeated within and across
+        values = [signed[rng.integers(0, 4, len(i))] + 1j * signed[rng.integers(0, 4, len(i))] for i in index]
+        same_merge(_merge_entries(fock_mixed, index, iter(values)), unique_merge(fock_mixed, index, values), False)
+        fractions = [np.array([Fraction(int(k) - 3, 7) for k in i], dtype=object) for i in index]
+        same_merge(
+            _merge_entries(fock_exact, index, iter(fractions)),
+            unique_merge(fock_exact, index, fractions),
+            True,
+        )
+
+
+def test_from_vector_is_the_unique_merge_bit_for_bit(fock_mixed, fock_exact, rng):
+    for n in range(fock_mixed.n_max + 1):
+        size = fock_mixed.level_dim(n)
+        dense = random_complex(rng, size)
+        sparse = dense.copy()
+        sparse[::3] = 0
+        # one word, scaled by a negative real: -0.0 parts the merge turns to 0.0
+        one = np.zeros(size, dtype=complex)
+        one[size // 2] = -1.5
+        for vec in (dense, sparse, dense.real.copy(), -dense.real, one, np.zeros(size)):
+            word = from_vector(fock_mixed, vec, n)
+            same_merge(word.entries, unique_from_vector(fock_mixed, vec, n), False)
+    for n in range(fock_exact.n_max + 1):
+        size = fock_exact.level_dim(n)
+        dense = np.array([Fraction(i % 5 - 2, 3) for i in range(size)], dtype=object)
+        one = np.array([Fraction(0)] * size, dtype=object)
+        one[-1] = Fraction(-4, 9)
+        for vec in (dense, one):
+            word = from_vector(fock_exact, vec, n)
+            same_merge(word.entries, unique_from_vector(fock_exact, vec, n), True)
