@@ -18,11 +18,12 @@ when numpy loaded first.  A run's manifest records the count read back,
 OpenBLAS's build string (both null on other BLAS builds) and CPU seconds.
 
 Every gate of this module passes through ``_gate``; the moments gate is
-``moments.checked_moment``.  A tolerance has one source: the
-configuration's ``tolerances`` section, or ``fock.BRAID_TOLERANCE`` for the
-braid gate; the net defect's gate checks finiteness alone.  The manifest's
-``headroom`` is each toleranced check's worst residual over its tolerance,
-as the runners recorded them.
+``moments.checked_moment``.  A tolerance has one source, a constant of the
+layer whose identity it gates, read by the runner that imports the layer:
+``fock.BRAID_TOLERANCE``, ``moments.MOMENT_TOLERANCE`` and the three of
+``modular``; no configuration sets one, and the net defect's gate checks
+finiteness alone.  The manifest's ``headroom`` is each toleranced check's
+worst residual over its tolerance, as the runners recorded them.
 
 Exit codes: 0 success, 1 usage, configuration or precondition failure, 2
 invariant failure, 3 I/O failure.
@@ -153,16 +154,15 @@ def _run_fock(config, fock, gated):
 
 
 def _run_moments(config, fock, gated):
-    from .moments import MomentSpec, checked_moment
+    from .moments import MOMENT_TOLERANCE, MomentSpec, checked_moment
 
     setup = fock.setup
-    tol = config.tolerance("moments")
     rows = []
     worst = 0.0
     for i, word in enumerate(config.experiment("moments")["words"]):
         spec = MomentSpec.build(setup, [np.asarray(v) for v in word["vectors"]])
         pairing, matrix, gap = checked_moment(
-            spec, fock, tol, space=config.data["space"], word=word
+            spec, fock, MOMENT_TOLERANCE, space=config.data["space"], word=word
         )
         worst = max(worst, gap)
         rows.append(
@@ -177,11 +177,12 @@ def _run_moments(config, fock, gated):
             }
         )
     # checked_moment has gated every gap
-    gated["moments"] = (worst, tol)
+    gated["moments"] = (worst, MOMENT_TOLERANCE)
     return rows, [("max_abs_diff", worst)]
 
 
 def _run_modular(config, fock, gated):
+    from .modular import DECOMPOSITION_TOLERANCE, EXCHANGE_TOLERANCE, FLOW_TOLERANCE
     from .modular import ModularData, kms_residual, modular_flow
 
     # a str seed is hashed by random's builtin sha512; the draws do not
@@ -190,9 +191,12 @@ def _run_modular(config, fock, gated):
     modular = ModularData(fock)
     params = config.experiment("modular")
     rows = []
+    tolerances = dict(
+        decomposition=DECOMPOSITION_TOLERANCE, exchange=EXCHANGE_TOLERANCE, flow=FLOW_TOLERANCE
+    )
 
     def push(check, parameter, residual):
-        tol = config.tolerance(f"modular_{check}")
+        tol = tolerances[check]
         _gate(
             config, gated, f"modular_{check}", residual, tol, f"modular {check} identity",
             seed=config.seed, check=check, parameter=parameter, residual=residual, tolerance=tol,
@@ -219,7 +223,7 @@ def _run_modular(config, fock, gated):
     # no exchange check below n_max 2, where no pair of words fits
     summary = [
         (f"max_{check}_residual", gated[f"modular_{check}"][0])
-        for check in ("decomposition", "exchange", "flow")
+        for check in tolerances
         if f"modular_{check}" in gated
     ]
     return rows, summary

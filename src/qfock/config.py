@@ -15,10 +15,8 @@ on 3.12+, ``_sha256`` before), as the stdlib's ``random`` takes its
 sha512: ``hashlib`` loads OpenSSL, a few MB that no run needs.  It falls
 back to ``hashlib`` where neither builtin exists; the digest is the same.
 
-The ``tolerances`` section is the only source of the CLI's configured
-tolerances: one per gated check (``moments`` and the three modular
-identities), each a positive number.  The braid gate's tolerance is
-``fock.BRAID_TOLERANCE`` and is not configurable.
+No configuration sets a tolerance: each gate's is a constant of the layer
+whose identity it checks, and a ``tolerances`` section is an unknown key.
 
 Configuration files carry plain floats and ints only; exact-arithmetic
 spaces (Fraction entries) are a library feature, not reachable from here.
@@ -55,7 +53,6 @@ from .limits import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "DEFAULT_TOLERANCES",
     "RunConfig",
     "config_hash",
     "load_config",
@@ -64,14 +61,7 @@ __all__ = [
 
 DEFAULT_SEED = 20240817
 
-DEFAULT_TOLERANCES = {
-    "moments": 1e-9,
-    "modular_exchange": 1e-10,
-    "modular_flow": 1e-11,
-    "modular_decomposition": 1e-11,
-}
-
-_TOP_KEYS = {"space", "fock", "seed", "output_dir", "tolerances", "experiments"}
+_TOP_KEYS = {"space", "fock", "seed", "output_dir", "experiments"}
 _EXPERIMENT_KEYS = {"moments", "modular", "multipliers", "ultra"}
 
 
@@ -101,9 +91,6 @@ class RunConfig:
     @property
     def output_dir(self) -> str:
         return self.data["output_dir"]
-
-    def tolerance(self, key: str) -> float:
-        return self.data["tolerances"][key]
 
     def experiment(self, name: str) -> dict:
         return self.data["experiments"][name]
@@ -458,23 +445,6 @@ def normalize_config(raw) -> RunConfig:
         violations.append("output_dir: need a nonempty path string")
         output_dir = "reports"
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tol_raw = raw.get("tolerances")
-    if tol_raw is None:
-        tol_raw = {}
-    if not isinstance(tol_raw, dict):
-        violations.append("tolerances: must be a mapping")
-    else:
-        for key, value in tol_raw.items():
-            if key not in DEFAULT_TOLERANCES:
-                violations.append(
-                    f"tolerances.{key}: unknown key; known: {sorted(DEFAULT_TOLERANCES)}"
-                )
-            elif not (_is_real(value) and value > 0):
-                violations.append(f"tolerances.{key}: need a positive number")
-            else:
-                tolerances[key] = float(value)
-
     exp_raw = raw.get("experiments", {})
     if exp_raw is None:
         exp_raw = {}
@@ -501,7 +471,6 @@ def normalize_config(raw) -> RunConfig:
         "fock": {"n_max": n_max},
         "seed": int(seed),
         "output_dir": output_dir,
-        "tolerances": tolerances,
         "experiments": experiments,
     }
     return RunConfig(data)

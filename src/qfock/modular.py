@@ -13,12 +13,16 @@ applied leg by leg with ``linalg.legwise``; the dense powers stay as the
 matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return, and
 the tests' oracles.  The decomposition check ``decomposition_residual``
 builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``)
-and takes each run through J in two run buffers allocated once per level,
-so it holds no level-sized scratch matrix; the flow check conjugates one
-level block of the word in place, a run at a time (``conjugate_block``),
-the larger pass using the run's own stretch of the block as one of the
-two arrays its legs alternate between, and holds no other.  Leg reversal
-is a gather by ``reversed_index``, never the matrix ``reversal``.
+and takes each run through the generator part of J in two run buffers
+allocated once per level, so it holds no level-sized scratch matrix; the
+flow check conjugates one level block of the word in place, a run at a
+time (``conjugate_block``), the larger pass using the run's own stretch
+of the block as one of the two arrays its legs alternate between, and
+holds no other.  Leg reversal is a gather by ``reversed_index``, never the
+matrix ``reversal``.
+
+The three identities' tolerances are constants here, as the braid
+gate's is in ``fock``; no configuration sets them.
 
 Antilinear maps are stored through their linear parts: apply(v) is always
 (matrix) . conj(v), so compositions reduce to matrix products with an
@@ -56,10 +60,20 @@ from .linalg import (
 from .wick import WickWord, from_vector
 
 __all__ = [
+    "DECOMPOSITION_TOLERANCE",
+    "EXCHANGE_TOLERANCE",
+    "FLOW_TOLERANCE",
     "ModularData",
     "kms_residual",
     "modular_flow",
 ]
+
+# largest entry of J Delta^{1/2} less the reversal on a level
+DECOMPOSITION_TOLERANCE = 1e-11
+# largest |phi(x y) - phi(y sigma_{-i}(x))| of a pair of words
+EXCHANGE_TOLERANCE = 1e-10
+# largest entry of a flowed word less the conjugated one
+FLOW_TOLERANCE = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,44 +125,38 @@ class ModularData:
         # product is row reverse(w) of half
         return half[self.reversed_index(n)]
 
-    def j_apply(self, v, n: int, buffers=None) -> np.ndarray:
+    def j_apply(self, v, n: int) -> np.ndarray:
         """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
-        matrix), leg by leg, then the rows reversed.
-
-        Two flat buffers with at least v.size entries each, of the result's
-        dtype, hold every array this writes: the conjugate goes into the
-        first, the legs alternate between the two (``legwise``'s ``spare``)
-        and the reversal is gathered into the one the last leg left free,
-        whose leading entries, shaped as v, are returned.  Without
-        ``buffers`` two of v's size are allocated."""
+        matrix), leg by leg, then the rows reversed."""
         self.fock.check_level(n)
-        a, v = self.fock.setup.a_power(-0.5), np.asarray(v)
-        if buffers is None:
-            buffers = [np.empty(v.size, dtype=np.result_type(a, v)) for _ in range(2)]
-        # leading slices of flat buffers: C-contiguous whatever v's layout
-        first, second = (buf[: v.size].reshape(v.shape) for buf in buffers)
-        half = legwise(a, n, np.conjugate(v, out=first), second)
-        free = first if n % 2 else second
-        # mode "clip": the default "raise" buffers the gather; every index is in range
-        return np.take(half, self.reversed_index(n), axis=0, out=free, mode="clip")
+        half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
+        return half[self.reversed_index(n)]
 
     def decomposition_residual(self, n: int) -> float:
         """Largest entry of J Delta^{1/2} less the reversal on level n (the
-        decomposition S = J Delta^{1/2} on linear parts), a run of columns
-        (``linalg.column_slabs``) at a time: each run of Delta^{1/2} comes
-        from ``kron_columns``, goes through ``j_apply`` in two run buffers
-        allocated once for the level, and loses its columns of the
-        reversal, bit for bit as in the dense difference, whose max this
+        decomposition S = J Delta^{1/2} on linear parts).  Both terms carry
+        the reversal as a row permutation on the left, which a max over
+        entries does not see, so it is never applied, and this gate never
+        could see a wrong reversal (the tests compare ``s_full_apply`` with
+        the Wick words' adjoints).  A run of columns (``column_slabs``) at a
+        time, Delta^{1/2} from ``kron_columns`` is conjugated into the first
+        of two run buffers allocated once for the level, its legs alternate
+        between them (``legwise``'s ``spare``), and it loses its columns of
+        the identity, bit for bit as in the dense difference, whose max this
         is.  No array is as large as a level matrix."""
         fock = self.fock
-        half, rev = fock.setup.a_power(-0.5), self.reversed_index(n)
-        runs = column_slabs(fock.level_dim(n))
+        half, dim = fock.setup.a_power(-0.5), fock.level_dim(fock.check_level(n))
+        runs = column_slabs(dim)
         widest = max(run.stop - run.start for run in runs)
-        buffers = [np.empty(fock.level_dim(n) * widest, dtype=half.dtype) for _ in range(2)]
+        buffers = [np.empty(dim * widest, dtype=half.dtype) for _ in range(2)]
         worst = 0.0
         for cols in runs:
-            gap = self.j_apply(kron_columns(half, n, cols), n, buffers)
-            gap[rev[cols], np.arange(gap.shape[1])] -= 1
+            width = cols.stop - cols.start
+            first, second = (buf[: dim * width].reshape(dim, width) for buf in buffers)
+            # the run of Delta^{1/2} is dropped once conjugated into first
+            np.conjugate(kron_columns(half, n, cols), out=first)
+            gap = legwise(half, n, first, second)
+            gap[np.arange(cols.start, cols.stop), np.arange(width)] -= 1
             # np.maximum, unlike max(), keeps a NaN slab residual
             worst = np.maximum(worst, max_abs(gap))
         return float(worst)

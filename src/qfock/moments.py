@@ -11,7 +11,8 @@ The pairing route is the production evaluator; the matrix route is the
 oracle.  ``checked_moment`` is the one comparison of the two, used by the
 library and the command line alike: it returns both values and their
 absolute gap, and raises a loud error carrying a replay record whenever
-the gap exceeds an absolute tolerance.
+the gap exceeds an absolute tolerance, ``MOMENT_TOLERANCE`` unless the
+caller passes another.
 
 Word vectors are real and supported inside a single block each, so the
 field operator of every letter is self-adjoint and no conjugation marks are
@@ -32,8 +33,12 @@ from .limits import MAX_COMBINATORIAL_LENGTH
 from .linalg import to_float
 from .wick import field
 
+# largest gap between the pairing and matrix routes' values of one moment
+MOMENT_TOLERANCE = 1e-9
+
 __all__ = [
     "MAX_COMBINATORIAL_LENGTH",
+    "MOMENT_TOLERANCE",
     "MomentSpec",
     "checked_moment",
     "moment_matrix",
@@ -130,7 +135,7 @@ def _serialize(spec: MomentSpec, deformation) -> dict:
     }
 
 
-def checked_moment(spec: MomentSpec, fock, tolerance: float = 1e-9, **context):
+def checked_moment(spec: MomentSpec, fock, tolerance: float = MOMENT_TOLERANCE, **context):
     """Both routes' values and their absolute gap, as (pairing, matrix, gap).
 
     Raises InvariantError with a serialized replay record, extended by the

@@ -306,14 +306,14 @@ def tail_series(beyond: int, t: float) -> float:
         k += 1
 
 
-def net_majorant(beyond: int, t: float, constant: float = 1.0) -> float:
-    """Analytic normalization majorant 1 + constant * tail_series.
+def net_majorant(beyond: int, t: float) -> float:
+    """Analytic normalization majorant 1 + tail_series.
 
-    The constant is configurable because no concrete value accompanies the
-    bound; reports carry this number as an annotation, never as a pass/fail
+    No concrete constant accompanies the bound, so the tail's coefficient
+    is 1; reports carry this number as an annotation, never as a pass/fail
     threshold.
     """
-    return 1.0 + constant * tail_series(beyond, t)
+    return 1.0 + tail_series(beyond, t)
 
 
 # -- amplified norm estimation -----------------------------------------------

@@ -12,7 +12,7 @@ import yaml
 
 import qfock
 from qfock.cli import _strict, main
-from qfock.config import load_config
+from qfock.config import config_hash, load_config, normalize_config
 
 MINIMAL = {"space": {"q": [[0.3]], "blocks": ["fixed"]}}
 
@@ -40,6 +40,8 @@ MIXED = {
         "ultra": {"m_list": [2, 3, 4, 5]},
     },
 }
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, raw, name="run.yaml"):
@@ -127,6 +129,18 @@ def test_validate_rejects_a_moment_word_labels_key(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert main(["validate", "--config", path]) == 1
     assert "experiments.moments.words[0].labels: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_the_validate_echo_normalizes_to_the_same_run(name, capsys):
+    # every echoed key is one the schema accepts, with the value it was given
+    path = os.path.join(CONFIGS, name)
+    assert main(["validate", "--config", path]) == 0
+    head, echo = capsys.readouterr().out.split("\n", 1)
+    assert head == "valid"
+    config, echoed = load_config(path), normalize_config(yaml.safe_load(echo))
+    assert echoed.data == config.data
+    assert config_hash(echoed) == config_hash(config)
 
 
 def test_negative_seed_exits_with_code_one(tmp_path, capsys):
@@ -310,15 +324,13 @@ def test_manifest_names_the_source_version_without_installed_metadata(tmp_path, 
     assert manifest["wick_cache"] == {"entries": 0, "bytes": 0}
 
 
-def tight_modular_config(tmp_path):
+def test_invariant_violations_exit_with_replay_data(tmp_path, capsys, monkeypatch):
+    import qfock.modular
+
     # the level-1 decomposition residual on a rotation block is a fixed
     # nonzero roundoff, so an absurd tolerance must trip the invariant
-    raw = {**MIXED, "tolerances": {"modular_decomposition": 1e-30}}
-    return write_config(tmp_path, raw)
-
-
-def test_invariant_violations_exit_with_replay_data(tmp_path, capsys):
-    path = tight_modular_config(tmp_path)
+    monkeypatch.setattr(qfock.modular, "DECOMPOSITION_TOLERANCE", 1e-30)
+    path = write_config(tmp_path, MIXED)
     code = main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
@@ -839,13 +851,20 @@ HEADROOM_SOURCES = {
 
 def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys, monkeypatch):
     import qfock.cli
-    from qfock.config import load_config
     from qfock.fock import BRAID_TOLERANCE
+    from qfock.modular import DECOMPOSITION_TOLERANCE, EXCHANGE_TOLERANCE, FLOW_TOLERANCE
+    from qfock.moments import MOMENT_TOLERANCE
 
-    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    tolerances = {
+        "braid": BRAID_TOLERANCE,
+        "moments": MOMENT_TOLERANCE,
+        "modular_decomposition": DECOMPOSITION_TOLERANCE,
+        "modular_exchange": EXCHANGE_TOLERANCE,
+        "modular_flow": FLOW_TOLERANCE,
+    }
     paths = [
-        os.path.join(configs, "minimal.yaml"),
-        os.path.join(configs, "full_run.yaml"),
+        os.path.join(CONFIGS, "minimal.yaml"),
+        os.path.join(CONFIGS, "full_run.yaml"),
         # below level 3 no braid relation applies, below n_max 2 no exchange pair fits
         write_config(tmp_path, {**MIXED, "fock": {"n_max": 1}}),
     ]
@@ -876,8 +895,7 @@ def test_manifest_carries_the_headroom_of_every_gated_check(tmp_path, capsys, mo
                 continue
             # the summary's worst residual is its report's largest
             assert summary[key] == max(residuals), (path, check)
-            tolerance = BRAID_TOLERANCE if check == "braid" else config.tolerance(check)
-            expected[check] = summary[key] / tolerance
+            expected[check] = summary[key] / tolerances[check]
         assert headroom == expected, path
         assert all(0 <= value <= 1 for value in headroom.values())
         if config.n_max == 1:

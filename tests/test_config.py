@@ -19,7 +19,7 @@ from qfock.config import (
     load_config,
     normalize_config,
 )
-from qfock.moments import MomentSpec, checked_moment
+from qfock.moments import MOMENT_TOLERANCE, MomentSpec, checked_moment
 
 
 def minimal_raw():
@@ -81,12 +81,10 @@ def test_size_budget_quotes_the_requested_cutoff():
 def test_unknown_keys_are_rejected():
     raw = minimal_raw()
     raw["mystery"] = 1
-    raw["tolerances"] = {"nonsense": 1e-9}
     with pytest.raises(ConfigError) as excinfo:
         normalize_config(raw)
     text = "\n".join(excinfo.value.violations)
     assert "mystery" in text
-    assert "nonsense" in text
 
 
 def test_violations_are_consolidated():
@@ -133,7 +131,7 @@ def test_ultra_defaults_are_self_consistent():
     assert len(ultra["vectors"]) == 4
 
 
-@pytest.mark.parametrize("section", ["fock", "tolerances", "experiments"])
+@pytest.mark.parametrize("section", ["fock", "experiments"])
 def test_a_null_section_means_the_defaults(section):
     # a YAML section whose only child is commented out parses as null
     assert normalize_config({**minimal_raw(), section: None}).data == (
@@ -262,23 +260,12 @@ INVALID_CONFIGS = {
         experiments(ultra={"m": [2, 3]}),
         ["experiments.ultra.m: unknown key"],
     ),
-    "tolerances-not-mapping": (
-        {**minimal_raw(), "tolerances": 1e-9},
-        ["tolerances: must be a mapping"],
-    ),
-    # the net defect's gate is finiteness alone: no floor to configure
-    "tolerances-net-defect-floor": (
-        {**minimal_raw(), "tolerances": {"net_defect_floor": 1e-9}},
-        [
-            "tolerances.net_defect_floor: unknown key; known:"
-            " ['modular_decomposition', 'modular_exchange', 'modular_flow', 'moments']"
-        ],
+    # each gate's tolerance is a constant of its layer: none is configured
+    "tolerances-section": (
+        {**minimal_raw(), "tolerances": {"moments": 1e-9}},
+        ["tolerances: unknown top-level key"],
     ),
     # NaN and infinities are not real numbers of a configuration
-    "tolerance-infinite": (
-        {**minimal_raw(), "tolerances": {"moments": math.inf}},
-        ["tolerances.moments: need a positive number"],
-    ),
     "rotation-lam-infinite": (
         {"space": {"q": [[0.3]], "blocks": ["fixed", {"kind": "rotation", "lam": math.inf}]}},
         ["space.blocks[1].lam: must be a real number >= 1"],
@@ -475,7 +462,7 @@ def test_a_vector_over_two_blocks_of_one_label_is_one_leg():
     config = normalize_config({"space": space, "experiments": {"moments": {"words": [word]}}})
     assert config.experiment("moments")["words"] == [word]
     spec = MomentSpec.build(config.setup(), [np.asarray(v) for v in word["vectors"]])
-    checked_moment(spec, config.fock(), config.tolerance("moments"))
+    checked_moment(spec, config.fock(), MOMENT_TOLERANCE)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

@@ -379,9 +379,6 @@ def test_tail_series_monotone_and_small():
     with pytest.raises(BuildError):
         tail_series(2, float("nan"))
     assert net_majorant(3, 4.0) == pytest.approx(1.0 + tail_series(3, 4.0))
-    assert net_majorant(3, 4.0, constant=5.0) == pytest.approx(
-        1.0 + 5.0 * tail_series(3, 4.0)
-    )
 
 
 # -1 divided by zero, -3 summed from k = -2 and 2.5 over half-integers
