@@ -207,13 +207,16 @@ def _run_modular(config, fock, gated):
         push("decomposition", n, modular.decomposition_residual(n))
 
     # pair p takes levels (1 + p % cap, 1 + p // cap % cap): every level
-    # pair is tested once pairs >= cap**2; only the coordinates are drawn
+    # pair is tested once pairs >= cap**2; only the coordinates are drawn.
+    # The identity reads no level above its words', so they are realized on
+    # the cut at the cap, not over the whole space
     kms_cap = fock.n_max // 2
     if kms_cap >= 1:
+        cut = fock.truncated(kms_cap)
         for p in range(params["pairs"]):
-            x = _random_word(fock, rng, 1 + p % kms_cap)
-            y = _random_word(fock, rng, 1 + p // kms_cap % kms_cap)
-            push("exchange", p, float(kms_residual(fock, x, y)))
+            x = _random_word(cut, rng, 1 + p % kms_cap)
+            y = _random_word(cut, rng, 1 + p // kms_cap % kms_cap)
+            push("exchange", p, float(kms_residual(cut, x, y)))
 
     for t in params["times"]:
         word = _random_word(fock, rng, 1)

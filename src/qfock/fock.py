@@ -150,15 +150,41 @@ class TruncatedFock:
         assembled = time.perf_counter()
         self._p_minima = tuple(self._orbit_min_eigenvalue(n) for n in levels)
         self._check_build()
-        # array bytes of the orbit blocks and their word arrays, for the manifest
-        self.symmetrizer_bytes = sum(
-            a.nbytes for pairs in self._p_blocks for pair in pairs for a in pair
-        )
         # wall seconds per build phase, for the run manifest
         self.build_seconds = {
             "symmetrizers": round(assembled - start, 6),
             "positivity": round(time.perf_counter() - assembled, 6),
         }
+
+    def truncated(self, n: int) -> "TruncatedFock":
+        """This space cut at level n: levels 0..n, the space itself at n_max.
+
+        A cut holds what ``TruncatedFock(setup, n)`` would build, without a
+        second build or check: the first n + 1 of this space's level offsets,
+        orbit blocks and level minima, its word tables (to level 2 at least,
+        for the flip), its flip and its build times, all shared.  Each level
+        is cut once, and a cut keeps its own basis-word cache, which
+        ``wick.cache_footprint`` counts with this space's.  Level 0, which no
+        build accepts, has a cut too: the vacuum alone."""
+        if self.check_level(n) == self.n_max:
+            return self
+        cuts = self.__dict__.setdefault("_cuts", {})
+        if n not in cuts:
+            cut = cuts[n] = object.__new__(TruncatedFock)
+            shared = ("setup", "dim", "exact", "_block_arr", "t_matrix", "build_seconds")
+            cut.__dict__.update((key, self.__dict__[key]) for key in shared)
+            cut.n_max = n
+            cut._offsets = self._offsets[: n + 2]
+            cut.total_dim = cut._offsets[-1]
+            cut._digits = self._digits[: max(n, 2) + 1]
+            cut._p_blocks = self._p_blocks[: n + 1]
+            cut._p_minima = self._p_minima[: n + 1]
+        return cuts[n]
+
+    @property
+    def symmetrizer_bytes(self) -> int:
+        """Array bytes of the orbit blocks and their word arrays, for the manifest."""
+        return sum(a.nbytes for pairs in self._p_blocks for pair in pairs for a in pair)
 
     @functools.cached_property
     def full_gram(self) -> np.ndarray:

@@ -286,8 +286,11 @@ def kms_residual(fock, x: WickWord, y: WickWord) -> float:
     Both state values are read by applying the right factor to the vacuum
     and then the left factor to that vector, both from their entries, so
     no operator product and no dense operator is formed.  Exact (up to
-    roundoff) whenever both words have level <= n_max/2, since no
-    vacuum-to-vacuum path then leaves the cutoff.
+    roundoff) whenever both words' levels lie within the cutoff: y Omega is
+    y's argument on its own level, and of x (or sigma_{-i}(x)) only the
+    vacuum row is read, whose entries, the pure annihilation terms from that
+    level, any cutoff holding it keeps.  So the residual is the same on
+    every cut of the space (``TruncatedFock.truncated``) holding both levels.
     """
     flowed = modular_flow(fock, -1j, x)
     vacuum = fock.vacuum()

@@ -29,13 +29,11 @@ read-only flat index array into the D x D operator and a value array).
 ``from_vector`` is the one realization of every other argument: W is
 linear in it, so the basis words of its nonzero coordinates are assembled
 in one batch if not cached, and their entries are scaled by the
-coordinates and merged, in word order, into one entry list.  The merge
-needs no sort: the words' flat indices are collected on a D x D boolean
-mask, and each word's scaled values are placed by ``np.searchsorted`` and
-added on, one word after another.  The assembler's merge, whose keys may
-repeat within a part, sorts them with a stable argsort, not ``np.unique``,
-whose quicksort kernel would map another megabyte of library code into
-every command that realizes a word.
+coordinates and merged, in word order, into one entry list by the
+assembler's own merge, so the scratch of a realization grows with its
+entries, not with D^2.  The merge sorts the keys with a stable argsort, not
+``np.unique``, whose quicksort kernel would map another megabyte of library
+code into every command that realizes a word.
 Simple tensors (``wick_operator``, whose legs may span blocks) and field
 operators (``field``) are realized from their arguments this way.
 
@@ -208,7 +206,8 @@ def _assemble_entries(fock, n, words) -> list:
 def _merge_entries(fock, index, values) -> tuple:
     """Sorted distinct entries of the arrays ``index``, with the values of
     each entry summed in list order.  ``values`` yields one array per array
-    of ``index`` and is read only after the sort, one array at a time.
+    of ``index``, in order (an empty one may be left out), and is read only
+    after the sort, one array at a time.
 
     The keys are ordered by a stable argsort, the kernel the fock build's
     orbit sort loads anyway, not by ``np.unique``, whose quicksort argsort
@@ -227,26 +226,6 @@ def _merge_entries(fock, index, values) -> tuple:
     for part in values:
         np.add.at(summed, inverse[start : start + len(part)], part)
         start += len(part)
-    return where, summed
-
-
-def _union_entries(fock, coords, entries) -> tuple:
-    """Entries of the sum of the basis-word operators ``entries`` scaled by
-    ``coords``, merged as ``_merge_entries`` merges them, without a sort.
-
-    The distinct flat indices are read off a D x D mask; each word's values
-    are then placed by ``np.searchsorted`` and added onto zeros, one word
-    after another.  A word's indices are distinct, so every entry sums its
-    terms in word order, bit for bit as the merge does."""
-    size = fock.total_dim
-    mask = np.zeros(size * size, dtype=bool)
-    for index, _ in entries:
-        mask[index] = True
-    where = np.flatnonzero(mask)
-    del mask
-    summed = fock._zeros(len(where))
-    for coord, (index, values) in zip(coords, entries):
-        summed[np.searchsorted(where, index)] += coord * values
     return where, summed
 
 
@@ -297,10 +276,12 @@ def _word_entries(fock, word) -> tuple:
 
 
 def cache_footprint(fock) -> tuple:
-    """(cached basis words, bytes held by their entry arrays)."""
-    cache = fock.__dict__.get("_wick_cache", {})
-    held = sum(arr.nbytes for entry in cache.values() for arr in entry)
-    return len(cache), held
+    """(cached basis words, bytes held by their entry arrays), over the space
+    and every cut made from it (``TruncatedFock.truncated``)."""
+    spaces = [fock, *fock.__dict__.get("_cuts", {}).values()]
+    caches = [space.__dict__.get("_wick_cache", {}) for space in spaces]
+    held = sum(arr.nbytes for cache in caches for entry in cache.values() for arr in entry)
+    return sum(len(cache) for cache in caches), held
 
 
 def basis_word_operator(fock, word) -> np.ndarray:
@@ -315,7 +296,7 @@ def from_vector(fock, vec, n: int) -> WickWord:
     This is the canonical realization path: every multiplier acts on the
     argument coordinates and comes back through here.  The entries of the
     basis words with nonzero coordinates are scaled and merged into one
-    entry list in word order (``_union_entries``), so every entry sums its
+    entry list in word order (``_merge_entries``), so every entry sums its
     terms in the order of a word-by-word sum of dense matrices.
     """
     vec = np.asarray(vec)
@@ -324,7 +305,10 @@ def from_vector(fock, vec, n: int) -> WickWord:
         raise BuildError("level-%d argument of length %d expected" % (n, fock.level_dim(n)))
     nonzero = np.flatnonzero(vec)
     entries = _level_entries(fock, n, [fock.index_word(int(idx), n) for idx in nonzero])
-    return WickWord(fock, n, vec.copy(), _union_entries(fock, vec[nonzero], entries))
+    # an empty first part, so that a zero argument merges to the zero word
+    index = [np.zeros(0, dtype=int)] + [where for where, _ in entries]
+    values = (coord * part for coord, (_, part) in zip(vec[nonzero], entries))
+    return WickWord(fock, n, vec.copy(), _merge_entries(fock, index, values))
 
 
 def vacuum_expectation(fock, operator):

@@ -274,6 +274,9 @@ def test_single_experiment_matches_the_combined_run(tmp_path, capsys):
         # 16-byte values and 8-byte indices of a few entries per word, far
         # below one dense 40 x 40 complex matrix per word
         assert 0 < cache["bytes"] < cache["entries"] * 16 * 40**2
+    # run modular alone caches the 3 level-1 words twice: on the space for
+    # the flow check and on its level-1 cut for the exchange pairs
+    assert cache["entries"] == 2 * 3
 
 
 def test_exchange_pairs_cover_every_level_pair_on_any_seed(tmp_path, capsys, monkeypatch):
@@ -295,6 +298,54 @@ def test_exchange_pairs_cover_every_level_pair_on_any_seed(tmp_path, capsys, mon
     capsys.readouterr()
     # pair p takes levels (1 + p % 2, 1 + p // 2 % 2) at n_max 4
     assert levels == 2 * [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1)]
+
+
+def test_exchange_words_are_assembled_on_the_cut_alone(tmp_path, capsys, monkeypatch):
+    import qfock.wick
+
+    assembled = []
+    assemble = qfock.wick._assemble_entries
+
+    def recording(fock, n, words):
+        assembled.append((fock.total_dim, n))
+        return assemble(fock, n, words)
+
+    monkeypatch.setattr(qfock.wick, "_assemble_entries", recording)
+    # d = 5, n_max 4: D = 781, and the exchange cut at level 2 has 31 columns
+    raw = {
+        "space": {
+            "q": [[0.3, -0.2, 0.1], [-0.2, 0.55, -0.1], [0.1, -0.1, -0.4]],
+            "blocks": [{"kind": "rotation", "lam": 2.0}, "fixed", {"kind": "rotation", "lam": 1.5}],
+        },
+        "fock": {"n_max": 4},
+        "experiments": {"modular": {"pairs": 4, "times": [0.3]}},
+    }
+    path = write_config(tmp_path, raw)
+    assert main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(set(assembled)) == [(31, 1), (31, 2), (781, 1)]
+
+
+def test_the_exchange_gate_sees_the_flow_on_the_wrong_factor(tmp_path, capsys, monkeypatch):
+    import qfock.modular
+
+    def misoriented(fock, x, y):
+        # phi(x y) against phi(sigma_{-i}(y) x): wrong wherever a rotation
+        # parameter is not 1
+        vacuum, flowed = fock.vacuum(), qfock.modular.modular_flow(fock, -1j, y)
+        lhs = fock.full_inner(vacuum, x.apply(y.vacuum_image()))
+        rhs = fock.full_inner(vacuum, flowed.apply(x.vacuum_image()))
+        return abs(complex(lhs - rhs))
+
+    monkeypatch.setattr(qfock.modular, "kms_residual", misoriented)
+    path = os.path.join(CONFIGS, "modular_rotation.yaml")
+    code = main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: modular exchange identity" in err
+    replay = strict_replay(err)
+    assert replay["check"] == "exchange" and replay["residual"] > 1e-10
+    assert not (tmp_path / "out" / "modular.csv").exists()
 
 
 def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):

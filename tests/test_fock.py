@@ -657,6 +657,7 @@ def test_levels_outside_the_truncation_raise(fock_mixed, n):
         fock.gram,
         fock.min_p_eigenvalue,
         fock.level_slice,
+        fock.truncated,
         lambda n: fock.embed(np.zeros(words), n),
         lambda n: fock.pi_of(range(max(n, 0)), n),
         lambda n: fock.braid_defect(0, n),
@@ -673,6 +674,35 @@ def test_levels_outside_the_truncation_raise(fock_mixed, n):
     for read in reads:
         with pytest.raises(CutoffError, match="no level %d" % n):
             read(n)
+
+
+@pytest.mark.parametrize("space", ["fock_trivial", "fock_mixed", "fock_exact"])
+def test_a_cut_is_the_space_built_at_its_level(space, request):
+    fock = request.getfixturevalue(space)
+    for n in range(1, fock.n_max):
+        cut, fresh = fock.truncated(n), TruncatedFock(fock.setup, n)
+        assert (cut.n_max, cut.total_dim, cut._offsets) == (n, fresh.total_dim, fresh._offsets)
+        assert len(cut._digits) == len(fresh._digits)
+        assert all(np.array_equal(a, b) for a, b in zip(cut._digits, fresh._digits))
+        assert cut.symmetrizer_bytes == fresh.symmetrizer_bytes
+        for m in range(n + 1):
+            assert np.array_equal(cut.p_matrix(m), fresh.p_matrix(m))
+            assert np.array_equal(cut.gram(m), fresh.gram(m))
+            assert cut.min_p_eigenvalue(m) == fresh.min_p_eigenvalue(m)
+        assert np.array_equal(cut.full_gram, fresh.full_gram)
+        with pytest.raises(CutoffError, match="no level %d" % (n + 1)):
+            cut.gram(n + 1)
+
+
+def test_a_level_is_cut_once_and_the_cutoff_is_the_space(fock_mixed):
+    assert fock_mixed.truncated(fock_mixed.n_max) is fock_mixed
+    assert fock_mixed.truncated(1) is fock_mixed.truncated(1)
+    # no build accepts level 0 alone, but the cut there is the vacuum
+    vacuum = fock_mixed.truncated(0)
+    assert (vacuum.n_max, vacuum.total_dim) == (0, 1)
+    assert np.array_equal(vacuum.full_gram, np.ones((1, 1)))
+    with pytest.raises(BuildError, match="at least 1"):
+        TruncatedFock(fock_mixed.setup, 0)
 
 
 def test_level_bound_errors(fock_mixed):

@@ -1,5 +1,6 @@
 """Modular data: reversal, generator powers, conjugation, flow, exchange."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction as F
 
@@ -276,6 +277,38 @@ def test_kms_residual_matches_the_dense_products(fock4, rng):
         dense = kms_residual_by_dense_products(fock4, x, y)
         assert abs(kms_residual(fock4, x, y) - dense) <= 1e-12
     assert kms_residual(fock4, *pairs[-1]) > 0.1
+
+
+def kms_on_the_cut_and_the_space(fock, args, levels):
+    """``kms_residual`` of the words of the arguments ``args`` on ``levels``,
+    realized on the cut at n_max // 2 and on the whole space."""
+    return [
+        kms_residual(space, *(from_vector(space, a, n) for a, n in zip(args, levels)))
+        for space in (fock.truncated(fock.n_max // 2), fock)
+    ]
+
+
+def test_kms_residual_on_the_cut_is_the_full_space_residual(fock4, rng):
+    setup = build_space(DeformationMatrix.build(MOD_Q), [("fixed", 0), ("fixed", 1)])
+    # every level pair up to the cut's top level, on a rotation and a fixed space
+    for fock in (fock4, TruncatedFock(setup, 4)):
+        for lx, ly in itertools.product((1, 2), repeat=2):
+            args = [random_complex(rng, fock.level_dim(n)) for n in (lx, ly)]
+            on_cut, full = kms_on_the_cut_and_the_space(fock, args, (lx, ly))
+            assert abs(on_cut - full) <= 1e-13
+
+
+def test_exact_kms_residual_on_the_cut_is_the_full_space_residual():
+    setup = build_space(
+        DeformationMatrix.build([[F(1, 3), F(1, 7)], [F(1, 7), F(2, 5)]]),
+        [("fixed", 0), ("fixed", 1)],
+        exact=True,
+    )
+    fock = TruncatedFock(setup, 4)
+    for lx, ly in itertools.product((1, 2), repeat=2):
+        args = [np.array([F(k % 5 - 2, 3) for k in range(2**n)], dtype=object) for n in (lx, ly)]
+        on_cut, full = kms_on_the_cut_and_the_space(fock, args, (lx, ly))
+        assert on_cut == full
 
 
 def test_state_invariance_under_flow(fock4, modular4, rng):

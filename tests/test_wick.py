@@ -272,6 +272,18 @@ def test_truncation_is_compression():
         assert max_abs(op_small - op_tall[:keep, :keep]) < 1e-13
 
 
+@pytest.mark.parametrize("space", ["fock_trivial", "fock_mixed", "fock_rotation", "fock_exact"])
+def test_a_word_on_a_cut_is_the_full_word_on_the_cut_levels(space, request):
+    fock = request.getfixturevalue(space)
+    for level in range(fock.n_max):
+        cut = fock.truncated(level)
+        keep = cut.total_dim
+        for n in range(level + 1):
+            for word in fock.basis_words(n):
+                full = basis_word_operator(fock, word)[:keep, :keep]
+                assert_matches_dense(basis_word_operator(cut, word), full, fock.exact)
+
+
 # -- norm bound ----------------------------------------------------------------------
 
 def test_norm_bound_dominates_measured_norm(fock_mixed, rng):
@@ -490,10 +502,13 @@ def test_cached_entries_are_read_only_and_sparse(fock_mixed):
         index[0] = 0
     with pytest.raises(ValueError):
         values[0] = 0
+    # the footprint counts the space's words and those of every cut of it
+    _word_entries(fock_mixed.truncated(1), (0,))
+    spaces = [fock_mixed, *fock_mixed.__dict__["_cuts"].values()]
+    caches = [space.__dict__.get("_wick_cache", {}) for space in spaces]
     entries, held = cache_footprint(fock_mixed)
-    cache = fock_mixed.__dict__["_wick_cache"]
-    assert entries == len(cache)
-    assert held == sum(arr.nbytes for pair in cache.values() for arr in pair)
+    assert entries == sum(len(cache) for cache in caches) > len(caches[0])
+    assert held == sum(arr.nbytes for cache in caches for pair in cache.values() for arr in pair)
     assert held < entries * 16 * fock_mixed.total_dim**2 / 10
 
 
