@@ -23,11 +23,13 @@ def main():
     delta = modular.delta_power(1.0, 1)
     print("  eigenvalues:", sorted(np.round(np.linalg.eigvals(delta).real, 6)))
 
-    print("\nclosing map decomposition S = J Delta^(1/2), residual per level:")
+    print("\nclosing map decomposition S = J Delta^(1/2), residual per level, as the")
+    print("dense level product and as the gate reads it off A^(-1/2) conj(A^(-1/2)):")
     for n in range(4):
         lhs = to_float(modular.reversal(n))
         rhs = modular.j_matrix(n).dot(np.conj(modular.delta_power(0.5, n)))
-        print("  level %d: %.3e" % (n, max_abs(lhs - rhs)))
+        gate = modular.decomposition_residual(n)
+        print("  level %d: %.3e  gate %.3e" % (n, max_abs(lhs - rhs), gate))
 
     print("\nflow at real times matches conjugation by the level unitaries:")
     rng = np.random.default_rng(3)

@@ -161,9 +161,7 @@ def _run_moments(config, fock, gated):
     worst = 0.0
     for i, word in enumerate(config.experiment("moments")["words"]):
         spec = MomentSpec.build(setup, [np.asarray(v) for v in word["vectors"]])
-        pairing, matrix, gap = checked_moment(
-            spec, fock, MOMENT_TOLERANCE, space=config.data["space"], word=word
-        )
+        pairing, matrix, gap = checked_moment(spec, fock, space=config.data["space"], word=word)
         worst = max(worst, gap)
         rows.append(
             {

@@ -236,10 +236,10 @@ class TruncatedFock:
         position ``order[p]``."""
         return (self.dim ** np.arange(n - 1, -1, -1)).dot(self._digits[n][list(order)])
 
-    def _zeros(self, shape, order="C") -> np.ndarray:
+    def _zeros(self, shape) -> np.ndarray:
         if self.exact:
-            return np.full(shape, Fraction(0), dtype=object, order=order)
-        return np.zeros(shape, dtype=complex, order=order)
+            return np.full(shape, Fraction(0), dtype=object)
+        return np.zeros(shape, dtype=complex)
 
     def _check_vector(self, xi) -> np.ndarray:
         xi = np.asarray(xi)

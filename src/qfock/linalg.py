@@ -19,12 +19,9 @@ Every one-particle map acts on a level leg by leg, so ``legwise`` applies
 its n-th tensor power as n batched (d x d) products instead of forming the
 d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
-Given a spare array, ``legwise`` alternates its legs between the argument
-and the spare, so a caller that walks a level a run at a time allocates
-its run buffers once.
-``kron_columns`` builds any columns of a power, so a check can walk a level
-matrix a run of columns at a time (``column_slabs``) and equal its one-shot
-form bit for bit.
+A check that walks a level block a run of columns at a time
+(``column_slabs``) takes each run through ``legwise`` and equals its
+one-shot form bit for bit.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -46,7 +43,7 @@ import ctypes
 import numpy as np
 
 # columns per run when a level matrix is walked a run at a time (``column_slabs``)
-SLAB_COLUMNS = 64
+SLAB_COLUMNS = 32
 
 # (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
 # the copies bundled with numpy 2 (64-bit, then 32-bit integers), the one
@@ -108,7 +105,7 @@ def column_slabs(size: int) -> list:
     """Slices cutting ``size`` columns into runs of ``SLAB_COLUMNS``; the
     last run keeps the remainder, and a one-column remainder joins the run
     before it.  OpenBLAS computes the last N mod U columns of an N-column
-    product in an edge kernel, U a divisor of 64, and a single column takes
+    product in an edge kernel, U a divisor of 32, and a single column takes
     the matrix-vector route; so every column of a run meets the kernel it
     meets in the whole product, and a product taken run by run equals the
     whole one bit for bit."""
@@ -119,27 +116,17 @@ def column_slabs(size: int) -> list:
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of ``m``; n = 0 gives the 1x1 identity."""
-    return kron_columns(m, n, slice(None))
-
-
-def kron_columns(m: np.ndarray, n: int, cols) -> np.ndarray:
-    """The columns ``cols`` (a slice or index array over the words of n
-    letters) of the n-fold Kronecker power of ``m``, the one builder of
-    tensor powers.  Leg k multiplies every column by the column of ``m`` at
-    the column word's k-th letter, left to right as a chain of ``np.kron``
-    products would, and numpy's elementwise product does not depend on the
-    layout, so any columns equal those of the whole power bit for bit."""
-    d = m.shape[1]
-    words = np.arange(d**n)[cols]
-    out = np.ones((1, len(words)), dtype=m.dtype)
-    for k in range(n):
-        letters = words // d ** (n - 1 - k) % d
-        out = (out[:, None, :] * m[:, letters]).reshape(-1, len(words))
+    """n-fold Kronecker power of ``m``; n = 0 gives the 1x1 identity.  Leg
+    k multiplies every entry of the power of k legs by every entry of
+    ``m``, left to right as a chain of ``np.kron`` products would."""
+    out = np.ones((1, 1), dtype=m.dtype)
+    for _ in range(n):
+        rows, cols = len(out) * m.shape[0], out.shape[1] * m.shape[1]
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(rows, cols)
     return out
 
 
-def legwise(m: np.ndarray, n: int, x, spare=None) -> np.ndarray:
+def legwise(m: np.ndarray, n: int, x) -> np.ndarray:
     """The product of ``kron_power(m, n)`` with ``x``, without forming the power.
 
     The rows of ``x`` are indexed by words of n letters; ``m`` (d x d) acts
@@ -148,23 +135,13 @@ def legwise(m: np.ndarray, n: int, x, spare=None) -> np.ndarray:
     columns of x), each of the d^k slices is a (d x d) by (d x rest)
     product, written in place of the letter it consumed, so no transpose
     is needed.  Exact on Fraction arrays.
-
-    With ``spare`` and n >= 1, nothing is allocated: x and spare must be
-    C-contiguous arrays of one shape and of the result's dtype, and leg k
-    writes into the one of them that leg k - 1 read (``np.matmul``'s
-    ``out``), so both are overwritten and the result is spare for odd n,
-    x for even n.  ``np.matmul`` writes an ``out`` as it writes the array
-    it would allocate, so the digits are those of the allocating route.
     """
     x = np.asarray(x)
     if n == 0:
         return x.astype(np.result_type(m.dtype, x.dtype))
-    d, out, pair = m.shape[1], x, (x, spare)
+    d, out = m.shape[1], x
     for k in range(n):
-        src = out.reshape(d**k, d, -1)
-        # a reshape of a C-contiguous array is a view: the writes land
-        dst = None if spare is None else pair[(k + 1) % 2].reshape(src.shape)
-        out = np.matmul(m, src, out=dst)
+        out = np.matmul(m, out.reshape(d**k, d, -1))
     return out.reshape(x.shape)
 
 

@@ -6,20 +6,17 @@ leg order; its polar decomposition is explicit.  The positive part is the
 tensor power of the inverse group generator, and the antiunitary part is
 leg reversal composed with the -1/2 generator power.  All three are built
 here per level and double-checked against each other by the test suite
-rather than assumed.  Where a tensor power only acts on something (J on a
-level matrix, the flow on a word argument, conjugation of a level block by
-the group on its rows and, through the transpose, its columns) it is
-applied leg by leg with ``linalg.legwise``; the dense powers stay as the
-matrices ``delta_power``, ``j_matrix`` and ``unitary_level`` return, and
-the tests' oracles.  The decomposition check ``decomposition_residual``
-builds Delta^{1/2} one run of columns at a time (``linalg.kron_columns``)
-and takes each run through the generator part of J in two run buffers
-allocated once per level, so it holds no level-sized scratch matrix; the
-flow check conjugates one level block of the word in place, a run at a
-time (``conjugate_block``), the larger pass using the run's own stretch
-of the block as one of the two arrays its legs alternate between, and
-holds no other.  Leg reversal is a gather by ``reversed_index``, never the
-matrix ``reversal``.
+rather than assumed.  Where a tensor power only acts on something (the
+flow on a word argument, conjugation of a level block by the group on its
+rows and, through the transpose, its columns) it is applied leg by leg
+with ``linalg.legwise``; the dense powers stay as the matrices
+``delta_power``, ``j_matrix`` and ``unitary_level`` return, and the tests'
+oracles.  The decomposition check ``decomposition_residual`` is the n-th
+tensor power of a one-particle identity, and reads its level-n value off
+the d x d product it reduces to, with no level matrix; the flow check
+conjugates one level block of the word at a time, a run of columns or
+rows at a time (``conjugate_block``), and holds no other.  Leg reversal
+is a gather by ``reversed_index``, never the matrix ``reversal``.
 
 The three identities' tolerances are constants here, as the braid
 gate's is in ``fock``; no configuration sets them.
@@ -48,15 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    column_slabs,
-    identity_matrix,
-    kron_columns,
-    kron_power,
-    legwise,
-    max_abs,
-    to_float,
-)
+from .linalg import column_slabs, identity_matrix, kron_power, legwise, max_abs, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -82,8 +71,8 @@ class ModularData:
 
     Every method returns a matrix acting on one level's coordinates, except
     ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
-    on the whole truncated space, ``conjugate_block``, which transforms one
-    level block in place, ``reversed_index``, which returns an index map, and
+    on the whole truncated space, ``conjugate_block``, which writes over one
+    level block, ``reversed_index``, which returns an index map, and
     ``decomposition_residual`` and ``flow_residual``, which return numbers.
     """
 
@@ -125,40 +114,27 @@ class ModularData:
         # product is row reverse(w) of half
         return half[self.reversed_index(n)]
 
-    def j_apply(self, v, n: int) -> np.ndarray:
-        """``j_matrix(n)`` applied to the conjugate of v (a level-n vector or
-        matrix), leg by leg, then the rows reversed."""
-        self.fock.check_level(n)
-        half = legwise(self.fock.setup.a_power(-0.5), n, np.conj(np.asarray(v)))
-        return half[self.reversed_index(n)]
-
     def decomposition_residual(self, n: int) -> float:
         """Largest entry of J Delta^{1/2} less the reversal on level n (the
         decomposition S = J Delta^{1/2} on linear parts).  Both terms carry
         the reversal as a row permutation on the left, which a max over
-        entries does not see, so it is never applied, and this gate never
-        could see a wrong reversal (the tests compare ``s_full_apply`` with
-        the Wick words' adjoints).  A run of columns (``column_slabs``) at a
-        time, Delta^{1/2} from ``kron_columns`` is conjugated into the first
-        of two run buffers allocated once for the level, its legs alternate
-        between them (``legwise``'s ``spare``), and it loses its columns of
-        the identity, bit for bit as in the dense difference, whose max this
-        is.  No array is as large as a level matrix."""
-        fock = self.fock
-        half, dim = fock.setup.a_power(-0.5), fock.level_dim(fock.check_level(n))
-        runs = column_slabs(dim)
-        widest = max(run.stop - run.start for run in runs)
-        buffers = [np.empty(dim * widest, dtype=half.dtype) for _ in range(2)]
-        worst = 0.0
-        for cols in runs:
-            width = cols.stop - cols.start
-            first, second = (buf[: dim * width].reshape(dim, width) for buf in buffers)
-            # the run of Delta^{1/2} is dropped once conjugated into first
-            np.conjugate(kron_columns(half, n, cols), out=first)
-            gap = legwise(half, n, first, second)
-            gap[np.arange(cols.start, cols.stop), np.arange(width)] -= 1
-            # np.maximum, unlike max(), keeps a NaN slab residual
-            worst = np.maximum(worst, max_abs(gap))
+        entries does not see, so this gate never could see a wrong reversal
+        (the tests compare ``s_full_apply`` with the Wick words' adjoints).
+        What is left, (A^{-1/2})^(n) conj((A^{-1/2})^(n)) less the identity,
+        is the n-th tensor power of P = A^{-1/2} conj(A^{-1/2}) less the
+        identity, whose largest entry is read off P: on the diagonal, the
+        d^n products of P's diagonal less one; off it, a product with
+        m >= 1 off-diagonal legs, at most a^(n - m) b^m for a and b the
+        largest diagonal and off-diagonal moduli of P."""
+        self.fock.check_level(n)
+        half = self.fock.setup.a_power(-0.5)
+        p = half.dot(np.conj(half))
+        diagonal = np.diagonal(p)
+        a, b = max_abs(diagonal), max_abs(p[~np.eye(len(p), dtype=bool)])
+        # np.maximum, unlike max(), keeps a NaN
+        worst = max_abs(kron_power(diagonal[None, :], n) - 1)
+        for m in range(1, n + 1):
+            worst = np.maximum(worst, a ** (n - m) * b**m)
         return float(worst)
 
     def s_full_apply(self, v) -> np.ndarray:
@@ -204,16 +180,14 @@ class ModularData:
         rows of the block one run of columns (``linalg.column_slabs``) at a
         time, then on its columns one run of rows at a time, through the
         transpose, since (U^(c))^T = (U^T)^(c).  A column of a product needs
-        only the same column of its factor, so each run is transformed in
-        place (``_legwise_over``), bit for bit as on the whole block; beside
-        the block, the scratch is that of one run where the run fills a
-        stretch of memory (a column run of a column-major block, a row run
-        of a row-major one), and of two runs elsewhere."""
+        only the same column of its factor, so each run is transformed
+        alone, bit for bit as on the whole block; beside the block, the
+        scratch is that of one run's product, its input and its output."""
         left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
         for cols in column_slabs(block.shape[1]):
-            _legwise_over(left, r, block[:, cols])
+            block[:, cols] = legwise(left, r, block[:, cols])
         for rows in column_slabs(len(block)):
-            _legwise_over(right, c, block[rows].T)
+            block[rows] = legwise(right, c, block[rows].T).T
         return block
 
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
@@ -222,18 +196,15 @@ class ModularData:
 
         Only the blocks where either word holds entries are formed; on the
         others both sides vanish.  Each block of the conjugation is computed
-        as ``unitary_conjugate`` computes it, in place on a fresh block of
+        as ``unitary_conjugate`` computes it, over a fresh block of
         ``word``; ``flowed``'s entries are subtracted from it by index (its
         sign leaves the moduli as they are), and its largest modulus is read
         a run of rows at a time.  So the residual is the dense one, and one
-        level block and the scratch of one run are held at a time: a block
-        with more rows than columns is laid out column-major, so that the
-        runs of its larger pass, the columns, fill stretches of memory.
+        level block and the scratch of one run's product are held at a time.
         """
-        fock, worst = self.fock, 0.0
+        worst = 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
-            order = "F" if fock.level_dim(r) > fock.level_dim(c) else "C"
-            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c, order)))
+            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c)))
             rows, cols, values = flowed.block_entries(r, c)
             gap[rows, cols] -= to_float(values)
             for run in column_slabs(len(gap)):
@@ -241,28 +212,6 @@ class ModularData:
                 worst = np.maximum(worst, max_abs(gap[run]))
             del gap  # before the next block's scratch
         return float(worst)
-
-
-def _legwise_over(m: np.ndarray, n: int, run: np.ndarray) -> None:
-    """Write ``legwise(m, n, run)`` over ``run``, a view into a block.
-
-    Where the entries of run fill one stretch of memory (run C- or
-    F-contiguous) and the product keeps run's dtype, the legs alternate
-    between a C-ordered copy of run and that stretch, read in the copy's
-    layout (``legwise``'s ``spare``), so beside the block the scratch is
-    one run; elsewhere ``legwise`` copies and allocates as it does alone.
-    The digits are the same either way.
-    """
-    contiguous = run.flags.c_contiguous or run.flags.f_contiguous
-    if not contiguous or np.result_type(m.dtype, run.dtype) != run.dtype:
-        run[...] = legwise(m, n, run)
-        return
-    x = np.array(run, order="C")
-    out = legwise(m, n, x, run.ravel(order="K").reshape(run.shape))
-    if n % 2:  # the last leg wrote the stretch in x's layout: back through x
-        np.copyto(x, out)
-        out = x
-    run[...] = out
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:

@@ -11,8 +11,8 @@ The pairing route is the production evaluator; the matrix route is the
 oracle.  ``checked_moment`` is the one comparison of the two, used by the
 library and the command line alike: it returns both values and their
 absolute gap, and raises a loud error carrying a replay record whenever
-the gap exceeds an absolute tolerance, ``MOMENT_TOLERANCE`` unless the
-caller passes another.
+the gap exceeds the absolute tolerance ``MOMENT_TOLERANCE``, read at call
+time.
 
 Word vectors are real and supported inside a single block each, so the
 field operator of every letter is self-adjoint and no conjugation marks are
@@ -135,24 +135,24 @@ def _serialize(spec: MomentSpec, deformation) -> dict:
     }
 
 
-def checked_moment(spec: MomentSpec, fock, tolerance: float = MOMENT_TOLERANCE, **context):
+def checked_moment(spec: MomentSpec, fock, **context):
     """Both routes' values and their absolute gap, as (pairing, matrix, gap).
 
     Raises InvariantError with a serialized replay record, extended by the
-    caller's ``context``, when the gap exceeds ``tolerance`` or is NaN.
+    caller's ``context``, when the gap exceeds ``MOMENT_TOLERANCE`` or is NaN.
     """
     setup = fock.setup
     pairing = complex(moment_pairings(spec, setup.deformation, setup))
     matrix = complex(moment_matrix(spec, fock))
     gap = abs(pairing - matrix)
-    if not gap <= tolerance:
+    if not gap <= MOMENT_TOLERANCE:
         replay = _serialize(spec, setup.deformation)
         replay.update(
             context,
             pairing=repr(pairing),
             matrix=repr(matrix),
             gap=gap,
-            tolerance=tolerance,
+            tolerance=MOMENT_TOLERANCE,
             n_max=fock.n_max,
         )
         raise InvariantError("moment dual-path agreement", replay)

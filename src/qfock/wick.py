@@ -87,12 +87,16 @@ class WickWord:
 
     def apply(self, vec) -> np.ndarray:
         """The operator applied to a full-space vector: each entry's value
-        times the vector at its column, added onto its row in entry order."""
+        times the vector at its column, added onto its row in entry order.
+        The product is a call, not ``*``: numpy evaluates ``values * tmp``
+        as ``tmp *= values`` once the temporary is large, and a complex
+        product rounds differently with its factors swapped, so the digits
+        would depend on the word's size."""
         fock = self.fock
         index, values = self.entries
         rows, cols = np.divmod(index, fock.total_dim)
         out = fock._zeros(fock.total_dim)
-        np.add.at(out, rows, values * np.asarray(vec)[cols])
+        np.add.at(out, rows, np.multiply(values, np.asarray(vec)[cols]))
         return out
 
     def vacuum_image(self) -> np.ndarray:
@@ -121,11 +125,10 @@ class WickWord:
         keep = (rows >= 0) & (rows < fock.level_dim(r)) & (cols >= 0) & (cols < fock.level_dim(c))
         return rows[keep], cols[keep], values[keep]
 
-    def level_block(self, r: int, c: int, order="C") -> np.ndarray:
-        """Fresh dense block of the operator from level c to level r, in
-        row-major (``order`` "C") or column-major ("F") layout."""
+    def level_block(self, r: int, c: int) -> np.ndarray:
+        """Fresh dense block of the operator from level c to level r."""
         rows, cols, values = self.block_entries(r, c)
-        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)), order)
+        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)))
         out[rows, cols] = values
         return out
 

@@ -70,7 +70,7 @@ def random_spec(setup, rng, l: int) -> MomentSpec:
 
 def kron_chain(m, n):
     """The n-fold Kronecker power as a chain of ``np.kron`` products: the
-    oracle of ``linalg.kron_columns``."""
+    oracle of ``linalg.kron_power``."""
     out = np.eye(1, dtype=m.dtype)
     for _ in range(n):
         out = np.kron(out, m)

@@ -17,7 +17,13 @@ from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
 from qfock.linalg import gram_inner, max_abs, min_gen_eig, op_norm, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
-from qfock.moments import MomentSpec, checked_moment, moment_matrix, moment_pairings
+from qfock.moments import (
+    MOMENT_TOLERANCE,
+    MomentSpec,
+    checked_moment,
+    moment_matrix,
+    moment_pairings,
+)
 from qfock.multipliers import (
     ContractionFamily,
     RadialSymbol,
@@ -206,6 +212,7 @@ def test_criterion_4_wick_vacuum_recursion_and_splitting():
 
 
 def test_criterion_5_moment_dual_path_agreement():
+    assert MOMENT_TOLERANCE == 1e-9
     rng = np.random.default_rng(SEED + 5)
     focks = [
         TruncatedFock(build_space([[0.4, 0.15], [0.15, -0.3]], [("fixed", 0), ("fixed", 1)]), 3),
@@ -215,7 +222,7 @@ def test_criterion_5_moment_dual_path_agreement():
         fock = focks[i % 2]
         l = int(rng.integers(1, 7))
         spec = random_spec(fock.setup, rng, l)
-        checked_moment(spec, fock, tolerance=1e-9)
+        checked_moment(spec, fock)
 
     setup = build_space(
         DeformationMatrix.build([[F(3, 10)]]), [("fixed", 0)], exact=True

@@ -393,6 +393,63 @@ def test_invariant_violations_exit_with_replay_data(tmp_path, capsys, monkeypatc
     assert "seed" in replay and "space" in replay
 
 
+# the full_run space with only the rotation parameter and the cutoff
+# changed: each validates, and the decomposition gate used to fail on it
+LARGE_LAMBDA = [(60.0, 5), (200.0, 3)]
+
+
+def large_lambda_config(tmp_path, lam, n_max):
+    with open(os.path.join(CONFIGS, "full_run.yaml"), encoding="utf-8") as handle:
+        raw = yaml.safe_load(handle)
+    raw["space"]["blocks"][0]["lam"] = lam
+    raw["fock"]["n_max"] = n_max
+    return write_config(tmp_path, raw)
+
+
+@pytest.mark.parametrize("lam, n_max", LARGE_LAMBDA)
+def test_the_decomposition_gate_passes_large_rotations_validate_accepts(
+    tmp_path, capsys, lam, n_max
+):
+    path = large_lambda_config(tmp_path, lam, n_max)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    _, body, _ = read_rows(tmp_path / "out" / "modular.csv")
+    cells = {int(row[1]): float(row[2]) for row in body if row[0] == "decomposition"}
+    assert sorted(cells) == list(range(n_max + 1))
+    # the level-n identity is the n-th tensor power of the level-1 one: its
+    # rounding grows like n, not like max|A^{-1/2}|^{2n}
+    for n in range(1, n_max + 1):
+        assert cells[n] <= n * cells[1] * 1.001, f"level {n}"
+
+
+@pytest.mark.parametrize("lam, n_max", LARGE_LAMBDA)
+def test_the_decomposition_gate_sees_one_entry_of_the_generator_power(
+    tmp_path, capsys, monkeypatch, lam, n_max
+):
+    from qfock.hilbert import HilbertSetup
+
+    a_power = HilbertSetup.a_power
+
+    def planted(self, z):
+        out = a_power(self, z)
+        if z == -0.5:
+            out = out.copy()
+            out[0, 0] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(HilbertSetup, "a_power", planted)
+    path = large_lambda_config(tmp_path, lam, n_max)
+    code = main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: modular decomposition identity" in err
+    replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
+    replay = json.loads(replay_line[0].removeprefix("replay: "))
+    assert replay["check"] == "decomposition" and replay["parameter"] == 1
+    assert replay["residual"] > replay["tolerance"]
+
+
 def test_moment_disagreement_exits_with_replay_data(tmp_path, capsys, monkeypatch):
     import qfock.moments
 

@@ -19,7 +19,7 @@ from qfock.config import (
     load_config,
     normalize_config,
 )
-from qfock.moments import MOMENT_TOLERANCE, MomentSpec, checked_moment
+from qfock.moments import MomentSpec, checked_moment
 
 
 def minimal_raw():
@@ -462,7 +462,7 @@ def test_a_vector_over_two_blocks_of_one_label_is_one_leg():
     config = normalize_config({"space": space, "experiments": {"moments": {"words": [word]}}})
     assert config.experiment("moments")["words"] == [word]
     spec = MomentSpec.build(config.setup(), [np.asarray(v) for v in word["vectors"]])
-    checked_moment(spec, config.fock(), MOMENT_TOLERANCE)
+    checked_moment(spec, config.fock())
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

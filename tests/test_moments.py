@@ -199,12 +199,17 @@ def test_checked_moment_agrees(rotation_space, rng):
     assert value == moment_pairings(spec, setup.deformation, setup)
 
 
-def test_checked_moment_fails_loudly(single_block):
-    # negative tolerance forces the disagreement branch deterministically
+def test_checked_moment_fails_loudly(single_block, monkeypatch):
+    import qfock.moments
+
+    # a negative tolerance, read at call time, forces the disagreement
+    # branch deterministically
+    monkeypatch.setattr(qfock.moments, "MOMENT_TOLERANCE", -1.0)
     spec = basis_spec(single_block, 0, 0)
     with pytest.raises(InvariantError, match="dual-path") as info:
-        checked_moment(spec, single_block, tolerance=-1.0)
+        checked_moment(spec, single_block)
     replay = info.value.replay
+    assert replay["tolerance"] == -1.0
     assert replay["labels"] == [0, 0]
     assert replay["n_max"] == single_block.n_max
     assert set(replay) >= {"vectors", "deformation", "pairing", "matrix", "gap"}

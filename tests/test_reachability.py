@@ -70,7 +70,6 @@ ORACLES = {
     "modular.ModularData.reversal": "modular.ModularData.decomposition_residual",
     "modular.ModularData.delta_power": "modular.ModularData.decomposition_residual",
     "modular.ModularData.j_matrix": "modular.ModularData.decomposition_residual",
-    "modular.ModularData.j_apply": "modular.ModularData.decomposition_residual",
     "modular.ModularData.reversed_index": "modular.ModularData.decomposition_residual",
     "ultra.um_moment_closedform": "ultra.um_moment_enumerate",
     "wick.vacuum_expectation": "modular.kms_residual",

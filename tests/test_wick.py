@@ -569,6 +569,25 @@ def test_apply_matches_the_dense_product(space, request, rng):
         assert_agrees(word.vacuum_image(), word.dense().dot(fock.vacuum()), fock.exact)
 
 
+def test_apply_rounds_alike_whatever_the_word_size(mixed5, rng):
+    """``apply`` scatters ``np.multiply(values, vec[cols])`` bit for bit, on
+    a small word and on one past the 16,384 complex entries at which numpy
+    evaluates ``values * tmp`` as ``tmp *= values``: a complex product
+    rounds differently with its factors swapped."""
+    fock = TruncatedFock(mixed5, 4)
+    vec = random_complex(rng, fock.total_dim)
+    sizes = []
+    for n in (1, 2):
+        word = from_vector(fock, random_complex(rng, fock.level_dim(n)), n)
+        index, values = word.entries
+        rows, cols = np.divmod(index, fock.total_dim)
+        want = np.zeros(fock.total_dim, dtype=complex)
+        np.add.at(want, rows, np.multiply(values, vec[cols]))
+        assert word.apply(vec).tobytes() == want.tobytes(), f"level {n}"
+        sizes.append(len(values))
+    assert sizes[0] < 2**14 < sizes[1]
+
+
 @pytest.mark.parametrize("space", FIVE_SPACES)
 def test_level_blocks_tile_the_dense_operator(space, request, rng):
     fock = request.getfixturevalue(space)
