@@ -8,7 +8,7 @@ identity pins which factor the imaginary-time flow attaches to.
 import numpy as np
 
 from qfock import ModularData, TruncatedFock, build_space, from_vector, kms_residual, modular_flow
-from qfock.linalg import max_abs, pin_blas_threads, to_float
+from qfock.linalg import max_abs, pin_blas_threads
 from qfock.wick import vacuum_expectation, wick_operator
 
 
@@ -24,9 +24,10 @@ def main():
     print("  eigenvalues:", sorted(np.round(np.linalg.eigvals(delta).real, 6)))
 
     print("\nclosing map decomposition S = J Delta^(1/2), residual per level, as the")
-    print("dense level product and as the gate reads it off A^(-1/2) conj(A^(-1/2)):")
+    print("dense level product and as the gate reads it off A^(-1/2) C A^(-1/2) C:")
     for n in range(4):
-        lhs = to_float(modular.reversal(n))
+        # the closing map's linear part: S on the identity's columns
+        lhs = modular.s_apply(np.eye(fock.level_dim(n)), n)
         rhs = modular.j_matrix(n).dot(np.conj(modular.delta_power(0.5, n)))
         gate = modular.decomposition_residual(n)
         print("  level %d: %.3e  gate %.3e" % (n, max_abs(lhs - rhs), gate))
@@ -41,10 +42,9 @@ def main():
         conj = u.dot(word.dense()).dot(modular.fock_unitary(t))
         print("  t = %.1f: residual %.3e" % (t, max_abs(flowed.dense() - conj)))
 
-    # spectral vectors of the rotation block: A v = lam v and A v' = v'/lam
-    e = np.eye(3, dtype=complex)
-    plus = (e[0] - 1j * e[1]) / np.sqrt(2)
-    minus = (e[0] + 1j * e[1]) / np.sqrt(2)
+    # spectral vectors of the rotation block, (e_0 -+ i e_1)/sqrt(2) in
+    # e-coordinates, are its frame letters: A v = lam v and A v' = v'/lam
+    plus, minus = setup.basis_vector(0), setup.basis_vector(1)
     x = wick_operator(fock, [plus])
     y = wick_operator(fock, [minus])
 

@@ -34,8 +34,9 @@ def main():
     print("W(xi) applied to the vacuum returns xi:")
     print("  residual %.3e" % max_abs(word.vacuum_image() - fock.embed(vec, 2)))
 
-    xi = np.array([0.8, -0.5, 0.0])
-    eta = np.array([0.0, 0.0, 1.2])
+    # real vectors, given in e-coordinates, enter the generator's eigenframe
+    xi = setup.frame_vector(np.array([0.8, -0.5, 0.0]))
+    eta = setup.frame_vector(np.array([0.0, 0.0, 1.2]))
     print("\none-step recursion W(xi (x) eta) = W(xi) W(eta) - corrections:")
     print("  residual %.3e" % wick_recursion_residual(fock, xi, [eta]))
 

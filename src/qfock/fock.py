@@ -10,9 +10,10 @@ keep Fractions).  pi(sigma) permutes the letters of a word, so P(n) is
 block-diagonal over letter multisets, the S_n-orbits of words (at most n!
 words each; at d = 5, level 4 holds 7,885 of P(4)'s 390,625 entries).  The
 space keeps P(n) as those orbit blocks and nothing derived from it: the
-dense P(n) and the level Gram G_U^(n) P(n) are formed on call, G_U applied
-leg by leg (``linalg.legwise``), and the Gram's Hermiticity is checked
-once, on the flip.
+dense P(n) and the level Gram G_U^(n) P(n) are formed on call, and the
+Gram's Hermiticity is checked once, on the flip.  In the generator's
+eigenframe (``hilbert``) G_U is diagonal, and G_U^(n) scales each word by
+its letters' entries (``gram_weights``).
 
 pi(sigma) in this representation sends each basis word to a single scaled
 basis word, so permutations are carried as (index map, coefficient) pairs
@@ -25,11 +26,12 @@ exact mode; the Kronecker assembly I^(i) (x) T (x) I^(n-i-2) of T_i is the
 tests' oracle.
 
 Level positivity is read off P(n) alone.  q is real symmetric, so P(n) is
-too; G_U is block-diagonal over the labels that q depends on, so G_U^(n)
-commutes with every pi(sigma), and the level pencil (G_U^(n) P(n), G_U^(n))
-has the spectrum of P(n).  So the build takes each level's smallest
-eigenvalue from the stored orbit blocks and factorizes no level-sized
-matrix; ``linalg.min_gen_eig`` on the pencil is the tests' oracle.
+too; G_U is diagonal, and a word's weight in G_U^(n) is the same in every
+order of its letters, so G_U^(n) commutes with every pi(sigma), and the
+level pencil (G_U^(n) P(n), G_U^(n)) has the spectrum of P(n).  So the
+build takes each level's smallest eigenvalue from the stored orbit blocks
+and factorizes no level-sized matrix; ``linalg.min_gen_eig`` on the pencil
+is the tests' oracle.
 
 Creation beyond the level cutoff raises CutoffError rather than silently
 truncating; identities are only ever asserted on compositions that stay
@@ -59,7 +61,6 @@ from .linalg import (
     block_diag,
     identity_matrix,
     kron_power,
-    legwise,
     max_abs,
     op_norm,
     to_float,
@@ -349,11 +350,15 @@ class TruncatedFock:
             out[words[:, :, None], words[:, None, :]] = block
         return out
 
+    def gram_weights(self, n: int) -> np.ndarray:
+        """Diagonal of G_U^(n), the ``kron_power`` row of G_U's diagonal."""
+        return kron_power(np.diagonal(self.setup.u_gram)[None, :], n)[0]
+
     def gram(self, n: int) -> np.ndarray:
-        """Level Gram G_U^(n) P(n), formed on call; P(n) itself on exact
-        spaces, where G_U = I as ``build_space`` checks."""
+        """Level Gram G_U^(n) P(n), formed on call, ``gram_weights`` scaling
+        P(n)'s rows; P(n) itself on exact spaces, where G_U = I."""
         p = self.p_matrix(n)
-        return p if self.exact else legwise(self.setup.u_gram, n, p)
+        return p if self.exact else self.gram_weights(n)[:, None] * p
 
     def min_p_eigenvalue(self, n: int) -> float:
         """Smallest eigenvalue of P(n), equal to that of the pencil
@@ -498,8 +503,9 @@ class TruncatedFock:
     def full_inner(self, u, v):
         """Sum of the level inner products <u_n, G_U^(n) P(n) v_n>, forming no
         Gram and no dense P(n): P(n) acts orbit block by orbit block, and in
-        float mode its real blocks take v_n's parts apart.  Every level's term
-        is computed, so a non-finite coordinate reaches the result."""
+        float mode its real blocks take v_n's parts apart; ``gram_weights``
+        scale the result.  Every level's term is computed, so a non-finite
+        coordinate reaches the result."""
         total = 0
         for n, pairs in enumerate(self._p_blocks):
             un, vn = u[self.level_slice(n)], v[self.level_slice(n)]
@@ -511,5 +517,5 @@ class TruncatedFock:
                 else:
                     part = np.matmul(blocks, part.real) + 1j * np.matmul(blocks, part.imag)
                 pv[words] = part[..., 0]
-            total += np.conj(un).dot(legwise(self.setup.u_gram, n, pv))
+            total += np.conj(un).dot(self.gram_weights(n) * pv)
         return total

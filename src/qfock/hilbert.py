@@ -1,13 +1,38 @@
-"""Finite-dimensional model of a one-parameter orthogonal group.
+"""Finite-dimensional model of a one-parameter orthogonal group, in the
+eigenframe of its analytic generator.
 
-The domain space carries a distinguished real basis.  Every basis vector is
-either fixed by the group or paired with a partner into a two-dimensional
-rotation block with parameter lam >= 1; on such a block the analytic
-generator has eigenvalues lam and 1/lam, so each vector of the model is an
-entire analytic vector for the group.  The deformed inner product is the
-one induced by the positive matrix 2A(1+A)^{-1}.  Its real part, restricted
-to real vectors, recovers the original inner product; the builder checks
-this along with the other structural identities.
+The domain space carries a distinguished real basis e.  Every basis vector
+is either fixed by the group or paired with a partner into a
+two-dimensional rotation block with parameter lam >= 1; on such a block
+the analytic generator A has eigenvalues lam and 1/lam, so each vector of
+the model is an entire analytic vector for the group.  The deformed inner
+product is the one induced by the positive matrix 2A(1+A)^{-1}.  Its real
+part, restricted to real vectors, recovers the original inner product; the
+builder checks this along with the other structural identities.
+
+Every coordinate of the package is taken in A's eigenframe: a rotation
+block with lam != 1 carries the letters f_+ = (e_a - i e_b)/sqrt(2) and
+f_- = (e_a + i e_b)/sqrt(2), of eigenvalues lam and 1/lam, and every other
+letter is its e-vector.  The frame is unitary and keeps every block, so
+A, A^z, G_U = 2A(1+A)^{-1} and the group U_t = A^{it} are diagonal, and
+the flips and symmetrizers, which read block labels only, are unchanged.
+The involution C, conjugation of e-coordinates, is conjugation of frame
+coordinates composed with the letter swap f_+ <-> f_- (``involution``,
+C's one source), so the build checks C A C = A^{-1} elementwise.
+
+- Config vectors, given in e-coordinates, enter the frame once, by
+  ``frame_vector`` (F^H v, F's columns the letters), where the moment and
+  averaging layers build their specs; every other coordinate, of a level,
+  a word argument or a one-particle map, is a frame coordinate.
+- The real vectors are those C fixes: a real e-vector has conjugate
+  coordinates on f_+ and f_-, exactly, as ``frame_vector`` computes them.
+  Field operators take exactly these vectors.
+- ``multipliers.check_quantizable`` keeps its meaning, since F keeps each
+  block and G_U, so contraction, block preservation and commutation with
+  the group are frame-free; ``ContractionFamily``'s block projections are
+  the same matrices in the frame; and the scan whitens by the Cholesky
+  factor of the full Gram form, which F changes by a unitary congruence,
+  keeping every deformed norm.
 
 Inner products are linear in the second argument throughout the package.
 """
@@ -24,7 +49,7 @@ import numpy as np
 
 from .errors import BuildError
 from .limits import MAX_DIM
-from .linalg import hermitize, identity_matrix, max_abs, to_float
+from .linalg import identity_matrix, max_abs, to_float
 
 # sampled group times for the unitarity check here and the commutation
 # check of one-particle maps in the multipliers layer
@@ -80,19 +105,13 @@ class DeformationMatrix:
 
 
 @dataclass(frozen=True)
-class FixedVector:
-    """Basis vector fixed by the whole group (generator eigenvalue 1)."""
-
-    label: int
-    index: int
-
-
-@dataclass(frozen=True)
 class RotationBlock:
-    """Pair of basis vectors rotated into each other.
+    """Pair of e-basis vectors rotated into each other.
 
     ``lam`` is the larger generator eigenvalue on the block; the other one
-    is 1/lam.  The group rotates the plane by t*log(lam) at time t.
+    is 1/lam.  The group rotates the plane by t*log(lam) at time t.  With
+    lam != 1 the letters at ``indices`` are the frame vectors f_+ and f_-,
+    with eigenvalues lam and 1/lam.
     """
 
     label: int
@@ -100,78 +119,68 @@ class RotationBlock:
     lam: float
 
 
-def _spectral_assemble(fixed, rotations, dim, exact, fn) -> np.ndarray:
-    """Matrix of fn(A) from the block eigendata.
-
-    On a rotation block with eigenvalues lam, 1/lam the eigenvectors are
-    (e_a -+ i e_b)/sqrt(2), which gives the closed 2x2 form below.
-    """
-    if exact:
-        out = identity_matrix(dim, exact=True)
-        scale = fn(Fraction(1))
-        for i in range(dim):
-            out[i, i] = scale
-        return out
-    out = np.zeros((dim, dim), dtype=complex)
-    for fv in fixed:
-        out[fv.index, fv.index] = fn(1.0)
-    for rb in rotations:
-        a, b = rb.indices
-        plus, minus = fn(rb.lam), fn(1.0 / rb.lam)
-        out[a, a] = out[b, b] = (plus + minus) / 2
-        out[a, b] = 1j * (plus - minus) / 2
-        out[b, a] = -1j * (plus - minus) / 2
+def _diagonal(values, exact: bool) -> np.ndarray:
+    """Diagonal matrix of ``values``, complex, or of Fractions in exact mode."""
+    out = identity_matrix(len(values), exact)
+    out[np.diag_indices(len(values))] = values
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class HilbertSetup:
-    """Immutable container for the group model and its deformed geometry.
+    """Immutable container for the group model and its deformed geometry,
+    in the generator's eigenframe.
 
     ``a_matrix`` is the analytic generator A, ``u_gram`` the matrix of the
-    deformed inner product 2A(1+A)^{-1}.  ``block_of[i]`` gives the block
-    label of basis index i.  Conjugation in the distinguished basis is the
-    canonical antilinear involution; every fixed/rotation subspace is
-    invariant under A and the group.
+    deformed inner product 2A(1+A)^{-1}, both diagonal.  ``block_of[i]``
+    gives the block label of letter i.  ``frame`` holds the frame letters
+    as columns in e-coordinates, and ``swap[i]`` is the letter of C f_i;
+    every fixed/rotation subspace is invariant under A, the group and C.
     """
 
     deformation: DeformationMatrix
-    fixed: tuple
     rotations: tuple
     dim: int
     block_of: tuple
     exact: bool
     a_matrix: np.ndarray
     u_gram: np.ndarray
+    frame: np.ndarray
+    swap: np.ndarray
 
     # -- spectral calculus --------------------------------------------------
 
-    def spectral_map(self, fn) -> np.ndarray:
-        return _spectral_assemble(self.fixed, self.rotations, self.dim, self.exact, fn)
-
     def a_power(self, z) -> np.ndarray:
-        """A^z by spectral calculus; a_power(1j*t) is the group at time t."""
+        """A^z, diagonal: lam^{+-z} on the letters f_+- of a rotation block,
+        1 elsewhere; a_power(1j*t) is the group at time t.  The exponent of
+        f_- is that of f_+ negated, so C commutes with A^{it} exactly."""
         if self.exact:
             return identity_matrix(self.dim, exact=True)
-        return self.spectral_map(lambda lam: cmath.exp(z * cmath.log(lam)))
+        logs = [0.0] * self.dim
+        for rb in self.rotations:
+            if rb.lam != 1:
+                logs[rb.indices[0]], logs[rb.indices[1]] = math.log(rb.lam), -math.log(rb.lam)
+        return _diagonal([cmath.exp(z * x) for x in logs], False)
 
     def u_matrix(self, t: float) -> np.ndarray:
-        """Group element at time t, assembled as closed-form rotations.
+        """Group element at time t, A^{it}: diagonal, each letter scaled by
+        the phase lam^{+-it} of its eigenvalue."""
+        return self.a_power(1j * t)
 
-        Independent of a_power on purpose: tests compare the two routes.
-        """
-        if self.exact:
-            return identity_matrix(self.dim, exact=True)
-        out = np.zeros((self.dim, self.dim), dtype=float)
-        for fv in self.fixed:
-            out[fv.index, fv.index] = 1.0
-        for rb in self.rotations:
-            a, b = rb.indices
-            theta = t * np.log(rb.lam)
-            out[a, a] = out[b, b] = np.cos(theta)
-            out[a, b] = -np.sin(theta)
-            out[b, a] = np.sin(theta)
-        return out
+    # -- the involution and the frame ------------------------------------------
+
+    def involution(self, v, n: int = 1) -> np.ndarray:
+        """C on every leg of level-n coordinates (n = 1: vectors of the space),
+        taken along the first axis of ``v``: the coordinates conjugated, then
+        gathered by the letter swap on every leg.  It fixes exactly the real
+        vectors; for a diagonal matrix D, C D C = diag(involution(diag D))."""
+        v = np.conj(np.asarray(v))
+        legs = v.reshape((self.dim,) * n + (-1,))
+        return legs[np.ix_(*(self.swap,) * n)].reshape(v.shape)
+
+    def frame_vector(self, v) -> np.ndarray:
+        """Frame coordinates F^H v of a vector given in e-coordinates."""
+        return np.conj(self.frame).T.dot(v)
 
     # -- deformed geometry --------------------------------------------------
 
@@ -229,13 +238,11 @@ def build_space(deformation, blocks, exact: bool = False) -> HilbertSetup:
         deformation = DeformationMatrix(deformation.entries.astype(float), False)
 
     violations = []
-    fixed, rotations, block_of = [], [], []
+    rotations, block_of = [], []
     for entry in blocks:
         kind = entry[0]
         if kind == "fixed":
-            _, label = entry
-            fixed.append(FixedVector(int(label), len(block_of)))
-            block_of.append(int(label))
+            block_of.append(int(entry[1]))
         elif kind == "rotation":
             _, label, lam = entry
             lam = Fraction(lam) if exact else float(lam)
@@ -266,77 +273,57 @@ def build_space(deformation, blocks, exact: bool = False) -> HilbertSetup:
     if violations:
         raise BuildError(violations)
 
-    fixed, rotations = tuple(fixed), tuple(rotations)
-    a_matrix = _spectral_assemble(
-        fixed, rotations, dim, exact, (lambda lam: lam) if exact else complex
-    )
-    u_gram = _spectral_assemble(
-        fixed, rotations, dim, exact, lambda lam: 2 * lam / (1 + lam)
-    )
+    one = Fraction(1) if exact else 1.0
+    spectrum, frame, swap = [one] * dim, identity_matrix(dim, exact), np.arange(dim)
+    for rb in rotations:
+        if rb.lam != 1:
+            a, b = rb.indices
+            spectrum[a], spectrum[b] = rb.lam, 1 / rb.lam
+            frame[a : b + 1, a : b + 1] = np.array([[1, 1], [-1j, 1j]]) * math.sqrt(0.5)
+            swap[[a, b]] = b, a
     setup = HilbertSetup(
         deformation=deformation,
-        fixed=fixed,
-        rotations=rotations,
+        rotations=tuple(rotations),
         dim=dim,
         block_of=tuple(block_of),
         exact=bool(exact),
-        a_matrix=a_matrix,
-        u_gram=u_gram,
+        a_matrix=_diagonal(spectrum, exact),
+        u_gram=_diagonal([2 * x / (1 + x) for x in spectrum], exact),
+        frame=frame,
+        swap=swap,
     )
     _check_assembly(setup)
     return setup
 
 
 def _check_assembly(setup: HilbertSetup) -> None:
-    """Structural identities that must hold for any valid input."""
+    """Structural identities that must hold for any valid input, read off
+    the diagonals of the frame: A Hermitian and positive, G_U positive,
+    C A C = A^{-1}, (G_U + C G_U C)/2 = I (the real part of the deformed
+    Gram, restricted to real vectors, is the identity) and the group
+    unitary for G_U, each elementwise."""
     if setup.exact:
         eye = identity_matrix(setup.dim, exact=True)
-        if not (
-            np.array_equal(setup.a_matrix, eye)
-            and np.array_equal(setup.u_gram, eye)
-        ):
+        if not (np.array_equal(setup.a_matrix, eye) and np.array_equal(setup.u_gram, eye)):
             raise BuildError("exact mode must produce identity matrices")
         return
     problems = []
-    a = setup.a_matrix
-    g = to_float(setup.u_gram)
-    if max_abs(a - a.conj().T) > 1e-12:
+    a, g = np.diagonal(setup.a_matrix), np.diagonal(to_float(setup.u_gram))
+    if max_abs(a - np.conj(a)) > 1e-12:
         problems.append("generator is not Hermitian")
-    if not np.all(_eliminate(hermitize(a))[0] > 0):
+    if not np.all(a.real > 0):
         problems.append("generator is not positive definite")
-    if not np.all(_eliminate(hermitize(g))[0] > 0):
+    if not np.all(g.real > 0):
         problems.append("deformed Gram is not positive definite")
-    # not <=: a generator too ill-conditioned to invert gives a NaN residual
-    if not max_abs(np.conj(a) - _eliminate(a)[1]) <= 1e-10:
+    # not <=: a NaN residual fails too
+    if not max_abs(setup.involution(a) * a - 1) <= 1e-10:
         problems.append("conjugation does not invert the generator")
-    if max_abs(g.real - np.eye(setup.dim)) > 1e-12:
+    if max_abs((g + setup.involution(g)) / 2 - 1) > 1e-12:
         problems.append("real part of the deformed Gram is not the identity")
     for t in GROUP_CHECK_TIMES:
-        u = setup.u_matrix(t)
-        if max_abs(u.conj().T.dot(g).dot(u) - g) > 1e-11:
+        u = np.diagonal(setup.u_matrix(t))
+        if max_abs(np.conj(u) * g * u - g) > 1e-11:
             problems.append("group is not unitary for the deformed Gram")
             break
     if problems:
         raise BuildError(problems)
-
-
-def _eliminate(m: np.ndarray) -> tuple:
-    """(pivots, inverse) of a small complex square matrix by Gauss-Jordan
-    elimination without row exchanges, in numpy: no LAPACK routine is
-    loaded for the build's checks on a matrix of at most ``MAX_DIM`` rows.
-
-    On a Hermitian matrix the pivots are the real diagonal of its LDL^H
-    factorization, and it is positive definite exactly when every pivot
-    is > 0 (Sylvester's criterion); a pivot <= 0 makes the later ones
-    meaningless, and a zero pivot leaves NaN in the inverse.
-    """
-    size = len(m)
-    work = np.concatenate([m, np.eye(size)], axis=1).astype(complex)
-    pivots = np.zeros(size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(size):
-            pivots[k] = work[k, k].real
-            work[k] /= work[k, k]
-            rest = np.arange(size) != k
-            work[rest] -= np.outer(work[rest, k], work[k])
-    return pivots, work[:, size:]

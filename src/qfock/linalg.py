@@ -19,9 +19,10 @@ Every one-particle map acts on a level leg by leg, so ``legwise`` applies
 its n-th tensor power as n batched (d x d) products instead of forming the
 d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
-A check that walks a level block a run of columns at a time
-(``column_slabs``) takes each run through ``legwise`` and equals its
-one-shot form bit for bit.
+The one-particle powers of the generator, the Gram and the group are
+diagonal (the eigenframe of ``hilbert``): their level powers are the
+1 x d^n row ``kron_power`` makes of the 1 x d row of their diagonal, the
+weight of every word, applied by elementwise scaling.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -41,9 +42,6 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-
-# columns per run when a level matrix is walked a run at a time (``column_slabs``)
-SLAB_COLUMNS = 32
 
 # (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
 # the copies bundled with numpy 2 (64-bit, then 32-bit integers), the one
@@ -99,20 +97,6 @@ def blas_config() -> str | None:
             get_config.argtypes, get_config.restype = [], ctypes.c_char_p
             return get_config().decode()
     return None
-
-
-def column_slabs(size: int) -> list:
-    """Slices cutting ``size`` columns into runs of ``SLAB_COLUMNS``; the
-    last run keeps the remainder, and a one-column remainder joins the run
-    before it.  OpenBLAS computes the last N mod U columns of an N-column
-    product in an edge kernel, U a divisor of 32, and a single column takes
-    the matrix-vector route; so every column of a run meets the kernel it
-    meets in the whole product, and a product taken run by run equals the
-    whole one bit for bit."""
-    bounds = list(range(0, size, SLAB_COLUMNS)) + [size]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:

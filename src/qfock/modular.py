@@ -1,22 +1,21 @@
 """Modular structure of the vacuum state on the truncated space.
 
 The closing operator of the assignment (operator applied to vacuum) maps
-x Omega to x* Omega.  Levelwise it conjugates coordinates and reverses the
-leg order; its polar decomposition is explicit.  The positive part is the
-tensor power of the inverse group generator, and the antiunitary part is
-leg reversal composed with the -1/2 generator power.  All three are built
-here per level and double-checked against each other by the test suite
-rather than assumed.  Where a tensor power only acts on something (the
-flow on a word argument, conjugation of a level block by the group on its
-rows and, through the transpose, its columns) it is applied leg by leg
-with ``linalg.legwise``; the dense powers stay as the matrices
-``delta_power``, ``j_matrix`` and ``unitary_level`` return, and the tests'
-oracles.  The decomposition check ``decomposition_residual`` is the n-th
-tensor power of a one-particle identity, and reads its level-n value off
-the d x d product it reduces to, with no level matrix; the flow check
-conjugates one level block of the word at a time, a run of columns or
-rows at a time (``conjugate_block``), and holds no other.  Leg reversal
-is a gather by ``reversed_index``, never the matrix ``reversal``.
+x Omega to x* Omega.  Levelwise it applies the involution C to every leg
+and reverses the leg order; its polar decomposition is explicit.  The
+positive part is the tensor power of the inverse group generator, and the
+antiunitary part is leg reversal composed with the -1/2 generator power
+and C's letter swap.  All three are built here per level and
+double-checked against each other by the test suite rather than assumed.
+
+In the generator's eigenframe (``hilbert``) A, its powers and the group
+are diagonal, so every level power of them is an elementwise scaling by
+word weights, the ``kron_power`` row of the letters' diagonal entries: the
+flow scales a word's argument, ``conjugate_block`` scales a level block's
+rows and columns in place, and ``decomposition_residual`` reads a diagonal
+one-particle identity.  The dense powers ``delta_power``, ``j_matrix`` and
+``unitary_level`` are the tests' oracles.  Leg reversal is a gather by
+``reversed_index``, never the matrix ``reversal``.
 
 The three identities' tolerances are constants here, as the braid
 gate's is in ``fock``; no configuration sets them.
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import column_slabs, identity_matrix, kron_power, legwise, max_abs, to_float
+from .linalg import identity_matrix, kron_power, max_abs, to_float
 from .wick import WickWord, from_vector
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
     "modular_flow",
 ]
 
-# largest entry of J Delta^{1/2} less the reversal on a level
+# largest entry of J Delta^{1/2} less S on a level, on linear parts
 DECOMPOSITION_TOLERANCE = 1e-11
 # largest |phi(x y) - phi(y sigma_{-i}(x))| of a pair of words
 EXCHANGE_TOLERANCE = 1e-10
@@ -100,49 +99,44 @@ class ModularData:
         return kron_power(self.fock.setup.a_power(-z), n)
 
     def s_apply(self, v, n: int) -> np.ndarray:
-        """Closing map on a level-n coordinate vector: conjugate the
-        coordinates, then reverse the legs.  On real simple tensors this is
-        a pure reversal of the factors."""
-        return np.conj(np.asarray(v))[self.reversed_index(n)]
+        """Closing map on a level-n coordinate vector: C on every leg, then
+        the legs reversed.  On real simple tensors this is a pure reversal
+        of the factors."""
+        return self.fock.setup.involution(v, n)[self.reversed_index(n)]
 
     def j_matrix(self, n: int) -> np.ndarray:
-        """Linear part of the modular conjugation: reversal composed with
-        the legwise -1/2 power of the generator."""
+        """Linear part of the modular conjugation: the reversal composed with
+        the legwise -1/2 power of the generator and C's letter swap, as
+        S Delta^{-1/2} is once C A^{1/2} C = A^{-1/2}."""
         self.fock.check_level(n)
-        half = kron_power(self.fock.setup.a_power(-0.5), n)
-        # the reversal permutes rows; it is an involution, so row w of the
-        # product is row reverse(w) of half
-        return half[self.reversed_index(n)]
+        setup = self.fock.setup
+        half = kron_power(setup.a_power(-0.5), n)
+        # both permutations are involutions: row w is row reverse(w) of half,
+        # and column w is its column swap(w), the word indices under C
+        return half[self.reversed_index(n)][:, setup.involution(np.arange(len(half)), n)]
 
     def decomposition_residual(self, n: int) -> float:
-        """Largest entry of J Delta^{1/2} less the reversal on level n (the
-        decomposition S = J Delta^{1/2} on linear parts).  Both terms carry
-        the reversal as a row permutation on the left, which a max over
-        entries does not see, so this gate never could see a wrong reversal
-        (the tests compare ``s_full_apply`` with the Wick words' adjoints).
-        What is left, (A^{-1/2})^(n) conj((A^{-1/2})^(n)) less the identity,
-        is the n-th tensor power of P = A^{-1/2} conj(A^{-1/2}) less the
-        identity, whose largest entry is read off P: on the diagonal, the
-        d^n products of P's diagonal less one; off it, a product with
-        m >= 1 off-diagonal legs, at most a^(n - m) b^m for a and b the
-        largest diagonal and off-diagonal moduli of P."""
+        """Largest entry of J Delta^{1/2} less S on level n, on linear parts
+        (the decomposition S = J Delta^{1/2}).  Both terms carry the
+        reversal as a row permutation on the left and C's letter swap as a
+        column permutation on the right, which a max over entries does not
+        see, so this gate never could see a wrong reversal (the tests
+        compare ``s_full_apply`` with the Wick words' adjoints).  What is
+        left is the n-th tensor power of P = A^{-1/2} C A^{-1/2} C less the
+        identity, with P diagonal: its level-n entries are the d^n products
+        of P's diagonal, one ``kron_power`` row, each leg one product
+        lam^{-1/2} lam^{1/2}."""
         self.fock.check_level(n)
-        half = self.fock.setup.a_power(-0.5)
-        p = half.dot(np.conj(half))
-        diagonal = np.diagonal(p)
-        a, b = max_abs(diagonal), max_abs(p[~np.eye(len(p), dtype=bool)])
-        # np.maximum, unlike max(), keeps a NaN
-        worst = max_abs(kron_power(diagonal[None, :], n) - 1)
-        for m in range(1, n + 1):
-            worst = np.maximum(worst, a ** (n - m) * b**m)
-        return float(worst)
+        setup = self.fock.setup
+        half = np.diagonal(setup.a_power(-0.5))
+        p = half * setup.involution(half)
+        return float(max_abs(kron_power(p[None, :], n) - 1))
 
     def s_full_apply(self, v) -> np.ndarray:
-        """``s_apply`` on every level of a full-space vector, as one gather."""
-        fock = self.fock
+        """``s_apply`` on every level of a full-space vector."""
+        fock, v = self.fock, np.asarray(v)
         levels = range(fock.n_max + 1)
-        rev = np.concatenate([fock.level_offset(n) + self.reversed_index(n) for n in levels])
-        return np.conj(np.asarray(v))[rev]
+        return np.concatenate([self.s_apply(v[fock.level_slice(n)], n) for n in levels])
 
     def unitary_level(self, t: float, n: int) -> np.ndarray:
         """Level-n quantized group element: the group acts on every leg."""
@@ -176,18 +170,14 @@ class ModularData:
 
     def conjugate_block(self, t: float, r: int, c: int, block: np.ndarray) -> np.ndarray:
         """U_r(t) B U_c(-t) for a complex block B from level c to level r,
-        written over B, which is returned.  The group acts leg by leg: on the
-        rows of the block one run of columns (``linalg.column_slabs``) at a
-        time, then on its columns one run of rows at a time, through the
-        transpose, since (U^(c))^T = (U^T)^(c).  A column of a product needs
-        only the same column of its factor, so each run is transformed
-        alone, bit for bit as on the whole block; beside the block, the
-        scratch is that of one run's product, its input and its output."""
-        left, right = self.fock.setup.u_matrix(t), self.fock.setup.u_matrix(-t).T
-        for cols in column_slabs(block.shape[1]):
-            block[:, cols] = legwise(left, r, block[:, cols])
-        for rows in column_slabs(len(block)):
-            block[rows] = legwise(right, c, block[rows].T).T
+        written over B, which is returned.  Both group elements are
+        diagonal, so the product scales the rows of B by the level-r word
+        weights of U(t) and its columns by the level-c ones of U(-t): two
+        in-place broadcast multiplications, with no scratch beside the
+        weights."""
+        setup = self.fock.setup
+        block *= kron_power(to_float(np.diagonal(setup.u_matrix(t)))[None, :], r).T
+        block *= kron_power(to_float(np.diagonal(setup.u_matrix(-t)))[None, :], c)
         return block
 
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
@@ -196,37 +186,39 @@ class ModularData:
 
         Only the blocks where either word holds entries are formed; on the
         others both sides vanish.  Each block of the conjugation is computed
-        as ``unitary_conjugate`` computes it, over a fresh block of
+        as ``unitary_conjugate`` computes it, in place over a fresh block of
         ``word``; ``flowed``'s entries are subtracted from it by index (its
         sign leaves the moduli as they are), and its largest modulus is read
-        a run of rows at a time.  So the residual is the dense one, and one
-        level block and the scratch of one run's product are held at a time.
+        over slices of 2^12 entries.  So the residual is the dense one, and
+        one level block and the moduli of one slice are held at a time.
         """
         worst = 0.0
         for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
             gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c)))
             rows, cols, values = flowed.block_entries(r, c)
             gap[rows, cols] -= to_float(values)
-            for run in column_slabs(len(gap)):
+            flat = gap.reshape(-1)
+            for k in range(0, flat.size, 2**12):
                 # np.maximum, unlike max(), keeps a NaN residual
-                worst = np.maximum(worst, max_abs(gap[run]))
-            del gap  # before the next block's scratch
+                worst = np.maximum(worst, max_abs(flat[k : k + 2**12]))
+            del gap, flat  # before the next block is formed
         return float(worst)
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:
     """Flow of a Wick word at complex time z.
 
-    The argument is hit legwise by A^{-iz} and the word is re-realized
-    through the canonical basis-word path.  At real z = t this agrees with
-    conjugation by the quantized group element at time -t; at z = -i an
-    eigenvector argument with generator eigenvalue lam is scaled by 1/lam.
+    The argument is scaled by the level-n word weights of A^{-iz}, its
+    tensor power, and the word is re-realized through the canonical
+    basis-word path.  At real z = t this agrees with conjugation by the
+    quantized group element at time -t; at z = -i an eigenvector argument
+    with generator eigenvalue lam is scaled by 1/lam.
     """
     n = word.level
     if n == 0:
         return word
-    argument = legwise(fock.setup.a_power(-1j * z), n, word.argument)
-    return from_vector(fock, argument, n)
+    weights = kron_power(np.diagonal(fock.setup.a_power(-1j * z))[None, :], n)[0]
+    return from_vector(fock, weights * word.argument, n)
 
 
 def kms_residual(fock, x: WickWord, y: WickWord) -> float:

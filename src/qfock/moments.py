@@ -14,9 +14,11 @@ absolute gap, and raises a loud error carrying a replay record whenever
 the gap exceeds the absolute tolerance ``MOMENT_TOLERANCE``, read at call
 time.
 
-Word vectors are real and supported inside a single block each, so the
-field operator of every letter is self-adjoint and no conjugation marks are
-needed in the pairing products.
+Word vectors are given in e-coordinates, real and supported inside a
+single block each; ``validate_word`` maps them into the generator's
+eigenframe (``HilbertSetup.frame_vector``), where the involution fixes
+them, so the field operator of every letter is self-adjoint and no
+conjugation marks are needed in the pairing products.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ __all__ = [
 
 
 def validate_word(setup, vectors, cap: int, cap_name: str, violations=()):
-    """Vectors and block labels of a word of real single-block vectors.
+    """Frame vectors and block labels of a word of real single-block
+    vectors given in e-coordinates.
 
     Collects shape, realness and length-cap violations after any already
     found by the caller and raises them together as one BuildError; each
-    label is the block of its vector's support.
+    vector is mapped once into the frame, and each label is the block of
+    its support, which the frame keeps.
     """
     violations = list(violations)
     vecs = []
@@ -63,7 +67,7 @@ def validate_word(setup, vectors, cap: int, cap_name: str, violations=()):
             continue
         if np.any(np.imag(to_float(v)) != 0):
             violations.append(f"vector {pos} must be real")
-        vecs.append(v)
+        vecs.append(setup.frame_vector(v))
     if len(vecs) > cap:
         violations.append(f"word length {len(vecs)} beyond the {cap_name} cap {cap}")
     if violations:
@@ -73,7 +77,8 @@ def validate_word(setup, vectors, cap: int, cap_name: str, violations=()):
 
 @dataclass(frozen=True, eq=False)
 class MomentSpec:
-    """A word of real single-block vectors whose joint moment is wanted."""
+    """A word of real single-block vectors whose joint moment is wanted,
+    built from e-coordinates and kept in frame coordinates."""
 
     vectors: tuple
     labels: tuple

@@ -434,6 +434,16 @@ def _ascend(stack, matrix, witness, value):
     return witness, value
 
 
+def _real_part(setup, v, n: int) -> np.ndarray:
+    """The unit real part of a unit level-n vector v: v + Cv or i(v - Cv),
+    whichever is longer (their squared norms sum to 4), normalized.  C keeps
+    the top right singular vectors of a map commuting with it, as every
+    map of the runs does, so v's real part is one of them."""
+    image = setup.involution(v, n)
+    part = max([v + image, 1j * (v - image)], key=np.linalg.norm)
+    return part / np.linalg.norm(part)
+
+
 def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
     """Estimates of the amplified norms, sizes 1..max, each with its unit
     witness: a list of (value, witness) pairs.  See amplified_norm_scan."""
@@ -460,8 +470,13 @@ def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
     seeds = np.zeros((fock.n_max + 1, 1, 1, d), dtype=complex)
     for n in range(fock.n_max + 1):
         columns = fock.level_slice(n)
-        top_right = np.linalg.svd(matrix[:, columns], full_matrices=False)[2][0].conj()
-        seeds[n, 0, 0, columns] = top_right
+        _, sigma, right = np.linalg.svd(matrix[:, columns], full_matrices=False)
+        top = right[0].conj()
+        # the top vector's real part, when that is a top right singular vector too
+        real = _real_part(fock.setup, top, n)
+        if np.linalg.norm(matrix[:, columns].dot(real)) >= sigma[0] * (1 - _SEED_TIE):
+            top = real
+        seeds[n, 0, 0, columns] = top
     scores = _scores(stack, matrix, seeds)
     value, witness = -math.inf, None
     for n in np.flatnonzero(scores >= scores.max() * (1 - _SEED_TIE)):
@@ -493,11 +508,12 @@ def amplified_norm_scan(
 
     Each estimate is the ratio of realized operator norms after and before
     the map on a witness, a matrix of span coordinates.  Size 1 seeds one
-    witness per level, the top right singular vector of the map restricted
-    to that level's columns, and climbs by singular-vector ascent from every
-    seed that ties the best; on a radial symbol the level-n seed scores
-    |symbol(n)|.  Each larger size keeps the previous witness padded by a
-    zero row and column, whose ratio is unchanged, and replaces it only by
+    witness per level, a top right singular vector of the map restricted
+    to that level's columns (a real one, ``_real_part``, where LAPACK's is
+    not), and climbs by singular-vector ascent from every seed that ties
+    the best; on a radial symbol the level-n seed scores |symbol(n)|.
+    Each larger size keeps the previous witness padded by a zero row and
+    column, whose ratio is unchanged, and replaces it only by
     a full-support witness that scores strictly higher after its own
     ascent.  That witness's coordinates are ``linalg.complex_normals`` draws
     from ``random.Random(seed)``; ``seed`` must be a nonnegative integer,

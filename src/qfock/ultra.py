@@ -53,7 +53,8 @@ class UmSpec:
     ``q_tilde`` is either a scalar (uniform shape on every auxiliary
     index) or a square matrix of actual entries, read as zero outside its
     size.  ``q`` is the uniform scale of the second factor.  Each vector
-    must lie in one block, as in a moment word (``validate_word``); the
+    must lie in one block, as in a moment word (``validate_word``, which
+    maps the e-coordinates given to ``build`` into the frame); the
     evaluators read only the vectors' inner products, never their labels.
     """
 
@@ -286,7 +287,8 @@ def fitted_slope(aux_dims, errors):
 
 def convergence_experiment(setup, vectors, q, q_tilde, m_list) -> ConvergenceReport:
     """Evaluate the averaged-word moment along increasing auxiliary
-    dimensions and compare with the limit moment under q * q_tilde."""
+    dimensions and compare with the limit moment under q * q_tilde; the
+    ``vectors`` are e-coordinates, mapped into the frame by each spec."""
     m_list = list(m_list)
     bad = [m for m in m_list if not _is_aux_dim(m)]
     if bad:

@@ -5,10 +5,13 @@ level-n argument while staying inside the algebra generated by the field
 operators.  It is assembled from the explicit splitting formula
 
     W(xi_1 (x) ... (x) xi_n)
-        = sum over (I, J) of f_(I,J) l(xi_I legs) l*(conj xi_J legs),
+        = sum over (I, J) of f_(I,J) l(xi_I legs) l*(C xi_J legs),
 
 where (I, J) runs over the ordered splittings of the positions, f is the
-inversion weight from the combinatorics module, creations are composed in
+inversion weight from the combinatorics module, C is the involution
+(``HilbertSetup.involution``: in the generator's eigenframe, where every
+coordinate here is taken, conjugation composed with the letter swap
+f_+ <-> f_-), creations are composed in
 increasing position order and annihilations likewise.  Realized operators
 are compressions to the truncated space: a summand whose image would leave
 the cutoff is dropped, so identities are only asserted on source levels
@@ -18,7 +21,8 @@ The formula is evaluated for basis words e_w only, a batch of one level's
 words at a time, directly on (word, row, column, value) entries, never on
 dense level blocks: each source level starts from the identity entries of
 every word, annihilation legs map row words through the fock layer's
-annihilation step against each entry's own letter, creation legs prepend
+annihilation step against C of each entry's own letter (its pairings with
+the letters are those of the swapped letter), creation legs prepend
 each entry's letter, and the terms of all splittings are summed once per
 (word, flat index), in the order of the formula, so a word's entries are
 the same in any batch.  The weights f read the letters' blocks, one coefficient
@@ -161,7 +165,7 @@ def _assemble_entries(fock, n, words) -> list:
     the words of a run start together from the identity entries of level
     m, as (word, row, column, value).  An annihilation leg maps every
     entry's row word through ``TruncatedFock.annihilation_step`` against
-    its own word's letter; a creation leg prepends each entry's own letter
+    C of its own word's letter; a creation leg prepends each entry's own letter
     a, moving the row to row + a d^level; the weights f are evaluated on
     the run's label arrays.  The terms are merged once, on the key (word,
     flat index) and in the order of the formula, so each word sums its
@@ -169,7 +173,9 @@ def _assemble_entries(fock, n, words) -> list:
     """
     setup, ent, size = fock.setup, fock.setup.deformation.entries, fock.total_dim
     letters = np.array(words, dtype=int).reshape(len(words), fock.check_level(n))
-    pairings = np.array([np.conj(setup.basis_vector(a)).dot(setup.u_gram) for a in range(fock.dim)])
+    # row a: the pairings <C e_a, e_b>_U of the leg l*(C e_a) with every letter b
+    legs = [np.conj(setup.involution(setup.basis_vector(a))) for a in range(fock.dim)]
+    pairings = np.array(legs).dot(setup.u_gram)
     blocks = [
         (left, right, m)
         for k in range(n + 1)
@@ -342,10 +348,11 @@ def span_operator(fock, coords) -> np.ndarray:
 
 
 def field(fock, xi) -> WickWord:
-    """Self-adjoint field operator l(xi) + l*(xi) of a real vector: the
-    level-1 Wick word of xi, which may span blocks."""
-    xi = np.asarray(xi)
-    if np.any(np.imag(to_float(np.atleast_1d(xi))) != 0):
+    """Self-adjoint field operator l(xi) + l*(xi) of a real vector, one
+    that C fixes: the level-1 Wick word of xi, which may span blocks."""
+    xi = fock._check_vector(xi)
+    # a NaN coordinate is no evidence either way: its word fails the gates
+    if not np.array_equal(fock.setup.involution(xi), xi, equal_nan=not fock.exact):
         raise BuildError("field operators take real vectors")
     return from_vector(fock, xi, 1)
 
@@ -369,7 +376,7 @@ def wick_recursion_residual(fock, first, rest) -> float:
     rhs = wick_operator(fock, [first]).dense().dot(wick_operator(fock, rest).dense())
     ent = fock.setup.deformation.entries
     for r in range(l):
-        pairing = fock.setup.u_inner(np.conj(first), rest[r])
+        pairing = fock.setup.u_inner(fock.setup.involution(first), rest[r])
         weight = pairing
         for j in range(r):
             weight = weight * ent[rest_labels[r], rest_labels[j]]

@@ -44,7 +44,7 @@ from qfock.ultra import (
 )
 from qfock.wick import from_vector, span_operator, vacuum_expectation, wick_recursion_residual
 
-from conftest import random_spec
+from conftest import in_frame, random_spec
 
 MIXED_Q = [[0.3, -0.2], [-0.2, 0.55]]
 SEED = 20240817
@@ -82,8 +82,10 @@ def random_word(fock, rng, level):
 
 
 def commuting_contraction():
-    # commutes with the rotation group and the generator on the mixed space
-    return np.array([[0.6, -0.3, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.7]])
+    # commutes with the rotation group and the generator on the mixed space;
+    # given in e-coordinates and carried into the frame
+    e_map = np.array([[0.6, -0.3, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.7]])
+    return in_frame(mixed_fock(1).setup, e_map)
 
 
 def test_criterion_1_braid_relation_and_reduced_word_independence():
@@ -240,7 +242,8 @@ def test_criterion_6_modular_suite():
     rng = np.random.default_rng(SEED + 6)
 
     for n in range(4):
-        lhs = to_float(modular.reversal(n))
+        # the closing map's linear part: S on the identity's columns
+        lhs = modular.s_apply(np.eye(fock.level_dim(n)), n)
         rhs = modular.j_matrix(n).dot(np.conj(modular.delta_power(0.5, n)))
         assert max_abs(lhs - rhs) <= 1e-11
 

@@ -86,12 +86,18 @@ def test_validate_refuses_a_space_whose_symmetrizer_loses_positivity(tmp_path, c
     assert "level 2 symmetrizer lost strict positivity" in err
 
 
-def test_validate_refuses_a_generator_too_ill_conditioned_to_invert(tmp_path, capsys):
-    # a traceback from LAPACK's inv before the checks were eliminations in numpy
+def test_a_generator_too_ill_conditioned_to_invert_validates_and_runs(tmp_path, capsys):
+    # a traceback from LAPACK's inv before the checks were eliminations in
+    # numpy, and a refusal while they compared conj(A) with A^-1; in the
+    # frame C A C = A^-1 is an elementwise product, and every command ends
+    # in an exit code
     space = {"q": [[0.3, -0.2], [-0.2, 0.55]], "blocks": [{"kind": "rotation", "lam": 1e10}, "fixed"]}
     path = write_config(tmp_path, {"space": space})
-    assert main(["validate", "--config", path]) == 1
-    assert "conjugation does not invert the generator" in capsys.readouterr().err
+    assert main(["validate", "--config", path]) == 0
+    for experiment in ("fock", "moments", "modular", "multipliers", "ultra", "all"):
+        out = str(tmp_path / experiment)
+        assert main(["run", experiment, "--config", path, "--out", out]) in (0, 1, 2), experiment
+    capsys.readouterr()
 
 
 def test_validate_reports_the_size_budget_with_the_requested_cutoff(tmp_path, capsys):
@@ -378,9 +384,10 @@ def test_manifest_names_the_source_version_without_installed_metadata(tmp_path, 
 def test_invariant_violations_exit_with_replay_data(tmp_path, capsys, monkeypatch):
     import qfock.modular
 
-    # the level-1 decomposition residual on a rotation block is a fixed
-    # nonzero roundoff, so an absurd tolerance must trip the invariant
-    monkeypatch.setattr(qfock.modular, "DECOMPOSITION_TOLERANCE", 1e-30)
+    # every residual, 0 included (the frame computes the level-1 one on a
+    # rotation block as lam^{-1/2} lam^{1/2}, often exactly 1), exceeds a
+    # negative tolerance, which must trip the invariant
+    monkeypatch.setattr(qfock.modular, "DECOMPOSITION_TOLERANCE", -1.0)
     path = write_config(tmp_path, MIXED)
     code = main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -389,7 +396,7 @@ def test_invariant_violations_exit_with_replay_data(tmp_path, capsys, monkeypatc
     replay_line = [line for line in err.splitlines() if line.startswith("replay:")]
     replay = json.loads(replay_line[0].removeprefix("replay: "))
     assert replay["check"] == "decomposition"
-    assert replay["residual"] > 0
+    assert replay["residual"] >= 0 and replay["tolerance"] == -1.0
     assert "seed" in replay and "space" in replay
 
 
@@ -639,6 +646,32 @@ def test_the_benchmarks_traced_entry_validates(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads((tmp_path / "t.json").read_text())["exit_code"] == 0
+
+
+def test_the_benchmarks_traced_pass_runs_every_experiment(tmp_path):
+    # the traced pass of perfbench/run.py wraps, among others, build_space,
+    # modular_flow, fock_unitary, the fock ladders and min_p_eigenvalue,
+    # basis_word_operator and min_gen_eig, and runs them on every experiment
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    trace = tmp_path / "run.trace.json"
+    config = os.path.join(root, "configs", "full_run.yaml")
+    result = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"), str(trace)]
+        + ["run", "all", "--config", config, "--seed", "1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    traced = json.loads(trace.read_text())
+    assert traced["exit_code"] == 0
+    spans = {span[0] for span in traced["spans"]}
+    assert {f"cli.experiment_s.{name}" for name in ("fock", "moments", "modular")} <= spans
+    assert {"hilbert.build_space_s", "modular.flow_s", "fock.build_s"} <= spans
 
 
 # the package root's exports, in order

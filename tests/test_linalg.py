@@ -22,9 +22,7 @@ import scipy.linalg
 import qfock.linalg
 from qfock.fock import TruncatedFock
 from qfock.linalg import (
-    SLAB_COLUMNS,
     blas_config,
-    column_slabs,
     complex_normals,
     hermitize,
     kron_power,
@@ -35,7 +33,7 @@ from qfock.linalg import (
     to_float,
 )
 
-from conftest import kron_chain, one_shot_legwise
+from conftest import e_rotation, e_spectral, kron_chain, one_shot_legwise
 
 
 def pencil_oracle(a, b):
@@ -135,21 +133,6 @@ def test_legwise_is_exact_on_fractions(n):
         assert np.array_equal(got, kron_power(m, n).dot(rhs))
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 31, 32, 33, 63, 64, 65, 66, 127, 128, 129, 625, 2048])
-def test_column_slabs_cut_runs_of_slab_columns_and_keep_the_remainder_last(size):
-    assert SLAB_COLUMNS == 32
-    slabs = column_slabs(size)
-    covered = [i for s in slabs for i in range(size)[s]]
-    assert covered == list(range(size))
-    widths = [s.stop - s.start for s in slabs]
-    assert all(w == SLAB_COLUMNS for w in widths[:-1])
-    if size:
-        # the last run keeps the remainder of the whole, and holds one
-        # column only when the whole does
-        assert widths[-1] % SLAB_COLUMNS == size % SLAB_COLUMNS
-        assert widths[-1] > 1 or size == 1
-
-
 def same_entries(a, b) -> bool:
     """Bit for bit on float arrays; equal values of one type on object arrays."""
     if a.dtype == object:
@@ -160,10 +143,11 @@ def same_entries(a, b) -> bool:
 def test_kron_columns_are_the_kron_chain_columns_bit_for_bit(mixed5, rng):
     exact = np.array([[Fraction(1, 3), Fraction(-2, 5)], [Fraction(7, 2), Fraction(1)]], dtype=object)
     wide = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    # the columns of whole powers; a 1 x d row, as the decomposition check
-    # powers P's diagonal
+    # dense one-particle maps (the e-coordinate forms of A^{-1/2} and the
+    # group), and a 1 x d row, as the level checks power a diagonal
+    half = e_spectral(mixed5, lambda lam: lam**-0.5)
     row = np.diagonal(mixed5.a_power(-0.5))[None, :]
-    for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.7), exact, wide, row):
+    for m in (half, e_rotation(mixed5, 0.7), exact, wide, row):
         for n in range(5):
             assert same_entries(kron_power(m, n), kron_chain(m, n)), (m.shape, n)
 
@@ -173,7 +157,8 @@ def test_legwise_by_runs_is_the_one_shot_product_bit_for_bit(mixed5, n, rng):
     # d = 5 on a rotation space: level 4 has 625 words; real, complex and
     # non-contiguous arguments of every width meet the written-out product
     words = mixed5.dim**n
-    for m in (mixed5.a_power(-0.5), mixed5.u_matrix(0.3), mixed5.u_gram):
+    gram = e_spectral(mixed5, lambda lam: 2 * lam / (1 + lam))
+    for m in (e_spectral(mixed5, lambda lam: lam**-0.5), e_rotation(mixed5, 0.3), gram):
         for shape in ((words,), (words, 1), (words, 65), (words, 130), (words, 7, 19), (words, words)):
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for arg in (x, x.real, np.swapaxes(x, 0, -1).copy().swapaxes(0, -1)):

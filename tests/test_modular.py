@@ -10,11 +10,11 @@ import pytest
 from qfock.errors import CutoffError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import DeformationMatrix, build_space
-from qfock.linalg import SLAB_COLUMNS, block_diag, gram_inner, kron_power, max_abs, to_float
+from qfock.linalg import block_diag, gram_inner, identity_matrix, kron_power, max_abs, to_float
 from qfock.modular import ModularData, kms_residual, modular_flow
 from qfock.wick import WickWord, field, from_vector, vacuum_expectation, wick_operator
 
-from conftest import one_shot_legwise, random_complex
+from conftest import random_complex
 
 MOD_Q = [[0.3, -0.2], [-0.2, 0.55]]
 LAM = 2.0
@@ -45,11 +45,21 @@ def exact_modular():
 
 
 def eigvec_pair(setup):
+    """The generator's eigenvectors for lam and 1/lam on the first rotation
+    block: its frame letters f_+ and f_-."""
     a, b = setup.rotations[0].indices
-    e = np.eye(setup.dim, dtype=complex)
-    plus = (e[a] - 1j * e[b]) / np.sqrt(2)
-    minus = (e[a] + 1j * e[b]) / np.sqrt(2)
-    return plus, minus
+    return setup.basis_vector(a), setup.basis_vector(b)
+
+
+def closing_matrix(md, n):
+    """Linear part of the closing map on level n: S applied to the
+    identity's columns, the reversal composed with C's letter swap."""
+    return md.s_apply(identity_matrix(md.fock.level_dim(n), md.fock.exact), n)
+
+
+def swap_matrix(md, n):
+    """C's letter swap on every leg of level n, as a permutation matrix."""
+    return md.fock.setup.involution(identity_matrix(md.fock.level_dim(n), md.fock.exact), n)
 
 
 def random_word(fock, rng, n):
@@ -72,8 +82,9 @@ def test_reversal_permutes_words(fock4, modular4):
 
 
 def test_s_reverses_real_simple_tensors(modular4, rng):
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
+    # real vectors, given in e-coordinates, are the frame vectors C fixes
+    x = modular4.fock.setup.frame_vector(rng.standard_normal(3))
+    y = modular4.fock.setup.frame_vector(rng.standard_normal(3))
     out = modular4.s_apply(np.kron(x, y), 2)
     assert max_abs(out - np.kron(y, x)) <= 1e-14
 
@@ -120,25 +131,26 @@ def test_delta_imaginary_powers_are_gram_unitary(fock4, modular4):
 
 def test_tomita_decomposition(fock4, modular4, exact_modular):
     # closing map = conjugation composed with positive part: linear parts
-    # must satisfy reversal = j_matrix . conj(delta^{1/2}) on every level
+    # must satisfy S = j_matrix . conj(delta^{1/2}) on every level
     for n in range(fock4.n_max + 1):
-        lhs = to_float(modular4.reversal(n))
+        lhs = to_float(closing_matrix(modular4, n))
         rhs = modular4.j_matrix(n).dot(np.conj(modular4.delta_power(0.5, n)))
         assert max_abs(lhs - rhs) <= 1e-11
     md = exact_modular
     for n in range(md.fock.n_max + 1):
         rhs = md.j_matrix(n).dot(np.conj(md.delta_power(0.5, n)))
         assert np.array_equal(rhs, md.reversal(n))
+        assert np.array_equal(rhs, closing_matrix(md, n))
 
 
 def test_j_matrix_is_the_dense_reversal_product(fock4, modular4, exact_modular):
-    # the row permutation equals the dense product with the permutation
-    # matrix entry for entry (up to the sign of zeros)
+    # the row and column permutations equal the dense products with the
+    # permutation matrices entry for entry (up to the sign of zeros)
     for md in (modular4, exact_modular):
         setup = md.fock.setup
         for n in range(md.fock.n_max + 1):
             half = kron_power(setup.a_power(-0.5), n)
-            dense = md.reversal(n).dot(half)
+            dense = md.reversal(n).dot(half).dot(swap_matrix(md, n))
             assert np.array_equal(md.j_matrix(n), dense)
 
 
@@ -161,8 +173,8 @@ def test_j_is_an_antiunitary_involution(fock4, modular4, rng):
 
 def test_j_real_tensor_formula(fock4, modular4, rng):
     half = fock4.setup.a_power(-0.5)
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
+    x = fock4.setup.frame_vector(rng.standard_normal(3))
+    y = fock4.setup.frame_vector(rng.standard_normal(3))
     out = modular4.j_matrix(2).dot(np.conj(np.kron(x, y)))
     expected = np.kron(half.dot(y), half.dot(x))
     assert max_abs(out - expected) <= 1e-12
@@ -198,7 +210,7 @@ def test_fock_unitary_matches_the_per_level_loop(modular4, exact_modular):
 
 
 def test_fock_unitary_intertwines_fields(fock4, modular4, rng):
-    xi = rng.standard_normal(3)
+    xi = fock4.setup.frame_vector(rng.standard_normal(3))
     for t in (0.3, 1.0):
         u = modular4.fock_unitary(t)
         u_inv = modular4.fock_unitary(-t)
@@ -369,28 +381,30 @@ def test_blockwise_conjugation_matches_the_dense_unitary_product(
     assert np.array_equal(md.unitary_conjugate(0.7, word.dense()), to_float(dense))
 
 
-# -- the checks by runs of columns against their dense routes --------------------
+# -- the elementwise checks against their dense routes --------------------------
 
 
 @pytest.fixture(scope="module")
 def modular_wide():
-    """d = 5 with two rotation blocks at n_max 4: level 4 has 625 words, ten
-    runs of columns, and one complex level block is 16 * 625^2 = 6.25 MB."""
+    """d = 5 with two rotation blocks at n_max 4: level 4 has 625 words, and
+    one complex level block is 16 * 625^2 = 6.25 MB."""
     setup = build_space(MOD_Q, [("rotation", 0, 2.0), ("fixed", 1), ("rotation", 1, 1.5)])
     return ModularData(TruncatedFock(setup, 4))
 
 
 def dense_decomposition_gap(md, n):
-    """J Delta^{1/2} less the reversal as one level matrix: the dense route."""
+    """J Delta^{1/2} less S as one level matrix, on linear parts: the dense route."""
     gap = md.j_matrix(n).dot(np.conj(md.delta_power(0.5, n)))
-    return gap - md.reversal(n)
+    return gap - closing_matrix(md, n)
 
 
 def p_power_gap(md, n):
-    """The n-th Kronecker power of P = A^{-1/2} conj(A^{-1/2}) less the
-    identity, as one level matrix: what the decomposition check reads off P."""
+    """The n-th Kronecker power of P = A^{-1/2} C A^{-1/2} C less the
+    identity, as one level matrix, C the conjugation composed with the
+    letter swap: what the decomposition check reads off P's diagonal."""
     half = md.fock.setup.a_power(-0.5)
-    power = kron_power(half.dot(np.conj(half)), n)
+    swap = swap_matrix(md, 1)
+    power = kron_power(half.dot(swap.dot(np.conj(half)).dot(swap)), n)
     return power - np.eye(len(power))
 
 
@@ -412,24 +426,27 @@ def test_decomposition_check_holds_less_than_a_level_block(modular_wide):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # read off the d x d product, the check holds no level matrix and less
-    # than one run of columns (the level-sized route peaked at 2.32 MB)
+    # read off P's diagonal, the check holds no level matrix and less than
+    # 32 columns of one (the level-sized route peaked at 2.32 MB)
     assert peak < 16 * 625 * 32, f"peak {peak} B"
 
 
 def test_conjugate_block_is_the_one_shot_transpose_route(modular_wide, rng):
+    # the two in-place scalings against the dense product with the level
+    # blocks of the quantized group element
     fock, md = modular_wide.fock, modular_wide
-    setup = fock.setup
-    for r, c in [(4, 3), (3, 4), (4, 4), (2, 4)]:
+    for r, c in [(4, 3), (3, 4), (4, 4), (2, 4), (0, 2)]:
         shape = (fock.level_dim(r), fock.level_dim(c))
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.3, -1.0):
-            left, right = setup.u_matrix(t), setup.u_matrix(-t).T
-            dense = one_shot_legwise(right, c, one_shot_legwise(left, r, block).T).T
+            u = md.fock_unitary(t)
+            u_inv = md.fock_unitary(-t)
+            dense = u[fock.level_slice(r), fock.level_slice(r)].dot(block)
+            dense = dense.dot(u_inv[fock.level_slice(c), fock.level_slice(c)])
             handed = block.copy()
             out = md.conjugate_block(t, r, c, handed)
             assert out is handed  # written over the block
-            assert out.tobytes() == dense.tobytes()
+            assert max_abs(out - dense) <= 1e-14 * max_abs(dense)
 
 
 def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
@@ -446,26 +463,42 @@ def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
     assert peak < 16 * 625**2, f"peak {peak} B"
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_flow_check_holds_one_level_block_and_one_run(modular_wide, rng, level):
-    fock = modular_wide.fock
+def flow_check_peak(md, rng, level):
+    """(traced peak of the flow check of a random level-``level`` word,
+    bytes of its largest level block)."""
+    fock = md.fock
     coords = rng.standard_normal(5**level) + 1j * rng.standard_normal(5**level)
     word = from_vector(fock, coords, level)
     flowed = modular_flow(fock, 0.3, word)
     pairs = word.level_pairs() | flowed.level_pairs()
     block = max(16 * fock.level_dim(r) * fock.level_dim(c) for r, c in pairs)
-    run = 16 * fock.level_dim(fock.n_max) * SLAB_COLUMNS
     tracemalloc.start()
     try:
-        modular_wide.flow_residual(0.3, word, flowed)
+        md.flow_residual(0.3, word, flowed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a run's product holds two runs, its input and its output; the rest
-    # is index scratch.  A second dense block for ``flowed`` took the
-    # level-1 check to 3.8 MB, and the moduli of a whole block the level-2
-    # one to 18.8 MB
+    return peak, block
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_flow_check_holds_one_level_block_and_one_run(modular_wide, rng, level):
+    peak, block = flow_check_peak(modular_wide, rng, level)
+    # a run of 32 columns of level 4 (625 words): the bound of the
+    # column-run products, whose product held two runs, its input and its
+    # output; the rest is index scratch.  A second dense block for
+    # ``flowed`` took the level-1 check to 3.8 MB, and the moduli of a
+    # whole block the level-2 one to 18.8 MB
+    run = 16 * 625 * 32
     assert peak < block + 2 * run + 2**17, f"peak {peak} B, block {block} B"
+
+
+def test_the_level_one_flow_check_holds_one_level_block_and_slice_scratch(modular_wide, rng):
+    # conjugated in place, the level-1 check holds its largest block (625 x
+    # 125 entries) and the moduli of one slice: the column runs held
+    # 711,448 B beside the block
+    peak, block = flow_check_peak(modular_wide, rng, 1)
+    assert peak < block + 2**18, f"peak {peak} B, block {block} B"
 
 
 def test_the_flow_of_a_level_zero_word_is_the_word(fock4):

@@ -18,7 +18,7 @@ from qfock.moments import (
 )
 from qfock.wick import vacuum_expectation, wick_operator
 
-from conftest import random_spec
+from conftest import e_spectral, random_spec
 
 
 def make_fock(entries, blocks, n_max, exact=False):
@@ -68,8 +68,9 @@ def test_length_two_is_the_inner_product(rotation_space):
     v = np.array([0.7, -0.2, 0.0])
     w = np.array([0.1, 0.9, 0.0])
     spec = MomentSpec.build(setup, [v, w])
-    expected = setup.u_inner(v, w)
-    assert moment_pairings(spec, setup.deformation, setup) == expected
+    # the e-coordinate inner product, against the closed form of G_U
+    expected = v.dot(e_spectral(setup, lambda lam: 2 * lam / (1 + lam))).dot(w)
+    assert abs(moment_pairings(spec, setup.deformation, setup) - expected) <= 1e-15
     assert abs(moment_matrix(spec, rotation_space) - expected) <= 1e-12
 
 
@@ -248,3 +249,38 @@ def test_matrix_path_cutoff_guard(single_block):
     spec = basis_spec(single_block, *([0] * 6))
     with pytest.raises(CutoffError, match="cutoff"):
         moment_matrix(spec, single_block)
+
+
+def full_run_fock():
+    """``configs/full_run.yaml``'s space, built as the command builds it."""
+    from pathlib import Path
+
+    from qfock.config import load_config
+
+    path = Path(__file__).resolve().parents[1] / "configs" / "full_run.yaml"
+    return load_config(str(path)).fock()
+
+
+def test_the_moment_gate_catches_annihilation_legs_paired_with_their_own_letter(monkeypatch):
+    # a word whose rotation letters have complex frame coordinates; the
+    # configured words of full_run.yaml have real ones, on which pairing a
+    # leg with its letter or with the letter's involution image agree
+    e_a, v = [1.0, 0.0, 0.0], [0.3, 0.7, 0.0]
+    fock = full_run_fock()
+    spec = MomentSpec.build(fock.setup, [e_a, v, v, e_a])
+    pairing, matrix, _ = checked_moment(spec, fock)
+    assert abs(pairing - 0.768) < 5e-4
+    annihilation_step = TruncatedFock.annihilation_step
+
+    def planted(self, pairings, letters, n, rows):
+        # the assembler hands per-entry letters, whose row of ``pairings``
+        # is C of the letter: the swapped letter's row is the letter's own
+        if np.ndim(letters):
+            letters = self.setup.swap[letters]
+        return annihilation_step(self, pairings, letters, n, rows)
+
+    monkeypatch.setattr(TruncatedFock, "annihilation_step", planted)
+    fock = full_run_fock()  # no basis word cached before the plant
+    with pytest.raises(InvariantError, match="dual-path") as info:
+        checked_moment(spec, fock)
+    assert info.value.replay["gap"] > 0.1

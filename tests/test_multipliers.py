@@ -34,6 +34,8 @@ from qfock.multipliers import (
 )
 from qfock.wick import from_vector, span_operator, vacuum_expectation, wick_operator
 
+from conftest import in_frame
+
 APPROX_Q = [[0.3, -0.2], [-0.2, 0.55]]
 
 
@@ -62,11 +64,12 @@ def random_word(fock, rng, level):
 
 
 # commutes with U_t and A: rotation block gets a multiple of a rotation,
-# the fixed vector an independent scale
+# the fixed vector an independent scale; given in e-coordinates and carried
+# into the frame of fock3's setup, where it is diagonal
 def commuting_contraction():
-    return np.array(
-        [[0.6, -0.3, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.7]]
-    )
+    e_map = np.array([[0.6, -0.3, 0.0], [0.3, 0.6, 0.0], [0.0, 0.0, 0.7]])
+    setup = build_space(APPROX_Q, [("rotation", 0, 2.0), ("fixed", 1)])
+    return in_frame(setup, e_map)
 
 
 def test_radial_symbol_shapes():
@@ -181,7 +184,8 @@ def test_quantization_precondition_rejections(fock3):
     mixing[0, 2] = 0.1
     with pytest.raises(BuildError, match="couples blocks"):
         check_quantizable(fock3.setup, mixing)
-    skew = np.diag([0.9, 0.2, 0.5])
+    # diagonal in e-coordinates, so it stretches the rotation plane unevenly
+    skew = in_frame(fock3.setup, np.diag([0.9, 0.2, 0.5]))
     with pytest.raises(BuildError, match="commute"):
         check_quantizable(fock3.setup, skew)
     with pytest.raises(BuildError, match="3x3"):

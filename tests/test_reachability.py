@@ -79,10 +79,11 @@ ORACLES = {
     "wick.wick_operator": "wick.from_vector",
     "wick._tensor_argument": "wick.from_vector",
     "wick.wick_recursion_residual": "wick.from_vector",
-    # called only by the oracles above: the flip norm of norm_bound, the leg
-    # check of wick_operator
+    # called only by the oracles above: the flip norm of norm_bound
     "fock.TruncatedFock.t_norm": "wick.from_vector",
-    "fock.TruncatedFock._check_vector": "wick.from_vector",
+    # the legwise power of a contraction that is no scalar: library surface,
+    # since every run quantizes a scalar multiple of the identity
+    "linalg.legwise": "multipliers._quantize",
     "wick.span_operator": "multipliers._realize",
     "combinatorics.double_factorial": "combinatorics.pair_partitions",
     "combinatorics.kernel": "combinatorics.SetPartition.join",

@@ -22,6 +22,8 @@ from qfock.ultra import (
     um_moment_enumerate,
 )
 
+from conftest import e_spectral
+
 MIXED_Q = [[0.3, -0.2], [-0.2, 0.55]]
 
 
@@ -84,7 +86,8 @@ def brute_um_moment(spec, setup):
 def test_two_letter_moment_ignores_aux_dimension_and_shape(rot_space):
     f1 = np.array([0.7, -0.2, 0.0])
     f2 = np.array([0.1, 0.4, 0.0])
-    ref = rot_space.u_inner(f1, f2)
+    # the e-coordinate inner product, against the closed form of G_U
+    ref = f1.dot(e_spectral(rot_space, lambda lam: 2 * lam / (1 + lam))).dot(f2)
     for m, qt in ((1, 0.8), (3, 0.2), (7, -0.5)):
         spec = UmSpec.build(rot_space, m, [f1, f2], 0.5, qt)
         assert um_moment_enumerate(spec, rot_space) == pytest.approx(ref, abs=1e-15)

@@ -37,7 +37,7 @@ from qfock.wick import (
     wick_recursion_residual,
 )
 
-from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, random_complex
+from conftest import Q_EXACT, Q_MIXED, Q_TRIVIAL, e_setup, fock_frame, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def test_level_one_is_ladder_sum(fock_mixed, rng):
     xi[1] = xi[0] * 0.3
     word = wick_operator(fock_mixed, [xi])
     oracle = full_creation(fock_mixed, xi) + full_annihilation(
-        fock_mixed, np.conj(xi)
+        fock_mixed, fock_mixed.setup.involution(xi)
     )
     assert max_abs(to_float(word.dense()) - oracle) < 1e-12
 
@@ -98,7 +98,8 @@ def test_vacuum_reproduction_levels(fock_mixed, rng):
 
 
 def test_level_one_self_adjoint_for_real(fock_mixed):
-    xi = np.array([0.7, -0.2, 0.0], dtype=complex)
+    # real vectors, given in e-coordinates, enter through the frame map
+    xi = fock_mixed.setup.frame_vector(np.array([0.7, -0.2, 0.0]))
     word = wick_operator(fock_mixed, [xi])
     assert max_abs(to_float(word.dense()) - to_float(word.adjoint_matrix())) < 1e-11
 
@@ -114,8 +115,8 @@ def test_level_two_expansion(fock_mixed, rng):
     q21 = Q_MIXED[1][0]
     word = wick_operator(fock_mixed, [xi1, xi2])
     c1, c2 = full_creation(fock_mixed, xi1), full_creation(fock_mixed, xi2)
-    a1 = full_annihilation(fock_mixed, np.conj(xi1))
-    a2 = full_annihilation(fock_mixed, np.conj(xi2))
+    a1 = full_annihilation(fock_mixed, fock_mixed.setup.involution(xi1))
+    a2 = full_annihilation(fock_mixed, fock_mixed.setup.involution(xi2))
     oracle = c1 @ c2 + c1 @ a2 + q21 * (c2 @ a1) + a1 @ a2
     # sources below the cutoff boundary are compression-free
     valid = fock_mixed.level_offset(fock_mixed.n_max - 1)
@@ -159,7 +160,7 @@ def test_fields_and_simple_tensors_realize_through_from_vector(mixed5, rng):
     def rotation_leg():
         leg = np.zeros(fock.dim)
         leg[:2] = rng.standard_normal(2)
-        return leg
+        return mixed5.frame_vector(leg)
 
     for _ in range(20):
         xi, u, w = rotation_leg(), rotation_leg(), rotation_leg()
@@ -181,7 +182,7 @@ def test_argument_level_cutoff(fock_mixed):
 # -- field operators ---------------------------------------------------------------
 
 def test_field_matches_ladder_sum(fock_mixed):
-    xi = np.array([0.3, 1.1, -0.4])
+    xi = fock_mixed.setup.frame_vector(np.array([0.3, 1.1, -0.4]))
     s = field(fock_mixed, xi)
     oracle = full_creation(fock_mixed, xi) + full_annihilation(fock_mixed, xi)
     assert max_abs(to_float(s.dense()) - oracle) < 1e-13
@@ -189,13 +190,13 @@ def test_field_matches_ladder_sum(fock_mixed):
 
 
 def test_field_self_adjoint(fock_mixed):
-    xi = np.array([0.3, 1.1, -0.4])
+    xi = fock_mixed.setup.frame_vector(np.array([0.3, 1.1, -0.4]))
     s = field(fock_mixed, xi)
     assert max_abs(to_float(s.dense() - s.adjoint_matrix())) < 1e-11
 
 
 def test_field_square_moment(fock_mixed):
-    xi = np.array([0.9, -0.5, 0.7])
+    xi = fock_mixed.setup.frame_vector(np.array([0.9, -0.5, 0.7]))
     s = field(fock_mixed, xi).dense()
     expect = fock_mixed.setup.u_inner(xi, xi)
     assert state(fock_mixed, s.dot(s)) == pytest.approx(expect, abs=1e-12)
@@ -204,6 +205,12 @@ def test_field_square_moment(fock_mixed):
 def test_field_rejects_complex(fock_mixed):
     with pytest.raises(BuildError, match="real"):
         field(fock_mixed, np.array([1j, 0, 0]))
+    # a frame letter of a rotation block has real coordinates, but C maps it
+    # to its partner: it is no real vector
+    with pytest.raises(BuildError, match="real"):
+        field(fock_mixed, np.array([1.0, 0, 0]))
+    real = fock_mixed.setup.frame_vector(np.array([1.0, 0, 0]))
+    assert field(fock_mixed, real).level == 1
 
 
 def test_field_equals_level_one_wick(fock_mixed):
@@ -224,12 +231,12 @@ def test_recursion_single_step(fock_mixed, rng):
 
 
 def test_recursion_orthogonal_pair_exact_product(fock_mixed):
-    # <conj(xi1), xi2>_U = 0 makes the correction vanish entirely
+    # <C xi1, xi2>_U = 0 makes the correction vanish entirely
     xi1 = np.zeros(3, dtype=complex)
     xi1[0] = 1.0
     xi2 = np.zeros(3, dtype=complex)
     xi2[2] = 1.0
-    assert fock_mixed.setup.u_inner(np.conj(xi1), xi2) == 0
+    assert fock_mixed.setup.u_inner(fock_mixed.setup.involution(xi1), xi2) == 0
     w12 = wick_operator(fock_mixed, [xi1, xi2]).dense()
     prod = wick_operator(fock_mixed, [xi1]).dense().dot(
         wick_operator(fock_mixed, [xi2]).dense()
@@ -330,7 +337,7 @@ def dense_assembly(fock, legs, labels):
     into its (row level, column level) block in the order of the formula.
     """
     n = len(legs)
-    conj_legs = [np.conj(leg) for leg in legs]
+    conj_legs = [fock.setup.involution(leg) for leg in legs]
     ent = fock.setup.deformation.entries
     out = fock._zeros((fock.total_dim, fock.total_dim))
     for k in range(n + 1):
@@ -419,6 +426,33 @@ def test_simple_tensor_matches_the_dense_assembly(fock_rotation, rng):
         legs.append(leg)
     fast = wick_operator(fock_rotation, legs).dense()
     assert_matches_dense(fast, dense_assembly(fock_rotation, legs, (0, 1, 1)), False)
+
+
+@pytest.fixture(scope="module")
+def fock_configured():
+    """``configs/modular_rotation.yaml``'s space, built as the command builds it."""
+    from pathlib import Path
+
+    from qfock.config import load_config
+
+    path = Path(__file__).resolve().parents[1] / "configs" / "modular_rotation.yaml"
+    return load_config(str(path)).fock()
+
+
+@pytest.mark.parametrize("space", ["fock_mixed", "fock_rotation", "fock_configured"])
+def test_frame_words_are_the_e_coordinate_words_carried_into_the_frame(space, request, rng):
+    # the assembler on the frame space and on the e-coordinate setup (the
+    # dense closed-form G_U, C plain conjugation): F W_frame(F^H xi) F^H = W_e(xi)
+    fock = request.getfixturevalue(space)
+    e_fock = TruncatedFock(e_setup(fock.setup), fock.n_max)
+    frame = fock_frame(fock)
+    for n in range(fock.n_max + 1):
+        xi = random_complex(rng, fock.level_dim(n))
+        level_frame = frame[fock.level_slice(n), fock.level_slice(n)]
+        w_frame = from_vector(fock, level_frame.conj().T.dot(xi), n).dense()
+        w_e = from_vector(e_fock, xi, n).dense()
+        carried = frame.dot(w_frame).dot(frame.conj().T)
+        assert max_abs(carried - w_e) <= 1e-13 * max_abs(w_e), f"level {n}"
 
 
 def dense_from_vector(fock, vec, n):
@@ -556,7 +590,8 @@ def sample_words(fock, rng):
     xi = fock.setup.basis_vector(fock.dim - 1)
     words.append(wick_operator(fock, [xi, fock.setup.basis_vector(0)]))
     words.append(words[2].scaled(Fraction(2, 3) if fock.exact else 0.7 - 0.2j))
-    words.append(field(fock, xi))
+    # the last e-vector, real, through the frame map
+    words.append(field(fock, fock.setup.frame_vector(xi)))
     return words
 
 
