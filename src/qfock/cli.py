@@ -289,8 +289,8 @@ def _run_ultra(config, fock, gated):
     report = convergence_experiment(
         setup, params["vectors"], params["q"], params["q_tilde"], params["m_list"]
     )
-    slope = report.slope if report.slope is not None else float("nan")
-    return report.rows(), [("slope", slope)]
+    slope = report.slope
+    return report.rows(), [("slope", float("nan") if slope is None else slope)]
 
 
 EXPERIMENTS = {

@@ -64,6 +64,7 @@ from .linalg import (
     max_abs,
     op_norm,
     to_float,
+    word_weights,
 )
 
 # every level symmetrizer must keep its smallest eigenvalue above this floor
@@ -158,28 +159,15 @@ class TruncatedFock:
         }
 
     def truncated(self, n: int) -> "TruncatedFock":
-        """This space cut at level n: levels 0..n, the space itself at n_max.
-
-        A cut holds what ``TruncatedFock(setup, n)`` would build, without a
-        second build or check: the first n + 1 of this space's level offsets,
-        orbit blocks and level minima, its word tables (to level 2 at least,
-        for the flip), its flip and its build times, all shared.  Each level
-        is cut once, and a cut keeps its own basis-word cache, which
-        ``wick.cache_footprint`` counts with this space's.  Level 0, which no
-        build accepts, has a cut too: the vacuum alone."""
+        """This space cut at level n: ``TruncatedFock(setup, n)``, built once
+        per level and kept, and the space itself at n_max.  A cut keeps its
+        own basis-word cache, which ``wick.cache_footprint`` counts with
+        this space's."""
         if self.check_level(n) == self.n_max:
             return self
         cuts = self.__dict__.setdefault("_cuts", {})
         if n not in cuts:
-            cut = cuts[n] = object.__new__(TruncatedFock)
-            shared = ("setup", "dim", "exact", "_block_arr", "t_matrix", "build_seconds")
-            cut.__dict__.update((key, self.__dict__[key]) for key in shared)
-            cut.n_max = n
-            cut._offsets = self._offsets[: n + 2]
-            cut.total_dim = cut._offsets[-1]
-            cut._digits = self._digits[: max(n, 2) + 1]
-            cut._p_blocks = self._p_blocks[: n + 1]
-            cut._p_minima = self._p_minima[: n + 1]
+            cuts[n] = TruncatedFock(self.setup, n)
         return cuts[n]
 
     @property
@@ -351,8 +339,8 @@ class TruncatedFock:
         return out
 
     def gram_weights(self, n: int) -> np.ndarray:
-        """Diagonal of G_U^(n), the ``kron_power`` row of G_U's diagonal."""
-        return kron_power(np.diagonal(self.setup.u_gram)[None, :], n)[0]
+        """Diagonal of G_U^(n), the ``word_weights`` of G_U's diagonal."""
+        return word_weights(np.diagonal(self.setup.u_gram), n)
 
     def gram(self, n: int) -> np.ndarray:
         """Level Gram G_U^(n) P(n), formed on call, ``gram_weights`` scaling

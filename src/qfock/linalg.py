@@ -21,8 +21,8 @@ d^n x d^n Kronecker power; ``kron_power`` builds the dense power only where
 a dense matrix is the output, and is ``legwise``'s oracle in the tests.
 The one-particle powers of the generator, the Gram and the group are
 diagonal (the eigenframe of ``hilbert``): their level powers are the
-1 x d^n row ``kron_power`` makes of the 1 x d row of their diagonal, the
-weight of every word, applied by elementwise scaling.
+weights of every word, ``word_weights`` of their diagonal, applied by
+elementwise scaling.
 
 numpy is the only linear-algebra stack of a run, and ``pin_blas_threads``
 runs its OpenBLAS on one thread: the matrices here have at most a few
@@ -108,6 +108,14 @@ def kron_power(m: np.ndarray, n: int) -> np.ndarray:
         rows, cols = len(out) * m.shape[0], out.shape[1] * m.shape[1]
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(rows, cols)
     return out
+
+
+def word_weights(diagonal, n: int) -> np.ndarray:
+    """Diagonal of the n-th tensor power of a diagonal one-particle map,
+    given its diagonal: the weight of every level-n word, the product of
+    its letters' entries, as the 1 x d^n row ``kron_power`` makes of the
+    1 x d row."""
+    return kron_power(np.asarray(diagonal)[None, :], n)[0]
 
 
 def legwise(m: np.ndarray, n: int, x) -> np.ndarray:

@@ -10,11 +10,12 @@ double-checked against each other by the test suite rather than assumed.
 
 In the generator's eigenframe (``hilbert``) A, its powers and the group
 are diagonal, so every level power of them is an elementwise scaling by
-word weights, the ``kron_power`` row of the letters' diagonal entries: the
-flow scales a word's argument, ``conjugate_block`` scales a level block's
-rows and columns in place, and ``decomposition_residual`` reads a diagonal
-one-particle identity.  The dense powers ``delta_power``, ``j_matrix`` and
-``unitary_level`` are the tests' oracles.  Leg reversal is a gather by
+word weights (``linalg.word_weights`` of the letters' diagonal entries):
+the flow scales a word's argument, ``flow_residual`` scales a word's
+entries by the weights of their rows and columns, and
+``decomposition_residual`` reads a diagonal one-particle identity.  The
+dense powers ``delta_power``, ``j_matrix``, ``unitary_level`` and
+``fock_unitary`` are the tests' oracles.  Leg reversal is a gather by
 ``reversed_index``, never the matrix ``reversal``.
 
 The three identities' tolerances are constants here, as the braid
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import identity_matrix, kron_power, max_abs, to_float
-from .wick import WickWord, from_vector
+from .linalg import identity_matrix, kron_power, max_abs, to_float, word_weights
+from .wick import WickWord, _merge_entries, from_vector
 
 __all__ = [
     "DECOMPOSITION_TOLERANCE",
@@ -69,9 +70,8 @@ class ModularData:
     """Per-level modular matrices of the vacuum state.
 
     Every method returns a matrix acting on one level's coordinates, except
-    ``s_full_apply``, ``fock_unitary`` and ``unitary_conjugate``, which act
-    on the whole truncated space, ``conjugate_block``, which writes over one
-    level block, ``reversed_index``, which returns an index map, and
+    ``s_full_apply`` and ``fock_unitary``, which act on the whole truncated
+    space, ``reversed_index``, which returns an index map, and
     ``decomposition_residual`` and ``flow_residual``, which return numbers.
     """
 
@@ -124,13 +124,13 @@ class ModularData:
         compare ``s_full_apply`` with the Wick words' adjoints).  What is
         left is the n-th tensor power of P = A^{-1/2} C A^{-1/2} C less the
         identity, with P diagonal: its level-n entries are the d^n products
-        of P's diagonal, one ``kron_power`` row, each leg one product
+        of P's diagonal, its ``word_weights``, each leg one product
         lam^{-1/2} lam^{1/2}."""
         self.fock.check_level(n)
         setup = self.fock.setup
         half = np.diagonal(setup.a_power(-0.5))
         p = half * setup.involution(half)
-        return float(max_abs(kron_power(p[None, :], n) - 1))
+        return float(max_abs(word_weights(p, n) - 1))
 
     def s_full_apply(self, v) -> np.ndarray:
         """``s_apply`` on every level of a full-space vector."""
@@ -147,62 +147,34 @@ class ModularData:
         """Quantized group element on the whole truncated space."""
         return self.fock.level_diag(lambda n: self.unitary_level(t, n))
 
-    def unitary_conjugate(self, t: float, operator) -> np.ndarray:
-        """U(t) X U(-t) for a full-space matrix X, one level block at a time.
-
-        The quantized group element is block diagonal, so block (r, c) of
-        the product is ``conjugate_block(t, r, c, X_rc)`` on a copy of X_rc,
-        and zero blocks of X stay zero; the dense product with
-        ``fock_unitary`` is the same map.
-        """
-        fock = self.fock
-        x = to_float(np.asarray(operator))
-        out = np.zeros(x.shape, dtype=complex)
-        levels = range(fock.n_max + 1)
-        for r in levels:
-            rows = fock.level_slice(r)
-            for c in levels:
-                cols = fock.level_slice(c)
-                block = x[rows, cols]
-                if np.any(block):
-                    out[rows, cols] = self.conjugate_block(t, r, c, block.astype(complex))
-        return out
-
-    def conjugate_block(self, t: float, r: int, c: int, block: np.ndarray) -> np.ndarray:
-        """U_r(t) B U_c(-t) for a complex block B from level c to level r,
-        written over B, which is returned.  Both group elements are
-        diagonal, so the product scales the rows of B by the level-r word
-        weights of U(t) and its columns by the level-c ones of U(-t): two
-        in-place broadcast multiplications, with no scratch beside the
-        weights."""
-        setup = self.fock.setup
-        block *= kron_power(to_float(np.diagonal(setup.u_matrix(t)))[None, :], r).T
-        block *= kron_power(to_float(np.diagonal(setup.u_matrix(-t)))[None, :], c)
-        return block
-
     def flow_residual(self, t: float, word: WickWord, flowed: WickWord) -> float:
         """Max-entry residual between ``flowed`` and U(-t) X U(t), X the
-        operator of ``word``, one level block at a time.
+        operator of ``word``, read off the two words' entry lists.
 
-        Only the blocks where either word holds entries are formed; on the
-        others both sides vanish.  Each block of the conjugation is computed
-        as ``unitary_conjugate`` computes it, in place over a fresh block of
-        ``word``; ``flowed``'s entries are subtracted from it by index (its
-        sign leaves the moduli as they are), and its largest modulus is read
-        over slices of 2^12 entries.  So the residual is the dense one, and
-        one level block and the moduli of one slice are held at a time.
+        The quantized group element is diagonal, so the conjugation scales
+        each entry of X by the word weight of U(-t) on its row and of U(t)
+        on its column.  These values and ``flowed``'s, negated, are merged
+        by the assembler's ``_merge_entries``; an entry neither word holds
+        vanishes on both sides, so the largest modulus of the merge is the
+        dense residual.  A NaN entry keeps it NaN, and the zero word, whose
+        merge is empty, gives 0.0.
         """
-        worst = 0.0
-        for r, c in sorted(word.level_pairs() | flowed.level_pairs()):
-            gap = self.conjugate_block(-t, r, c, to_float(word.level_block(r, c)))
-            rows, cols, values = flowed.block_entries(r, c)
-            gap[rows, cols] -= to_float(values)
-            flat = gap.reshape(-1)
-            for k in range(0, flat.size, 2**12):
-                # np.maximum, unlike max(), keeps a NaN residual
-                worst = np.maximum(worst, max_abs(flat[k : k + 2**12]))
-            del gap, flat  # before the next block is formed
-        return float(worst)
+        fock = self.fock
+        levels = range(fock.n_max + 1)
+
+        def weights(time):
+            diagonal = to_float(np.diagonal(fock.setup.u_matrix(time)))
+            return np.concatenate([word_weights(diagonal, n) for n in levels])
+
+        index, values = word.entries
+        rows, cols = np.divmod(index, fock.total_dim)
+        # calls, not ``*``: numpy may evaluate a product with a large
+        # temporary with its factors swapped, which rounds a complex product
+        # differently
+        conj = np.multiply(np.multiply(to_float(values), weights(-t)[rows]), weights(t)[cols])
+        other, theirs = flowed.entries
+        _, gap = _merge_entries(fock, [index, other], [conj, -to_float(theirs)])
+        return max_abs(gap)
 
 
 def modular_flow(fock, z, word: WickWord) -> WickWord:
@@ -217,7 +189,7 @@ def modular_flow(fock, z, word: WickWord) -> WickWord:
     n = word.level
     if n == 0:
         return word
-    weights = kron_power(np.diagonal(fock.setup.a_power(-1j * z))[None, :], n)[0]
+    weights = word_weights(np.diagonal(fock.setup.a_power(-1j * z)), n)
     return from_vector(fock, weights * word.argument, n)
 
 

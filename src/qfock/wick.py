@@ -43,7 +43,9 @@ operators (``field``) are realized from their arguments this way.
 
 A realized ``WickWord`` keeps its operator as such an entry list and acts
 on vectors from it (``WickWord.apply``, a gather and a scatter over the
-rows), so the moment and modular checks never form a D x D matrix.
+rows), so the moment and modular checks never form a D x D matrix or a
+level block: the flow check merges two words' entries by the same
+``_merge_entries``.
 Densifying is explicit: ``WickWord.dense`` for the tests' oracles and the
 demos, and ``basis_word_operator``, a fresh dense copy of one cached word,
 which the multiplier layer's norm scan stacks and combines in one matrix
@@ -109,32 +111,6 @@ class WickWord:
     def dense(self) -> np.ndarray:
         """The operator as a fresh D x D matrix."""
         return _densify(self.fock, self.entries)
-
-    def level_pairs(self) -> set:
-        """(row level, column level) of every level block holding an entry."""
-        fock = self.fock
-        starts = [fock.level_offset(n) for n in range(1, fock.n_max + 1)]
-        levels = np.searchsorted(starts, np.divmod(self.entries[0], fock.total_dim), side="right")
-        # a bincount, not np.unique: a plain np.unique imports numpy.ma
-        counts = np.bincount(levels[0] * (fock.n_max + 1) + levels[1])
-        return {divmod(int(key), fock.n_max + 1) for key in np.flatnonzero(counts)}
-
-    def block_entries(self, r: int, c: int) -> tuple:
-        """(rows, cols, values) of the entries in the level block from level
-        c to level r, rows and columns counted within the block."""
-        fock = self.fock
-        index, values = self.entries
-        rows, cols = np.divmod(index, fock.total_dim)
-        rows, cols = rows - fock.level_offset(r), cols - fock.level_offset(c)
-        keep = (rows >= 0) & (rows < fock.level_dim(r)) & (cols >= 0) & (cols < fock.level_dim(c))
-        return rows[keep], cols[keep], values[keep]
-
-    def level_block(self, r: int, c: int) -> np.ndarray:
-        """Fresh dense block of the operator from level c to level r."""
-        rows, cols, values = self.block_entries(r, c)
-        out = self.fock._zeros((self.fock.level_dim(r), self.fock.level_dim(c)))
-        out[rows, cols] = values
-        return out
 
     def adjoint_matrix(self) -> np.ndarray:
         """Adjoint in the deformed geometry, G^{-1} X^* G with G the full

@@ -354,6 +354,27 @@ def test_the_exchange_gate_sees_the_flow_on_the_wrong_factor(tmp_path, capsys, m
     assert not (tmp_path / "out" / "modular.csv").exists()
 
 
+def test_the_flow_gate_sees_a_reversed_flow(tmp_path, capsys, monkeypatch):
+    import qfock.modular
+
+    flow = qfock.modular.modular_flow
+
+    def reversed_in_time(fock, z, word):
+        # real times reversed only: the exchange check's sigma_{-i} stays
+        # intact, so the flow gate is the one that must fire
+        return flow(fock, -z if complex(z).imag == 0 else z, word)
+
+    monkeypatch.setattr(qfock.modular, "modular_flow", reversed_in_time)
+    path = os.path.join(CONFIGS, "modular_rotation.yaml")
+    code = main(["run", "modular", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invariant violated: modular flow identity" in err
+    replay = strict_replay(err)
+    assert replay["check"] == "flow" and replay["residual"] > 1e-11
+    assert not (tmp_path / "out" / "modular.csv").exists()
+
+
 def test_seed_override_changes_the_manifest_and_the_hash(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL)
     assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "x")]) == 0

@@ -697,10 +697,9 @@ def test_a_cut_is_the_space_built_at_its_level(space, request):
 def test_a_level_is_cut_once_and_the_cutoff_is_the_space(fock_mixed):
     assert fock_mixed.truncated(fock_mixed.n_max) is fock_mixed
     assert fock_mixed.truncated(1) is fock_mixed.truncated(1)
-    # no build accepts level 0 alone, but the cut there is the vacuum
-    vacuum = fock_mixed.truncated(0)
-    assert (vacuum.n_max, vacuum.total_dim) == (0, 1)
-    assert np.array_equal(vacuum.full_gram, np.ones((1, 1)))
+    # a cut is a build at its level, and no build accepts level 0 alone
+    with pytest.raises(BuildError, match="at least 1"):
+        fock_mixed.truncated(0)
     with pytest.raises(BuildError, match="at least 1"):
         TruncatedFock(fock_mixed.setup, 0)
 

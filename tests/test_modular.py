@@ -355,30 +355,29 @@ def test_level_guard(modular4):
 def test_blockwise_conjugation_matches_the_dense_unitary_product(
     fock4, modular4, exact_modular, rng
 ):
-    # a full matrix as well as Wick words: every level block is conjugated
-    shape = (fock4.total_dim,) * 2
-    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # the flow residual read off entry lists against the dense conjugation by
+    # the quantized group element: a word with every entry filled, against
+    # its dense conjugate, as well as Wick words against their flows
+    size = fock4.total_dim
+    full = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    every = WickWord(fock4, 1, np.zeros(fock4.level_dim(1)), (np.arange(size**2), full.ravel()))
     for t in (0.3, -1.0, 2.5):
-        u = modular4.fock_unitary(t)
-        u_inv = modular4.fock_unitary(-t)
+        u = modular4.fock_unitary(-t)
+        u_inv = modular4.fock_unitary(t)
         dense = u.dot(full).dot(u_inv)
-        blockwise = modular4.unitary_conjugate(t, full)
-        assert max_abs(blockwise - dense) <= 1e-14 * max_abs(dense)
+        conj = WickWord(fock4, 1, every.argument, (every.entries[0], dense.ravel()))
+        assert modular4.flow_residual(t, every, conj) <= 1e-14 * max_abs(dense)
         for n in (1, 2):
             word = random_word(fock4, rng, n)
             dense = u.dot(to_float(word.dense())).dot(u_inv)
-            blockwise = modular4.unitary_conjugate(t, word.dense())
-            assert max_abs(blockwise - dense) <= 1e-12
-            # the CLI's flow residual, against the dense route
-            flowed = modular_flow(fock4, -t, word).dense()
-            fast = max_abs(flowed - blockwise)
-            assert abs(fast - max_abs(flowed - dense)) <= 1e-12
+            flowed = modular_flow(fock4, t, word)
+            fast = modular4.flow_residual(t, word, flowed)
+            assert abs(fast - max_abs(to_float(flowed.dense()) - dense)) <= 1e-12
             assert fast <= 1e-10
-    # exact spaces: the group is trivial and conjugation reproduces X exactly
+    # exact spaces: the group is trivial and the flow reproduces the word exactly
     md = exact_modular
     word = from_vector(md.fock, np.array([F(1, 2), F(-2, 3)], dtype=object), 1)
-    dense = md.fock_unitary(0.7).dot(word.dense()).dot(md.fock_unitary(-0.7))
-    assert np.array_equal(md.unitary_conjugate(0.7, word.dense()), to_float(dense))
+    assert md.flow_residual(0.7, word, modular_flow(md.fock, 0.7, word)) == 0
 
 
 # -- the elementwise checks against their dense routes --------------------------
@@ -431,36 +430,39 @@ def test_decomposition_check_holds_less_than_a_level_block(modular_wide):
     assert peak < 16 * 625 * 32, f"peak {peak} B"
 
 
-def test_conjugate_block_is_the_one_shot_transpose_route(modular_wide, rng):
-    # the two in-place scalings against the dense product with the level
-    # blocks of the quantized group element
-    fock, md = modular_wide.fock, modular_wide
-    for r, c in [(4, 3), (3, 4), (4, 4), (2, 4), (0, 2)]:
-        shape = (fock.level_dim(r), fock.level_dim(c))
-        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for t in (0.3, -1.0):
-            u = md.fock_unitary(t)
-            u_inv = md.fock_unitary(-t)
-            dense = u[fock.level_slice(r), fock.level_slice(r)].dot(block)
-            dense = dense.dot(u_inv[fock.level_slice(c), fock.level_slice(c)])
-            handed = block.copy()
-            out = md.conjugate_block(t, r, c, handed)
-            assert out is handed  # written over the block
-            assert max_abs(out - dense) <= 1e-14 * max_abs(dense)
-
-
 def test_flow_check_holds_less_than_a_level_block(modular_wide, rng):
+    # the check holds the two words' entry lists, scaled and merged, and
+    # the merge's keys: 80 B per entry (69 B measured, 0.45 MB at level 1
+    # and 2.27 MB at level 2), less than one level block (1.25 MB, 6.25 MB)
     fock = modular_wide.fock
-    word = from_vector(fock, rng.standard_normal(5) + 1j * rng.standard_normal(5), 1)
-    flowed = modular_flow(fock, 0.3, word)
-    tracemalloc.start()
-    try:
-        modular_wide.flow_residual(0.3, word, flowed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # five blocks of 625 x 125 entries used to be held at once
-    assert peak < 16 * 625**2, f"peak {peak} B"
+    peaks = []
+    for level in (1, 2):
+        coords = rng.standard_normal(5**level) + 1j * rng.standard_normal(5**level)
+        word = from_vector(fock, coords, level)
+        flowed = modular_flow(fock, 0.3, word)
+        tracemalloc.start()
+        try:
+            modular_wide.flow_residual(0.3, word, flowed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = len(word.entries[0]) + len(flowed.entries[0])
+        assert peak < 80 * entries, f"level {level}: peak {peak} B, {entries} entries"
+        peaks.append(peak)
+    assert peaks[0] < 600_000, f"peak {peaks[0]} B"
+
+
+def largest_block_bytes(fock, *words):
+    """Bytes of the largest dense level block holding an entry of a word."""
+    starts = [fock.level_offset(n) for n in range(1, fock.n_max + 1)]
+    largest = 0
+    for word in words:
+        rows, cols = np.divmod(word.entries[0], fock.total_dim)
+        r = np.searchsorted(starts, rows, side="right")
+        c = np.searchsorted(starts, cols, side="right")
+        for rl, cl in set(zip(r.tolist(), c.tolist())):
+            largest = max(largest, 16 * fock.level_dim(rl) * fock.level_dim(cl))
+    return largest
 
 
 def flow_check_peak(md, rng, level):
@@ -470,8 +472,7 @@ def flow_check_peak(md, rng, level):
     coords = rng.standard_normal(5**level) + 1j * rng.standard_normal(5**level)
     word = from_vector(fock, coords, level)
     flowed = modular_flow(fock, 0.3, word)
-    pairs = word.level_pairs() | flowed.level_pairs()
-    block = max(16 * fock.level_dim(r) * fock.level_dim(c) for r, c in pairs)
+    block = largest_block_bytes(fock, word, flowed)
     tracemalloc.start()
     try:
         md.flow_residual(0.3, word, flowed)
@@ -484,19 +485,16 @@ def flow_check_peak(md, rng, level):
 @pytest.mark.parametrize("level", [1, 2])
 def test_flow_check_holds_one_level_block_and_one_run(modular_wide, rng, level):
     peak, block = flow_check_peak(modular_wide, rng, level)
-    # a run of 32 columns of level 4 (625 words): the bound of the
-    # column-run products, whose product held two runs, its input and its
-    # output; the rest is index scratch.  A second dense block for
-    # ``flowed`` took the level-1 check to 3.8 MB, and the moduli of a
-    # whole block the level-2 one to 18.8 MB
+    # the bound of the blockwise route: one dense level block, two runs of 32
+    # columns of level 4 (625 words) and index scratch.  The entry-list check
+    # holds no block at all, so it stays well inside
     run = 16 * 625 * 32
     assert peak < block + 2 * run + 2**17, f"peak {peak} B, block {block} B"
 
 
 def test_the_level_one_flow_check_holds_one_level_block_and_slice_scratch(modular_wide, rng):
-    # conjugated in place, the level-1 check holds its largest block (625 x
-    # 125 entries) and the moduli of one slice: the column runs held
-    # 711,448 B beside the block
+    # the level-1 bound of the blockwise route, which conjugated its largest
+    # block (625 x 125 entries) in place beside the moduli of one slice
     peak, block = flow_check_peak(modular_wide, rng, 1)
     assert peak < block + 2**18, f"peak {peak} B, block {block} B"
 

@@ -62,7 +62,6 @@ ORACLES = {
     "multipliers.RadialSymbol.at": "multipliers._scan",
     "multipliers.RadialSymbol.kronecker": "multipliers._scan",
     "multipliers.radial_matrix": "multipliers._scan",
-    "modular.ModularData.unitary_conjugate": "modular.ModularData.flow_residual",
     "modular.ModularData.unitary_level": "modular.ModularData.flow_residual",
     "modular.ModularData.fock_unitary": "modular.ModularData.flow_residual",
     "modular.ModularData.s_apply": "modular.ModularData.decomposition_residual",

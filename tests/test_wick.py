@@ -282,7 +282,7 @@ def test_truncation_is_compression():
 @pytest.mark.parametrize("space", ["fock_trivial", "fock_mixed", "fock_rotation", "fock_exact"])
 def test_a_word_on_a_cut_is_the_full_word_on_the_cut_levels(space, request):
     fock = request.getfixturevalue(space)
-    for level in range(fock.n_max):
+    for level in range(1, fock.n_max):
         cut = fock.truncated(level)
         keep = cut.total_dim
         for n in range(level + 1):
@@ -624,20 +624,6 @@ def test_apply_rounds_alike_whatever_the_word_size(mixed5, rng):
 
 
 @pytest.mark.parametrize("space", FIVE_SPACES)
-def test_level_blocks_tile_the_dense_operator(space, request, rng):
-    fock = request.getfixturevalue(space)
-    for word in sample_words(fock, rng):
-        dense = word.dense()
-        levels = range(fock.n_max + 1)
-        for r in levels:
-            for c in levels:
-                block = dense[fock.level_slice(r), fock.level_slice(c)]
-                assert np.all(word.level_block(r, c) == block)
-                if (r, c) not in word.level_pairs():
-                    assert not np.any(block)
-
-
-@pytest.mark.parametrize("space", FIVE_SPACES)
 def test_levelwise_full_inner_matches_the_full_gram(space, request, rng):
     fock = request.getfixturevalue(space)
     for _ in range(3):
@@ -657,22 +643,31 @@ def test_blockwise_flow_residual_matches_the_dense_conjugation(space, request, r
     modular = ModularData(fock)
     for n in (1, 2):
         word = from_vector(fock, random_coords(fock, rng, fock.level_dim(n)), n)
+        # the two routes round the two complex scalings of an entry apart
+        slack = 2.0**-50 * max_abs(word.entries[1])
         for t in (0.3, 1.0):
             flowed = modular_flow(fock, t, word)
-            conj = modular.unitary_conjugate(-t, word.dense())
+            conj = modular.fock_unitary(-t).dot(to_float(word.dense()))
+            conj = conj.dot(modular.fock_unitary(t))
             dense = max_abs(to_float(flowed.dense()) - conj)
-            assert modular.flow_residual(t, word, flowed) == dense
-            # an unrelated word has an order-one residual, on blocks where
-            # only one side holds entries
+            assert abs(modular.flow_residual(t, word, flowed) - dense) <= slack
+            if fock.exact:
+                # the group is trivial: the flow reproduces the word exactly
+                assert modular.flow_residual(t, word, flowed) == 0
+            # an unrelated word has an order-one residual, on entries where
+            # only one side is nonzero
             other = from_vector(fock, random_coords(fock, rng, fock.level_dim(n + 1)), n + 1)
             dense = max_abs(to_float(other.dense()) - conj)
             assert dense > 0.1
-            assert modular.flow_residual(t, word, other) == dense
-            # one NaN coordinate makes some block residuals NaN, and the
-            # fold over blocks keeps it
+            assert abs(modular.flow_residual(t, word, other) - dense) <= slack
+            # one NaN coordinate makes some entries' residuals NaN, and the
+            # largest modulus keeps it
             coords = random_coords(fock, rng, fock.level_dim(n))
             coords[-1] = np.nan
             assert np.isnan(modular.flow_residual(t, word, from_vector(fock, coords, n)))
+    # the zero word and its flow merge to no entry at all
+    zero = from_vector(fock, fock._zeros(fock.level_dim(1)), 1)
+    assert modular.flow_residual(0.3, zero, modular_flow(fock, 0.3, zero)) == 0.0
 
 
 def test_arguments_of_the_wrong_length_are_refused(fock_mixed):
