@@ -1,5 +1,6 @@
 """Command line driver: exit codes, report files, and determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -884,6 +885,56 @@ def test_the_command_entry_starts_openblas_on_one_thread():
     )
     # numpy's wheels bundle OpenBLAS (see the manifest test below)
     assert _fresh_import(code, "4") == ["1", [1], 1]
+
+
+def test_the_command_entry_freezes_the_heap_at_exit():
+    # the finalization collections skip frozen objects; atexit runs first
+    code = (
+        "import atexit, gc, json\n"
+        "import qfock.__main__\n"
+        "before = gc.get_freeze_count()\n"
+        "atexit._run_exitfuncs()\n"
+        "print(json.dumps([before, gc.get_freeze_count() > 0]))\n"
+    )
+    assert _fresh_import(code, None) == [0, True]
+
+
+def test_an_in_process_command_never_freezes_the_callers_heap(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    frozen = gc.get_freeze_count()
+    assert main(["run", "fock", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def _entry(*args):
+    """Run `python -m qfock <args>` with this source tree on the path."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qfock.__file__))}
+    return subprocess.run(
+        [sys.executable, "-m", "qfock", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_the_command_entry_writes_the_in_process_reports(tmp_path, capsys):
+    config = os.path.join(CONFIGS, "full_run.yaml")
+    result = _entry("run", "all", "--config", config, "--out", str(tmp_path / "entry"))
+    assert result.returncode == 0, result.stderr
+    assert main(["run", "all", "--config", config, "--out", str(tmp_path / "main")]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "main").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "entry").glob("*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def test_the_command_entry_reports_an_invalid_config(tmp_path):
+    path = write_config(tmp_path, {"space": {"q": [[1.2]], "blocks": ["fixed"]}})
+    result = _entry("run", "fock", "--config", path, "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("invalid configuration:")
+    assert "max|q_ij| < 1" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["4", None])

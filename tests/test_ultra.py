@@ -1,12 +1,14 @@
 """Finite-m averaged moments: dual evaluators and limits."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qfock.combinatorics import pair_partitions
+from qfock.config import load_config
 from qfock.errors import BuildError
 from qfock.hilbert import DeformationMatrix, build_space
 from qfock.linalg import to_float
@@ -297,6 +299,26 @@ def test_report_rows_structure(unit_space):
 def test_fitted_slope_ignores_floor_points():
     assert fitted_slope([2, 3], [0.0, 0.0]) is None
     assert fitted_slope([2, 4, 8], [1.0, 0.5, 0.25]) == pytest.approx(-1.0)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_fitted_slope_is_the_polyfit_slope_on_the_shipped_configs(name):
+    # the closed form against LAPACK's least squares, on the errors each
+    # shipped config's ultra run fits, and on them with a floor point
+    config = load_config(os.path.join(CONFIGS, name))
+    params = config.experiment("ultra")
+    report = convergence_experiment(
+        config.setup(), params["vectors"], params["q"], params["q_tilde"], params["m_list"]
+    )
+    errors = report.errors()
+    for dims, errs in [(report.aux_dims, errors), (report.aux_dims, (0.0,) + errors[1:])]:
+        kept = [(m, e) for m, e in zip(dims, errs) if e > 1e-15]
+        xs, ys = np.log([m for m, _ in kept]), np.log([e for _, e in kept])
+        oracle = np.polyfit(xs, ys, 1)[0]
+        assert abs(fitted_slope(dims, errs) - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_effective_deformation_shapes(rot_space):
