@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "combinatorics": "PairPartition SetPartition pair_partitions",
+    "combinatorics": "PairPartition pair_partitions",
     "config": "RunConfig config_hash load_config normalize_config",
     "errors": "BuildError ConfigError CutoffError InvariantError",
     "fock": "TruncatedFock",

@@ -48,7 +48,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import RunConfig, config_hash, load_config
+from .config import config_hash, load_config
 from .errors import BuildError, ConfigError, CutoffError, InvariantError
 from .fock import BRAID_TOLERANCE
 from .linalg import blas_config, complex_normals, gram_inner, pin_blas_threads
@@ -343,15 +343,8 @@ def _do_validate(args) -> int:
 
 
 def _do_run(args, blas_threads) -> int:
-    config = load_config(args.config)
-    data = dict(config.data)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["output_dir"] = args.out
-    config = RunConfig(data)
+    flags = {"seed": args.seed, "output_dir": args.out}
+    config = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
     digest = config_hash(config)
 
     started = time.perf_counter()

@@ -1,9 +1,8 @@
 """Exact combinatorics behind deformed moment formulas.
 
-Pair partitions of an even index set with their crossing statistics, set
-partitions with the lattice join, kernels of multi-indices, the two
-coefficient families attached to crossings and to shuffle inversions, and
-reduced words for permutations.  Positions are 0-based throughout.
+Pair partitions of an even index set with their crossing statistics, the
+two coefficient families attached to crossings and to shuffle inversions,
+and reduced words for permutations.  Positions are 0-based throughout.
 Coefficient entries may be floats or Fractions; everything in this module
 is exact for exact inputs.
 """
@@ -83,9 +82,6 @@ class PairPartition:
         """
         return len(self.crossing_indices())
 
-    def as_set_partition(self) -> "SetPartition":
-        return SetPartition.from_blocks(self.pairs)
-
 
 def pair_partitions(l: int) -> list[PairPartition]:
     """All pair partitions of {0, ..., l-1}, empty for odd l.
@@ -114,89 +110,6 @@ def pair_partitions(l: int) -> list[PairPartition]:
 
     match(tuple(range(l)), ())
     return out
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {0, ..., l-1} into blocks, each block sorted, blocks
-    ordered by their minimum."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        part = cls(canon)
-        part.validate()
-        return part
-
-    def validate(self) -> None:
-        seen = [k for b in self.blocks for k in b]
-        if sorted(seen) != list(range(len(seen))):
-            raise ValueError(f"blocks do not partition 0..{len(seen) - 1}: {self.blocks}")
-
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, k: int) -> int:
-        for idx, b in enumerate(self.blocks):
-            if k in b:
-                return idx
-        raise ValueError(f"{k} not covered")
-
-    def join(self, other: "SetPartition") -> "SetPartition":
-        """Smallest common coarsening (the lattice join), via union-find.
-
-        >>> a = SetPartition.from_blocks([(0, 1), (2, 3)])
-        >>> b = SetPartition.from_blocks([(1, 2), (0,), (3,)])
-        >>> a.join(b).blocks
-        ((0, 1, 2, 3),)
-        """
-        if self.size != other.size:
-            raise ValueError("partitions cover different ground sets")
-        parent = list(range(self.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for part in (self, other):
-            for b in part.blocks:
-                for k in b[1:]:
-                    union(b[0], k)
-        groups: dict[int, list[int]] = {}
-        for k in range(self.size):
-            groups.setdefault(find(k), []).append(k)
-        return SetPartition.from_blocks(groups.values())
-
-
-def kernel(values) -> SetPartition:
-    """Partition of positions by equal values.
-
-    >>> kernel((2, 7, 2, 9)).blocks
-    ((0, 2), (1,), (3,))
-    """
-    groups: dict[object, list[int]] = {}
-    for pos, v in enumerate(values):
-        groups.setdefault(v, []).append(pos)
-    return SetPartition.from_blocks(groups.values())
-
-
-def refines(fine: SetPartition, coarse: SetPartition) -> bool:
-    """True when every block of ``fine`` sits inside a block of ``coarse``."""
-    return coarse.join(fine) == coarse
 
 
 def g_coefficient(nu: PairPartition, labels, q):

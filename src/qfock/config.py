@@ -136,9 +136,11 @@ def _parse_yaml(text: str):
     return yaml.load(text, Loader=yaml.SafeLoader)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides=None) -> RunConfig:
     """Read, parse, and normalize a configuration file.
 
+    ``overrides`` replace top-level keys of the parsed tree before it is
+    normalized, so a value from the command line meets the file's rules.
     I/O failures propagate as OSError; parse failures carry the line and
     column of the offending construct.
     """
@@ -150,6 +152,8 @@ def load_config(path: str) -> RunConfig:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"configuration parse error{where}: {err}") from err
+    if overrides and (raw is None or isinstance(raw, dict)):
+        raw = {**(raw or {}), **overrides}
     return normalize_config(raw)
 
 

@@ -43,21 +43,23 @@ import ctypes
 
 import numpy as np
 
-# (setter, getter) pairs of the OpenBLAS thread controls, by build flavour:
-# the copies bundled with numpy 2 (64-bit, then 32-bit integers), the one
-# bundled with numpy 1, then an unsuffixed system OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-# the build-configuration string of the same flavours, in the same order
-_OPENBLAS_CONFIG_SYMBOLS = (
-    "scipy_openblas_get_config64_",
-    "scipy_openblas_get_config",
-    "openblas_get_config64_",
-    "openblas_get_config",
+# (setter, getter, config) names of the OpenBLAS thread controls and build
+# string, by build flavour: the copies bundled with numpy 2 (64-bit, then
+# 32-bit integers), the one bundled with numpy 1, then an unsuffixed system
+# OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    (
+        "scipy_openblas_set_num_threads64_",
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_config64_",
+    ),
+    (
+        "scipy_openblas_set_num_threads",
+        "scipy_openblas_get_num_threads",
+        "scipy_openblas_get_config",
+    ),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_", "openblas_get_config64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads", "openblas_get_config"),
 )
 
 
@@ -74,7 +76,7 @@ def pin_blas_threads() -> int | None:
     is changed and None is returned.
     """
     lib = _numpy_blas()
-    for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+    for setter, getter, _ in _OPENBLAS_SYMBOLS:
         try:
             set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
         except AttributeError:
@@ -91,7 +93,7 @@ def blas_config() -> str | None:
     width), looked up as ``pin_blas_threads`` looks up its controls; None
     on builds with another BLAS."""
     lib = _numpy_blas()
-    for name in _OPENBLAS_CONFIG_SYMBOLS:
+    for _, _, name in _OPENBLAS_SYMBOLS:
         get_config = getattr(lib, name, None)
         if get_config is not None:
             get_config.argtypes, get_config.restype = [], ctypes.c_char_p

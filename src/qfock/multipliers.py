@@ -144,13 +144,10 @@ def check_quantizable(setup, matrix) -> None:
     norm = op_norm(to_float(matrix), to_float(setup.u_gram), to_float(setup.u_gram))
     if norm > 1 + 1e-10:
         violations.append(f"one-particle map has norm {norm:.6g} > 1")
-    for i in range(setup.dim):
-        for j in range(setup.dim):
-            if setup.block_of[i] != setup.block_of[j] and matrix[i, j] != 0:
-                violations.append(
-                    f"entry ({i}, {j}) couples blocks "
-                    f"{setup.block_of[i]} and {setup.block_of[j]}"
-                )
+    block_of = np.asarray(setup.block_of)
+    coupling = (block_of[:, None] != block_of[None, :]) & (matrix != 0)
+    for i, j in np.argwhere(coupling):
+        violations.append(f"entry ({i}, {j}) couples blocks {block_of[i]} and {block_of[j]}")
     for t in GROUP_CHECK_TIMES:
         u = setup.u_matrix(t)
         if max_abs(matrix.dot(u) - u.dot(matrix)) > 1e-10:

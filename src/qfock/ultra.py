@@ -10,10 +10,12 @@ Two independent evaluators are provided.  The enumeration path computes
 the exact finite-m double sum, grouping auxiliary multi-indices by the
 value assignment on the blocks of the join of the two pair partitions
 (injective and non-injective assignments alike), with the shape entries
-read off the ACTUAL auxiliary values.  The closed form collapses the same
-sum into crossing powers times m**(|join| - l/2); that collapse is valid
-only when the shape deformation is uniform, because only then is the
-first-factor crossing coefficient independent of the auxiliary values.
+read off the ACTUAL auxiliary values.  ``_join_blocks`` labels the join's
+blocks in place, by union-find over the two partitions' pairs, in order of
+their least positions.  The closed form collapses the same sum into
+crossing powers times m**(|join| - l/2); that collapse is valid only when
+the shape deformation is uniform, because only then is the first-factor
+crossing coefficient independent of the auxiliary values.
 Non-uniform specs must use the enumeration path, and their convergence is
 reported rather than asserted.
 """
@@ -129,6 +131,29 @@ def _second_factor_weights(spec: UmSpec, setup):
     return out
 
 
+def _join_blocks(pairs, other) -> tuple[list[int], int]:
+    """The block of every position in the join of two pair partitions of
+    the same points, given by their pairs, and the number of blocks.
+
+    Union-find keeps each root the least position of its block, so the
+    blocks are numbered in order of their least positions.
+    """
+    parent = list(range(2 * len(pairs)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.chain(pairs, other):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    roots = [find(k) for k in range(len(parent))]
+    label = {root: n for n, root in enumerate(sorted(set(roots)))}
+    return [label[root] for root in roots], len(label)
+
+
 def _guard_enumeration(spec: UmSpec) -> None:
     violations = []
     if spec.m > MAX_AUX_DIM:
@@ -158,17 +183,13 @@ def um_moment_enumerate(spec: UmSpec, setup):
     second = _second_factor_weights(spec, setup)
     total = _zero(setup)
     for nu in pair_partitions(l):
-        nu_blocks = nu.as_set_partition()
         crossings = nu.crossing_indices()
         for nup, w2 in second:
             if w2 == 0:
                 continue
-            join = nu_blocks.join(nup.as_set_partition())
-            cross_blocks = [
-                (join.block_of(nu.pairs[r][0]), join.block_of(nu.pairs[s][1]))
-                for r, s in crossings
-            ]
-            for values in itertools.product(range(spec.m), repeat=join.block_count):
+            block, count = _join_blocks(nu.pairs, nup.pairs)
+            cross_blocks = [(block[nu.pairs[r][0]], block[nu.pairs[s][1]]) for r, s in crossings]
+            for values in itertools.product(range(spec.m), repeat=count):
                 g1 = _one(setup)
                 for bi, bj in cross_blocks:
                     g1 = g1 * spec.shape_entry(values[bi], values[bj])
@@ -197,11 +218,10 @@ def um_moment_closedform(spec: UmSpec, setup):
     total = _zero(setup)
     for nu in pair_partitions(l):
         w1 = spec.q_tilde ** nu.crossing_number()
-        nu_blocks = nu.as_set_partition()
         for nup, w2 in second:
             if w2 == 0:
                 continue
-            exponent = nu_blocks.join(nup.as_set_partition()).block_count - l // 2
+            exponent = _join_blocks(nu.pairs, nup.pairs)[1] - l // 2
             if setup.exact:
                 scale = Fraction(spec.m) ** exponent
             else:

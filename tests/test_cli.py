@@ -155,8 +155,27 @@ def test_negative_seed_exits_with_code_one(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main(["run", "fock", "--config", path, "--out", str(out_dir), "--seed", "-1"])
     assert code == 1
-    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert "seed: need a nonnegative integer" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value, message",
+    [
+        ("--seed", "seed", -1, "seed: need a nonnegative integer"),
+        ("--out", "output_dir", "", "output_dir: need a nonempty path string"),
+    ],
+    ids=["negative-seed", "empty-out"],
+)
+def test_a_flag_meets_the_rule_of_its_config_key(tmp_path, capsys, flag, key, value, message):
+    # the flag's value fails as the same value in the file does: exit 1, one message
+    path = write_config(tmp_path, MINIMAL)
+    assert main(["run", "fock", "--config", path, flag, str(value)]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_flag == f"invalid configuration:\n  - {message}\n"
+    path = write_config(tmp_path, {**MINIMAL, key: value}, name="in_file.yaml")
+    assert main(["run", "fock", "--config", path]) == 1
+    assert capsys.readouterr().err == from_flag
 
 
 # usage errors exit 1 like configuration errors: 2 is an invariant failure
@@ -700,7 +719,7 @@ def test_the_benchmarks_traced_pass_runs_every_experiment(tmp_path):
 PACKAGE_EXPORTS = """
     BuildError ConfigError ContractionFamily ConvergenceReport CutoffError
     DeformationMatrix HilbertSetup InvariantError ModularData MomentSpec
-    PairPartition RadialSymbol RunConfig SetPartition TruncatedFock UmSpec
+    PairPartition RadialSymbol RunConfig TruncatedFock UmSpec
     WickWord amplified_norm_estimate amplified_norm_scan basis_word_operator
     build_space check_quantizable config_hash convergence_experiment field
     from_vector kms_residual load_config modular_flow moment_matrix
@@ -878,7 +897,7 @@ def test_the_command_entry_starts_openblas_on_one_thread():
         "import qfock.__main__\n"
         "from qfock import linalg\n"
         "lib = linalg._numpy_blas()\n"
-        "counts = [getattr(lib, get)() for _, get in linalg._OPENBLAS_THREAD_SYMBOLS\n"
+        "counts = [getattr(lib, get)() for _, get, _ in linalg._OPENBLAS_SYMBOLS\n"
         "          if hasattr(lib, get)]\n"
         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
         "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], counts[:1], tasks]))\n"

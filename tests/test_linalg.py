@@ -95,13 +95,14 @@ def test_a_non_positive_definite_gram_raises_on_both_routes():
 
 def test_pinning_without_openblas_thread_controls_changes_nothing(monkeypatch):
     # MKL and Accelerate builds of numpy export no OpenBLAS symbols
-    missing = (("no_such_set_num_threads", "no_such_get_num_threads"),)
-    monkeypatch.setattr(qfock.linalg, "_OPENBLAS_THREAD_SYMBOLS", missing)
+    missing = (("no_such_set_num_threads", "no_such_get_num_threads", "no_such_get_config"),)
+    monkeypatch.setattr(qfock.linalg, "_OPENBLAS_SYMBOLS", missing)
     assert pin_blas_threads() is None
 
 
 def test_blas_config_without_openblas_is_none(monkeypatch):
-    monkeypatch.setattr(qfock.linalg, "_OPENBLAS_CONFIG_SYMBOLS", ("no_such_get_config",))
+    missing = (("no_such_set_num_threads", "no_such_get_num_threads", "no_such_get_config"),)
+    monkeypatch.setattr(qfock.linalg, "_OPENBLAS_SYMBOLS", missing)
     assert blas_config() is None
 
 

@@ -85,8 +85,6 @@ ORACLES = {
     "linalg.legwise": "multipliers._quantize",
     "wick.span_operator": "multipliers._realize",
     "combinatorics.double_factorial": "combinatorics.pair_partitions",
-    "combinatorics.kernel": "combinatorics.SetPartition.join",
-    "combinatorics.refines": "combinatorics.SetPartition.join",
 }
 
 
