@@ -3,11 +3,12 @@
 A run is described by a plain UTF-8 key/value tree (YAML).  This module
 states the schema: keys, types, defaults and the ranges only a
 configuration has.  Every rule on the space is a layer's own: once the
-space section's schema holds, normalization builds the group model and
-checks the cutoff and each word vector with the layers' checks.  One
-ConfigError lists all violations.  ``qfock validate`` also builds the
-truncated Fock space, so it refuses what a run's build refuses, level
-positivity included; only ``run`` checks the scan's stack budget.
+space section's schema holds, normalization builds the group model, keeps
+it on the RunConfig, and checks the cutoff and each word vector with the
+layers' checks.  One ConfigError lists all violations.  ``qfock validate``
+also builds the truncated Fock space, so it refuses what a run's build
+refuses, level positivity included; only ``run`` checks the scan's stack
+budget.
 Normalization fills every default, so the echoed configuration is
 complete and its canonical JSON serialization is a stable input for the
 run hash.  The hash is SHA-256 from CPython's builtin module (``_sha2``
@@ -76,9 +77,11 @@ def _is_int(x) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """A fully normalized run description."""
+    """A fully normalized run description, with the group model of its
+    space, built and checked once by normalization."""
 
     data: dict
+    setup: object
 
     @property
     def seed(self) -> int:
@@ -95,11 +98,8 @@ class RunConfig:
     def experiment(self, name: str) -> dict:
         return self.data["experiments"][name]
 
-    def setup(self):
-        return _build_setup(self.data["space"])
-
     def fock(self) -> TruncatedFock:
-        return TruncatedFock(self.setup(), n_max=self.n_max)
+        return TruncatedFock(self.setup, n_max=self.n_max)
 
 
 def _build_setup(space):
@@ -477,4 +477,4 @@ def normalize_config(raw) -> RunConfig:
         "output_dir": output_dir,
         "experiments": experiments,
     }
-    return RunConfig(data)
+    return RunConfig(data, setup)

@@ -7,8 +7,9 @@ Hermitian pencil (a, b), and every such pencil is reduced in numpy the way
 LAPACK's ``hegv`` reduces it: with b = L L^H, the eigenvalues are those of
 L^-1 a L^-H.  ``scipy.linalg.eigh`` stays in the tests as the oracle.  The
 amplified-norm scan in the multipliers layer uses the Cholesky factor
-directly: it whitens its realization stack by the factor of the full Gram
-form once per space (``op_norm`` is the oracle).  The build-time positivity
+directly: it whitens each basis word by the factor of the full Gram form
+once per space and keeps the level blocks the word reaches (``op_norm`` is
+the oracle).  The build-time positivity
 check needs no pencil at all: the level pencil (G_U^(n) P(n), G_U^(n)) has
 the spectrum of P(n), which the fock layer reads off P(n)'s small orbit
 blocks; ``min_gen_eig`` on the level-sized pencil stays in the tests as its

@@ -18,10 +18,14 @@ size because the previous witness embeds with an unchanged ratio and is
 replaced only by a strictly better one.
 
 Realization runs on a stack of all D basis-word operators, whitened by the
-Cholesky factor of the full Gram form and built once per space: a size-s
-witness is realized by one (s^2 x D) by (D x D^2) product, and its deformed
-norm is a plain spectral norm.  The stack costs 16 D^3 bytes, so the scan
-refuses spaces whose stack exceeds a fixed budget (D <= 256).
+Cholesky factor of the full Gram form and built once per space.  A level-n
+word maps level k only to the levels k + n - 2j, so the stack keeps each
+word on the level blocks it reaches alone, one array of whitened blocks per
+level pair (43% of a dense stack's 16 D^3 bytes at d = 3, n_max 3).  A
+size-s witness is realized by one (s^2 x words) by (words x d^m d^k)
+product per level pair, and its deformed norm is a plain spectral norm.
+The scan still refuses spaces whose dense stack, 16 D^3 bytes, exceeds a
+fixed budget (D <= 256).
 """
 
 from __future__ import annotations
@@ -134,13 +138,26 @@ def _as_scalar(matrix: np.ndarray):
     return s
 
 
+def _check_finite(matrix, user: str) -> None:
+    """Refuse a matrix with a non-finite entry, naming the first five."""
+    bad = [tuple(int(i) for i in entry) for entry in np.argwhere(~np.isfinite(to_float(matrix)))]
+    if bad:
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise BuildError(
+            f"{user} needs a finite matrix; entries "
+            f"{', '.join(map(str, bad[:5]))}{more} are not finite"
+        )
+
+
 def check_quantizable(setup, matrix) -> None:
-    """Validate the one-particle map to 1e-10: contraction in the deformed
-    geometry, block preserving, commuting with the group at sampled times."""
+    """Validate the one-particle map to 1e-10: finite first, then a
+    contraction in the deformed geometry, block preserving, commuting with
+    the group at sampled times."""
     matrix = np.asarray(matrix)
     violations = []
     if matrix.shape != (setup.dim, setup.dim):
         raise BuildError(f"one-particle map must be {setup.dim}x{setup.dim}")
+    _check_finite(matrix, "a one-particle map")
     norm = op_norm(to_float(matrix), to_float(setup.u_gram), to_float(setup.u_gram))
     if norm > 1 + 1e-10:
         violations.append(f"one-particle map has norm {norm:.6g} > 1")
@@ -317,7 +334,8 @@ def net_majorant(beyond: int, t: float) -> float:
 
 
 def check_stack_budget(fock) -> None:
-    """Refuse a space whose realization stack (16 D^3 bytes) is over budget."""
+    """Refuse a space whose realization stack, counted dense (16 D^3 bytes),
+    is over budget."""
     d = fock.total_dim
     if 16 * d**3 > STACK_BUDGET_BYTES:
         raise BuildError(
@@ -327,14 +345,23 @@ def check_stack_budget(fock) -> None:
         )
 
 
-def _whitened_stack(fock) -> np.ndarray:
-    """Basis-word operators in an orthonormal frame of the full Gram form.
+def _whitened_stack(fock) -> tuple:
+    """Basis-word operators in an orthonormal frame of the full Gram form,
+    kept on the level blocks they reach.
 
-    Entry i is L^H R_i L^-H, where R_i realizes the i-th basis word in full
-    coordinate order and full_gram = L L^H.  A realized span element then
-    has its deformed operator norm as the plain spectral norm of its
-    whitened form.  Built once per space and memoized beside the
-    basis-word cache; it holds 16 D^3 bytes, capped by a fixed budget.
+    Word i's whitened operator is L^H R_i L^-H, where R_i realizes the i-th
+    basis word in full coordinate order and full_gram = L L^H.  A realized
+    span element then has its deformed operator norm as the plain spectral
+    norm of its whitened form.  By the splitting formula a level-n word
+    maps level k to the levels k + n - 2j, 0 <= j <= min(n, k), so it
+    reaches the block (m, k) exactly when |m - k| <= n, m - k = n (mod 2) and
+    m + k >= n; L is block-diagonal by level, so whitening keeps every
+    other block zero.  The stack is one entry per level pair:
+    (row slice of level m, column slice of level k, the indices of the
+    words reaching the block, their whitened blocks as one array of shape
+    (words, d^m, d^k)).  Each word is densified and whitened once, and its
+    blocks are copied out.  Built once per space and memoized beside the
+    basis-word cache; the budget still counts the dense 16 D^3 bytes.
     """
     hit = fock.__dict__.get("_whitened_stack")
     if hit is not None:
@@ -344,30 +371,51 @@ def _whitened_stack(fock) -> np.ndarray:
     lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
     left = lower.conj().T
     right = np.linalg.solve(lower, np.eye(d)).conj().T
-    words = [fock.basis_words(n) for n in range(fock.n_max + 1)]
+    levels = range(fock.n_max + 1)
+    stack, reached = [], [[] for _ in levels]
+    for m, k in itertools.product(levels, repeat=2):
+        rows, cols = fock.level_slice(m), fock.level_slice(k)
+        reach = range(abs(m - k), min(m + k, fock.n_max) + 1, 2)
+        index = np.concatenate([np.arange(d)[fock.level_slice(n)] for n in reach])
+        blocks = np.empty((len(index), fock.level_dim(m), fock.level_dim(k)), dtype=complex)
+        start = 0
+        for n in reach:  # the pair's words run level by level, in word order
+            reached[n].append((rows, cols, blocks, start))
+            start += fock.level_dim(n)
+        stack.append((rows, cols, index, blocks))
+    words = [fock.basis_words(n) for n in levels]
     for n, level in enumerate(words):
         _level_entries(fock, n, level)  # each level's words assembled in one batch
-    stack = np.empty((d, d, d), dtype=complex)
-    for i, word in enumerate(itertools.chain.from_iterable(words)):
-        stack[i] = left.dot(to_float(basis_word_operator(fock, word))).dot(right)
-    stack.flags.writeable = False
+    for n, level in enumerate(words):
+        for j, word in enumerate(level):
+            whitened = left.dot(to_float(basis_word_operator(fock, word))).dot(right)
+            for rows, cols, blocks, start in reached[n]:
+                blocks[start + j] = whitened[rows, cols]
+    for _, _, index, blocks in stack:
+        index.flags.writeable = blocks.flags.writeable = False
+    stack = tuple(stack)
     fock.__dict__["_whitened_stack"] = stack
     return stack
 
 
-def _realize(stack: np.ndarray, witnesses: np.ndarray) -> np.ndarray:
+def _realize(stack: tuple, witnesses: np.ndarray) -> np.ndarray:
     """Block operators realizing a stack of witnesses of shape (..., s, s, D).
 
-    Block (a, b) realizes the span coordinates witness[a, b], as one
-    (s^2 x D) by (D x D^2) product per witness.
+    Block (a, b) realizes the span coordinates witness[a, b].  Each level
+    pair of every block is filled in place by one (s^2 x words) by
+    (words x d^m d^k) product over the words reaching it.
     """
     *batch, size, _, d = witnesses.shape
-    blocks = witnesses.reshape(-1, d).dot(stack.reshape(d, d * d))
-    big = blocks.reshape(*batch, size, size, d, d).swapaxes(-3, -2)
+    flat = witnesses.reshape(-1, d)
+    big = np.empty((*batch, size, d, size, d), dtype=complex)
+    for rows, cols, index, blocks in stack:
+        count, dm, dk = blocks.shape
+        part = flat[:, index].dot(blocks.reshape(count, dm * dk))
+        big[..., rows, :, cols] = part.reshape(*batch, size, size, dm, dk).swapaxes(-3, -2)
     return big.reshape(*batch, size * d, size * d)
 
 
-def _realized_norm(stack: np.ndarray, witness: np.ndarray):
+def _realized_norm(stack: tuple, witness: np.ndarray):
     """Deformed operator norms of the block operators realizing a stack of
     witnesses, by one stacked SVD: in the whitened frame each norm is the
     top singular value."""
@@ -389,15 +437,20 @@ def _ascent_direction(stack, matrix, witness):
 
     With (u, v) the top singular pair of B(X), the derivative of ||B(X)||
     along dX is Re sum dX_abi g_abi with g_abi = u_a^H S_i v_b, S_i the
-    whitened basis words; X = M W pulls g back through M.
+    whitened basis words; X = M W pulls g back through M.  g is summed
+    level pair by level pair over the words reaching each.
     """
     size, _, d = witness.shape
     pair = np.stack([witness, witness.dot(matrix.T)])
     left, sigma, right = np.linalg.svd(_realize(stack, pair), full_matrices=False)
     u = left[:, :, 0].reshape(2, size, d).conj()
     v = right[:, 0, :].reshape(2, size, d).conj()
-    outer = np.einsum("kap,kbq->kabpq", u, v).reshape(2 * size * size, d * d)
-    g = outer.dot(stack.reshape(d, d * d).T).reshape(2, size, size, d)
+    g = np.zeros((2 * size * size, d), dtype=complex)
+    for rows, cols, index, blocks in stack:
+        count, dm, dk = blocks.shape
+        outer = np.einsum("kap,kbq->kabpq", u[..., rows], v[..., cols]).reshape(-1, dm * dk)
+        g[:, index] += outer.dot(blocks.reshape(count, dm * dk).T)
+    g = g.reshape(2, size, size, d)
     below, above = sigma[:, 0]
     direction = np.conj(g[1].dot(matrix) - (above / below) * g[0])
     length = np.linalg.norm(direction)
@@ -455,13 +508,7 @@ def _scan(fock, matrix, max_amplification: int, seed: int) -> list:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (fock.total_dim,) * 2:
         raise BuildError("norm estimation expects a full coordinate matrix")
-    bad = [tuple(int(i) for i in entry) for entry in np.argwhere(~np.isfinite(matrix))]
-    if bad:
-        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-        raise BuildError(
-            f"norm estimation needs a finite matrix; entries "
-            f"{', '.join(map(str, bad[:5]))}{more} are not finite"
-        )
+    _check_finite(matrix, "norm estimation")
     stack = _whitened_stack(fock)
     d = fock.total_dim
     seeds = np.zeros((fock.n_max + 1, 1, 1, d), dtype=complex)

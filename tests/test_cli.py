@@ -305,6 +305,27 @@ def test_single_experiment_matches_the_combined_run(tmp_path, capsys):
     assert cache["entries"] == 2 * 3
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_command_builds_its_space_once(tmp_path, capsys, monkeypatch, command):
+    import qfock.config
+
+    calls = []
+    build_space = qfock.config.build_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_space(*args, **kwargs)
+
+    monkeypatch.setattr(qfock.config, "build_space", counting)
+    path = write_config(tmp_path, MIXED)
+    argv = ["validate", "--config", path]
+    if command == "run":
+        argv = ["run", "fock", "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_exchange_pairs_cover_every_level_pair_on_any_seed(tmp_path, capsys, monkeypatch):
     import qfock.modular
 
@@ -819,14 +840,18 @@ def test_the_cap_commands_sort_no_unique_and_invert_and_diagonalize_nothing_comp
     # np.unique's quicksort argsort and complex LAPACK map megabytes of
     # library code that a command's entry merges and 8 x 8 checks need not
     source = os.path.dirname(os.path.dirname(qfock.__file__))
-    config = os.path.join(os.path.dirname(source), "configs", "modular_rotation.yaml")
-    cuts = (
+    configs = os.path.join(os.path.dirname(source), "configs")
+    config = os.path.join(configs, "modular_rotation.yaml")
+    refuse = (
         "import sys, numpy as np, qfock.cli\n"
         "def refuse(name):\n"
         "    def call(*args, **kwargs):\n"
         "        raise AssertionError(name + ' was called')\n"
         "    return call\n"
-        "np.unique, np.linalg.inv = refuse('np.unique'), refuse('np.linalg.inv')\n"
+        "np.unique = refuse('np.unique')\n"
+    )
+    cuts = refuse + (
+        "np.linalg.inv = refuse('np.linalg.inv')\n"
         "real_eigvalsh = np.linalg.eigvalsh\n"
         "def eigvalsh(a, *args, **kwargs):\n"
         "    assert not np.iscomplexobj(a), 'complex eigvalsh'\n"
@@ -837,7 +862,11 @@ def test_the_cap_commands_sort_no_unique_and_invert_and_diagonalize_nothing_comp
         ["run", experiment, "--config", config, "--out", str(tmp_path / experiment)]
         for experiment in ("fock", "moments", "modular")
     ]
-    run_together([cuts + f"assert qfock.cli.main({argv!r}) == 0\n" for argv in commands], source)
+    checks = [cuts + f"assert qfock.cli.main({argv!r}) == 0\n" for argv in commands]
+    # the scan needs complex LAPACK by design, but sorts nothing either
+    scan = ["run", "multipliers", "--config", os.path.join(configs, "multipliers_net.yaml")]
+    scan += ["--out", str(tmp_path / "multipliers")]
+    run_together(checks + [refuse + f"assert qfock.cli.main({scan!r}) == 0\n"], source)
 
 
 # dim 5, n_max 4: the level-4 smallest P eigenvalue is a 625-row pencil

@@ -461,7 +461,7 @@ def test_a_vector_over_two_blocks_of_one_label_is_one_leg():
     word = {"vectors": [[1.0, 2.0], [1.0, 0.0]]}
     config = normalize_config({"space": space, "experiments": {"moments": {"words": [word]}}})
     assert config.experiment("moments")["words"] == [word]
-    spec = MomentSpec.build(config.setup(), [np.asarray(v) for v in word["vectors"]])
+    spec = MomentSpec.build(config.setup, [np.asarray(v) for v in word["vectors"]])
     checked_moment(spec, config.fock())
 
 

@@ -1,7 +1,9 @@
 """Radial multipliers, second quantization, and the approximation net."""
 
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +12,24 @@ from qfock.config import load_config
 from qfock.errors import BuildError
 from qfock.fock import TruncatedFock
 from qfock.hilbert import build_space
-from qfock.linalg import block_diag, gram_inner, kron_power, max_abs, min_gen_eig, op_norm, to_float
+from qfock.linalg import (
+    block_diag,
+    gram_inner,
+    hermitize,
+    kron_power,
+    max_abs,
+    min_gen_eig,
+    op_norm,
+    to_float,
+)
 from qfock.modular import ModularData
 from qfock.multipliers import (
     MAX_AMPLIFICATION,
     ContractionFamily,
     RadialSymbol,
     _as_scalar,
+    _ascent_direction,
+    _realize,
     _realized_norm,
     _scan,
     _whitened_stack,
@@ -32,7 +45,14 @@ from qfock.multipliers import (
     second_quantize_matrix,
     tail_series,
 )
-from qfock.wick import from_vector, span_operator, vacuum_expectation, wick_operator
+from qfock.wick import (
+    _level_entries,
+    basis_word_operator,
+    from_vector,
+    span_operator,
+    vacuum_expectation,
+    wick_operator,
+)
 
 from conftest import in_frame
 
@@ -196,6 +216,17 @@ def test_quantization_precondition_rejections(fock3):
     with pytest.raises(BuildError) as info:
         check_quantizable(fock3.setup, bad)
     assert len(info.value.violations) >= 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_map_is_refused_before_its_norm(fock3, bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(BuildError) as info:
+        check_quantizable(fock3.setup, matrix)
+    assert info.value.violations == [
+        "a one-particle map needs a finite matrix; entries (1, 2) are not finite"
+    ]
 
 
 def test_contraction_family_members(fock3, family3):
@@ -440,6 +471,110 @@ def _block_realize(fock, witness):
                 span_operator(fock, witness[a, b])
             )
     return big
+
+
+def dense_whitened_stack(fock):
+    """Oracle of the level-block stack: all D whitened basis-word operators
+    L^H R_i L^-H as one dense (D, D, D) array, full_gram = L L^H."""
+    d = fock.total_dim
+    lower = np.linalg.cholesky(hermitize(to_float(fock.full_gram)))
+    left = lower.conj().T
+    right = np.linalg.solve(lower, np.eye(d)).conj().T
+    words = [fock.basis_words(n) for n in range(fock.n_max + 1)]
+    for n, level in enumerate(words):
+        _level_entries(fock, n, level)
+    stack = np.empty((d, d, d), dtype=complex)
+    for i, word in enumerate(itertools.chain.from_iterable(words)):
+        stack[i] = left.dot(to_float(basis_word_operator(fock, word))).dot(right)
+    return stack
+
+
+def dense_realize(dense, witnesses):
+    """Oracle of ``_realize``: one (s^2 x D) by (D x D^2) product on the
+    dense stack."""
+    *batch, size, _, d = witnesses.shape
+    blocks = witnesses.reshape(-1, d).dot(dense.reshape(d, d * d))
+    big = blocks.reshape(*batch, size, size, d, d).swapaxes(-3, -2)
+    return big.reshape(*batch, size * d, size * d)
+
+
+def dense_direction(stack, dense, matrix, witness):
+    """Oracle of ``_ascent_direction``: the gradient u_a^H S_i v_b as one
+    (2 s^2 x D^2) by (D^2 x D) product on the dense stack, from the singular
+    pairs of the level-block realization, so only the gradient differs."""
+    size, _, d = witness.shape
+    pair = np.stack([witness, witness.dot(matrix.T)])
+    left, sigma, right = np.linalg.svd(_realize(stack, pair), full_matrices=False)
+    u = left[:, :, 0].reshape(2, size, d).conj()
+    v = right[:, 0, :].reshape(2, size, d).conj()
+    outer = np.einsum("kap,kbq->kabpq", u, v).reshape(2 * size * size, d * d)
+    g = outer.dot(dense.reshape(d, d * d).T).reshape(2, size, size, d)
+    below, above = sigma[:, 0]
+    direction = np.conj(g[1].dot(matrix) - (above / below) * g[0])
+    return direction / np.linalg.norm(direction)
+
+
+def scan_space(space, exact2, request):
+    if space == "exact":
+        return TruncatedFock(exact2, n_max=2)
+    if space == "rotation":
+        return TruncatedFock(build_space([[0.4]], [("rotation", 0, 2.0)]), n_max=3)
+    return request.getfixturevalue(space)
+
+
+@pytest.mark.parametrize("space", ["small_fock", "fock3", "rotation", "exact"])
+def test_the_level_block_stack_realizes_as_the_dense_oracle(space, exact2, rng, request):
+    fock = scan_space(space, exact2, request)
+    stack, dense = _whitened_stack(fock), dense_whitened_stack(fock)
+    d = fock.total_dim
+    for size in (1, 2, 3):
+        witness = rng.standard_normal((2, size, size, d)) + 1j * rng.standard_normal(
+            (2, size, size, d)
+        )
+        realized, oracle = _realize(stack, witness), dense_realize(dense, witness)
+        assert realized.shape == oracle.shape
+        assert max_abs(realized - oracle) <= 1e-15 * max_abs(oracle)
+        matrix = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        direction = _ascent_direction(stack, matrix, witness[0])
+        expected = dense_direction(stack, dense, matrix, witness[0])
+        assert max_abs(direction - expected) <= 1e-15 * max_abs(expected)
+
+
+def test_the_stack_keeps_only_the_level_blocks_its_words_reach(fock3):
+    # d = 3, n_max 3: D = 40
+    stack, dims = _whitened_stack(fock3), [3**n for n in range(4)]
+    held = sum(blocks.nbytes for _, _, _, blocks in stack)
+    rule = sum(
+        16 * dims[n] * dims[m] * dims[k]
+        for m in range(4)
+        for k in range(4)
+        for n in range(4)
+        if abs(m - k) <= n <= m + k and (m - k - n) % 2 == 0
+    )
+    assert held == rule == 439_792
+    assert 16 * fock3.total_dim**3 == 1_024_000
+    # the dense oracle is zero outside the kept blocks
+    dense, kept = dense_whitened_stack(fock3), np.zeros((40, 40, 40), dtype=bool)
+    for rows, cols, index, blocks in stack:
+        kept[index, rows, cols] = True
+        assert np.array_equal(dense[index, rows, cols], blocks)
+    assert not np.any(dense[~kept])
+
+
+def test_building_the_stack_allocates_no_dense_stack():
+    setup = build_space(APPROX_Q, [("rotation", 0, 2.0), ("fixed", 1)])
+    fock = TruncatedFock(setup, n_max=3)
+    for n in range(fock.n_max + 1):
+        _level_entries(fock, n, fock.basis_words(n))
+    tracemalloc.start()
+    try:
+        _whitened_stack(fock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kept blocks (439,792 bytes) and a few D x D scratch matrices,
+    # below the 16 D^3 bytes of a dense stack alone
+    assert peak < 16 * fock.total_dim**3
 
 
 @pytest.mark.parametrize("space", ["small_fock", "fock3", "exact"])

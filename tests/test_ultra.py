@@ -311,7 +311,7 @@ def test_fitted_slope_is_the_polyfit_slope_on_the_shipped_configs(name):
     config = load_config(os.path.join(CONFIGS, name))
     params = config.experiment("ultra")
     report = convergence_experiment(
-        config.setup(), params["vectors"], params["q"], params["q_tilde"], params["m_list"]
+        config.setup, params["vectors"], params["q"], params["q_tilde"], params["m_list"]
     )
     errors = report.errors()
     for dims, errs in [(report.aux_dims, errors), (report.aux_dims, (0.0,) + errors[1:])]:
